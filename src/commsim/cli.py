@@ -76,8 +76,28 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+class UsageError(Exception):
+    """Bad user input that no narrower error type covers (exit 2)."""
+
+
+def _require(mapping: dict, key: str, source) -> object:
+    """mapping[key] from a user-supplied file; a missing key is a usage error."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise UsageError(f"{source}: missing key {key!r}") from None
+
+
+def _read_file(reader, path):
+    """reader(path) for a user-supplied JSON file; a missing key is a usage error."""
+    try:
+        return reader(path)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from None
+
+
 USAGE_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
-                corpus.CorpusError, json.JSONDecodeError, KeyError)
+                corpus.CorpusError, json.JSONDecodeError, UsageError)
 
 
 def _guarded(command: str, args, fn) -> int:
@@ -166,7 +186,7 @@ def _build_policy(name: str, cfg: dict, log, hist_window):
         return simulator.EmpiricalHoD(simulator.hod_histograms(hist))
     if name == "hawkes":
         if cfg.get("model"):
-            model = hawkes.load_model(cfg["model"])
+            model = _read_file(hawkes.load_model, cfg["model"])
         else:
             fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
             model = hawkes.fit(log, hist_window, fit_cfg)
@@ -178,11 +198,12 @@ def cmd_simulate(args) -> int:
     def body(manifest: Manifest):
         manifest.add_input(args.config)
         cfg = _load_sim_config(args.config)
-        input_path = cfg["input"]
+        input_path = _require(cfg, "input", args.config)
         manifest.add_input(input_path)
         log = corpus.ingest(input_path, cfg.get("format", "jsonl"))
-        t0 = timeutil.parse_utc(str(cfg["window"][0]))
-        t1 = timeutil.parse_utc(str(cfg["window"][1]))
+        window = _require(cfg, "window", args.config)
+        t0 = timeutil.parse_utc(str(window[0]))
+        t1 = timeutil.parse_utc(str(window[1]))
         seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 42))
         manifest.data["seed"] = seed
         history_days = int(cfg.get("history_days", 32))
@@ -202,7 +223,7 @@ def cmd_simulate(args) -> int:
             params = agents.stub_params_from_history(log, hist_window, seed)
             policy_impl = agents.StubPolicy(params)
         elif args.agent == "llm":
-            llm_cfg = agents.LLMEndpointConfig(**cfg["llm"])
+            llm_cfg = agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
             policy_impl = agents.LLMPolicy(llm_cfg)
         else:
             raise ValueError(f"unknown agent {args.agent!r}")
@@ -265,7 +286,8 @@ def cmd_evaluate(args) -> int:
             manifest.add_input(args.triggers)
             with open(args.triggers, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            labels = data["trigger_agents"] if isinstance(data, dict) else data
+            labels = (_require(data, "trigger_agents", args.triggers)
+                      if isinstance(data, dict) else data)
             trigger_agents = {gt.index_of(lbl) for lbl in labels}
         if args.t0 and args.t1:
             window = (timeutil.parse_utc(args.t0), timeutil.parse_utc(args.t1))
@@ -303,6 +325,11 @@ def _align_registry(sim: corpus.EventLog, gt: corpus.EventLog) -> corpus.EventLo
     return corpus.EventLog(gt.agents, events)
 
 
+def _load_report(path) -> metrics.MetricsReport:
+    with open(path, "r", encoding="utf-8") as fh:
+        return metrics.report_from_dict(json.load(fh))
+
+
 def cmd_compare(args) -> int:
     def body(manifest: Manifest):
         results: dict[str, dict[str, float]] = {}
@@ -310,8 +337,7 @@ def cmd_compare(args) -> int:
         flags: list[str] = []
         for path in args.reports:
             manifest.add_input(path)
-            with open(path, "r", encoding="utf-8") as fh:
-                report = metrics.report_from_dict(json.load(fh))
+            report = _read_file(_load_report, path)
             name = Path(path).parent.name or Path(path).stem
             scores = {}
             for e in report.entries:

@@ -77,7 +77,7 @@ class EventLog:
         try:
             return self.agents.index(label)
         except ValueError:
-            raise KeyError(label) from None
+            raise CorpusError(f"unknown agent label {label!r}") from None
 
     def with_events(self, events: Iterable[Event]) -> "EventLog":
         """Same registry, new (re-sorted) event list."""
@@ -130,8 +130,12 @@ def _parse_jsonl(text: str):
             continue
         try:
             rec = json.loads(line)
+            ts = rec["ts"]
+            # int() would silently truncate 1.7 and accept true as 1
+            if not isinstance(ts, int) or isinstance(ts, bool):
+                raise ValueError(f"ts {ts!r} is not an integer")
             yield (int(rec["id"]), str(rec["sender"]),
-                   [str(r) for r in rec["recipients"]], int(rec["ts"]),
+                   [str(r) for r in rec["recipients"]], ts,
                    rec.get("thread"), rec.get("body"))
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc

@@ -14,6 +14,14 @@ for fixed beta), and future activations are sampled by thinning with a
 per-interval bound: within an hour bin, the baseline is constant and the
 excitation is non-increasing, so bin rate + excitation at the interval's
 left endpoint dominates the intensity.
+
+A rollout reads the excitation from an `ExcitationState`, which keeps one
+decayed event count per sender and is updated as each event is appended,
+so a wake costs O(1) (diagonal model) or O(D) instead of a rescan of the
+history. Its invariant: it covers exactly the events added so far, in
+append order (non-decreasing ts), and is read at times t >= the latest
+added ts; events at ts == t count with weight 1. `intensity` and
+`excitation_integral` stay brute-force sums and serve as test oracles.
 """
 
 from __future__ import annotations
@@ -163,11 +171,6 @@ def excitation_integral(model: HawkesModel, agent: int, history: EventLog,
             lo = math.exp(-beta * (t1 - e.ts) / SECONDS_PER_HOUR)
             total += a * (up - lo)
     return total
-
-
-def baseline_integral(model: HawkesModel, agent: int, window: tuple[int, int]) -> float:
-    t0, t1 = window
-    return float(model.baselines[agent] @ timeutil.weekly_bin_hours(t0, t1))
 
 
 def _decayed_sums(source_ts: np.ndarray, eval_ts: np.ndarray, beta: float) -> np.ndarray:
@@ -379,30 +382,66 @@ def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None)
 # sampling
 
 
-def _history_excitation(model: HawkesModel, agent: int, history: EventLog,
-                        t_now: int) -> float:
-    """Weighted decayed count a(t_now) with excitation row applied:
-    sum over events t_e <= t_now of alpha[agent][sender] * exp(-beta * dt)."""
-    beta = model.beta_per_hour
-    row = model.alpha[agent]
-    total = 0.0
-    for e in history.events:
-        if e.ts > t_now:
-            break
-        a = row[e.sender]
-        if a > 0:
-            total += a * math.exp(-beta * (t_now - e.ts) / SECONDS_PER_HOUR)
-    return total
+class ExcitationState:
+    """Decayed per-sender event counts, updated as events are appended.
+
+    For each sender j it keeps g_j, the sum of exp(-beta * (t_j - t_e)) over
+    j's events e, at t_j, the time of j's latest event. Adding an event is
+    the exponential-kernel recursion g_j <- g_j * exp(-beta * dt) + 1
+    (Ozaki 1979). Invariant: the state covers exactly the events added so
+    far, added in append order (non-decreasing ts), and is read only at times
+    t >= every added ts.
+    """
+
+    def __init__(self, model: HawkesModel):
+        self.model = model
+        self.g = np.zeros(model.n_agents)
+        self.last = np.zeros(model.n_agents)
+
+    @classmethod
+    def from_log(cls, model: HawkesModel, history: EventLog, t_now: int) -> "ExcitationState":
+        """State over the history events with ts <= t_now."""
+        state = cls(model)
+        for e in history.events:
+            if e.ts > t_now:
+                break
+            state.add(e.sender, e.ts)
+        return state
+
+    def add(self, sender: int, ts: int) -> None:
+        decay = math.exp(-self.model.beta_per_hour * (ts - self.last[sender]) / SECONDS_PER_HOUR)
+        self.g[sender] = self.g[sender] * decay + 1.0
+        self.last[sender] = ts
+
+    def at(self, agent: int, t: int) -> float:
+        """sum over covered events e of alpha[agent][sender_e] * exp(-beta * (t - t_e))."""
+        beta = self.model.beta_per_hour
+        if self.model.diagonal_only:
+            return float(self.model.alpha[agent, agent] * self.g[agent]
+                         * math.exp(-beta * (t - self.last[agent]) / SECONDS_PER_HOUR))
+        decayed = self.g * np.exp(-beta * (t - self.last) / SECONDS_PER_HOUR)
+        return float(self.model.alpha[agent] @ decayed)
 
 
 def sample_next_activation(model: HawkesModel, agent: int, history: EventLog,
                            t_now: int, horizon: int,
                            rng: np.random.Generator | int) -> int | None:
-    """First thinning-accepted activation time in (t_now, horizon], or None.
+    """First thinning-accepted activation time in (t_now, horizon], or None;
+    history events with ts <= t_now excite."""
+    state = ExcitationState.from_log(model, history, t_now)
+    return thin_next_activation(model, agent, state.at(agent, t_now),
+                                t_now, horizon, rng)
+
+
+def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
+                         t_now: int, horizon: int,
+                         rng: np.random.Generator | int) -> int | None:
+    """First thinning-accepted activation time in (t_now, horizon], or None,
+    given the agent's excitation (without the beta factor) at t_now.
 
     Interval bound: within an hour the baseline is constant and the
     excitation only decays, so bin rate + excitation at the left endpoint
-    dominates.
+    dominates (Ogata 1981).
     """
     if t_now >= horizon:
         raise HawkesError("t_now must be before horizon")
@@ -410,7 +449,7 @@ def sample_next_activation(model: HawkesModel, agent: int, history: EventLog,
         rng = np.random.default_rng(int(rng))
     beta = model.beta_per_hour
     mu = model.baselines[agent]
-    a = _history_excitation(model, agent, history, t_now)
+    a = excitation
 
     s = t_now / SECONDS_PER_HOUR
     a_ref = s
@@ -431,7 +470,8 @@ def sample_next_activation(model: HawkesModel, agent: int, history: EventLog,
             + beta * a * math.exp(-beta * (t_star - a_ref))
         assert lam <= lam_bar * (1 + 1e-12), "thinning bound violated"
         if rng.uniform() * lam_bar <= lam:
-            return min(int(math.ceil(t_star * SECONDS_PER_HOUR)), horizon)
+            # ceil can round t_star back onto t_now; a wake is strictly later
+            return max(min(int(math.ceil(t_star * SECONDS_PER_HOUR)), horizon), t_now + 1)
         s = t_star
     return None
 

@@ -10,12 +10,23 @@ Queue ties at equal timestamps resolve deterministically: trigger
 injections first (by event id), then wakes by agent index. The loop is
 single-threaded; all randomness flows from named sub-streams of the run
 seed, so a (seed, inputs) pair reproduces byte-identical output.
+
+A rollout is linear in its events. Two incremental structures are updated
+as each event is appended, instead of rescanning the log on every wake:
+the HawkesGuided excitation state (`hawkes.ExcitationState`, pre-window
+ground truth plus everything simulated so far) and the `ContextIndex`
+(per-agent sent and received lists over the configured history span plus
+everything simulated so far). Both share one invariant: at a wake at `now`
+they cover exactly the events with ts <= now appended so far, in append
+order, including events appended earlier at the same timestamp under the
+queue's tie order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -46,12 +57,16 @@ class SimulationAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class PeriodicSchedule:
-    """Wake every fixed interval."""
+    """Wake every fixed interval of at least one second."""
     interval_hours: float = 3.0
 
     def __post_init__(self):
-        if self.interval_hours <= 0:
-            raise SimulationError("interval must be positive")
+        if not self.interval_hours * 3600 >= 1:
+            raise SimulationError("interval must be at least 1 second")
+
+    @property
+    def step_seconds(self) -> int:
+        return int(round(self.interval_hours * 3600))
 
 
 @dataclass(frozen=True)
@@ -92,16 +107,18 @@ def hod_histograms(log: EventLog) -> np.ndarray:
     return h
 
 
-def next_activation(policy: ActivationPolicy, agent: int, history: EventLog,
+def next_activation(policy: ActivationPolicy, agent: int,
+                    excitation: hawkes.ExcitationState | None,
                     t_now: int, horizon: int,
                     rng: np.random.Generator) -> int | None:
     """Next wake strictly after t_now under the policy, or None if it falls
     past the horizon. LLMPredicted returns None here: the agent's own
-    decision supplies the time."""
+    decision supplies the time. Only HawkesGuided reads `excitation`, the
+    model's state over the events up to t_now."""
     if t_now >= horizon:
         raise SimulationError("t_now must be before horizon")
     if isinstance(policy, PeriodicSchedule):
-        t = t_now + int(round(policy.interval_hours * 3600))
+        t = t_now + policy.step_seconds
         return t if t < horizon else None
     if isinstance(policy, LLMPredicted):
         return None
@@ -118,8 +135,9 @@ def next_activation(policy: ActivationPolicy, agent: int, history: EventLog,
             t = day * 86400 + hour * 3600 + offset
         return t if t < horizon else None
     if isinstance(policy, HawkesGuided):
-        return hawkes.sample_next_activation(policy.model, agent, history,
-                                             t_now, horizon, rng)
+        return hawkes.thin_next_activation(policy.model, agent,
+                                           excitation.at(agent, t_now),
+                                           t_now, horizon, rng)
     raise SimulationError(f"unknown policy {policy!r}")
 
 
@@ -174,13 +192,13 @@ class CadenceSummary:
     mean_per_day: float
 
 
-def cadence_summary(log: EventLog, agent: int, window: tuple[int, int]) -> CadenceSummary:
+def cadence_summary(sent: list[Event], window: tuple[int, int]) -> CadenceSummary:
+    """Cadence of one agent's sends, all inside the window."""
     t0, t1 = window
     counts: dict[int, int] = {}
-    for e in log.events:
-        if e.sender == agent and t0 <= e.ts < t1:
-            d = timeutil.day_index(e.ts)
-            counts[d] = counts.get(d, 0) + 1
+    for e in sent:
+        d = timeutil.day_index(e.ts)
+        counts[d] = counts.get(d, 0) + 1
     n_days = max(1, timeutil.day_index(t1 - 1) - timeutil.day_index(t0) + 1)
     return CadenceSummary(tuple(sorted(counts.items())),
                           sum(counts.values()) / n_days)
@@ -257,35 +275,83 @@ class SimConfig:
             raise SimulationError("max_actions_per_wake must be positive")
 
 
+def _ts(e: Event) -> int:
+    return e.ts
+
+
+class ContextIndex:
+    """Per-agent sent and received lists behind every AgentContext.
+
+    Ground truth in the configured history span [t0 - history_days, t0) is
+    filed once; simulated events (ts >= t0) are filed by `add` as they are
+    appended, which must be in non-decreasing ts order. Each received list
+    is then sorted by ts, and unread mail is its slice after the agent's
+    last check (at least t0 - 1, so ground truth is never unread). The
+    cadence summaries read only ground truth and are computed up front.
+    """
+
+    def __init__(self, history: EventLog, config: SimConfig):
+        t0 = config.window[0]
+        self.history = history
+        self.takeover = t0
+        self.span = (t0 - config.history_days * 86400, t0)
+        n = history.n_agents
+        self.sent: list[list[Event]] = [[] for _ in range(n)]
+        self.received: list[list[Event]] = [[] for _ in range(n)]
+        lo = bisect_left(history.events, self.span[0], key=_ts)
+        hi = bisect_left(history.events, t0, key=_ts)
+        for e in history.events[lo:hi]:
+            self.add(e)
+        self.cadence = [cadence_summary(sent, self.span) for sent in self.sent]
+        # (which, agent) -> EventLog; lists only grow, so equal length = same events
+        self._logs: dict[tuple[str, int], EventLog] = {}
+
+    def add(self, e: Event) -> None:
+        self.sent[e.sender].append(e)
+        for r in set(e.recipients):
+            if r != e.sender:
+                self.received[r].append(e)
+
+    def _log(self, which: str, agent: int, events: list[Event]) -> EventLog:
+        log = self._logs.get((which, agent))
+        if log is None or len(log) != len(events):
+            log = self._logs[(which, agent)] = self.history.with_events(events)
+        return log
+
+    def context(self, agent: int, t_now: int, last_check: int | None,
+                suggested_next: int | None, persona: str | None = None) -> AgentContext:
+        """The agent's view at t_now; every filed event has ts <= t_now."""
+        since = last_check if last_check is not None else self.takeover - 1
+        received = self.received[agent]
+        first_unread = bisect_right(received, since, key=_ts)
+        return AgentContext(
+            agent=agent,
+            label=self.history.agents[agent],
+            persona=persona,
+            sent_history=self._log("sent", agent, self.sent[agent]),
+            received_history=self._log("received", agent, received),
+            unread=tuple(received[first_unread:]),
+            now=t_now,
+            takeover=self.takeover,
+            last_check=last_check,
+            suggested_next_check=suggested_next,
+            cadence=self.cadence[agent],
+        )
+
+
 def build_context(agent: int, history: EventLog, sim_events: list[Event],
                   config: SimConfig, t_now: int, last_check: int | None,
                   suggested_next: int | None,
                   persona: str | None = None) -> AgentContext:
     """Assemble the agent's view: ground truth from the configured history
-    span before the window plus everything simulated so far; unread =
-    messages addressed to the agent since its last wake."""
-    t0, _ = config.window
-    h0 = t0 - config.history_days * 86400
-    pre = [e for e in history.events if h0 <= e.ts < t0]
-    visible = pre + [e for e in sim_events if e.ts <= t_now]
-    sent = [e for e in visible if e.sender == agent]
-    received = [e for e in visible if agent in e.recipients and e.sender != agent]
-    since = last_check if last_check is not None else t0 - 1
-    unread = tuple(e for e in sim_events
-                   if since < e.ts <= t_now and agent in e.recipients and e.sender != agent)
-    return AgentContext(
-        agent=agent,
-        label=history.agents[agent],
-        persona=persona,
-        sent_history=history.with_events(sent),
-        received_history=history.with_events(received),
-        unread=unread,
-        now=t_now,
-        takeover=t0,
-        last_check=last_check,
-        suggested_next_check=suggested_next,
-        cadence=cadence_summary(history, agent, (h0, t0)),
-    )
+    span before the window plus everything simulated so far (sim_events in
+    append order; those after t_now are ignored); unread = messages
+    addressed to the agent since its last wake."""
+    index = ContextIndex(history, config)
+    for e in sim_events:
+        if e.ts <= t_now:
+            index.add(e)
+    return index.context(agent, t_now, last_check, suggested_next, persona)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +361,19 @@ _QK_TRIGGER = 0
 _QK_WAKE = 1
 
 
+def _check_wake(nxt: int | None, ts: int, agent: int) -> None:
+    if nxt is not None and nxt <= ts:
+        raise SimulationError(f"agent {agent}: next wake {nxt} not after {ts}")
+
+
 def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
         triggers: TriggerPlan, personas: dict[int, str] | None = None,
         counters: dict | None = None) -> EventLog:
     """Execute the simulation over config.window and return the sorted log of
-    injected trigger events plus generated organic events."""
+    injected trigger events plus generated organic events.
+
+    Raises SimulationError if an activation policy schedules a wake that is
+    not strictly after the current one."""
     if counters is None:
         counters = {}
     counters.setdefault("wakes", 0)
@@ -313,7 +387,6 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
     if any(e.sender not in triggers.trigger_agents for e in scheduled):
         raise SimulationError("trigger plan inconsistent with trigger agents")
 
-    pre_window = [e for e in history.events if e.ts < t0]
     sim_events: list[Event] = []
     next_id = 1 + max(
         max((e.event_id for e in history.events), default=-1),
@@ -324,24 +397,33 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
     for k, e in enumerate(scheduled):
         heapq.heappush(queue, (e.ts, _QK_TRIGGER, k))
 
-    def excitation_log() -> EventLog:
-        # pre-window ground truth plus everything simulated so far; the
-        # simulation replaces in-window ground truth for non-trigger agents
-        return history.with_events(pre_window + sim_events)
+    index = ContextIndex(history, config)
+    # excitation from pre-window ground truth plus everything simulated so
+    # far; the simulation replaces in-window ground truth for non-trigger
+    # agents
+    excitation = None
+    if isinstance(config.policy, HawkesGuided):
+        excitation = hawkes.ExcitationState.from_log(config.policy.model, history, t0 - 1)
+
+    def append(e: Event) -> None:
+        sim_events.append(e)
+        index.add(e)
+        if excitation is not None:
+            excitation.add(e.sender, e.ts)
 
     wake_rng: dict[int, np.random.Generator] = {}
     last_check: dict[int, int | None] = {}
     organic_agents = [i for i in range(history.n_agents)
                       if i not in triggers.trigger_agents]
-    pre_log = history.with_events(pre_window)
     for agent in organic_agents:
         wake_rng[agent] = substream(config.seed, "wake", agent)
         last_check[agent] = None
         if isinstance(config.policy, LLMPredicted):
             first = t0
         else:
-            first = next_activation(config.policy, agent, pre_log, t0, t1,
+            first = next_activation(config.policy, agent, excitation, t0, t1,
                                     wake_rng[agent])
+            _check_wake(first, t0, agent)
         if first is not None and first < t1:
             heapq.heappush(queue, (first, _QK_WAKE, agent))
 
@@ -350,7 +432,7 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
         if ts >= t1:
             break
         if kind == _QK_TRIGGER:
-            sim_events.append(scheduled[key])
+            append(scheduled[key])
             counters["trigger_events"] += 1
             continue
 
@@ -361,13 +443,12 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
         if isinstance(config.policy, LLMPredicted):
             suggested = None
         elif isinstance(config.policy, PeriodicSchedule):
-            suggested = ts + int(round(config.policy.interval_hours * 3600))
+            suggested = ts + config.policy.step_seconds
         else:
-            suggested = next_activation(config.policy, agent, excitation_log(),
+            suggested = next_activation(config.policy, agent, excitation,
                                         ts, t1, wake_rng[agent])
 
-        ctx = build_context(agent, history, sim_events, config, ts,
-                            last_check[agent], suggested, personas.get(agent))
+        ctx = index.context(agent, ts, last_check[agent], suggested, personas.get(agent))
         try:
             decision = policy_impl.decide(ctx)
         except Exception as exc:
@@ -381,8 +462,8 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
             recipients = tuple(r for r in action.recipients if r != agent)
             if not recipients:
                 continue
-            sim_events.append(Event(next_id, agent, recipients, ts, ORGANIC,
-                                    action.thread_id, action.body))
+            append(Event(next_id, agent, recipients, ts, ORGANIC,
+                         action.thread_id, action.body))
             next_id += 1
             counters["organic_events"] += 1
         last_check[agent] = ts
@@ -398,11 +479,12 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
         elif isinstance(config.policy, HawkesGuided):
             # resample after applying this wake's events so self-excitation
             # from them is felt immediately
-            nxt = next_activation(config.policy, agent, excitation_log(),
+            nxt = next_activation(config.policy, agent, excitation,
                                   ts, t1, wake_rng[agent])
         else:
             nxt = suggested
-        if nxt is not None and ts < nxt < t1:
+        _check_wake(nxt, ts, agent)
+        if nxt is not None and nxt < t1:
             heapq.heappush(queue, (nxt, _QK_WAKE, agent))
 
     return history.with_events(sim_events)

@@ -48,11 +48,6 @@ def week_index(ts):
     return (day_index(ts) + _EPOCH_WEEKDAY_SHIFT) // DAYS_PER_WEEK
 
 
-def bin_of(ts):
-    """(weekday, hour-of-day) baseline bin of a timestamp."""
-    return weekday(ts), hour_of_day(ts)
-
-
 def flat_bin_of(ts):
     """Flattened weekly bin index in 0..167 (weekday * 24 + hour)."""
     return weekday(ts) * HOURS_PER_DAY + hour_of_day(ts)

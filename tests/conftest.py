@@ -57,6 +57,17 @@ def random_log(rng, n_agents, n_events, t0, span, multi_prob=0.0):
 BASE_MONDAY = 983750400  # 2001-03-05 00:00:00 UTC
 
 
+class ZeroDraws:
+    """rng stub whose every draw is 0: the thinning sampler's first
+    candidate lands on t_now itself and is accepted."""
+
+    def exponential(self, scale=1.0):
+        return 0.0
+
+    def uniform(self, *args):
+        return 0.0
+
+
 def fixture_log(seed, n_agents=12, days=10, events_per_day=40):
     """A dense, circadian, well-conditioned log: every metric computable
     (every agent sends >= 3 times, every day active, span covers weekends)."""

@@ -210,3 +210,61 @@ def test_full_pipeline_subprocess(tmp_path):
     assert proc2.returncode == 0, proc2.stderr
     report = json.loads((out / "eval" / "report.json").read_text())
     assert len(report["metrics"]) == 15
+
+
+# ---------------------------------------------------------------------------
+# exit codes: input errors 2, internal errors 1
+
+
+def _error(out):
+    return json.loads((out / "manifest.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("ts", [1.7, True, "983782800"])
+def test_ingest_non_integer_ts_exits_2(tmp_path, ts):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"id": 1, "sender": "a", "recipients": ["b"], "ts": ts}) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("stats", bad, "--out", out) == 2
+    assert "not an integer" in _error(out)
+
+
+@pytest.mark.parametrize("key", ["input", "window"])
+def test_simulate_missing_config_key_exits_2(tmp_path, key):
+    cfg = json.loads(sim_config(tmp_path).read_text())
+    del cfg[key]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("simulate", path, "--policy", "periodic", "--out", out) == 2
+    assert repr(key) in _error(out)
+
+
+def test_simulate_model_file_missing_key_exits_2(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"agents": ["a"], "baselines": [[0.0] * 168]}))
+    out = tmp_path / "o"
+    assert run_cli("simulate", sim_config(tmp_path, model=str(model)),
+                   "--policy", "hawkes", "--out", out) == 2
+    assert "alpha" in _error(out)
+
+
+def test_evaluate_unknown_trigger_label_exits_2(tmp_path):
+    triggers = tmp_path / "triggers.json"
+    triggers.write_text(json.dumps({"trigger_agents": ["nobody"]}))
+    out = tmp_path / "o"
+    assert run_cli("evaluate", MINI, MINI, "--triggers", triggers,
+                   "--t0", SIM_T0, "--t1", SIM_T1, "--out", out) == 2
+    assert "nobody" in _error(out)
+
+
+def test_internal_key_error_exits_1(tmp_path, monkeypatch):
+    from commsim import corpus
+
+    def broken(log):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(corpus, "corpus_stats", broken)
+    out = tmp_path / "o"
+    assert run_cli("stats", MINI, "--out", out) == 1
+    assert _error(out).startswith("KeyError")

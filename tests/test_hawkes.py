@@ -10,7 +10,7 @@ from commsim.hawkes import (FitConfig, HawkesError, HawkesModel, fit, intensity,
                             log_likelihood, model_from_dict,
                             sample_next_activation, simulate_pure_hawkes)
 
-from conftest import BASE_MONDAY, make_log
+from conftest import BASE_MONDAY, ZeroDraws, make_log
 
 HOUR = 3600
 DAY = 86400
@@ -233,6 +233,37 @@ def test_sampler_respects_horizon():
     for seed in range(20):
         t = sample_next_activation(m, 0, empty, BASE_MONDAY, BASE_MONDAY + HOUR, seed)
         assert t is None or BASE_MONDAY < t <= BASE_MONDAY + HOUR
+
+
+@pytest.mark.parametrize("offset", [0, 1, 1234, 3599])
+def test_sampler_wake_strictly_after_now(offset):
+    # ceil(t_star * 3600) can round back onto t_now; the wake is clamped
+    m = const_model(mu=2.0)
+    empty = EventLog(m.agents, ())
+    t_now = BASE_MONDAY + offset
+    assert sample_next_activation(m, 0, empty, t_now, t_now + DAY, ZeroDraws()) == t_now + 1
+    assert sample_next_activation(m, 0, empty, t_now, t_now + 1, ZeroDraws()) == t_now + 1
+
+
+def test_excitation_state_incremental_matches_from_log():
+    m = const_model(n=3, alpha=0.4, off_diag=0.1, beta=0.7)
+    hist = make_log([(0, 1, BASE_MONDAY), (2, 0, BASE_MONDAY + 600),
+                     (0, 2, BASE_MONDAY + 600), (1, 0, BASE_MONDAY + HOUR),
+                     (0, 1, BASE_MONDAY + 5 * HOUR)], n_agents=3)
+    state = hawkes.ExcitationState(m)
+    for e in hist.events:
+        state.add(e.sender, e.ts)
+    t = BASE_MONDAY + 6 * HOUR
+    for agent in range(3):
+        again = hawkes.ExcitationState.from_log(m, hist, t)
+        assert state.at(agent, t) == again.at(agent, t)
+        # beta * excitation strictly before t is intensity minus baseline
+        assert m.baseline_rate(agent, t) + m.beta_per_hour * state.at(agent, t) \
+            == pytest.approx(intensity(m, agent, t, hist), rel=1e-12)
+    # events after t_now are not covered
+    early = hawkes.ExcitationState.from_log(m, hist, BASE_MONDAY + 600)
+    assert early.at(0, BASE_MONDAY + 600) == pytest.approx(
+        0.4 * math.exp(-0.7 / 6) + 0.1 + 0.4, rel=1e-12)
 
 
 def test_sampler_piecewise_baseline():

@@ -9,7 +9,7 @@ from commsim.simulator import (ActionDecision, Action, EmpiricalHoD, HawkesGuide
                                build_context, next_activation, run, select_triggers)
 from commsim.rng import substream
 
-from conftest import BASE_MONDAY, make_log
+from conftest import BASE_MONDAY, ZeroDraws, make_log
 
 DAY = 86400
 HOUR = 3600
@@ -75,6 +75,19 @@ def test_periodic_next():
     assert late is None
 
 
+def test_periodic_rejects_sub_second_interval():
+    # 0.0001 h is 0.36 s, which rounds to a 0 s step: the agent would wake
+    # at t_now forever
+    with pytest.raises(SimulationError):
+        PeriodicSchedule(0.0001)
+    with pytest.raises(SimulationError):
+        PeriodicSchedule(0.0)
+    with pytest.raises(SimulationError):
+        PeriodicSchedule(float("nan"))
+    assert PeriodicSchedule(1 / 3600).step_seconds == 1
+    assert PeriodicSchedule(3.0).step_seconds == 3 * HOUR
+
+
 def test_hod_degenerate_histogram():
     h = np.zeros((1, 24))
     h[0, 9] = 1.0
@@ -92,9 +105,9 @@ def test_hawkes_guided_delegates():
     model = hawkes.HawkesModel(("a", "b"), np.zeros((2, 168)), np.zeros((2, 2)),
                                1.0, True)
     pol = HawkesGuided(model)
-    log = EventLog(("a", "b"), ())
     rng = substream(2, "t")
-    assert next_activation(pol, 0, log, BASE_MONDAY, BASE_MONDAY + DAY, rng) is None
+    assert next_activation(pol, 0, hawkes.ExcitationState(model), BASE_MONDAY,
+                           BASE_MONDAY + DAY, rng) is None
 
 
 def test_llm_predicted_returns_none():
@@ -284,6 +297,62 @@ def test_run_caps_actions(mini_log, mini_manifest):
             by_wake.setdefault((e.sender, e.ts), []).append(e)
     assert by_wake and all(len(v) <= cfg.max_actions_per_wake for v in by_wake.values())
     assert counters["actions_truncated"] > 0
+
+
+def test_run_periodic_suggestion_past_horizon(mini_log, mini_manifest):
+    """The suggestion shown at the last wake is the next periodic slot even
+    when that slot lies past the window end."""
+    s0, _ = mini_manifest["sim_window"]
+    cfg = SimConfig(window=(s0, s0 + 4 * HOUR), history_days=4,
+                    policy=PeriodicSchedule(3.0))
+    plan = TriggerPlan(frozenset(), EventLog(mini_log.agents, ()))
+    seen = []
+
+    class Recorder:
+        def decide(self, ctx):
+            seen.append((ctx.now, ctx.suggested_next_check))
+            return ActionDecision((), ctx.suggested_next_check)
+
+    run(cfg, mini_log, Recorder(), plan)
+    assert seen == [(s0 + 3 * HOUR, s0 + 6 * HOUR)] * mini_log.n_agents
+
+
+def test_run_hawkes_zero_draws_keeps_every_agent(mini_log, mini_manifest, monkeypatch):
+    """With every thinning draw 0 the sampler proposes t_now itself; each
+    agent must still wake once per second instead of leaving the schedule."""
+    s0, _ = mini_manifest["sim_window"]
+    t1 = s0 + 30
+    model = hawkes.HawkesModel(mini_log.agents, np.full((mini_log.n_agents, 168), 1.0),
+                               np.zeros((mini_log.n_agents,) * 2), 1.0, True)
+    cfg = SimConfig(window=(s0, t1), history_days=4, policy=HawkesGuided(model))
+    plan = TriggerPlan(frozenset(), EventLog(mini_log.agents, ()))
+    monkeypatch.setattr(simulator, "substream", lambda *a: ZeroDraws())
+    wakes = {}
+
+    class Recorder:
+        def decide(self, ctx):
+            wakes.setdefault(ctx.agent, []).append(ctx.now)
+            return ActionDecision((), ctx.suggested_next_check)
+
+    run(cfg, mini_log, Recorder(), plan)
+    assert wakes == {a: list(range(s0 + 1, t1)) for a in range(mini_log.n_agents)}
+
+
+@pytest.mark.parametrize("policy_name", ["hod", "hawkes"])
+def test_run_raises_on_wake_not_after_now(mini_log, mini_manifest, monkeypatch, policy_name):
+    """A policy that schedules a wake at t_now is an error, not a silent exit
+    of the agent from the schedule."""
+    n = mini_log.n_agents
+    policy = (EmpiricalHoD(np.full((n, 24), 1 / 24)) if policy_name == "hod" else
+              HawkesGuided(hawkes.HawkesModel(mini_log.agents, np.ones((n, 168)),
+                                              np.zeros((n, n)), 1.0, True)))
+    cfg, plan = _mini_setup(mini_log, mini_manifest, policy=policy)
+    s0 = cfg.window[0]
+    monkeypatch.setattr(simulator, "next_activation",
+                        lambda policy, agent, excitation, t_now, horizon, rng:
+                        s0 + HOUR if t_now == s0 else t_now)
+    with pytest.raises(SimulationError, match="not after"):
+        run(cfg, mini_log, IdlePolicy(), plan)
 
 
 def test_run_aborts_with_partial_log(mini_log, mini_manifest):
