@@ -84,13 +84,8 @@ def main():
         (out_dir / name / "report.json").write_text(report.to_json() + "\n")
         (out_dir / name / "report.csv").write_text(report.to_csv())
         save(sim_log, out_dir / name / "sim.jsonl")
-        scores = {}
-        for e in report.entries:
-            categories[e.name] = e.category
-            if e.value is None:
-                continue
-            scores[e.name] = 1.0 - e.value if e.direction == "higher" else e.value
-        results[name] = scores
+        categories.update((e.name, e.category) for e in report.entries)
+        results[name], _ = metrics.regret_scores(report, name)
 
     table, flags = metrics.regret(results, categories)
     (out_dir / "regret.json").write_text(json.dumps(

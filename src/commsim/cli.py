@@ -339,18 +339,9 @@ def cmd_compare(args) -> int:
             manifest.add_input(path)
             report = _read_file(_load_report, path)
             name = Path(path).parent.name or Path(path).stem
-            scores = {}
-            for e in report.entries:
-                categories[e.name] = e.category
-                if e.value is None:
-                    flags.append(f"{name}/{e.name}: skipped ({e.skipped})")
-                    continue
-                if e.direction == "higher":
-                    scores[e.name] = 1.0 - e.value
-                    flags.append(f"{name}/{e.name}: inverted (1 - x) for regret")
-                else:
-                    scores[e.name] = e.value
-            results[name] = scores
+            categories.update((e.name, e.category) for e in report.entries)
+            results[name], report_flags = metrics.regret_scores(report, name)
+            flags.extend(report_flags)
         table, regret_flags = metrics.regret(results, categories)
         flags.extend(regret_flags)
         out = Path(args.out)

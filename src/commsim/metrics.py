@@ -59,26 +59,8 @@ class MetricError(ValueError):
 # distance primitives
 
 
-@dataclass(frozen=True)
-class Histogram:
-    bins: tuple[float, ...]
-    normalized: bool = False
-
-    def __post_init__(self):
-        if any(b < 0 or not math.isfinite(b) for b in self.bins):
-            raise MetricError("histogram bins must be finite and nonnegative")
-        if self.normalized and abs(sum(self.bins) - 1.0) > 1e-9:
-            raise MetricError("normalized histogram must sum to 1")
-
-    def normalize(self) -> "Histogram":
-        total = sum(self.bins)
-        if total == 0:
-            raise MetricError("cannot normalize an all-zero histogram")
-        return Histogram(tuple(b / total for b in self.bins), normalized=True)
-
-
 def _as_dist(h) -> np.ndarray:
-    bins = np.asarray(h.bins if isinstance(h, Histogram) else h, dtype=float)
+    bins = np.asarray(h, dtype=float)
     total = bins.sum()
     if total <= 0:
         raise MetricError("cannot normalize an all-zero histogram")
@@ -228,6 +210,18 @@ def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str | None:
     return None
 
 
+def _node_index(edges) -> dict[int, tuple[list[int], list[int]]]:
+    """node -> (times, edge indices) of every edge it sends or receives, in
+    edge order. Edges are time-sorted, so each `times` list is too."""
+    by_node: dict[int, tuple[list[int], list[int]]] = {}
+    for k, (u, v, t) in enumerate(edges):
+        for node in (u, v):
+            times, idxs = by_node.setdefault(node, ([], []))
+            times.append(t)
+            idxs.append(k)
+    return by_node
+
+
 def motif_census_2(log: EventLog, delta: int) -> Motif2Census:
     """Count ordered edge pairs (e1, e2) with 0 < t2 - t1 <= delta sharing at
     least one node, classified into the six 2-edge classes.
@@ -236,13 +230,8 @@ def motif_census_2(log: EventLog, delta: int) -> Motif2Census:
     """
     edges = log.edges()
     counts = dict.fromkeys(MOTIF2_CLASSES, 0)
-    by_node: dict[int, tuple[list[int], list[int]]] = {}
-    for k, (u, v, t) in enumerate(edges):
-        for node in (u, v):
-            times, idxs = by_node.setdefault(node, ([], []))
-            times.append(t)
-            idxs.append(k)
-    for k, (u2, v2, t2) in enumerate(edges):
+    by_node = _node_index(edges)
+    for u2, v2, t2 in edges:
         cand: set[int] = set()
         for node in (u2, v2):
             times, idxs = by_node[node]
@@ -262,28 +251,40 @@ def motif_census_3(log: EventLog, delta: int) -> Motif3Census:
     t2 - t1 and t3 - t1 in (0, delta], matching one of the five 3-edge
     classes. Triples matching no class are not counted.
 
-    For each anchor edge e1 = x->y the later edges in its window are scanned
-    once; earlier-in-window edges are tallied by endpoint pair so each class
-    reduces to a lookup. Equal timestamps never satisfy the strict ordering.
+    For an anchor e1 = x->y every class needs both e2 and e3 to touch x or y
+    (dyad_alternation y->x, x->y; dyad_burst_reply x->y, y->x;
+    feed_forward_closure y->b, x->b; three_cycle y->a, a->x;
+    broadcast_cross_link x->b, y->b or x->a, a->y). So only the edges in
+    x's and y's per-node time indexes within (t1, t1 + delta] are visited:
+    their union, deduplicated (x<->y edges are in both) and in edge order.
+    Earlier candidates are tallied by endpoint pair so each class reduces to
+    a lookup, one equal-timestamp group at a time, so equal timestamps never
+    satisfy the strict ordering. The cost is the sum over anchors of the
+    number of x's and y's edges inside the anchor's window, instead of the
+    number of all edges inside it.
     """
     edges = log.edges()
-    times = [t for _, _, t in edges]
+    by_node = _node_index(edges)
     counts = dict.fromkeys(MOTIF3_CLASSES, 0)
-    for i, (x, y, t1) in enumerate(edges):
-        lo = bisect.bisect_right(times, t1)
-        hi = bisect.bisect_right(times, t1 + delta)
-        if hi - lo < 2:
+    for x, y, t1 in edges:
+        cand: set[int] = set()
+        for node in (x, y):
+            times, idxs = by_node[node]
+            lo = bisect.bisect_right(times, t1)
+            hi = bisect.bisect_right(times, t1 + delta)
+            cand.update(idxs[lo:hi])
+        if len(cand) < 2:
             continue
+        later = [edges[k] for k in sorted(cand)]
         cnt2: Counter = Counter()
-        j = lo
+        j, hi = 0, len(later)
         while j < hi:
             # process one equal-timestamp group as potential third edges,
             # then admit the group as potential second edges
             g = j
-            while g < hi and times[g] == times[j]:
+            while g < hi and later[g][2] == later[j][2]:
                 g += 1
-            for k in range(j, g):
-                a, b, _ = edges[k]
+            for a, b, _ in later[j:g]:
                 if a == x and b == y:
                     counts["dyad_alternation"] += cnt2[(y, x)]
                 elif a == y and b == x:
@@ -296,8 +297,7 @@ def motif_census_3(log: EventLog, delta: int) -> Motif3Census:
                     counts["broadcast_cross_link"] += cnt2[(x, b)]
                 elif b == y and a != x:
                     counts["broadcast_cross_link"] += cnt2[(x, a)]
-            for k in range(j, g):
-                a, b, _ = edges[k]
+            for a, b, _ in later[j:g]:
                 cnt2[(a, b)] += 1
             j = g
     return Motif3Census(counts, delta)
@@ -634,6 +634,23 @@ def evaluate_all(sim: EventLog, gt: EventLog, trigger_agents,
     add("betwcen", lambda: centrality_jaccard(sim_x, gt_x, window, "betweenness"))
 
     return MetricsReport(tuple(entries), window, sim_x.n_agents)
+
+
+def regret_scores(report: MetricsReport, setting: str) -> tuple[dict[str, float], list[str]]:
+    """Lower-is-better scores of one report, as `regret` takes them: each
+    higher-is-better value x becomes 1 - x. Skipped metrics are left out.
+    Both are flagged, prefixed with the setting name."""
+    scores: dict[str, float] = {}
+    flags: list[str] = []
+    for e in report.entries:
+        if e.value is None:
+            flags.append(f"{setting}/{e.name}: skipped ({e.skipped})")
+        elif e.direction == "higher":
+            scores[e.name] = 1.0 - e.value
+            flags.append(f"{setting}/{e.name}: inverted (1 - x) for regret")
+        else:
+            scores[e.name] = e.value
+    return scores, flags
 
 
 SCORE_FLOOR = 1e-12

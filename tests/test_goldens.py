@@ -3,9 +3,13 @@ activation policy with the stub agent, and for the pure-Hawkes rollout, on
 the mini corpus and on a 12-agent synthetic fixture. HawkesGuided runs with
 the fitted model and with pinned diagonal and full excitation matrices.
 
-The digests were recorded before the simulator kept its excitation state and
-context index incrementally, so a refactor of the rollout that changes any
-output byte fails here.
+The rollout digests were recorded before the simulator kept its excitation
+state and context index incrementally, so a refactor of the rollout that
+changes any output byte fails here. `REPORT_GOLDEN` pins the SHA-256 of
+`metrics.evaluate_all(...).to_json()` for each of the same rollouts; it was
+recorded before the 3-edge motif census was restricted to the anchor's
+endpoints, so a refactor of the metric suite that changes any report byte
+fails here.
 """
 
 import hashlib
@@ -13,7 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from commsim import agents, corpus, hawkes, simulator
+from commsim import agents, corpus, hawkes, metrics, simulator
 
 from conftest import BASE_MONDAY, fixture_log
 
@@ -36,6 +40,23 @@ GOLDEN = {
     "fixture/hawkes_diag": "f83e8b6bab2ee17c2e2e08c63eb1981c2a7506b60f9e46e48ac29aeec5b9d15b",
     "fixture/hawkes_full": "07e7eb549b3c3ae4ad6e6a09b52dd513831b3f7e6c5f4adce371fb4030defd00",
     "fixture/pure_hawkes": "12598b657ee602d45ca7c3aa788dd8ea005ba4760bc7fa128c59d3edd06f40d2",
+}
+
+REPORT_GOLDEN = {
+    "mini/hawkes": "a61ab730d7c65bdf78140553babedeb76f89a7a0f9335e3583ce8867db074a96",
+    "mini/hawkes_diag": "ab8c46ea253479d0a8578c43861df8582f31dafe0ccff16cd75eb8d3d778a0ab",
+    "mini/hawkes_full": "d1b2b6a4b456413e2d1070438d869787939be8587cc9deffa8424a099cd14283",
+    "mini/hod": "3fc679e476febf6569a512633bac7f9bb7c3cb7e80db3d1bde43fb0cc9c389d7",
+    "mini/llm_predicted": "2e0ae93af7b91fc35b7954f3d1a92bb87629cce12597a3e7857dc5c219a75d1e",
+    "mini/periodic": "2e0ae93af7b91fc35b7954f3d1a92bb87629cce12597a3e7857dc5c219a75d1e",
+    "mini/pure_hawkes": "c86fa4f04e3da47b4f71ac48a9b1cb22289f8f4c3489358fa5bd9b388fa902b9",
+    "fixture/hawkes": "3ee79a78e8e1fe295e8528bfbd1f8b276349074ec8ae14db6eeb742b816923f7",
+    "fixture/hawkes_diag": "87c1881debc4e8ae6d56b5812fd5772ee6ea85242815a7b3c487f2ab4ba6d2c1",
+    "fixture/hawkes_full": "cd0e6f838baf54b6a248793debcc2fbe85382a03beba61f06fdbdd548fc40b6d",
+    "fixture/hod": "95eae2ee5a2b69b39ae50e21c31313248924cf899a9ff42a1a375efcda2bb58a",
+    "fixture/llm_predicted": "3e3e18a4cadc62a40dd53a048ecaf3284111b4dfd43de838c8b4818c9940fc71",
+    "fixture/periodic": "db31853797702abd28a987248e20f464436be9aa6ecd357bc29516a9dd3e66d8",
+    "fixture/pure_hawkes": "36514f93381207cd5c71de0c79cf93bc8b1349fdf7ddf21ad40f6ba5e512c438",
 }
 
 
@@ -68,27 +89,38 @@ def _setup(corpus_name, mini_log):
     return log, (t0, BASE_MONDAY + 10 * DAY), 6
 
 
-def _sha(log):
-    return hashlib.sha256(corpus.serialize(log).encode()).hexdigest()
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _rollout(corpus_name, policy_name, mini_log):
+    """(sim, ground truth, trigger plan, window) for one golden key."""
     log, window, history_days = _setup(corpus_name, mini_log)
     hist = (window[0] - history_days * DAY, window[0])
     plan = simulator.select_triggers(log, hist, RATIO, window)
     if policy_name == "pure_hawkes":
         model = hawkes.fit(log, hist)
         hist_log = corpus.window(log, *hist)
-        return hawkes.simulate_pure_hawkes(model, window, plan, hist_log,
-                                           corpus.contact_frequencies(hist_log), SEED)
+        sim = hawkes.simulate_pure_hawkes(model, window, plan, hist_log,
+                                          corpus.contact_frequencies(hist_log), SEED)
+        return sim, log, plan, window
     cfg = simulator.SimConfig(window=window, history_days=history_days,
                               trigger_ratio=RATIO, seed=SEED,
                               policy=_policy(policy_name, log, hist))
     params = agents.stub_params_from_history(log, hist, SEED)
-    return simulator.run(cfg, log, agents.StubPolicy(params), plan)
+    return simulator.run(cfg, log, agents.StubPolicy(params), plan), log, plan, window
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_rollout_digest(key, mini_log):
     corpus_name, policy_name = key.split("/")
-    assert _sha(_rollout(corpus_name, policy_name, mini_log)) == GOLDEN[key]
+    sim, _, _, _ = _rollout(corpus_name, policy_name, mini_log)
+    assert _sha(corpus.serialize(sim)) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_GOLDEN))
+def test_report_digest(key, mini_log):
+    corpus_name, policy_name = key.split("/")
+    sim, log, plan, window = _rollout(corpus_name, policy_name, mini_log)
+    report = metrics.evaluate_all(sim, log, plan.trigger_agents, window)
+    assert _sha(report.to_json()) == REPORT_GOLDEN[key]

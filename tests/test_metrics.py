@@ -1,10 +1,11 @@
+import bisect
 import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from commsim import metrics
 from commsim.metrics import (MetricError, emd_1d, jsd, motif_census_2, motif_census_3,
@@ -105,6 +106,44 @@ def brute_motif3(edges, delta):
     return counts
 
 
+def oracle_motif_census_3(log, delta):
+    """The anchor scan `motif_census_3` used before its endpoint restriction:
+    every edge in (t1, t1 + delta] is visited for each anchor e1 = x->y."""
+    edges = log.edges()
+    times = [t for _, _, t in edges]
+    counts = dict.fromkeys(metrics.MOTIF3_CLASSES, 0)
+    for i, (x, y, t1) in enumerate(edges):
+        lo = bisect.bisect_right(times, t1)
+        hi = bisect.bisect_right(times, t1 + delta)
+        if hi - lo < 2:
+            continue
+        cnt2: Counter = Counter()
+        j = lo
+        while j < hi:
+            g = j
+            while g < hi and times[g] == times[j]:
+                g += 1
+            for k in range(j, g):
+                a, b, _ = edges[k]
+                if a == x and b == y:
+                    counts["dyad_alternation"] += cnt2[(y, x)]
+                elif a == y and b == x:
+                    counts["dyad_burst_reply"] += cnt2[(x, y)]
+                if a == x and b != y:
+                    counts["feed_forward_closure"] += cnt2[(y, b)]
+                elif b == x and a != y:
+                    counts["three_cycle"] += cnt2[(y, a)]
+                if a == y and b != x:
+                    counts["broadcast_cross_link"] += cnt2[(x, b)]
+                elif b == y and a != x:
+                    counts["broadcast_cross_link"] += cnt2[(x, a)]
+            for k in range(j, g):
+                a, b, _ = edges[k]
+                cnt2[(a, b)] += 1
+            j = g
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # distance primitives
 
@@ -114,19 +153,8 @@ def test_emd_trivial():
     assert emd_1d([1.0, 0.0], [0.0, 1.0]) == 1.0
     with pytest.raises(MetricError):
         emd_1d([1.0], [0.5, 0.5])
-
-
-def test_histogram_type():
-    h = metrics.Histogram((2.0, 6.0))
-    n = h.normalize()
-    assert n.bins == (0.25, 0.75) and n.normalized
-    assert emd_1d(n, metrics.Histogram((0.25, 0.75), normalized=True)) == 0.0
     with pytest.raises(MetricError):
-        metrics.Histogram((0.5, 0.4), normalized=True)  # does not sum to 1
-    with pytest.raises(MetricError):
-        metrics.Histogram((-0.1, 1.1))
-    with pytest.raises(MetricError):
-        metrics.Histogram((0.0, 0.0)).normalize()
+        emd_1d([0.0, 0.0], [0.5, 0.5])  # all-zero histogram cannot normalize
 
 
 def test_emd_matches_lp_oracle():
@@ -266,6 +294,43 @@ def test_motif3_matches_bruteforce(seed):
         got = motif_census_3(log, delta).counts
         want = brute_motif3(edges, delta)
         assert got == {k: want.get(k, 0) for k in got}
+
+
+@st.composite
+def census_logs(draw):
+    """20-60 agents and 300-800 edges, so most edges in an anchor's window
+    miss both its endpoints. A fifth of the events share the previous
+    timestamp, a fifth are replies to a recent event, a quarter of the rest
+    go to 2-4 recipients, and some also address their sender; volume is
+    heavy-tailed over agents so dyads and triangles recur."""
+    n = draw(st.integers(20, 60))
+    n_edges = draw(st.integers(300, 800))
+    span = draw(st.sampled_from([12 * HOUR, 3 * DAY, 10 * DAY]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = rng.permutation(1.0 / np.arange(1, n + 1))
+    weight /= weight.sum()
+    records, edges, ts = [], 0, 0
+    while edges < n_edges:
+        if rng.random() >= 0.2:
+            ts += int(rng.exponential(span / n_edges)) + 1
+        if records and rng.random() < 0.2:
+            prev_sender, prev_rcpts, _ = records[-int(rng.integers(1, min(10, len(records)) + 1))]
+            sender, rcpts = int(rng.choice(prev_rcpts)), (prev_sender,)
+        else:
+            sender = int(rng.choice(n, p=weight))
+            k = 1 if rng.random() < 0.75 else int(rng.integers(2, 5))
+            rcpts = tuple(int(r) for r in rng.choice(n, size=k, replace=False, p=weight))
+        if rng.random() < 0.05 and sender not in rcpts:
+            rcpts += (sender,)
+        records.append((sender, rcpts, ts))
+        edges += sum(r != sender for r in rcpts)
+    return make_log(records, n_agents=n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(census_logs(), st.sampled_from([HOUR, 24 * HOUR, 48 * HOUR]))
+def test_motif3_matches_anchor_scan_oracle(log, delta):
+    assert motif_census_3(log, delta).counts == oracle_motif_census_3(log, delta)
 
 
 def test_motif_resort_invariance():
@@ -440,6 +505,24 @@ def test_regret_single_setting_and_floor():
     assert table["only"] == {"c1": 0.0, "c2": 0.0}
     _, flags = regret({"A": {"m": 0.0}, "B": {"m": 1.0}}, {"m": "c"})
     assert flags
+
+
+def test_regret_scores_inverts_and_flags():
+    entries = (
+        metrics.MetricEntry("hod", "temporal_rhythms", 0.25, "lower"),
+        metrics.MetricEntry("degcen", "local_topology", 0.75, "higher"),
+        metrics.MetricEntry("burst", "temporal_rhythms", None, "lower",
+                            skipped="no node with enough events for burstiness"),
+        metrics.MetricEntry("betwcen", "local_topology", 0.0, "higher", ("day 3: empty",)),
+    )
+    report = metrics.MetricsReport(entries, (0, DAY), 5)
+    scores, flags = metrics.regret_scores(report, "hawkes")
+    assert scores == {"hod": 0.25, "degcen": 0.25, "betwcen": 1.0}
+    assert flags == [
+        "hawkes/degcen: inverted (1 - x) for regret",
+        "hawkes/burst: skipped (no node with enough events for burstiness)",
+        "hawkes/betwcen: inverted (1 - x) for regret",
+    ]
 
 
 def test_regret_random_matrix_oracle():
