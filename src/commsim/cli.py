@@ -154,7 +154,7 @@ def cmd_fit(args) -> int:
         window = (timeutil.parse_utc(args.t0), timeutil.parse_utc(args.t1))
         cfg = hawkes.FitConfig(diagonal_only=not args.full_matrix,
                                beta_override=args.beta)
-        model = hawkes.fit(log, window, cfg)
+        model = hawkes.fit(log, window, cfg, counters=manifest.data["counters"])
         out = Path(args.out) / "model.json"
         out.parent.mkdir(parents=True, exist_ok=True)
         hawkes.save_model(model, out)

@@ -15,17 +15,27 @@ per-interval bound: within an hour bin, the baseline is constant and the
 excitation is non-increasing, so bin rate + excitation at the interval's
 left endpoint dominates the intensity.
 
-A rollout reads the excitation from an `ExcitationState`, which keeps one
-decayed event count per sender and is updated as each event is appended,
-so a wake costs O(1) (diagonal model) or O(D) instead of a rescan of the
-history. Its invariant: it covers exactly the events added so far, in
-append order (non-decreasing ts), and is read at times t >= the latest
-added ts; events at ts == t count with weight 1. `intensity` and
+Excitation is read from one recursion, `ExcitationState`: one decayed
+event count per sender, updated as each event is appended (Ozaki 1979).
+Its invariant: it covers exactly the events added so far, in append order
+(non-decreasing ts), and is read at times t >= the latest added ts; events
+at ts == t count with weight 1. Three readers share it:
+
+- the fitter builds every agent's likelihood terms in one time-ordered
+  sweep over the log, reading each in-window event's decayed source counts
+  before adding the event's timestamp group, so an event is excited only
+  by sources strictly before it;
+- `sample_next_activation` builds the state from a history and thins;
+- `simulator.run` keeps one state across a rollout, so a wake costs O(1)
+  (diagonal model) or O(D) instead of a rescan of the history.
+
+`simulate_pure_hawkes` still keeps its own decayed vector. `intensity` and
 `excitation_integral` stay brute-force sums and serve as test oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -134,6 +144,69 @@ class FitConfig:
 
 
 # ---------------------------------------------------------------------------
+# excitation state
+
+
+class ExcitationState:
+    """Decayed per-sender event counts, updated as events are appended.
+
+    For each sender j it keeps g_j, the sum of exp(-beta * (t_j - t_e)) over
+    j's events e, at t_j, the time of j's latest event. Adding an event is
+    the exponential-kernel recursion g_j <- g_j * exp(-beta * dt) + 1
+    (Ozaki 1979). Invariant: the state covers exactly the events added so
+    far, added in append order (non-decreasing ts), and is read only at times
+    t >= every added ts.
+
+    A rollout binds the state to its model and reads `at`. The fitter has
+    no model yet: it passes `beta_per_hour` and `n_agents` and reads the
+    per-source decayed counts with `decayed` and `decayed_all`.
+    """
+
+    def __init__(self, model: HawkesModel | None = None, *,
+                 beta_per_hour: float | None = None, n_agents: int | None = None):
+        if model is not None:
+            beta_per_hour, n_agents = model.beta_per_hour, model.n_agents
+        self.model = model
+        self.beta = beta_per_hour
+        self.g = np.zeros(n_agents)
+        self.last = np.zeros(n_agents)
+
+    @classmethod
+    def from_log(cls, model: HawkesModel, history: EventLog, t_now: int) -> "ExcitationState":
+        """State over the history events with ts <= t_now."""
+        state = cls(model)
+        for e in history.events:
+            if e.ts > t_now:
+                break
+            state.add(e.sender, e.ts)
+        return state
+
+    def add(self, sender: int, ts: int) -> None:
+        decay = math.exp(-self.beta * (ts - self.last[sender]) / SECONDS_PER_HOUR)
+        self.g[sender] = self.g[sender] * decay + 1.0
+        self.last[sender] = ts
+
+    def decayed(self, source: int, t: int) -> float:
+        """g_source decayed to t: sum over source's covered events of exp(-beta * (t - t_e))."""
+        return self.g[source] * math.exp(-self.beta * (t - self.last[source]) / SECONDS_PER_HOUR)
+
+    def decayed_all(self, t: int) -> np.ndarray:
+        """`decayed` for every source. One `math.exp` per source keeps it
+        bit-identical to `decayed`; a vectorized `np.exp` is not."""
+        args = (-self.beta * (t - self.last) / SECONDS_PER_HOUR).tolist()
+        return self.g * np.fromiter(map(math.exp, args), dtype=float, count=len(args))
+
+    def at(self, agent: int, t: int) -> float:
+        """sum over covered events e of alpha[agent][sender_e] * exp(-beta * (t - t_e))."""
+        beta = self.beta
+        if self.model.diagonal_only:
+            return float(self.model.alpha[agent, agent] * self.g[agent]
+                         * math.exp(-beta * (t - self.last[agent]) / SECONDS_PER_HOUR))
+        decayed = self.g * np.exp(-beta * (t - self.last) / SECONDS_PER_HOUR)
+        return float(self.model.alpha[agent] @ decayed)
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -173,30 +246,6 @@ def excitation_integral(model: HawkesModel, agent: int, history: EventLog,
     return total
 
 
-def _decayed_sums(source_ts: np.ndarray, eval_ts: np.ndarray, beta: float) -> np.ndarray:
-    """S[k] = sum over source events strictly before eval_ts[k] of
-    exp(-beta * (eval_ts[k] - t_e) / 3600). Both arrays sorted ascending."""
-    s = np.zeros(len(eval_ts))
-    g = 0.0
-    last = None
-    si = 0
-    n_src = len(source_ts)
-    for k, t in enumerate(eval_ts):
-        # admit sources strictly before t
-        while si < n_src and source_ts[si] < t:
-            te = source_ts[si]
-            if last is not None:
-                g *= math.exp(-beta * (te - last) / SECONDS_PER_HOUR)
-            g += 1.0
-            last = te
-            si += 1
-        if last is None:
-            s[k] = 0.0
-        else:
-            s[k] = g * math.exp(-beta * (t - last) / SECONDS_PER_HOUR)
-    return s
-
-
 def _excitation_weights(source_ts: np.ndarray, t0: int, t1: int, beta: float) -> float:
     """Sum over source events before t1 of their window excitation weight
     exp(-beta * max(0, t0 - t_e)) - exp(-beta * (t1 - t_e))."""
@@ -228,26 +277,45 @@ def _sent_times(log: EventLog) -> dict[int, np.ndarray]:
 
 def _agent_terms(log: EventLog, window: tuple[int, int], beta: float,
                  diagonal_only: bool) -> dict[int, _AgentTerms]:
+    """Every agent's terms from one time-ordered sweep over the log.
+
+    An `ExcitationState` covers the events before the current timestamp
+    group; each in-window event's `S` row is read from it before the group
+    is added, so sources count strictly before the event. A full fit reads
+    every source's decayed count, a diagonal fit the sender's own. Column
+    weights depend on the source alone and are computed once per column.
+    """
     t0, t1 = window
-    sent = _sent_times(log)
     n = log.n_agents
+    counts = np.bincount(np.array([e.sender for e in log.events if t0 <= e.ts < t1],
+                                  dtype=np.int64), minlength=n)
+    m = 1 if diagonal_only else n
+    S = [np.zeros((c, m)) for c in counts]
+    bins = [np.zeros(c, dtype=np.int64) for c in counts]
+    filled = [0] * n
+    state = ExcitationState(beta_per_hour=beta, n_agents=n)
+    for t, group in itertools.groupby(log.events, key=lambda e: e.ts):
+        if t >= t1:
+            break
+        group = list(group)
+        if t >= t0:
+            b = timeutil.flat_bin_of(t)
+            row = None if diagonal_only else state.decayed_all(t)
+            for e in group:
+                i = e.sender
+                S[i][filled[i]] = state.decayed(i, t) if diagonal_only else row
+                bins[i][filled[i]] = b
+                filled[i] += 1
+        for e in group:
+            state.add(e.sender, t)
+    col_weight = np.zeros(n)
+    for j, src in _sent_times(log).items():
+        col_weight[j] = _excitation_weights(src, t0, t1, beta)
+    cols_full = np.arange(n)
     out = {}
     for i in range(n):
-        own = sent.get(i, np.empty(0, dtype=np.int64))
-        evals = own[(own >= t0) & (own < t1)]
-        cols = np.array([i]) if diagonal_only else np.arange(n)
-        S = np.zeros((len(evals), len(cols)))
-        weights = np.zeros(len(cols))
-        for c, j in enumerate(cols):
-            src = sent.get(int(j), np.empty(0, dtype=np.int64))
-            if len(src) == 0:
-                continue
-            if len(evals):
-                S[:, c] = _decayed_sums(src, evals, beta)
-            weights[c] = _excitation_weights(src, t0, t1, beta)
-        out[i] = _AgentTerms(bins=np.array([timeutil.flat_bin_of(int(t)) for t in evals],
-                                           dtype=np.int64),
-                             S=S, weights=weights, columns=cols)
+        cols = np.array([i]) if diagonal_only else cols_full
+        out[i] = _AgentTerms(bins=bins[i], S=S[i], weights=col_weight[cols], columns=cols)
     return out
 
 
@@ -300,11 +368,15 @@ def median_gap_beta(log: EventLog, window: tuple[int, int]) -> float:
 
 
 def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
-                    cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+                    cfg: FitConfig) -> tuple[np.ndarray, np.ndarray, str]:
     """Projected gradient ascent with backtracking on one agent's concave
     likelihood. Ascent directions are scaled per coordinate by the inverse
     diagonal curvature, which keeps the baseline bins and the excitation
-    weights moving at comparable speed. Returns (mu, alpha_row_compact)."""
+    weights moving at comparable speed. Returns (mu, alpha_row_compact,
+    stop): "converged" when the gain fell below the tolerance (or the agent
+    has no events), "max_iters" when the iteration budget ran out, and
+    "backtracking_failed" when no step along the ascent direction kept the
+    likelihood from falling."""
     floor = cfg.baseline_floor
     n_ev = len(terms.bins)
     mu = np.full(N_BINS, floor)
@@ -315,7 +387,7 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
         mu = np.maximum(emp, floor)
     alpha = np.full(len(terms.columns), 0.1 if n_ev else 0.0)
     if n_ev == 0:
-        return mu, np.zeros(len(terms.columns))
+        return mu, np.zeros(len(terms.columns)), "converged"
 
     def ll(m, a):
         return _agent_ll(terms, m, a, beta, bin_hours)
@@ -345,21 +417,28 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
                 break
             step *= 0.5
         if not accepted:
-            break
+            return mu, alpha, "backtracking_failed"
         improved = cand - cur
         mu, alpha, cur = mu_c, alpha_c, cand
         if improved <= cfg.tolerance * max(1.0, abs(cur)):
-            break
-    return mu, alpha
+            return mu, alpha, "converged"
+    return mu, alpha, "max_iters"
 
 
-def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None) -> HawkesModel:
+def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None,
+        counters: dict | None = None) -> HawkesModel:
     """Maximum-likelihood fit of baselines and excitation over the window.
 
     Agents with no in-window sends get floor-only baselines and a zero
     excitation row. beta comes from the pooled median inter-send gap unless
-    overridden.
+    overridden. `counters`, when given, receives the number of agents whose
+    ascent stopped for each reason other than convergence
+    (`unconverged_max_iters`, `unconverged_backtracking_failed`).
     """
+    if counters is None:
+        counters = {}
+    counters.setdefault("unconverged_max_iters", 0)
+    counters.setdefault("unconverged_backtracking_failed", 0)
     config = config or FitConfig()
     t0, t1 = window
     in_window = [e for e in log.events if t0 <= e.ts < t1]
@@ -372,7 +451,9 @@ def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None)
     baselines = np.zeros((n, N_BINS))
     alpha = np.zeros((n, n))
     for i in range(n):
-        mu, a = _maximize_agent(terms[i], beta, bin_hours, config)
+        mu, a, stop = _maximize_agent(terms[i], beta, bin_hours, config)
+        if stop != "converged":
+            counters[f"unconverged_{stop}"] += 1
         baselines[i] = mu
         alpha[i, terms[i].columns] = a
     return HawkesModel(tuple(log.agents), baselines, alpha, beta, config.diagonal_only)
@@ -380,47 +461,6 @@ def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None)
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-class ExcitationState:
-    """Decayed per-sender event counts, updated as events are appended.
-
-    For each sender j it keeps g_j, the sum of exp(-beta * (t_j - t_e)) over
-    j's events e, at t_j, the time of j's latest event. Adding an event is
-    the exponential-kernel recursion g_j <- g_j * exp(-beta * dt) + 1
-    (Ozaki 1979). Invariant: the state covers exactly the events added so
-    far, added in append order (non-decreasing ts), and is read only at times
-    t >= every added ts.
-    """
-
-    def __init__(self, model: HawkesModel):
-        self.model = model
-        self.g = np.zeros(model.n_agents)
-        self.last = np.zeros(model.n_agents)
-
-    @classmethod
-    def from_log(cls, model: HawkesModel, history: EventLog, t_now: int) -> "ExcitationState":
-        """State over the history events with ts <= t_now."""
-        state = cls(model)
-        for e in history.events:
-            if e.ts > t_now:
-                break
-            state.add(e.sender, e.ts)
-        return state
-
-    def add(self, sender: int, ts: int) -> None:
-        decay = math.exp(-self.model.beta_per_hour * (ts - self.last[sender]) / SECONDS_PER_HOUR)
-        self.g[sender] = self.g[sender] * decay + 1.0
-        self.last[sender] = ts
-
-    def at(self, agent: int, t: int) -> float:
-        """sum over covered events e of alpha[agent][sender_e] * exp(-beta * (t - t_e))."""
-        beta = self.model.beta_per_hour
-        if self.model.diagonal_only:
-            return float(self.model.alpha[agent, agent] * self.g[agent]
-                         * math.exp(-beta * (t - self.last[agent]) / SECONDS_PER_HOUR))
-        decayed = self.g * np.exp(-beta * (t - self.last) / SECONDS_PER_HOUR)
-        return float(self.model.alpha[agent] @ decayed)
 
 
 def sample_next_activation(model: HawkesModel, agent: int, history: EventLog,

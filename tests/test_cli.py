@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from commsim import hawkes
+from commsim import corpus, hawkes
 from commsim.cli import main
 
 from conftest import DATA_DIR, MINI
@@ -84,6 +84,18 @@ def test_fit_roundtrip_and_beta(tmp_path):
     assert run_cli("fit", MINI, "--t0", BASE, "--t1", SIM_T0,
                    "--beta", "2.0", "--out", out2) == 0
     assert (out / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
+
+
+def test_fit_manifest_counts_unconverged_agents(tmp_path):
+    out = tmp_path / "m"
+    assert run_cli("fit", MINI, "--t0", BASE, "--t1", SIM_T0, "--full-matrix",
+                   "--out", out) == 0
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    want = {}
+    hawkes.fit(corpus.ingest(MINI), (BASE, SIM_T0), hawkes.FitConfig(diagonal_only=False),
+               counters=want)
+    for key in ("unconverged_max_iters", "unconverged_backtracking_failed"):
+        assert counters[key] == want[key]
 
 
 def test_simulate_deterministic(tmp_path):

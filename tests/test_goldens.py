@@ -9,7 +9,11 @@ changes any output byte fails here. `REPORT_GOLDEN` pins the SHA-256 of
 `metrics.evaluate_all(...).to_json()` for each of the same rollouts; it was
 recorded before the 3-edge motif census was restricted to the anchor's
 endpoints, so a refactor of the metric suite that changes any report byte
-fails here.
+fails here. `MODEL_GOLDEN` pins the SHA-256 of `hawkes.fit(...).to_json()`,
+diagonal and full-matrix, over the history window (no earlier events) and
+the rollout window (earlier events excite) of both corpora; it was recorded
+before the fitter built its excitation terms in one time-ordered sweep, so
+a refactor of the fitter that changes any model byte fails here.
 """
 
 import hashlib
@@ -57,6 +61,20 @@ REPORT_GOLDEN = {
     "fixture/llm_predicted": "3e3e18a4cadc62a40dd53a048ecaf3284111b4dfd43de838c8b4818c9940fc71",
     "fixture/periodic": "db31853797702abd28a987248e20f464436be9aa6ecd357bc29516a9dd3e66d8",
     "fixture/pure_hawkes": "36514f93381207cd5c71de0c79cf93bc8b1349fdf7ddf21ad40f6ba5e512c438",
+}
+
+MODEL_GOLDEN = {
+    "mini/hist/diag": "187a00abfc9dd0fe9c6091c57e0aec3418862193e2a7dc2a1053b4e6ecf1cb60",
+    "mini/hist/full": "1389566f750c917a2269c79764e40fe9eda2866a01b33bb002bf989427001de8",
+    "mini/window/diag": "e29596564901d8e8672c1abed46874a066404a990b0ff85e06f1910787e241f2",
+    "mini/window/full": "7d118b371612174114d391d857e7a1868726341b4cf9f1a9a26de9d24633da47",
+    "fixture/hist/diag": "3abcdc7dda5682be4ad81f115a16daefb55d2eca48e295984ed11a98bdacecc2",
+    "fixture/hist/full": "1eb65226d23a9f36171efd9d175daf742fec8617d102eaec5b46b675184fdff5",
+    "fixture/window/diag": "2cac5c91aeb26ade5667d45bee60f6cb64b78829ddf3953589f9750458ea705e",
+    "fixture/window/full": "d93ee4d16c86b51888a8117a827a2ec4414ad11bf0f67872c43c7e3b3601d238",
+    # beta = 20/h: the only setting here where the full fit keeps nonzero alpha
+    "fixture/window/diag_beta20": "1412f962dff8c1dca21cc1abd3f6fd5de17bff2215d8280805cdef37652933dc",
+    "fixture/window/full_beta20": "3773f756be5a33d2244f1ed2c94797fe2a34a3e0ec5b82dcb2405bf4b761b626",
 }
 
 
@@ -124,3 +142,14 @@ def test_report_digest(key, mini_log):
     sim, log, plan, window = _rollout(corpus_name, policy_name, mini_log)
     report = metrics.evaluate_all(sim, log, plan.trigger_agents, window)
     assert _sha(report.to_json()) == REPORT_GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(MODEL_GOLDEN))
+def test_model_digest(key, mini_log):
+    corpus_name, span, kind = key.split("/")
+    log, window, history_days = _setup(corpus_name, mini_log)
+    if span == "hist":
+        window = (window[0] - history_days * DAY, window[0])
+    cfg = hawkes.FitConfig(diagonal_only=kind.startswith("diag"),
+                           beta_override=20.0 if kind.endswith("beta20") else None)
+    assert _sha(hawkes.fit(log, window, cfg).to_json()) == MODEL_GOLDEN[key]
