@@ -38,10 +38,13 @@ def main():
 
     plan = simulator.select_triggers(log, hist_window, 0.10, sim_window)
     params = agents.stub_params_from_history(log, hist_window, seed=args.seed)
-    model = hawkes.fit(log, hist_window)
+    fit_counters = {}
+    model = hawkes.fit(log, hist_window, counters=fit_counters)
     print(f"corpus: {log.n_agents} agents, {len(log)} events; "
           f"triggers: {sorted(log.agents[i] for i in plan.trigger_agents)}; "
-          f"beta = {model.beta_per_hour:.3f}/h")
+          f"beta = {model.beta_per_hour:.3f}/h; unconverged agents: "
+          f"{fit_counters['unconverged_max_iters']} at max_iters, "
+          f"{fit_counters['unconverged_backtracking_failed']} on failed backtracking")
 
     hod_hist = simulator.hod_histograms(log_window(log, *hist_window))
     policies = {

@@ -317,9 +317,6 @@ class LLMPolicy:
     retries: int = field(default=0)
 
     def decide(self, ctx: AgentContext) -> ActionDecision:
-        return self.llm_decide(ctx)
-
-    def llm_decide(self, ctx: AgentContext) -> ActionDecision:
         system, user = render_prompt(ctx)
         messages = [{"role": "system", "content": system},
                     {"role": "user", "content": user}]

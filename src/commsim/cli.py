@@ -175,7 +175,7 @@ def _load_sim_config(path) -> dict:
         return json.load(fh)
 
 
-def _build_policy(name: str, cfg: dict, log, hist_window):
+def _build_policy(name: str, cfg: dict, log, hist_window, counters: dict):
     h0, t0 = hist_window
     hist = corpus.window(log, h0, t0)
     if name == "periodic":
@@ -189,7 +189,7 @@ def _build_policy(name: str, cfg: dict, log, hist_window):
             model = _read_file(hawkes.load_model, cfg["model"])
         else:
             fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
-            model = hawkes.fit(log, hist_window, fit_cfg)
+            model = hawkes.fit(log, hist_window, fit_cfg, counters=counters)
         return simulator.HawkesGuided(model)
     raise ValueError(f"unknown policy {name!r}")
 
@@ -206,6 +206,7 @@ def cmd_simulate(args) -> int:
         t1 = timeutil.parse_utc(str(window[1]))
         seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 42))
         manifest.data["seed"] = seed
+        counters = manifest.data["counters"]
         history_days = int(cfg.get("history_days", 32))
         hist_window = (t0 - history_days * 86400, t0)
         sim_config = simulator.SimConfig(
@@ -214,7 +215,7 @@ def cmd_simulate(args) -> int:
             trigger_ratio=float(cfg.get("trigger_ratio", 0.10)),
             seed=seed,
             max_actions_per_wake=int(cfg.get("max_actions_per_wake", 5)),
-            policy=_build_policy(args.policy, cfg, log, hist_window),
+            policy=_build_policy(args.policy, cfg, log, hist_window, counters),
             llm_adjusts_next_check=bool(cfg.get("llm_adjusts_next_check", False)),
         )
         triggers = simulator.select_triggers(log, hist_window,
@@ -228,7 +229,6 @@ def cmd_simulate(args) -> int:
         else:
             raise ValueError(f"unknown agent {args.agent!r}")
 
-        counters: dict = {}
         out = Path(args.out)
         try:
             sim_log = simulator.run(sim_config, log, policy_impl, triggers,
@@ -238,7 +238,6 @@ def cmd_simulate(args) -> int:
             out.mkdir(parents=True, exist_ok=True)
             corpus.save(exc.partial_log, partial)
             manifest.add_output(partial)
-            manifest.data["counters"] = counters
             raise
         sim_path = out / "sim.jsonl"
         out.mkdir(parents=True, exist_ok=True)
@@ -252,7 +251,6 @@ def cmd_simulate(args) -> int:
         if isinstance(policy_impl, agents.LLMPolicy):
             counters["llm_calls"] = policy_impl.calls
             counters["llm_retries"] = policy_impl.retries
-        manifest.data["counters"] = counters
         manifest.data["trigger_agents"] = sorted(
             log.agents[i] for i in triggers.trigger_agents)
         print(f"simulated {counters.get('organic_events', 0)} organic + "

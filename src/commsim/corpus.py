@@ -86,16 +86,11 @@ class EventLog:
     def timestamps(self) -> np.ndarray:
         return np.array([e.ts for e in self.events], dtype=np.int64)
 
-    def edges(self, drop_self_loops: bool = True) -> list[tuple[int, int, int]]:
+    def edges(self) -> list[tuple[int, int, int]]:
         """Expand to a (sender, recipient, ts) directed edge stream, one edge
-        per recipient, in log order."""
-        out = []
-        for e in self.events:
-            for r in e.recipients:
-                if drop_self_loops and r == e.sender:
-                    continue
-                out.append((e.sender, r, e.ts))
-        return out
+        per recipient other than the sender, in log order."""
+        return [(e.sender, r, e.ts) for e in self.events for r in e.recipients
+                if r != e.sender]
 
 
 def _sorted_events(events: Iterable[Event]) -> tuple[Event, ...]:
@@ -266,7 +261,7 @@ def lag24_weekday_autocorr(ts: np.ndarray, t0: int, t1: int) -> tuple[float, boo
     counts = hourly_counts(ts, t0, t1)
     h0 = timeutil.hour_index(t0)
     hours = np.arange(h0, h0 + len(counts))
-    wk = ((hours // 24 + 3) % 7) < 5
+    wk = ~timeutil.is_weekend(hours * timeutil.SECONDS_PER_HOUR)
     n = len(counts) - 24
     if n <= 1:
         return 0.0, True

@@ -29,8 +29,10 @@ at ts == t count with weight 1. Three readers share it:
 - `simulator.run` keeps one state across a rollout, so a wake costs O(1)
   (diagonal model) or O(D) instead of a rescan of the history.
 
-`simulate_pure_hawkes` still keeps its own decayed vector. `intensity` and
-`excitation_integral` stay brute-force sums and serve as test oracles.
+`simulate_pure_hawkes` keeps its own decayed vector with one common
+reference time: its superposition sampler reads the whole vector at every
+step, which then costs one `exp` instead of one per sender. `intensity`
+and `excitation_integral` stay brute-force sums and serve as test oracles.
 """
 
 from __future__ import annotations
@@ -497,7 +499,7 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
     while s < horizon_h:
         b = min(math.floor(s) + 1.0, horizon_h)
         exc = a * math.exp(-beta * (s - a_ref))
-        lam_bar = float(mu[_flat_bin_of_hour(int(math.floor(s)))]) + beta * exc
+        lam_bar = float(mu[timeutil.flat_bin_of_hour(int(math.floor(s)))]) + beta * exc
         if lam_bar <= 0:
             s = b
             continue
@@ -506,7 +508,7 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
             s = b
             continue
         t_star = s + delta
-        lam = float(mu[_flat_bin_of_hour(int(math.floor(t_star)))]) \
+        lam = float(mu[timeutil.flat_bin_of_hour(int(math.floor(t_star)))]) \
             + beta * a * math.exp(-beta * (t_star - a_ref))
         assert lam <= lam_bar * (1 + 1e-12), "thinning bound violated"
         if rng.uniform() * lam_bar <= lam:
@@ -514,10 +516,6 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
             return max(min(int(math.ceil(t_star * SECONDS_PER_HOUR)), horizon), t_now + 1)
         s = t_star
     return None
-
-
-def _flat_bin_of_hour(hour: int) -> int:
-    return ((hour // 24 + 3) % 7) * 24 + hour % 24
 
 
 def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
@@ -585,7 +583,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             continue
         b = min(math.floor(s) + 1.0, horizon_h, next_trig)
         decay_to(s)
-        lam_bar = float(sum_mu[_flat_bin_of_hour(int(math.floor(s)))]) + beta * float(col_weight @ g)
+        lam_bar = float(sum_mu[timeutil.flat_bin_of_hour(int(math.floor(s)))]) + beta * float(col_weight @ g)
         if lam_bar <= 0:
             s = b
             continue
@@ -602,7 +600,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             exc = beta * alpha_diag * g[organic]
         else:
             exc = beta * (alpha_org @ g)
-        lam = mu_org[:, _flat_bin_of_hour(int(math.floor(t_star)))] + exc
+        lam = mu_org[:, timeutil.flat_bin_of_hour(int(math.floor(t_star)))] + exc
         total = float(lam.sum())
         u = rng.uniform() * lam_bar
         assert total <= lam_bar * (1 + 1e-12), "thinning bound violated"

@@ -14,6 +14,13 @@ Daily graphs are bucketed by UTC midnight; directed simple graphs drop
 multi-edges and self-loops; undirected collapses additionally drop
 direction. Node sets always include the full registry, so isolated
 agents count (degree 0, disconnected pairs contribute 0 to efficiency).
+
+`evaluate_all` builds one `LogView` per log with `log_view`: the edge
+stream (self-loops dropped), its per-node time index, the directed simple
+edge set of each UTC day of the window and the registry size. The motif
+and daily-topology metrics read only views, so each log is expanded,
+indexed and bucketed by day once per evaluation; the four temporal-rhythm
+metrics read the log itself.
 """
 
 from __future__ import annotations
@@ -135,7 +142,7 @@ def weekend_weekday_ratio(log: EventLog, window: tuple[int, int]) -> float:
     t0, t1 = window
     d0, d1 = timeutil.day_index(t0), timeutil.day_index(t1 - 1)
     days = np.arange(d0, d1 + 1)
-    wknd_days = int(np.sum((days + 3) % 7 >= 5))
+    wknd_days = int(np.sum(timeutil.is_weekend(days * timeutil.SECONDS_PER_DAY)))
     wkdy_days = len(days) - wknd_days
     ts = log.timestamps()
     wknd_events = int(np.sum(timeutil.is_weekend(ts)))
@@ -165,31 +172,68 @@ def burstiness_emd(sim: EventLog, gt: EventLog) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the per-log view
+
+
+@dataclass(frozen=True)
+class LogView:
+    """What the motif and daily-topology metrics read of one log."""
+
+    edges: list[tuple[int, int, int]]
+    by_node: dict[int, tuple[list[int], list[int]]]
+    days: dict[int, set[tuple[int, int]]] | None  # None: empty window
+    n_agents: int
+
+    def daily(self) -> dict[int, set[tuple[int, int]]]:
+        if self.days is None:
+            raise MetricError("empty window")
+        return self.days
+
+
+def log_view(log: EventLog, window: tuple[int, int]) -> LogView:
+    edges = log.edges()
+    t0, t1 = window
+    days = daily_edge_sets(edges, window) if t1 > t0 else None
+    return LogView(edges, _node_index(edges), days, log.n_agents)
+
+
+def _node_index(edges) -> dict[int, tuple[list[int], list[int]]]:
+    """node -> (times, edge indices) of every edge it sends or receives, in
+    edge order. Edges are time-sorted, so each `times` list is too."""
+    by_node: dict[int, tuple[list[int], list[int]]] = {}
+    for k, (u, v, t) in enumerate(edges):
+        for node in (u, v):
+            times, idxs = by_node.setdefault(node, ([], []))
+            times.append(t)
+            idxs.append(k)
+    return by_node
+
+
+def daily_edge_sets(edges, window: tuple[int, int]) -> dict[int, set[tuple[int, int]]]:
+    """Directed simple edges per UTC day bucket of a nonempty window, from a
+    self-loop-free edge stream."""
+    t0, t1 = window
+    days = {d: set() for d in range(timeutil.day_index(t0), timeutil.day_index(t1 - 1) + 1)}
+    for u, v, t in edges:
+        if t0 <= t < t1:
+            days[timeutil.day_index(t)].add((u, v))
+    return days
+
+
+# ---------------------------------------------------------------------------
 # temporal motifs
 
 
 @dataclass(frozen=True)
-class Motif2Census:
-    counts: dict[str, int]
+class MotifCensus:
+    counts: dict[str, int]  # in class order
     delta: int
 
     def total(self) -> int:
         return sum(self.counts.values())
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.counts[c] for c in MOTIF2_CLASSES], dtype=float)
-
-
-@dataclass(frozen=True)
-class Motif3Census:
-    counts: dict[str, int]
-    delta: int
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.counts[c] for c in MOTIF3_CLASSES], dtype=float)
+        return np.array(list(self.counts.values()), dtype=float)
 
 
 def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str | None:
@@ -210,27 +254,14 @@ def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str | None:
     return None
 
 
-def _node_index(edges) -> dict[int, tuple[list[int], list[int]]]:
-    """node -> (times, edge indices) of every edge it sends or receives, in
-    edge order. Edges are time-sorted, so each `times` list is too."""
-    by_node: dict[int, tuple[list[int], list[int]]] = {}
-    for k, (u, v, t) in enumerate(edges):
-        for node in (u, v):
-            times, idxs = by_node.setdefault(node, ([], []))
-            times.append(t)
-            idxs.append(k)
-    return by_node
-
-
-def motif_census_2(log: EventLog, delta: int) -> Motif2Census:
+def motif_census_2(view: LogView, delta: int) -> MotifCensus:
     """Count ordered edge pairs (e1, e2) with 0 < t2 - t1 <= delta sharing at
     least one node, classified into the six 2-edge classes.
 
     Exact; uses per-node time indexes so only node-sharing pairs are visited.
     """
-    edges = log.edges()
+    edges, by_node = view.edges, view.by_node
     counts = dict.fromkeys(MOTIF2_CLASSES, 0)
-    by_node = _node_index(edges)
     for u2, v2, t2 in edges:
         cand: set[int] = set()
         for node in (u2, v2):
@@ -243,10 +274,10 @@ def motif_census_2(log: EventLog, delta: int) -> Motif2Census:
             cls = classify_pair(u1, v1, u2, v2)
             if cls is not None:
                 counts[cls] += 1
-    return Motif2Census(counts, delta)
+    return MotifCensus(counts, delta)
 
 
-def motif_census_3(log: EventLog, delta: int) -> Motif3Census:
+def motif_census_3(view: LogView, delta: int) -> MotifCensus:
     """Count strictly time-ordered edge triples (e1, e2, e3) with
     t2 - t1 and t3 - t1 in (0, delta], matching one of the five 3-edge
     classes. Triples matching no class are not counted.
@@ -263,8 +294,7 @@ def motif_census_3(log: EventLog, delta: int) -> Motif3Census:
     number of x's and y's edges inside the anchor's window, instead of the
     number of all edges inside it.
     """
-    edges = log.edges()
-    by_node = _node_index(edges)
+    edges, by_node = view.edges, view.by_node
     counts = dict.fromkeys(MOTIF3_CLASSES, 0)
     for x, y, t1 in edges:
         cand: set[int] = set()
@@ -300,17 +330,17 @@ def motif_census_3(log: EventLog, delta: int) -> Motif3Census:
             for a, b, _ in later[j:g]:
                 cnt2[(a, b)] += 1
             j = g
-    return Motif3Census(counts, delta)
+    return MotifCensus(counts, delta)
 
 
-def motif_jsd(sim: EventLog, gt: EventLog, arity: int, delta: int) -> tuple[float, list[str]]:
+def motif_jsd(sim: LogView, gt: LogView, arity: int, delta: int) -> tuple[float, list[str]]:
     """JSD between motif class distributions; an empty census is treated as
     uniform and flagged."""
     census = motif_census_2 if arity == 2 else motif_census_3
     flags = []
     dists = []
-    for name, log in (("sim", sim), ("gt", gt)):
-        arr = census(log, delta).as_array()
+    for name, view in (("sim", sim), ("gt", gt)):
+        arr = census(view, delta).as_array()
         if arr.sum() == 0:
             arr = np.ones_like(arr)
             flags.append(f"{name}: zero motifs, uniform assumed")
@@ -320,23 +350,6 @@ def motif_jsd(sim: EventLog, gt: EventLog, arity: int, delta: int) -> tuple[floa
 
 # ---------------------------------------------------------------------------
 # daily topology
-
-
-def day_buckets(window: tuple[int, int]) -> list[int]:
-    t0, t1 = window
-    if t1 <= t0:
-        raise MetricError("empty window")
-    return list(range(timeutil.day_index(t0), timeutil.day_index(t1 - 1) + 1))
-
-
-def daily_edge_sets(log: EventLog, window: tuple[int, int]) -> dict[int, set[tuple[int, int]]]:
-    """Directed simple edges per UTC day bucket (self-loops dropped)."""
-    days = {d: set() for d in day_buckets(window)}
-    t0, t1 = window
-    for u, v, t in log.edges():
-        if t0 <= t < t1:
-            days[timeutil.day_index(t)].add((u, v))
-    return days
 
 
 def _undirected(edge_set, n_nodes):
@@ -362,11 +375,11 @@ def _reciprocity(edge_set) -> float:
     return sum(1 for (u, v) in edge_set if (v, u) in edge_set) / len(edge_set)
 
 
-def daily_topology_series(log: EventLog, window: tuple[int, int], kind: str):
+def daily_topology_series(view: LogView, kind: str):
     """Per-day values: floats for transitivity/global_efficiency/reciprocity,
     integer degree arrays (one entry per registry node) for degdist."""
-    per_day = daily_edge_sets(log, window)
-    n = log.n_agents
+    per_day = view.daily()
+    n = view.n_agents
     out = []
     for d in sorted(per_day):
         edges = per_day[d]
@@ -394,11 +407,11 @@ def topology_rmse(sim_series, gt_series) -> float:
     return float(np.sqrt(np.mean((s - g) ** 2)))
 
 
-def degdist_emd(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> float:
+def degdist_emd(sim: LogView, gt: LogView) -> float:
     """Mean over days of the EMD between total-degree histograms (unit
     distance = one degree)."""
-    sim_days = daily_topology_series(sim, window, "degdist")
-    gt_days = daily_topology_series(gt, window, "degdist")
+    sim_days = daily_topology_series(sim, "degdist")
+    gt_days = daily_topology_series(gt, "degdist")
     vals = []
     for ds, dg in zip(sim_days, gt_days):
         top = int(max(ds.max(), dg.max()))
@@ -408,25 +421,19 @@ def degdist_emd(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> float:
     return float(np.mean(vals))
 
 
-def _daily_neighborhoods(log: EventLog, window: tuple[int, int]) -> dict[int, dict[int, set[int]]]:
-    """day -> node -> set of in/out neighbors (self excluded)."""
-    out: dict[int, dict[int, set[int]]] = {d: {} for d in day_buckets(window)}
-    for d, edges in daily_edge_sets(log, window).items():
-        nbrs = out[d]
-        for u, v in edges:
-            nbrs.setdefault(u, set()).add(v)
-            nbrs.setdefault(v, set()).add(u)
-    return out
-
-
-def ego_overlap_values(log: EventLog, window: tuple[int, int]) -> dict[int, float]:
+def ego_overlap_values(view: LogView) -> dict[int, float]:
     """Per-node mean cosine-style neighborhood overlap across consecutive
     day pairs where both neighborhoods are nonempty."""
-    daily = _daily_neighborhoods(log, window)
-    days = sorted(daily)
+    per_day = view.daily()
+    daily = []  # per day: node -> set of in/out neighbors (self excluded)
+    for d in sorted(per_day):
+        nbrs: dict[int, set[int]] = {}
+        for u, v in per_day[d]:
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
+        daily.append(nbrs)
     acc: dict[int, list[float]] = {}
-    for d0, d1 in zip(days, days[1:]):
-        a, b = daily[d0], daily[d1]
+    for a, b in zip(daily, daily[1:]):
         for v in set(a) & set(b):
             c = len(a[v] & b[v]) / math.sqrt(len(a[v]) * len(b[v]))
             acc.setdefault(v, []).append(c)
@@ -436,14 +443,14 @@ def ego_overlap_values(log: EventLog, window: tuple[int, int]) -> dict[int, floa
 TOPO_OVERLAP_BINS = 20
 
 
-def topo_overlap_emd(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> float:
+def topo_overlap_emd(sim: LogView, gt: LogView) -> float:
     """EMD between ego-overlap distributions, 20 uniform bins on [0, 1],
     scaled to overlap units (bin width 0.05)."""
-    if len(day_buckets(window)) < 2:
+    if len(sim.daily()) < 2:
         raise MetricError("topology overlap needs at least 2 days")
     dists = []
-    for log in (sim, gt):
-        vals = list(ego_overlap_values(log, window).values())
+    for view in (sim, gt):
+        vals = list(ego_overlap_values(view).values())
         if not vals:
             raise MetricError("no node active on two consecutive days")
         idx = np.clip((np.array(vals) * TOPO_OVERLAP_BINS).astype(int), 0, TOPO_OVERLAP_BINS - 1)
@@ -459,12 +466,12 @@ def _top_k_nodes(scores: dict[int, float], k: int = 10) -> set[int]:
     return {v for _, v in ranked[:k]}
 
 
-def centrality_jaccard(sim: EventLog, gt: EventLog, window: tuple[int, int],
-                       kind: str) -> tuple[float, list[str]]:
+def centrality_jaccard(sim: LogView, gt: LogView, kind: str) -> tuple[float, list[str]]:
     """Mean daily Jaccard similarity of top-10 node sets by degree or
-    betweenness centrality on the daily directed simple graphs."""
-    sim_days = daily_edge_sets(sim, window)
-    gt_days = daily_edge_sets(gt, window)
+    betweenness centrality on the daily directed simple graphs of two views
+    of the same window."""
+    sim_days = sim.daily()
+    gt_days = gt.daily()
     flags = []
     vals = []
     for d in sorted(sim_days):
@@ -542,12 +549,6 @@ class MetricsReport:
     window: tuple[int, int]
     n_agents: int
 
-    def value(self, name: str) -> float | None:
-        for e in self.entries:
-            if e.name == name:
-                return e.value
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "window": list(self.window),
@@ -592,46 +593,39 @@ def evaluate_all(sim: EventLog, gt: EventLog, trigger_agents,
     sim_x = log_window(exclude_triggers(sim, triggers), t0, t1)
     gt_x = log_window(exclude_triggers(gt, triggers), t0, t1)
 
+    sim_v, gt_v = log_view(sim_x, window), log_view(gt_x, window)
+    suite = {
+        "r24": lambda: r24_err(sim_x, gt_x, window),
+        "hod": lambda: hod_emd(sim_x, gt_x),
+        "wknd_drop": lambda: wknd_drop_err(sim_x, gt_x, window),
+        "burst": lambda: burstiness_emd(sim_x, gt_x),
+        "2eg_2h": lambda: motif_jsd(sim_v, gt_v, 2, 2 * 3600),
+        "2eg_8h": lambda: motif_jsd(sim_v, gt_v, 2, 8 * 3600),
+        "3eg_24h": lambda: motif_jsd(sim_v, gt_v, 3, 24 * 3600),
+        "3eg_48h": lambda: motif_jsd(sim_v, gt_v, 3, 48 * 3600),
+        "degdist": lambda: degdist_emd(sim_v, gt_v),
+        "trans": lambda: topology_rmse(daily_topology_series(sim_v, "transitivity"),
+                                       daily_topology_series(gt_v, "transitivity")),
+        "globeff": lambda: topology_rmse(daily_topology_series(sim_v, "global_efficiency"),
+                                         daily_topology_series(gt_v, "global_efficiency")),
+        "recip": lambda: topology_rmse(daily_topology_series(sim_v, "reciprocity"),
+                                       daily_topology_series(gt_v, "reciprocity")),
+        "topo_ovlp": lambda: topo_overlap_emd(sim_v, gt_v),
+        "degcen": lambda: centrality_jaccard(sim_v, gt_v, "degree"),
+        "betwcen": lambda: centrality_jaccard(sim_v, gt_v, "betweenness"),
+    }
     entries = []
-
-    def add(name, fn):
-        flags: list[str] = []
-
-        def run():
-            res = fn()
-            if isinstance(res, tuple):
-                val, fl = res
-                flags.extend(fl)
-                return val
-            return res
-
+    for name, metric in suite.items():
         direction = "higher" if name in HIGHER_IS_BETTER else "lower"
         try:
-            value = run()
-            entries.append(MetricEntry(name, CATEGORY_OF[name], float(value),
-                                       direction, tuple(flags)))
+            res = metric()
         except MetricError as exc:
             entries.append(MetricEntry(name, CATEGORY_OF[name], None, direction,
-                                       tuple(flags), skipped=str(exc)))
-
-    add("r24", lambda: r24_err(sim_x, gt_x, window))
-    add("hod", lambda: hod_emd(sim_x, gt_x))
-    add("wknd_drop", lambda: wknd_drop_err(sim_x, gt_x, window))
-    add("burst", lambda: burstiness_emd(sim_x, gt_x))
-    add("2eg_2h", lambda: motif_jsd(sim_x, gt_x, 2, 2 * 3600))
-    add("2eg_8h", lambda: motif_jsd(sim_x, gt_x, 2, 8 * 3600))
-    add("3eg_24h", lambda: motif_jsd(sim_x, gt_x, 3, 24 * 3600))
-    add("3eg_48h", lambda: motif_jsd(sim_x, gt_x, 3, 48 * 3600))
-    add("degdist", lambda: degdist_emd(sim_x, gt_x, window))
-    add("trans", lambda: topology_rmse(daily_topology_series(sim_x, window, "transitivity"),
-                                       daily_topology_series(gt_x, window, "transitivity")))
-    add("globeff", lambda: topology_rmse(daily_topology_series(sim_x, window, "global_efficiency"),
-                                         daily_topology_series(gt_x, window, "global_efficiency")))
-    add("recip", lambda: topology_rmse(daily_topology_series(sim_x, window, "reciprocity"),
-                                       daily_topology_series(gt_x, window, "reciprocity")))
-    add("topo_ovlp", lambda: topo_overlap_emd(sim_x, gt_x, window))
-    add("degcen", lambda: centrality_jaccard(sim_x, gt_x, window, "degree"))
-    add("betwcen", lambda: centrality_jaccard(sim_x, gt_x, window, "betweenness"))
+                                       skipped=str(exc)))
+            continue
+        value, flags = res if isinstance(res, tuple) else (res, ())
+        entries.append(MetricEntry(name, CATEGORY_OF[name], float(value), direction,
+                                   tuple(flags)))
 
     return MetricsReport(tuple(entries), window, sim_x.n_agents)
 

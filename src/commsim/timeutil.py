@@ -48,9 +48,16 @@ def week_index(ts):
     return (day_index(ts) + _EPOCH_WEEKDAY_SHIFT) // DAYS_PER_WEEK
 
 
+def flat_bin_of_hour(hour):
+    """Flattened weekly bin index in 0..167 (weekday * 24 + hour of day) of
+    an hour bucket (hours since epoch). Works on scalars and arrays."""
+    return (((hour // HOURS_PER_DAY + _EPOCH_WEEKDAY_SHIFT) % DAYS_PER_WEEK) * HOURS_PER_DAY
+            + hour % HOURS_PER_DAY)
+
+
 def flat_bin_of(ts):
     """Flattened weekly bin index in 0..167 (weekday * 24 + hour)."""
-    return weekday(ts) * HOURS_PER_DAY + hour_of_day(ts)
+    return flat_bin_of_hour(hour_index(ts))
 
 
 def weekly_bin_hours(t0: int, t1: int) -> np.ndarray:
@@ -68,7 +75,7 @@ def weekly_bin_hours(t0: int, t1: int) -> np.ndarray:
     h1 = (t1 - 1) // SECONDS_PER_HOUR
     n_hours = h1 - h0 + 1
     hours = np.arange(h0, h1 + 1)
-    bins = ((hours // HOURS_PER_DAY + _EPOCH_WEEKDAY_SHIFT) % DAYS_PER_WEEK) * HOURS_PER_DAY + hours % HOURS_PER_DAY
+    bins = flat_bin_of_hour(hours)
     overlap = np.full(n_hours, float(SECONDS_PER_HOUR))
     overlap[0] -= t0 - h0 * SECONDS_PER_HOUR
     overlap[-1] -= (h1 + 1) * SECONDS_PER_HOUR - t1

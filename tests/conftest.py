@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from commsim.corpus import Event, EventLog, ingest
+from commsim.metrics import log_view
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -55,6 +56,13 @@ def random_log(rng, n_agents, n_events, t0, span, multi_prob=0.0):
 
 
 BASE_MONDAY = 983750400  # 2001-03-05 00:00:00 UTC
+
+
+def view(log, window=None):
+    """`metrics.log_view` of `log`; the default window spans all its events."""
+    if window is None:
+        window = (log.events[0].ts, log.events[-1].ts + 1) if len(log) else (0, 0)
+    return log_view(log, window)
 
 
 class ZeroDraws:

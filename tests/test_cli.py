@@ -139,6 +139,22 @@ def test_simulate_hawkes_stub(tmp_path):
     assert lines
 
 
+def test_simulate_manifest_counts_unconverged_agents(tmp_path):
+    # `hawkes` without a `model` file fits on the history window
+    cfg = sim_config(tmp_path, fit={"max_iters": 1})
+    out = tmp_path / "h"
+    assert run_cli("simulate", cfg, "--policy", "hawkes", "--agent", "stub",
+                   "--out", out) == 0
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    want = {}
+    hawkes.fit(corpus.ingest(MINI), (SIM_T0 - 4 * DAY, SIM_T0), hawkes.FitConfig(max_iters=1),
+               counters=want)
+    assert want["unconverged_max_iters"] > 0
+    for key in ("unconverged_max_iters", "unconverged_backtracking_failed"):
+        assert counters[key] == want[key]
+    assert counters["wakes"] > 0
+
+
 def test_simulate_seed_flag_overrides_config(tmp_path):
     cfg = sim_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

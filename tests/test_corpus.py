@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commsim import corpus
+from commsim import corpus, timeutil
 from commsim.corpus import CorpusError, Event, EventLog, ingest, serialize, window
 
-from conftest import make_log
+from conftest import BASE_MONDAY, make_log
 
 
 def write_jsonl(tmp_path, lines, name="log.jsonl"):
@@ -226,7 +226,28 @@ def test_contact_frequencies():
 def test_multi_recipient_edges_and_self_loops():
     log = make_log([(0, (1, 2, 0), 0)])  # self-loop dropped from edges
     assert log.edges() == [(0, 1, 0), (0, 2, 0)]
-    assert log.edges(drop_self_loops=False) == [(0, 1, 0), (0, 2, 0), (0, 0, 0)]
+
+
+@pytest.mark.parametrize("ts, want", [
+    (0, 72),                           # 1970-01-01 00:00, a Thursday
+    (-1, 71),                          # Wednesday 23:59:59
+    (-3 * 86400, 0),                   # Monday 1969-12-29 00:00
+    (-3 * 86400 - 1, 167),             # Sunday 23:59:59
+    (BASE_MONDAY - 1, 167),
+    (BASE_MONDAY, 0),
+    (BASE_MONDAY + 7 * 86400 - 1, 167),
+])
+def test_flat_bin_of_hour_matches_flat_bin_of(ts, want):
+    assert timeutil.flat_bin_of(ts) == want
+    assert timeutil.flat_bin_of_hour(ts // 3600) == want
+
+
+def test_flat_bin_of_hour_across_weeks():
+    for start in (-21 * 86400, BASE_MONDAY - 21 * 86400):
+        ts = np.arange(start, start + 42 * 86400, 1799, dtype=np.int64)
+        weekday_hour = timeutil.weekday(ts) * 24 + timeutil.hour_of_day(ts)
+        assert np.array_equal(timeutil.flat_bin_of(ts), weekday_hour)
+        assert np.array_equal(timeutil.flat_bin_of_hour(ts // 3600), weekday_hour)
 
 
 @given(st.integers(0, 10**9), st.integers(1, 14 * 86400))

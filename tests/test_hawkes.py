@@ -72,7 +72,7 @@ def test_intensity_naive_sum_oracle():
     hist = make_log(events, n_agents=n)
     t = t0 + 6 * HOUR
     for agent in range(n):
-        expected = float(baselines[agent, hawkes._flat_bin_of_hour(t // HOUR)])
+        expected = float(baselines[agent, timeutil.flat_bin_of_hour(t // HOUR)])
         for e in hist.events:
             if e.ts < t:
                 expected += alpha[agent, e.sender] * 1.7 * math.exp(-1.7 * (t - e.ts) / HOUR)

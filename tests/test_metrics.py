@@ -11,7 +11,7 @@ from commsim import metrics
 from commsim.metrics import (MetricError, emd_1d, jsd, motif_census_2, motif_census_3,
                              regret)
 
-from conftest import BASE_MONDAY, fixture_log, make_log, random_log
+from conftest import BASE_MONDAY, fixture_log, make_log, random_log, view
 
 DAY = 86400
 HOUR = 3600
@@ -244,32 +244,32 @@ def test_wknd_ratio_value():
 
 def test_motif2_trivial():
     log = make_log([(0, 1, 0), (1, 0, HOUR)])
-    c = motif_census_2(log, 2 * HOUR)
+    c = motif_census_2(view(log), 2 * HOUR)
     assert c.counts["reciprocal"] == 1 and c.total() == 1
     log2 = make_log([(0, 1, 0), (0, 2, HOUR)])
-    c2 = motif_census_2(log2, 2 * HOUR)
+    c2 = motif_census_2(view(log2), 2 * HOUR)
     assert c2.counts["out_star"] == 1 and c2.total() == 1
     # outside the window
     log3 = make_log([(0, 1, 0), (1, 0, 3 * HOUR)])
-    assert motif_census_2(log3, 2 * HOUR).total() == 0
+    assert motif_census_2(view(log3), 2 * HOUR).total() == 0
     # simultaneous edges never pair (strict ordering)
     log4 = make_log([(0, 1, 50), (1, 0, 50)])
-    assert motif_census_2(log4, HOUR).total() == 0
+    assert motif_census_2(view(log4), HOUR).total() == 0
 
 
 def test_motif3_trivial():
     log = make_log([(0, 1, 0), (1, 0, HOUR), (0, 1, 2 * HOUR)])
-    c = motif_census_3(log, 24 * HOUR)
+    c = motif_census_3(view(log), 24 * HOUR)
     assert c.counts["dyad_alternation"] == 1 and c.total() == 1
     log2 = make_log([(0, 1, 0), (1, 2, HOUR), (2, 0, 2 * HOUR)])
-    c2 = motif_census_3(log2, 24 * HOUR)
+    c2 = motif_census_3(view(log2), 24 * HOUR)
     assert c2.counts["three_cycle"] == 1 and c2.total() == 1
     log3 = make_log([(0, 1, 0), (0, 2, HOUR), (1, 2, 2 * HOUR)])
-    assert motif_census_3(log3, 24 * HOUR).counts["broadcast_cross_link"] == 1
+    assert motif_census_3(view(log3), 24 * HOUR).counts["broadcast_cross_link"] == 1
     log4 = make_log([(0, 1, 0), (1, 2, HOUR), (0, 2, 2 * HOUR)])
-    assert motif_census_3(log4, 24 * HOUR).counts["feed_forward_closure"] == 1
+    assert motif_census_3(view(log4), 24 * HOUR).counts["feed_forward_closure"] == 1
     log5 = make_log([(0, 1, 0), (0, 1, HOUR), (1, 0, 2 * HOUR)])
-    assert motif_census_3(log5, 24 * HOUR).counts["dyad_burst_reply"] == 1
+    assert motif_census_3(view(log5), 24 * HOUR).counts["dyad_burst_reply"] == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -279,7 +279,7 @@ def test_motif2_matches_bruteforce(seed):
                      multi_prob=0.2)
     edges = log.edges()
     for delta in (15 * 60, 2 * HOUR, 8 * HOUR):
-        got = motif_census_2(log, delta).counts
+        got = motif_census_2(view(log), delta).counts
         want = brute_motif2(edges, delta)
         assert got == {k: want.get(k, 0) for k in got}
 
@@ -291,7 +291,7 @@ def test_motif3_matches_bruteforce(seed):
                      multi_prob=0.2)
     edges = log.edges()
     for delta in (HOUR, 4 * HOUR):
-        got = motif_census_3(log, delta).counts
+        got = motif_census_3(view(log), delta).counts
         want = brute_motif3(edges, delta)
         assert got == {k: want.get(k, 0) for k in got}
 
@@ -330,7 +330,7 @@ def census_logs(draw):
 @settings(max_examples=20, deadline=None)
 @given(census_logs(), st.sampled_from([HOUR, 24 * HOUR, 48 * HOUR]))
 def test_motif3_matches_anchor_scan_oracle(log, delta):
-    assert motif_census_3(log, delta).counts == oracle_motif_census_3(log, delta)
+    assert motif_census_3(view(log), delta).counts == oracle_motif_census_3(log, delta)
 
 
 def test_motif_resort_invariance():
@@ -339,20 +339,20 @@ def test_motif_resort_invariance():
     log_a = make_log(records)
     log_b = make_log(list(reversed(records)))
     for delta in (HOUR, 8 * HOUR):
-        assert motif_census_2(log_a, delta).counts == motif_census_2(log_b, delta).counts
-        assert motif_census_3(log_a, delta).counts == motif_census_3(log_b, delta).counts
+        assert motif_census_2(view(log_a), delta).counts == motif_census_2(view(log_b), delta).counts
+        assert motif_census_3(view(log_a), delta).counts == motif_census_3(view(log_b), delta).counts
 
 
 def test_motif_jsd():
     log = make_log([(0, 1, 0), (1, 0, HOUR)])
-    val, flags = metrics.motif_jsd(log, log, 2, 2 * HOUR)
+    val, flags = metrics.motif_jsd(view(log), view(log), 2, 2 * HOUR)
     assert val == 0.0 and not flags
     out_star = make_log([(0, 1, 0), (0, 2, HOUR)])
     in_star = make_log([(1, 0, 0), (2, 0, HOUR)])
-    val, _ = metrics.motif_jsd(out_star, in_star, 2, 2 * HOUR)
+    val, _ = metrics.motif_jsd(view(out_star), view(in_star), 2, 2 * HOUR)
     assert val == pytest.approx(1.0)
     empty = make_log([(0, 1, 0)], n_agents=3)
-    val, flags = metrics.motif_jsd(empty, out_star, 2, 2 * HOUR)
+    val, flags = metrics.motif_jsd(view(empty), view(out_star), 2, 2 * HOUR)
     assert flags and "uniform" in flags[0]
 
 
@@ -369,17 +369,17 @@ def test_daily_triangle_identity():
                     (2, 0, t + 4), (0, 2, t + 5)]
     log = make_log(records)
     window = (BASE_MONDAY, BASE_MONDAY + days * DAY)
-    trans = metrics.daily_topology_series(log, window, "transitivity")
-    recip = metrics.daily_topology_series(log, window, "reciprocity")
+    trans = metrics.daily_topology_series(view(log, window), "transitivity")
+    recip = metrics.daily_topology_series(view(log, window), "reciprocity")
     assert trans == [1.0] * days and recip == [1.0] * days
     assert metrics.topology_rmse(trans, trans) == 0.0
-    assert metrics.degdist_emd(log, log, window) == 0.0
+    assert metrics.degdist_emd(view(log, window), view(log, window)) == 0.0
 
 
 def test_global_efficiency_path():
     log = make_log([(0, 1, BASE_MONDAY + 10), (1, 2, BASE_MONDAY + 20)], n_agents=3)
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    eff = metrics.daily_topology_series(log, window, "global_efficiency")
+    eff = metrics.daily_topology_series(view(log, window), "global_efficiency")
     assert eff == [pytest.approx(5 / 6)]
 
 
@@ -388,11 +388,11 @@ def test_daily_fixture_hand_values():
     t = BASE_MONDAY + 8 * HOUR
     log = make_log([(0, 1, t), (1, 0, t + 60), (1, 2, t + 120), (2, 3, t + 180)])
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    assert metrics.daily_topology_series(log, window, "reciprocity") == [0.5]
-    assert metrics.daily_topology_series(log, window, "transitivity") == [0.0]
-    assert metrics.daily_topology_series(log, window, "global_efficiency") == \
+    assert metrics.daily_topology_series(view(log, window), "reciprocity") == [0.5]
+    assert metrics.daily_topology_series(view(log, window), "transitivity") == [0.0]
+    assert metrics.daily_topology_series(view(log, window), "global_efficiency") == \
         [pytest.approx(13 / 18)]
-    (deg,) = metrics.daily_topology_series(log, window, "degdist")
+    (deg,) = metrics.daily_topology_series(view(log, window), "degdist")
     assert deg.tolist() == [2, 3, 2, 1]
 
 
@@ -401,7 +401,7 @@ def test_degdist_detects_shift():
     hub = make_log([(0, i, t + i) for i in range(1, 5)], n_agents=5)
     chain = make_log([(i, i + 1, t + i) for i in range(4)], n_agents=5)
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    assert metrics.degdist_emd(hub, chain, window) > 0
+    assert metrics.degdist_emd(view(hub, window), view(chain, window)) > 0
 
 
 def test_topo_overlap():
@@ -412,20 +412,20 @@ def test_topo_overlap():
         records += [(0, 1, t), (0, 2, t + 1), (1, 2, t + 2)]
     log = make_log(records)
     window = (BASE_MONDAY, BASE_MONDAY + 2 * DAY)
-    vals = metrics.ego_overlap_values(log, window)
+    vals = metrics.ego_overlap_values(view(log, window))
     assert vals == {0: 1.0, 1: 1.0, 2: 1.0}
-    assert metrics.topo_overlap_emd(log, log, window) == 0.0
+    assert metrics.topo_overlap_emd(view(log, window), view(log, window)) == 0.0
     # disjoint neighborhoods -> C = 0
     rec2 = [(0, 1, BASE_MONDAY + 9 * HOUR), (0, 2, BASE_MONDAY + DAY + 9 * HOUR)]
     log2 = make_log(rec2)
-    assert metrics.ego_overlap_values(log2, window)[0] == 0.0
+    assert metrics.ego_overlap_values(view(log2, window))[0] == 0.0
 
 
 def test_topo_overlap_oracle():
     rng = np.random.default_rng(5)
     log = random_log(rng, n_agents=6, n_events=120, t0=BASE_MONDAY, span=4 * DAY)
     window = (BASE_MONDAY, BASE_MONDAY + 4 * DAY)
-    got = metrics.ego_overlap_values(log, window)
+    got = metrics.ego_overlap_values(view(log, window))
     # independent set-arithmetic recomputation
     nbrs = {}
     for u, v, t in log.edges():
@@ -452,13 +452,13 @@ def test_centrality_jaccard():
     t = BASE_MONDAY + 9 * HOUR
     star_a = make_log([(0, i, t + i) for i in range(1, 12)], n_agents=24)
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    val, _ = metrics.centrality_jaccard(star_a, star_a, window, "degree")
+    val, _ = metrics.centrality_jaccard(view(star_a, window), view(star_a, window), "degree")
     assert val == 1.0
     path = make_log([(i, i + 1, t + i) for i in range(11)], n_agents=24)
-    val_b, _ = metrics.centrality_jaccard(path, path, window, "betweenness")
+    val_b, _ = metrics.centrality_jaccard(view(path, window), view(path, window), "betweenness")
     assert val_b == 1.0
     star_b = make_log([(12, i, t + i) for i in range(13, 24)], n_agents=24)
-    val2, _ = metrics.centrality_jaccard(star_a, star_b, window, "degree")
+    val2, _ = metrics.centrality_jaccard(view(star_a, window), view(star_b, window), "degree")
     assert val2 == 0.0
 
 
@@ -467,7 +467,7 @@ def test_centrality_hub_in_intersection():
     sim = make_log([(0, i, t + i) for i in range(1, 8)], n_agents=12)
     gt = make_log([(0, i, t + i) for i in range(4, 11)], n_agents=12)
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    val, flags = metrics.centrality_jaccard(sim, gt, window, "degree")
+    val, flags = metrics.centrality_jaccard(view(sim, window), view(gt, window), "degree")
     assert val > 0  # the hub is in both top sets
 
 
@@ -572,6 +572,31 @@ def test_evaluate_all_degenerate_inputs(mini_log):
     assert by_name["r24"].flags  # degenerate series flagged, value 0
     for e in report.entries:
         assert (e.value is not None) or e.skipped
+
+
+def test_evaluate_all_builds_one_view_per_log(monkeypatch):
+    log = fixture_log(11)
+    window = (BASE_MONDAY, BASE_MONDAY + 10 * DAY)
+    calls = []
+    daily_edge_sets = metrics.daily_edge_sets
+
+    def counting(*args):
+        calls.append(args)
+        return daily_edge_sets(*args)
+
+    monkeypatch.setattr(metrics, "daily_edge_sets", counting)
+    report = metrics.evaluate_all(log, log, {0}, window)
+    assert len(calls) == 2
+    assert all(e.skipped is None for e in report.entries)
+
+
+@pytest.mark.parametrize("t", [BASE_MONDAY, BASE_MONDAY + 5 * DAY + 123])
+def test_evaluate_all_empty_window_skips_daily_metrics(t):
+    report = metrics.evaluate_all(fixture_log(3), fixture_log(3), set(), (t, t))
+    assert [e.name for e in report.entries] == list(metrics.METRIC_NAMES)
+    empty = [e.name for e in report.entries if e.skipped == "empty window"]
+    assert empty == ["degdist", "trans", "globeff", "recip", "topo_ovlp", "degcen", "betwcen"]
+    assert all(not e.flags for e in report.entries if e.skipped)
 
 
 def test_evaluate_all_accepts_trigger_plan(mini_log, mini_manifest):
