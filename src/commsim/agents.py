@@ -227,12 +227,12 @@ def _format_events(log_agents, events, limit: int = 40) -> str:
 def render_prompt(ctx: AgentContext) -> tuple[str, str]:
     """(system, user) messages for the decision request. Only events with
     timestamps <= ctx.now ever appear."""
-    agents = ctx.sent_history.agents
+    agents = ctx.agents
     t0 = ctx.takeover
-    pre_recv = [e for e in ctx.received_history.events if e.ts < t0]
-    pre_sent = [e for e in ctx.sent_history.events if e.ts < t0]
-    sim_recv = [e for e in ctx.received_history.events if t0 <= e.ts <= ctx.now]
-    sim_sent = [e for e in ctx.sent_history.events if t0 <= e.ts <= ctx.now]
+    pre_recv = [e for e in ctx.received_history if e.ts < t0]
+    pre_sent = [e for e in ctx.sent_history if e.ts < t0]
+    sim_recv = [e for e in ctx.received_history if t0 <= e.ts <= ctx.now]
+    sim_sent = [e for e in ctx.sent_history if t0 <= e.ts <= ctx.now]
     cadence_days = ", ".join(
         f"{timeutil.format_utc(d * 86400)[:10]}: {c}" for d, c in ctx.cadence.days) or "(none)"
     system = SYSTEM_TEMPLATE.format(
@@ -248,7 +248,7 @@ def render_prompt(ctx: AgentContext) -> tuple[str, str]:
         sent_history=_format_events(agents, pre_sent),
         received_sim=_format_events(agents, sim_recv),
         sent_sim=_format_events(agents, sim_sent),
-        unread=_format_events(agents, list(ctx.unread)),
+        unread=_format_events(agents, ctx.unread),
         suggested=(timeutil.format_utc(ctx.suggested_next_check)
                    if ctx.suggested_next_check is not None else "(none)"),
         now=timeutil.format_utc(ctx.now),
@@ -267,7 +267,7 @@ def parse_decision(content: str, ctx: AgentContext) -> ActionDecision:
     except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise LLMDecodeError(f"undecodable decision: {exc}") from exc
 
-    registry = {lbl: i for i, lbl in enumerate(ctx.sent_history.agents)}
+    registry = {lbl: i for i, lbl in enumerate(ctx.agents)}
     actions = []
     try:
         for a in raw_actions:

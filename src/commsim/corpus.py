@@ -167,9 +167,6 @@ def ingest(path, format: str = "jsonl") -> EventLog:
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise CorpusError(f"duplicate event ids: {dupes[:5]}")
-    for rec in records:
-        if not rec[2]:
-            raise CorpusError(f"event {rec[0]}: empty recipient list")
     return build_log(records)
 
 
@@ -297,18 +294,13 @@ def _aggregate_graph_stats(log: EventLog) -> tuple[float, float, float, float]:
     """(density, transitivity, global_efficiency, reciprocity) of the
     aggregated graph; directed simple graph for density/reciprocity,
     undirected simple collapse for transitivity/efficiency."""
-    import networkx as nx
+    from . import metrics  # metrics imports this module
 
     edges = simple_digraph_edges(log)
     n = log.n_agents
     density = len(edges) / (n * (n - 1)) if n > 1 else 0.0
-    recip = (sum(1 for (u, v) in edges if (v, u) in edges) / len(edges)) if edges else 0.0
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
-    trans = nx.transitivity(g)
-    eff = nx.global_efficiency(g) if n > 1 else 0.0
-    return density, trans, eff, recip
+    return (density, metrics._transitivity(edges, n), metrics._global_efficiency(edges, n),
+            metrics._reciprocity(edges))
 
 
 def corpus_stats(log: EventLog) -> StatsSummary:

@@ -16,10 +16,11 @@ as each event is appended, instead of rescanning the log on every wake:
 the HawkesGuided excitation state (`hawkes.ExcitationState`, pre-window
 ground truth plus everything simulated so far) and the `ContextIndex`
 (per-agent sent and received lists over the configured history span plus
-everything simulated so far). Both share one invariant: at a wake at `now`
-they cover exactly the events with ts <= now appended so far, in append
-order, including events appended earlier at the same timestamp under the
-queue's tie order.
+everything simulated so far, which each wake's context copies as tuples).
+Both share one invariant: at a wake at `now` they cover exactly the events
+with ts <= now appended so far, in append order, including events appended
+earlier at the same timestamp under the queue's tie order. `run` builds an
+EventLog only for its result or an aborted run's partial log.
 """
 
 from __future__ import annotations
@@ -209,8 +210,9 @@ class AgentContext:
     agent: int
     label: str
     persona: str | None
-    sent_history: EventLog
-    received_history: EventLog
+    agents: tuple[str, ...]              # registry labels, by agent index
+    sent_history: tuple[Event, ...]      # history span + simulated so far,
+    received_history: tuple[Event, ...]  # each in (ts, event_id) order
     unread: tuple[Event, ...]
     now: int
     takeover: int            # simulation window start
@@ -284,10 +286,13 @@ class ContextIndex:
 
     Ground truth in the configured history span [t0 - history_days, t0) is
     filed once; simulated events (ts >= t0) are filed by `add` as they are
-    appended, which must be in non-decreasing ts order. Each received list
-    is then sorted by ts, and unread mail is its slice after the agent's
-    last check (at least t0 - 1, so ground truth is never unread). The
-    cadence summaries read only ground truth and are computed up front.
+    appended. Append order is (ts, event_id) order, so a context hands out
+    copies of the lists as they are: the history arrives sorted, the queue
+    appends triggers before wakes at equal ts, and organic ids are issued
+    in increasing order above every history and scheduled id. Unread mail
+    is the received list's slice after the agent's last check (at least
+    t0 - 1, so ground truth is never unread). The cadence summaries read
+    only ground truth and are computed up front.
     """
 
     def __init__(self, history: EventLog, config: SimConfig):
@@ -303,20 +308,12 @@ class ContextIndex:
         for e in history.events[lo:hi]:
             self.add(e)
         self.cadence = [cadence_summary(sent, self.span) for sent in self.sent]
-        # (which, agent) -> EventLog; lists only grow, so equal length = same events
-        self._logs: dict[tuple[str, int], EventLog] = {}
 
     def add(self, e: Event) -> None:
         self.sent[e.sender].append(e)
         for r in set(e.recipients):
             if r != e.sender:
                 self.received[r].append(e)
-
-    def _log(self, which: str, agent: int, events: list[Event]) -> EventLog:
-        log = self._logs.get((which, agent))
-        if log is None or len(log) != len(events):
-            log = self._logs[(which, agent)] = self.history.with_events(events)
-        return log
 
     def context(self, agent: int, t_now: int, last_check: int | None,
                 suggested_next: int | None, persona: str | None = None) -> AgentContext:
@@ -328,8 +325,9 @@ class ContextIndex:
             agent=agent,
             label=self.history.agents[agent],
             persona=persona,
-            sent_history=self._log("sent", agent, self.sent[agent]),
-            received_history=self._log("received", agent, received),
+            agents=self.history.agents,
+            sent_history=tuple(self.sent[agent]),
+            received_history=tuple(received),
             unread=tuple(received[first_unread:]),
             now=t_now,
             takeover=self.takeover,
@@ -373,7 +371,8 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
     injected trigger events plus generated organic events.
 
     Raises SimulationError if an activation policy schedules a wake that is
-    not strictly after the current one."""
+    not strictly after the current one, or an agent addresses an action to
+    an index outside the registry."""
     if counters is None:
         counters = {}
     counters.setdefault("wakes", 0)
@@ -459,6 +458,9 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
         if len(decision.actions) > config.max_actions_per_wake:
             counters["actions_truncated"] += 1
         for action in actions:
+            if any(not 0 <= r < history.n_agents for r in action.recipients):
+                raise SimulationError(f"agent {agent}: recipient outside registry "
+                                      f"in {action.recipients} at {ts}")
             recipients = tuple(r for r in action.recipients if r != agent)
             if not recipients:
                 continue

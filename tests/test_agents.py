@@ -7,7 +7,7 @@ from commsim import agents
 from commsim.agents import (LLMDecodeError, LLMEndpointConfig, LLMPolicy,
                             LLMTransportError, StubParams, parse_decision,
                             render_prompt, stub_decide, stub_params_from_history)
-from commsim.corpus import Event, EventLog
+from commsim.corpus import Event
 from commsim.simulator import (AgentContext, CadenceSummary, PeriodicSchedule,
                                SimConfig, build_context)
 
@@ -21,10 +21,9 @@ def make_ctx(agent=0, n_agents=3, unread=(), now=None, suggested=None,
              last_check=None):
     now = now if now is not None else BASE_MONDAY + 4 * DAY + 9 * HOUR
     labels = tuple(f"a{i:02d}" for i in range(n_agents))
-    empty = EventLog(labels, ())
     return AgentContext(
-        agent=agent, label=labels[agent], persona=None,
-        sent_history=empty, received_history=empty,
+        agent=agent, label=labels[agent], persona=None, agents=labels,
+        sent_history=(), received_history=(),
         unread=tuple(unread), now=now, takeover=BASE_MONDAY + 4 * DAY,
         last_check=last_check, suggested_next_check=suggested,
         cadence=CadenceSummary((), 0.5),

@@ -257,6 +257,18 @@ def test_ingest_non_integer_ts_exits_2(tmp_path, ts):
     assert "not an integer" in _error(out)
 
 
+@pytest.mark.parametrize("fmt,line", [
+    ("jsonl", json.dumps({"id": 7, "sender": "a", "recipients": [], "ts": 983782800})),
+    ("csv", "id,sender,recipients,ts\n7,a,,983782800"),
+])
+def test_ingest_empty_recipients_exits_2(tmp_path, fmt, line):
+    bad = tmp_path / f"bad.{fmt}"
+    bad.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert run_cli("stats", bad, "--format", fmt, "--out", out) == 2
+    assert "event 7: empty recipient list" in _error(out)
+
+
 @pytest.mark.parametrize("key", ["input", "window"])
 def test_simulate_missing_config_key_exits_2(tmp_path, key):
     cfg = json.loads(sim_config(tmp_path).read_text())

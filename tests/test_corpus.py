@@ -172,6 +172,7 @@ def test_stats_two_event_reciprocal():
     s = corpus.corpus_stats(log)
     assert s.reciprocity == 1.0
     assert s.density == 1.0
+    assert s.transitivity == 0.0 and isinstance(s.transitivity, float)
     assert s.total_events == 2
     assert s.n_agents == 2
 

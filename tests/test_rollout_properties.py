@@ -57,8 +57,9 @@ def oracle_build_context(agent, history, sim_events, config, t_now, last_check,
         agent=agent,
         label=history.agents[agent],
         persona=persona,
-        sent_history=history.with_events(sent),
-        received_history=history.with_events(received),
+        agents=history.agents,
+        sent_history=tuple(sorted(sent, key=lambda e: (e.ts, e.event_id))),
+        received_history=tuple(sorted(received, key=lambda e: (e.ts, e.event_id))),
         unread=unread,
         now=t_now,
         takeover=t0,

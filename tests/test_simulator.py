@@ -3,8 +3,8 @@ import pytest
 
 from commsim import agents, hawkes, simulator
 from commsim.corpus import Event, EventLog, serialize
-from commsim.simulator import (ActionDecision, Action, EmpiricalHoD, HawkesGuided,
-                               LLMPredicted, PeriodicSchedule, SimConfig,
+from commsim.simulator import (MIN_CLAMP_SECONDS, ActionDecision, Action, EmpiricalHoD,
+                               HawkesGuided, LLMPredicted, PeriodicSchedule, SimConfig,
                                SimulationAborted, SimulationError, TriggerPlan,
                                build_context, next_activation, run, select_triggers)
 from commsim.rng import substream
@@ -128,10 +128,10 @@ def test_build_context_first_wake(mini_log, mini_manifest):
     ctx = build_context(bob, mini_log, [], cfg, s0 + HOUR, None, None)
     assert ctx.unread == ()
     # histories limited to pre-window ground truth
-    assert all(e.ts < s0 for e in ctx.sent_history.events)
-    assert all(e.ts < s0 for e in ctx.received_history.events)
-    assert all(e.sender == bob for e in ctx.sent_history.events)
-    assert all(bob in e.recipients for e in ctx.received_history.events)
+    assert all(e.ts < s0 for e in ctx.sent_history)
+    assert all(e.ts < s0 for e in ctx.received_history)
+    assert all(e.sender == bob for e in ctx.sent_history)
+    assert all(bob in e.recipients for e in ctx.received_history)
 
 
 def test_build_context_unread(mini_log, mini_manifest):
@@ -156,7 +156,7 @@ def test_build_context_history_days_filter(mini_log, mini_manifest):
     # linear scan oracle: alice sends within 1 day before the window
     expected = [e for e in mini_log.events
                 if s0 - DAY <= e.ts < s0 and e.sender == alice]
-    assert list(ctx.sent_history.events) == expected
+    assert list(ctx.sent_history) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +297,65 @@ def test_run_caps_actions(mini_log, mini_manifest):
             by_wake.setdefault((e.sender, e.ts), []).append(e)
     assert by_wake and all(len(v) <= cfg.max_actions_per_wake for v in by_wake.values())
     assert counters["actions_truncated"] > 0
+
+
+@pytest.mark.parametrize("bad", ["-1", "n_agents"])
+def test_run_rejects_recipient_outside_registry(mini_log, mini_manifest, bad):
+    """An action addressed outside the registry stops the run at the wake
+    that made it, before the event reaches any mailbox."""
+    cfg, plan = _mini_setup(mini_log, mini_manifest)
+    recipient = -1 if bad == "-1" else mini_log.n_agents
+    decisions = []
+
+    class Stray:
+        def decide(self, ctx):
+            decisions.append(ctx)
+            return ActionDecision((Action("initiate", (recipient,)),), ctx.now + HOUR)
+
+    with pytest.raises(SimulationError, match="outside registry"):
+        run(cfg, mini_log, Stray(), plan)
+    assert len(decisions) == 1
+
+
+def test_run_hawkes_llm_adjusts_next_check(mini_log, mini_manifest):
+    """With llm_adjusts_next_check the decision's next_check sets the next
+    HawkesGuided wake, a past one clamped to +MIN_CLAMP_SECONDS and counted;
+    without it the sampler alone schedules the wakes."""
+    s0, _ = mini_manifest["sim_window"]
+    fixed = s0 + 6 * HOUR
+    t1 = fixed + 10 * MIN_CLAMP_SECONDS
+    n = mini_log.n_agents
+    model = hawkes.HawkesModel(mini_log.agents, np.ones((n, 168)), np.zeros((n, n)),
+                               1.0, True)
+    plan = TriggerPlan(frozenset(), EventLog(mini_log.agents, ()))
+
+    def rollout(adjust, next_check):
+        wakes, counters = {}, {}
+
+        class Recorder:
+            def decide(self, ctx):
+                wakes.setdefault(ctx.agent, []).append(ctx.now)
+                return ActionDecision((), next_check(ctx))
+
+        cfg = SimConfig(window=(s0, t1), history_days=4, policy=HawkesGuided(model),
+                        llm_adjusts_next_check=adjust)
+        run(cfg, mini_log, Recorder(), plan, counters=counters)
+        return wakes, counters["next_check_clamps"]
+
+    followed, clamps = rollout(True, lambda ctx: fixed)
+    assert followed
+    past = 0
+    for times in followed.values():
+        first = times[0]
+        start = fixed if first < fixed else first + MIN_CLAMP_SECONDS
+        assert times == [first] + list(range(start, t1, MIN_CLAMP_SECONDS))
+        past += sum(t >= fixed for t in times)
+    assert clamps == past > 0
+
+    ignored, clamps = rollout(False, lambda ctx: fixed)
+    sampled, _ = rollout(False, lambda ctx: ctx.now + HOUR)
+    assert ignored == sampled != followed
+    assert clamps == 0
 
 
 def test_run_periodic_suggestion_past_horizon(mini_log, mini_manifest):
