@@ -295,11 +295,18 @@ def parse_decision(content: str, ctx: AgentContext) -> ActionDecision:
 
 
 def _default_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    import requests
+    """POST `payload` as JSON and decode the JSON reply. A non-2xx status
+    raises (urlopen raises HTTPError itself for 4xx and 5xx), so the caller
+    retries it like any other transport failure."""
+    import urllib.error
+    import urllib.request
 
-    resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    resp.raise_for_status()
-    return resp.json()
+    req = urllib.request.Request(url, data=json.dumps(payload).encode("utf-8"),
+                                 headers=headers, method="POST")
+    with urllib.request.urlopen(req, timeout=timeout) as resp:
+        if not 200 <= resp.status < 300:
+            raise urllib.error.HTTPError(url, resp.status, resp.reason, resp.headers, None)
+        return json.loads(resp.read())
 
 
 @dataclass

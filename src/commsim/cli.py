@@ -11,6 +11,7 @@ when the command fails. Exit codes: 0 success, 1 computation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -202,22 +203,28 @@ def cmd_simulate(args) -> int:
         manifest.add_input(input_path)
         log = corpus.ingest(input_path, cfg.get("format", "jsonl"))
         window = _require(cfg, "window", args.config)
-        t0 = timeutil.parse_utc(str(window[0]))
-        t1 = timeutil.parse_utc(str(window[1]))
-        seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 42))
+        if not isinstance(window, list) or len(window) != 2:
+            raise UsageError(f"{args.config}: window must be [start, end]")
+        # validate the run settings before the policy, which may fit a model
+        try:
+            seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 42))
+            t0 = timeutil.parse_utc(str(window[0]))
+            t1 = timeutil.parse_utc(str(window[1]))
+            sim_config = simulator.SimConfig(
+                window=(t0, t1),
+                history_days=int(cfg.get("history_days", 32)),
+                trigger_ratio=float(cfg.get("trigger_ratio", 0.10)),
+                seed=seed,
+                max_actions_per_wake=int(cfg.get("max_actions_per_wake", 5)),
+                llm_adjusts_next_check=bool(cfg.get("llm_adjusts_next_check", False)),
+            )
+        except (ValueError, TypeError) as exc:  # SimulationError is a ValueError
+            raise UsageError(f"{args.config}: {exc}") from None
         manifest.data["seed"] = seed
         counters = manifest.data["counters"]
-        history_days = int(cfg.get("history_days", 32))
-        hist_window = (t0 - history_days * 86400, t0)
-        sim_config = simulator.SimConfig(
-            window=(t0, t1),
-            history_days=history_days,
-            trigger_ratio=float(cfg.get("trigger_ratio", 0.10)),
-            seed=seed,
-            max_actions_per_wake=int(cfg.get("max_actions_per_wake", 5)),
-            policy=_build_policy(args.policy, cfg, log, hist_window, counters),
-            llm_adjusts_next_check=bool(cfg.get("llm_adjusts_next_check", False)),
-        )
+        hist_window = (t0 - sim_config.history_days * 86400, t0)
+        sim_config = dataclasses.replace(
+            sim_config, policy=_build_policy(args.policy, cfg, log, hist_window, counters))
         triggers = simulator.select_triggers(log, hist_window,
                                              sim_config.trigger_ratio, (t0, t1))
         if args.agent == "stub":

@@ -21,6 +21,20 @@ edge set of each UTC day of the window and the registry size. The motif
 and daily-topology metrics read only views, so each log is expanded,
 indexed and bucketed by day once per evaluation; the four temporal-rhythm
 metrics read the log itself.
+
+The three daily-graph kernels use only the standard library and numpy and
+return, bit for bit, what NetworkX 3.6 returns (the tests keep NetworkX as
+their oracle), so reports do not depend on the installed graph library:
+
+  _transitivity: 6 x triangles and 2 x connected triples are exact Python
+      integers, so their ratio is the one correctly rounded float.
+  _global_efficiency: a bit-parallel BFS from all sources at once gives
+      each source's count of nodes at each distance k; NetworkX adds the
+      equal terms 1/k one at a time, sources ascending and each BFS level
+      in turn, and np.cumsum adds the same sequence in the same order.
+  _betweenness: Brandes (2001) over integer adjacency lists numbered and
+      ordered as NetworkX's DiGraph stores the day's edge set, so every
+      path count and dependency is the same float added in the same order.
 """
 
 from __future__ import annotations
@@ -33,7 +47,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from . import timeutil
@@ -352,21 +365,119 @@ def motif_jsd(sim: LogView, gt: LogView, arity: int, delta: int) -> tuple[float,
 # daily topology
 
 
-def _undirected(edge_set, n_nodes):
-    g = nx.Graph()
-    g.add_nodes_from(range(n_nodes))
-    g.add_edges_from(edge_set)
-    return g
+def _undirected_adjacency(edge_set, n_nodes) -> list[set[int]]:
+    """Neighbour sets of the undirected simple collapse over range(n_nodes)."""
+    nbrs: list[set[int]] = [set() for _ in range(n_nodes)]
+    for u, v in edge_set:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return nbrs
 
 
 def _transitivity(edge_set, n_nodes) -> float:
-    return float(nx.transitivity(_undirected(edge_set, n_nodes)))
+    """3 x triangles / connected triples of the undirected collapse.
+
+    Each triangle is counted six times (once per ordered pair of its nodes)
+    and each triple twice, so the ratio of the two exact integer counts is
+    the float NetworkX's transitivity returns."""
+    nbrs = _undirected_adjacency(edge_set, n_nodes)
+    tri6 = sum(len(nv & nbrs[w]) for nv in nbrs for w in nv)
+    contri = sum(len(nv) * (len(nv) - 1) for nv in nbrs)
+    return tri6 / contri if tri6 else 0.0
 
 
 def _global_efficiency(edge_set, n_nodes) -> float:
-    if n_nodes < 2:
+    """Mean of 1/d(s, t) over ordered pairs s != t of the undirected
+    collapse; unreachable pairs add 0.
+
+    All sources advance together: ball[v] is a bitmask of the nodes within k
+    hops of v, and the ball at k + 1 is the union of the neighbours' balls
+    at k. Its growth is v's count of nodes at distance k + 1; a node whose
+    ball stops growing has reached its whole component. The terms are then
+    added one at a time in NetworkX's order (sources ascending, each in BFS
+    order, and every term of one BFS level is the same 1/k), so the float
+    equals NetworkX's global_efficiency."""
+    nbrs = [list(nv) for nv in _undirected_adjacency(edge_set, n_nodes)]
+    ball = [1 << v for v in range(n_nodes)]
+    per_level: list[list[int]] = [[] for _ in range(n_nodes)]  # source -> counts at k = 1, 2, ...
+    active = [v for v in range(n_nodes) if nbrs[v]]
+    while active:
+        grown = []
+        for v in active:
+            b = ball[v]
+            for w in nbrs[v]:
+                b |= ball[w]
+            grown.append(b)
+        still = []
+        for v, b in zip(active, grown):
+            count = (b ^ ball[v]).bit_count()
+            if count:
+                per_level[v].append(count)
+                still.append(v)
+            ball[v] = b
+        active = still
+    terms = [1 / k for counts in per_level for k in range(1, len(counts) + 1)]
+    reps = [c for counts in per_level for c in counts]
+    if not terms:
         return 0.0
-    return float(nx.global_efficiency(_undirected(edge_set, n_nodes)))
+    # cumsum adds left to right like NetworkX's loop; np.sum would not
+    total = np.cumsum(np.repeat(terms, reps))[-1]
+    return float(total / (n_nodes * (n_nodes - 1)))
+
+
+def _betweenness(edge_set) -> dict[int, float]:
+    """Unnormalized directed betweenness of the nodes the edges touch
+    (Brandes 2001), float for float what NetworkX's betweenness_centrality
+    gives for the DiGraph built by add_edges_from(edge_set).
+
+    Nodes are numbered, and successor lists filled, in the order that graph
+    would insert them, so sources, BFS queues, predecessor lists and the
+    reverse stack run in NetworkX's order and every sum adds the same floats
+    in the same order. A source without out-edges adds nothing and is
+    skipped; the directed unnormalized rescale multiplies by 1."""
+    index: dict[int, int] = {}
+    succ: list[list[int]] = []
+    for u, v in edge_set:
+        for x in (u, v):
+            if x not in index:
+                index[x] = len(succ)
+                succ.append([])
+        succ[index[u]].append(index[v])
+    n = len(succ)
+    bc = [0.0] * n
+    sigma = [0.0] * n
+    dist = [-1] * n
+    delta = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for s in range(n):
+        if not succ[s]:
+            continue
+        sigma[s], dist[s] = 1.0, 0
+        order = [s]  # the BFS queue, read in place, then the stack
+        for v in order:
+            dv, sv = dist[v] + 1, sigma[v]
+            for w in succ[v]:
+                dw = dist[w]
+                if dw < 0:
+                    order.append(w)
+                    dist[w], sigma[w], preds[w] = dv, sv, [v]
+                elif dw == dv:
+                    sigma[w] += sv
+                    preds[w].append(v)
+        order.reverse()
+        order.pop()  # the source adds nothing to its own score
+        # dist and delta are reset as nodes leave the stack (sigma and preds
+        # are overwritten on discovery), so a source costs only what it reaches
+        for w in order:
+            dep = delta[w]
+            coeff = (1 + dep) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            bc[w] += dep
+            delta[w], dist[w] = 0, -1
+        delta[s], dist[s] = 0, -1
+    return dict(zip(index, bc))
 
 
 def _reciprocity(edge_set) -> float:
@@ -487,9 +598,7 @@ def centrality_jaccard(sim: LogView, gt: LogView, kind: str) -> tuple[float, lis
                     scores[u] += 1
                     scores[v] += 1
             elif kind == "betweenness":
-                g = nx.DiGraph()
-                g.add_edges_from(edges)
-                scores = nx.betweenness_centrality(g, normalized=False) if edges else {}
+                scores = _betweenness(edges)
             else:
                 raise MetricError(f"unknown centrality kind {kind!r}")
             top = _top_k_nodes(dict(scores))

@@ -1,4 +1,6 @@
 import json
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -285,3 +287,84 @@ def test_llm_api_key_from_env(monkeypatch):
     monkeypatch.setenv("COMMSIM_API_KEY", "sk-test")
     make_policy(transport).decide(make_ctx())
     assert seen.get("Authorization") == "Bearer sk-test"
+
+
+# the default transport, against a fake urlopen: no socket is opened
+
+
+class FakeReply:
+    def __init__(self, payload, status=200):
+        self.body = json.dumps(payload).encode("utf-8")
+        self.status, self.reason, self.headers = status, "fake", {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
+def default_transport_policy(max_retries=2):
+    cfg = LLMEndpointConfig(base_url="http://mock/", model_name="test-model",
+                            timeout_seconds=7.5, max_retries=max_retries,
+                            backoff_base_seconds=0.0)
+    return LLMPolicy(cfg, sleeper=lambda s: None)
+
+
+def test_default_transport_posts_json(monkeypatch):
+    seen = []
+
+    def fake_urlopen(req, timeout):
+        seen.append((req, timeout))
+        return FakeReply(respond_with(json.dumps(good_payload())))
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setenv("COMMSIM_API_KEY", "sk-test")
+    policy = default_transport_policy()
+    d = policy.decide(make_ctx())
+    assert len(d.actions) == 2 and policy.calls == 1 and policy.retries == 0
+    ((req, timeout),) = seen
+    assert req.get_method() == "POST"
+    assert req.full_url == "http://mock/v1/chat/completions"
+    body = json.loads(req.data)
+    assert body["model"] == "test-model" and body["seed"] == 42
+    assert [m["role"] for m in body["messages"]] == ["system", "user"]
+    assert req.get_header("Content-type") == "application/json"
+    assert req.get_header("Authorization") == "Bearer sk-test"
+    assert timeout == 7.5
+
+
+def http_503(req, timeout):
+    raise urllib.error.HTTPError(req.full_url, 503, "Service Unavailable", {}, None)
+
+
+def reply_503(req, timeout):
+    return FakeReply({"error": "overloaded"}, status=503)
+
+
+@pytest.mark.parametrize("failure", [http_503, reply_503])
+def test_default_transport_retries_http_errors(monkeypatch, failure):
+    calls = []
+
+    def fake_urlopen(req, timeout):
+        calls.append(req)
+        if len(calls) == 1:
+            return failure(req, timeout)
+        return FakeReply(respond_with(json.dumps(good_payload())))
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    policy = default_transport_policy()
+    assert len(policy.decide(make_ctx()).actions) == 2
+    assert len(calls) == 2 and policy.retries == 1
+
+
+@pytest.mark.parametrize("failure", [http_503, reply_503])
+def test_default_transport_http_error_exhausts_retries(monkeypatch, failure):
+    monkeypatch.setattr(urllib.request, "urlopen", failure)
+    policy = default_transport_policy(max_retries=1)
+    with pytest.raises(LLMTransportError, match="after 2 attempts.*503"):
+        policy.decide(make_ctx())
+    assert policy.calls == 2 and policy.retries == 1

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +242,23 @@ def test_full_pipeline_subprocess(tmp_path):
     assert len(report["metrics"]) == 15
 
 
+def test_warmup_pass_imports_no_heavy_modules():
+    """The pipeline a CLI run pays for on every start (perfbench/warmup.py:
+    ingest, fit, rollout and evaluate on the mini corpus) must not load
+    networkx, requests or scipy.sparse."""
+    root = Path(__file__).resolve().parent.parent
+    code = ("import runpy, sys\n"
+            "import commsim.cli\n"
+            f"runpy.run_path({str(root / 'perfbench' / 'warmup.py')!r}, run_name='__main__')\n"
+            "print(sorted(m for m in ('networkx', 'requests', 'scipy.sparse') "
+            "if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=root, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # exit codes: input errors 2, internal errors 1
 
@@ -287,6 +306,27 @@ def test_simulate_model_file_missing_key_exits_2(tmp_path):
     assert run_cli("simulate", sim_config(tmp_path, model=str(model)),
                    "--policy", "hawkes", "--out", out) == 2
     assert "alpha" in _error(out)
+
+
+@pytest.mark.parametrize("policy,overrides,message", [
+    ("periodic", {"window": [SIM_T0, SIM_T0]}, "empty simulation window"),
+    ("periodic", {"window": ["2001-03-05", "next week"]}, "unrecognized timestamp"),
+    ("periodic", {"window": [SIM_T0]}, "window must be [start, end]"),
+    ("periodic", {"seed": "x"}, "invalid literal for int()"),
+    # hawkes fits on the history window: validation must come first
+    ("hawkes", {"history_days": 0}, "history_days must be positive"),
+    ("periodic", {"history_days": -2}, "history_days must be positive"),
+    ("periodic", {"trigger_ratio": 1.5}, "trigger_ratio outside [0, 1]"),
+    ("periodic", {"trigger_ratio": -0.1}, "trigger_ratio outside [0, 1]"),
+    ("periodic", {"max_actions_per_wake": 0}, "max_actions_per_wake must be positive"),
+])
+def test_simulate_invalid_config_exits_2(tmp_path, capsys, policy, overrides, message):
+    out = tmp_path / "o"
+    assert run_cli("simulate", sim_config(tmp_path, **overrides), "--policy", policy,
+                   "--agent", "stub", "--out", out) == 2
+    assert message in _error(out)
+    assert message in capsys.readouterr().err
+    assert not (out / "sim.jsonl").exists()
 
 
 def test_evaluate_unknown_trigger_label_exits_2(tmp_path):

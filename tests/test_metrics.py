@@ -3,11 +3,12 @@ import itertools
 import math
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from commsim import metrics
+from commsim import corpus, metrics
 from commsim.metrics import (MetricError, emd_1d, jsd, motif_census_2, motif_census_3,
                              regret)
 
@@ -469,6 +470,84 @@ def test_centrality_hub_in_intersection():
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
     val, flags = metrics.centrality_jaccard(view(sim, window), view(gt, window), "degree")
     assert val > 0  # the hub is in both top sets
+
+
+# ---------------------------------------------------------------------------
+# daily-graph kernels against networkx, compared with ==
+
+
+def nx_undirected(edges, n_nodes):
+    g = nx.Graph()
+    g.add_nodes_from(range(n_nodes))
+    g.add_edges_from(edges)
+    return g
+
+
+@st.composite
+def simple_digraphs(draw):
+    """(n_nodes, edge set) of a directed simple graph over range(n_nodes).
+    Nodes no edge touches stay isolated; "components" keeps only edges
+    inside k blocks of nodes; "ring" adds a bidirected cycle, on which many
+    nodes tie on betweenness."""
+    n = draw(st.integers(0, 40))
+    if n < 2:
+        return n, set()
+    node = st.integers(0, n - 1)
+    edges = set(draw(st.lists(st.tuples(node, node), max_size=3 * n)))
+    shape = draw(st.sampled_from(["random", "components", "ring"]))
+    if shape == "components":
+        k = draw(st.integers(2, 4))
+        edges = {(u, v) for u, v in edges if u * k // n == v * k // n}
+    elif shape == "ring":
+        m = draw(st.integers(2, n))
+        edges |= {(v, (v + 1) % m) for v in range(m)} | {((v + 1) % m, v) for v in range(m)}
+    return n, {(u, v) for u, v in edges if u != v}
+
+
+GRAPH_EXAMPLES = [(0, set()), (1, set()), (5, set()), (2, {(0, 1)}), (2, {(0, 1), (1, 0)}),
+                  (6, {(0, 1), (1, 2), (2, 0), (3, 4)})]
+
+
+def with_examples(test):
+    for graph in GRAPH_EXAMPLES:
+        test = example(graph)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_digraphs())
+@with_examples
+def test_transitivity_equals_networkx(graph):
+    n, edges = graph
+    assert metrics._transitivity(edges, n) == nx.transitivity(nx_undirected(edges, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_digraphs())
+@with_examples
+def test_global_efficiency_equals_networkx(graph):
+    n, edges = graph
+    assert metrics._global_efficiency(edges, n) == nx.global_efficiency(nx_undirected(edges, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_digraphs())
+@with_examples
+def test_betweenness_equals_networkx(graph):
+    _, edges = graph
+    g = nx.DiGraph()
+    g.add_edges_from(edges)
+    assert metrics._betweenness(edges) == nx.betweenness_centrality(g, normalized=False)
+
+
+def test_corpus_stats_graph_kernels_equal_networkx():
+    log = random_log(np.random.default_rng(3), n_agents=300, n_events=600,
+                     t0=BASE_MONDAY, span=14 * DAY)
+    stats = corpus.corpus_stats(log)
+    g = nx_undirected(corpus.simple_digraph_edges(log), log.n_agents)
+    assert stats.transitivity > 0 and nx.number_connected_components(g) > 1
+    assert stats.transitivity == nx.transitivity(g)
+    assert stats.global_efficiency == nx.global_efficiency(g)
 
 
 # ---------------------------------------------------------------------------
