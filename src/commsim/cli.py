@@ -97,6 +97,17 @@ def _read_file(reader, path):
         raise UsageError(f"{path}: missing key {exc}") from None
 
 
+def _parse_window(t0: str, t1: str) -> tuple[int, int]:
+    """(t0, t1) from --t0 and --t1; a bad time or t1 <= t0 is a usage error."""
+    try:
+        window = (timeutil.parse_utc(t0), timeutil.parse_utc(t1))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if window[1] <= window[0]:
+        raise UsageError(f"--t1 {t1} is not after --t0 {t0}")
+    return window
+
+
 USAGE_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
                 corpus.CorpusError, json.JSONDecodeError, UsageError)
 
@@ -151,10 +162,13 @@ def cmd_stats(args) -> int:
 def cmd_fit(args) -> int:
     def body(manifest: Manifest):
         manifest.add_input(args.input)
+        window = _parse_window(args.t0, args.t1)
+        try:
+            cfg = hawkes.FitConfig(diagonal_only=not args.full_matrix,
+                                   beta_override=args.beta)
+        except hawkes.HawkesError as exc:
+            raise UsageError(str(exc)) from None
         log = corpus.ingest(args.input, args.format)
-        window = (timeutil.parse_utc(args.t0), timeutil.parse_utc(args.t1))
-        cfg = hawkes.FitConfig(diagonal_only=not args.full_matrix,
-                               beta_override=args.beta)
         model = hawkes.fit(log, window, cfg, counters=manifest.data["counters"])
         out = Path(args.out) / "model.json"
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -176,11 +190,12 @@ def _load_sim_config(path) -> dict:
         return json.load(fh)
 
 
-def _build_policy(name: str, cfg: dict, log, hist_window, counters: dict):
+def _build_policy(name: str, cfg: dict, periodic, fit_cfg, log, hist_window,
+                  counters: dict):
     h0, t0 = hist_window
     hist = corpus.window(log, h0, t0)
     if name == "periodic":
-        return simulator.PeriodicSchedule(float(cfg.get("periodic_interval_hours", 3.0)))
+        return periodic
     if name == "llm-predicted":
         return simulator.LLMPredicted()
     if name == "hod":
@@ -189,7 +204,6 @@ def _build_policy(name: str, cfg: dict, log, hist_window, counters: dict):
         if cfg.get("model"):
             model = _read_file(hawkes.load_model, cfg["model"])
         else:
-            fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
             model = hawkes.fit(log, hist_window, fit_cfg, counters=counters)
         return simulator.HawkesGuided(model)
     raise ValueError(f"unknown policy {name!r}")
@@ -218,20 +232,25 @@ def cmd_simulate(args) -> int:
                 max_actions_per_wake=int(cfg.get("max_actions_per_wake", 5)),
                 llm_adjusts_next_check=bool(cfg.get("llm_adjusts_next_check", False)),
             )
-        except (ValueError, TypeError) as exc:  # SimulationError is a ValueError
+            periodic = simulator.PeriodicSchedule(float(cfg.get("periodic_interval_hours", 3.0)))
+            fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
+            llm_cfg = (agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
+                       if args.agent == "llm" else None)
+        except (ValueError, TypeError, agents.AgentError) as exc:
+            # SimulationError and HawkesError are ValueErrors, a missing or
+            # unknown keyword is a TypeError, LLMEndpointConfig raises AgentError
             raise UsageError(f"{args.config}: {exc}") from None
         manifest.data["seed"] = seed
         counters = manifest.data["counters"]
         hist_window = (t0 - sim_config.history_days * 86400, t0)
-        sim_config = dataclasses.replace(
-            sim_config, policy=_build_policy(args.policy, cfg, log, hist_window, counters))
+        policy = _build_policy(args.policy, cfg, periodic, fit_cfg, log, hist_window, counters)
+        sim_config = dataclasses.replace(sim_config, policy=policy)
         triggers = simulator.select_triggers(log, hist_window,
                                              sim_config.trigger_ratio, (t0, t1))
         if args.agent == "stub":
             params = agents.stub_params_from_history(log, hist_window, seed)
             policy_impl = agents.StubPolicy(params)
         elif args.agent == "llm":
-            llm_cfg = agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
             policy_impl = agents.LLMPolicy(llm_cfg)
         else:
             raise ValueError(f"unknown agent {args.agent!r}")
@@ -294,10 +313,12 @@ def cmd_evaluate(args) -> int:
             labels = (_require(data, "trigger_agents", args.triggers)
                       if isinstance(data, dict) else data)
             trigger_agents = {gt.index_of(lbl) for lbl in labels}
-        if args.t0 and args.t1:
-            window = (timeutil.parse_utc(args.t0), timeutil.parse_utc(args.t1))
-        else:
+        if args.t0 is None and args.t1 is None:
             window = _default_window(sim if sim.events else gt)
+        elif args.t0 is None or args.t1 is None:
+            raise UsageError("--t0 and --t1 must be given together")
+        else:
+            window = _parse_window(args.t0, args.t1)
         gt_w = corpus.window(gt, *window)
         if not gt_w.events:
             raise corpus.CorpusError("ground truth has no events in the window")

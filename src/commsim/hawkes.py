@@ -87,8 +87,13 @@ class HawkesModel:
 
     @property
     def stability_warning(self) -> bool:
-        """Any alpha row sum >= 1 (supercritical excitation)."""
-        return bool(np.any(self.alpha.sum(axis=1) >= 1.0))
+        """Spectral radius of alpha >= 1: with the kernel alpha * beta *
+        exp(-beta * t) the process is then not stationary (Hawkes 1971). The
+        radius is at most the largest row sum, so eigenvalues are computed
+        only when some row sum is >= 1."""
+        if not np.any(self.alpha.sum(axis=1) >= 1.0):
+            return False
+        return bool(np.max(np.abs(np.linalg.eigvals(self.alpha))) >= 1.0)
 
     def baseline_rate(self, agent: int, ts) -> float:
         return float(self.baselines[agent, timeutil.flat_bin_of(int(ts))])
@@ -387,9 +392,11 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             emp = np.where(bin_hours > 0, counts / np.maximum(bin_hours, 1e-12), 0.0)
         mu = np.maximum(emp, floor)
-    alpha = np.full(len(terms.columns), 0.1 if n_ev else 0.0)
     if n_ev == 0:
         return mu, np.zeros(len(terms.columns)), "converged"
+    # a source with no event before t1 has a zero S column and a zero weight,
+    # so a zero gradient: its entry is not identifiable and starts (and stays) 0
+    alpha = np.where(terms.weights > 0, 0.1, 0.0)
 
     def ll(m, a):
         return _agent_ll(terms, m, a, beta, bin_hours)

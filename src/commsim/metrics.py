@@ -15,12 +15,13 @@ multi-edges and self-loops; undirected collapses additionally drop
 direction. Node sets always include the full registry, so isolated
 agents count (degree 0, disconnected pairs contribute 0 to efficiency).
 
-`evaluate_all` builds one `LogView` per log with `log_view`: the edge
-stream (self-loops dropped), its per-node time index, the directed simple
-edge set of each UTC day of the window and the registry size. The motif
-and daily-topology metrics read only views, so each log is expanded,
-indexed and bucketed by day once per evaluation; the four temporal-rhythm
-metrics read the log itself.
+Each metric is one row of `SUITE`, name -> (part, comparison). A part reads
+only one log's `LogView`: the windowed non-trigger log, the window, its edge
+stream (self-loops dropped), a per-node time index and each UTC day's directed
+simple edge set. The comparison turns the sim and gt parts into the value and
+its flags. `summarize` computes every part of one log once into a `LogSummary`,
+so one ground-truth summary scores any number of rollouts with `compare`, and
+`evaluate_all` is `compare(summarize(sim, ...), summarize(gt, ...))`.
 
 The three daily-graph kernels use only the standard library and numpy and
 return, bit for bit, what NetworkX 3.6 returns (the tests keep NetworkX as
@@ -50,23 +51,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import timeutil
-from .corpus import Event, EventLog, window as log_window
+from .corpus import (Event, EventLog, lag24_weekday_autocorr, node_burstiness,
+                     window as log_window)
 
 MOTIF2_CLASSES = ("reciprocal", "repeated", "out_star", "in_star",
                   "chain_forward", "chain_backward")
 MOTIF3_CLASSES = ("dyad_alternation", "dyad_burst_reply", "feed_forward_closure",
                   "three_cycle", "broadcast_cross_link")
 
-CATEGORY_OF = {
-    "r24": "temporal_rhythms", "hod": "temporal_rhythms",
-    "wknd_drop": "temporal_rhythms", "burst": "temporal_rhythms",
-    "2eg_2h": "temporal_dynamics", "2eg_8h": "temporal_dynamics",
-    "3eg_24h": "temporal_dynamics", "3eg_48h": "temporal_dynamics",
-    "degdist": "global_topology", "trans": "global_topology",
-    "globeff": "global_topology", "recip": "global_topology",
-    "topo_ovlp": "local_topology", "degcen": "local_topology",
-    "betwcen": "local_topology",
-}
+CATEGORY_OF = {name: category for category, names in (
+    ("temporal_rhythms", ("r24", "hod", "wknd_drop", "burst")),
+    ("temporal_dynamics", ("2eg_2h", "2eg_8h", "3eg_24h", "3eg_48h")),
+    ("global_topology", ("degdist", "trans", "globeff", "recip")),
+    ("local_topology", ("topo_ovlp", "degcen", "betwcen")),
+) for name in names}
 HIGHER_IS_BETTER = frozenset({"degcen", "betwcen"})
 METRIC_NAMES = tuple(CATEGORY_OF)
 
@@ -121,33 +119,21 @@ def sample_emd(xs, ys) -> float:
 
 
 # ---------------------------------------------------------------------------
-# temporal rhythm metrics
+# temporal rhythm parts
 
 
-def r24_err(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> tuple[float, list[str]]:
-    """Absolute difference of lag-24 weekday autocorrelation of hourly
-    activity. A constant (or too short) series yields rho = 0, flagged."""
-    from .corpus import lag24_weekday_autocorr
-
-    t0, t1 = window
-    rho_s, deg_s = lag24_weekday_autocorr(sim.timestamps(), t0, t1)
-    rho_g, deg_g = lag24_weekday_autocorr(gt.timestamps(), t0, t1)
+def _rho_diff(s, g) -> tuple[float, list[str]]:
+    """|rho_sim - rho_gt| of two (rho, degenerate) lag-24 weekday
+    autocorrelations; a degenerate series has rho = 0 and is flagged."""
     flags = [f"{name}: degenerate hourly series, rho set to 0"
-             for name, deg in (("sim", deg_s), ("gt", deg_g)) if deg]
-    return abs(rho_s - rho_g), flags
+             for name, (_, deg) in (("sim", s), ("gt", g)) if deg]
+    return abs(s[0] - g[0]), flags
 
 
 def hod_histogram(log: EventLog) -> np.ndarray:
-    counts = np.zeros(24)
-    for e in log.events:
-        counts[timeutil.hour_of_day(e.ts)] += 1
-    return counts
-
-
-def hod_emd(sim: EventLog, gt: EventLog) -> float:
-    """EMD between 24-bin hour-of-day activity histograms (linear, not
-    circular, bin distance)."""
-    return emd_1d(hod_histogram(sim), hod_histogram(gt))
+    """24-bin hour-of-day activity histogram; two are compared by linear,
+    not circular, bin distance."""
+    return np.bincount(timeutil.hour_of_day(log.timestamps()), minlength=24).astype(float)
 
 
 def weekend_weekday_ratio(log: EventLog, window: tuple[int, int]) -> float:
@@ -169,19 +155,12 @@ def weekend_weekday_ratio(log: EventLog, window: tuple[int, int]) -> float:
     return mu_wknd / mu_wkdy
 
 
-def wknd_drop_err(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> float:
-    return abs(weekend_weekday_ratio(sim, window) - weekend_weekday_ratio(gt, window))
-
-
-def burstiness_emd(sim: EventLog, gt: EventLog) -> float:
-    """EMD between the node-level burstiness samples of the two logs."""
-    from .corpus import node_burstiness
-
-    bs = list(node_burstiness(sim).values())
-    bg = list(node_burstiness(gt).values())
-    if not bs or not bg:
+def burstiness_sample(log: EventLog) -> list[float]:
+    """Node-level burstiness values; two are compared by sample EMD."""
+    values = list(node_burstiness(log).values())
+    if not values:
         raise MetricError("no node with enough events for burstiness")
-    return sample_emd(bs, bg)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +169,13 @@ def burstiness_emd(sim: EventLog, gt: EventLog) -> float:
 
 @dataclass(frozen=True)
 class LogView:
-    """What the motif and daily-topology metrics read of one log."""
+    """What every metric's part reads of one log."""
 
+    log: EventLog
+    window: tuple[int, int]
     edges: list[tuple[int, int, int]]
     by_node: dict[int, tuple[list[int], list[int]]]
     days: dict[int, set[tuple[int, int]]] | None  # None: empty window
-    n_agents: int
 
     def daily(self) -> dict[int, set[tuple[int, int]]]:
         if self.days is None:
@@ -207,7 +187,7 @@ def log_view(log: EventLog, window: tuple[int, int]) -> LogView:
     edges = log.edges()
     t0, t1 = window
     days = daily_edge_sets(edges, window) if t1 > t0 else None
-    return LogView(edges, _node_index(edges), days, log.n_agents)
+    return LogView(log, window, edges, _node_index(edges), days)
 
 
 def _node_index(edges) -> dict[int, tuple[list[int], list[int]]]:
@@ -346,19 +326,12 @@ def motif_census_3(view: LogView, delta: int) -> MotifCensus:
     return MotifCensus(counts, delta)
 
 
-def motif_jsd(sim: LogView, gt: LogView, arity: int, delta: int) -> tuple[float, list[str]]:
-    """JSD between motif class distributions; an empty census is treated as
-    uniform and flagged."""
-    census = motif_census_2 if arity == 2 else motif_census_3
-    flags = []
-    dists = []
-    for name, view in (("sim", sim), ("gt", gt)):
-        arr = census(view, delta).as_array()
-        if arr.sum() == 0:
-            arr = np.ones_like(arr)
-            flags.append(f"{name}: zero motifs, uniform assumed")
-        dists.append(arr)
-    return jsd(dists[0], dists[1]), flags
+def _census_jsd(s: np.ndarray, g: np.ndarray) -> tuple[float, list[str]]:
+    """JSD between two motif class distributions; an empty census is treated
+    as uniform and flagged."""
+    flags = [f"{name}: zero motifs, uniform assumed"
+             for name, arr in (("sim", s), ("gt", g)) if arr.sum() == 0]
+    return jsd(*(arr if arr.sum() else np.ones_like(arr) for arr in (s, g))), flags
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +463,7 @@ def daily_topology_series(view: LogView, kind: str):
     """Per-day values: floats for transitivity/global_efficiency/reciprocity,
     integer degree arrays (one entry per registry node) for degdist."""
     per_day = view.daily()
-    n = view.n_agents
+    n = view.log.n_agents
     out = []
     for d in sorted(per_day):
         edges = per_day[d]
@@ -518,17 +491,13 @@ def topology_rmse(sim_series, gt_series) -> float:
     return float(np.sqrt(np.mean((s - g) ** 2)))
 
 
-def degdist_emd(sim: LogView, gt: LogView) -> float:
+def _daily_degree_emd(s_days, g_days) -> float:
     """Mean over days of the EMD between total-degree histograms (unit
     distance = one degree)."""
-    sim_days = daily_topology_series(sim, "degdist")
-    gt_days = daily_topology_series(gt, "degdist")
     vals = []
-    for ds, dg in zip(sim_days, gt_days):
-        top = int(max(ds.max(), dg.max()))
-        hs = np.bincount(ds, minlength=top + 1).astype(float)
-        hg = np.bincount(dg, minlength=top + 1).astype(float)
-        vals.append(emd_1d(hs, hg))
+    for ds, dg in zip(s_days, g_days):
+        bins = int(max(ds.max(), dg.max())) + 1
+        vals.append(emd_1d(np.bincount(ds, minlength=bins), np.bincount(dg, minlength=bins)))
     return float(np.mean(vals))
 
 
@@ -536,37 +505,30 @@ def ego_overlap_values(view: LogView) -> dict[int, float]:
     """Per-node mean cosine-style neighborhood overlap across consecutive
     day pairs where both neighborhoods are nonempty."""
     per_day = view.daily()
-    daily = []  # per day: node -> set of in/out neighbors (self excluded)
-    for d in sorted(per_day):
-        nbrs: dict[int, set[int]] = {}
-        for u, v in per_day[d]:
-            nbrs.setdefault(u, set()).add(v)
-            nbrs.setdefault(v, set()).add(u)
-        daily.append(nbrs)
+    n = view.log.n_agents
+    daily = [_undirected_adjacency(per_day[d], n) for d in sorted(per_day)]
     acc: dict[int, list[float]] = {}
     for a, b in zip(daily, daily[1:]):
-        for v in set(a) & set(b):
-            c = len(a[v] & b[v]) / math.sqrt(len(a[v]) * len(b[v]))
-            acc.setdefault(v, []).append(c)
+        for v in range(n):
+            if a[v] and b[v]:
+                c = len(a[v] & b[v]) / math.sqrt(len(a[v]) * len(b[v]))
+                acc.setdefault(v, []).append(c)
     return {v: float(np.mean(cs)) for v, cs in acc.items()}
 
 
 TOPO_OVERLAP_BINS = 20
 
 
-def topo_overlap_emd(sim: LogView, gt: LogView) -> float:
-    """EMD between ego-overlap distributions, 20 uniform bins on [0, 1],
-    scaled to overlap units (bin width 0.05)."""
-    if len(sim.daily()) < 2:
+def ego_overlap_histogram(view: LogView) -> np.ndarray:
+    """Ego-overlap values in 20 uniform bins on [0, 1]; two are compared by
+    EMD scaled to overlap units (bin width 0.05)."""
+    if len(view.daily()) < 2:
         raise MetricError("topology overlap needs at least 2 days")
-    dists = []
-    for view in (sim, gt):
-        vals = list(ego_overlap_values(view).values())
-        if not vals:
-            raise MetricError("no node active on two consecutive days")
-        idx = np.clip((np.array(vals) * TOPO_OVERLAP_BINS).astype(int), 0, TOPO_OVERLAP_BINS - 1)
-        dists.append(np.bincount(idx, minlength=TOPO_OVERLAP_BINS).astype(float))
-    return emd_1d(dists[0], dists[1]) / TOPO_OVERLAP_BINS
+    vals = list(ego_overlap_values(view).values())
+    if not vals:
+        raise MetricError("no node active on two consecutive days")
+    idx = np.clip((np.array(vals) * TOPO_OVERLAP_BINS).astype(int), 0, TOPO_OVERLAP_BINS - 1)
+    return np.bincount(idx, minlength=TOPO_OVERLAP_BINS).astype(float)
 
 
 def _top_k_nodes(scores: dict[int, float], k: int = 10) -> set[int]:
@@ -577,34 +539,34 @@ def _top_k_nodes(scores: dict[int, float], k: int = 10) -> set[int]:
     return {v for _, v in ranked[:k]}
 
 
-def centrality_jaccard(sim: LogView, gt: LogView, kind: str) -> tuple[float, list[str]]:
-    """Mean daily Jaccard similarity of top-10 node sets by degree or
-    betweenness centrality on the daily directed simple graphs of two views
-    of the same window."""
-    sim_days = sim.daily()
-    gt_days = gt.daily()
+def daily_top_nodes(view: LogView, kind: str) -> dict[int, set[int] | None]:
+    """Per UTC day of the window, the top-10 node set by degree or
+    betweenness centrality on the day's directed simple graph; None for a day
+    without edges."""
+    tops: dict[int, set[int] | None] = {}
+    for d, edges in sorted(view.daily().items()):
+        if kind == "degree":
+            scores = Counter(x for edge in edges for x in edge)
+        elif kind == "betweenness":
+            scores = _betweenness(edges)
+        else:
+            raise MetricError(f"unknown centrality kind {kind!r}")
+        tops[d] = _top_k_nodes(dict(scores)) if edges else None
+    return tops
+
+
+def centrality_jaccard(sim_tops, gt_tops, kind: str) -> tuple[float, list[str]]:
+    """Mean daily Jaccard similarity of two logs' `daily_top_nodes` over the
+    same window."""
     flags = []
     vals = []
-    for d in sorted(sim_days):
-        es, eg = sim_days[d], gt_days[d]
-        if not es and not eg:
+    for d, top_s in sim_tops.items():
+        if top_s is None and gt_tops[d] is None:
             flags.append(f"day {d}: empty in both logs, skipped")
             continue
-        tops = []
-        for edges in (es, eg):
-            if kind == "degree":
-                scores: dict[int, float] = Counter()
-                for u, v in edges:
-                    scores[u] += 1
-                    scores[v] += 1
-            elif kind == "betweenness":
-                scores = _betweenness(edges)
-            else:
-                raise MetricError(f"unknown centrality kind {kind!r}")
-            top = _top_k_nodes(dict(scores))
-            if 0 < len(top) < 10:
-                flags.append(f"day {d}: only {len(top)} nodes with nonzero {kind}")
-            tops.append(top)
+        tops = [top or set() for top in (top_s, gt_tops[d])]
+        flags += [f"day {d}: only {len(top)} nodes with nonzero {kind}"
+                  for top in tops if 0 < len(top) < 10]
         union = tops[0] | tops[1]
         if not union:
             flags.append(f"day {d}: no node with nonzero {kind} in either log, skipped")
@@ -619,9 +581,9 @@ def centrality_jaccard(sim: LogView, gt: LogView, kind: str) -> tuple[float, lis
 # trigger exclusion, reports, regret
 
 
-def _trigger_set(triggers) -> set[int]:
+def _trigger_set(triggers) -> frozenset[int]:
     """Accept a TriggerPlan-like object or a plain collection of indices."""
-    return set(getattr(triggers, "trigger_agents", triggers) or ())
+    return frozenset(getattr(triggers, "trigger_agents", triggers) or ())
 
 
 def exclude_triggers(log: EventLog, trigger_agents) -> EventLog:
@@ -692,42 +654,73 @@ def report_from_dict(d: dict) -> MetricsReport:
     return MetricsReport(entries, tuple(d["window"]), d["n_agents"])
 
 
-def evaluate_all(sim: EventLog, gt: EventLog, trigger_agents,
-                 window: tuple[int, int]) -> MetricsReport:
-    """Run the full 15-metric suite on the non-trigger subnetwork."""
+# name -> (part, comparison), in report order; a comparison returns the value
+# or (value, flags). Parts look functions up by name when called, so a
+# wrapper set on this module (perfbench's tracer) sees every call.
+SUITE = {
+    "r24": (lambda v: lag24_weekday_autocorr(v.log.timestamps(), *v.window), _rho_diff),
+    "hod": (lambda v: hod_histogram(v.log), emd_1d),
+    "wknd_drop": (lambda v: weekend_weekday_ratio(v.log, v.window), lambda s, g: abs(s - g)),
+    "burst": (lambda v: burstiness_sample(v.log), sample_emd),
+    "2eg_2h": (lambda v: motif_census_2(v, 2 * 3600).as_array(), _census_jsd),
+    "2eg_8h": (lambda v: motif_census_2(v, 8 * 3600).as_array(), _census_jsd),
+    "3eg_24h": (lambda v: motif_census_3(v, 24 * 3600).as_array(), _census_jsd),
+    "3eg_48h": (lambda v: motif_census_3(v, 48 * 3600).as_array(), _census_jsd),
+    "degdist": (lambda v: daily_topology_series(v, "degdist"), _daily_degree_emd),
+    "trans": (lambda v: daily_topology_series(v, "transitivity"), topology_rmse),
+    "globeff": (lambda v: daily_topology_series(v, "global_efficiency"), topology_rmse),
+    "recip": (lambda v: daily_topology_series(v, "reciprocity"), topology_rmse),
+    "topo_ovlp": (ego_overlap_histogram, lambda s, g: emd_1d(s, g) / TOPO_OVERLAP_BINS),
+    "degcen": (lambda v: daily_top_nodes(v, "degree"),
+               lambda s, g: centrality_jaccard(s, g, "degree")),
+    "betwcen": (lambda v: daily_top_nodes(v, "betweenness"),
+                lambda s, g: centrality_jaccard(s, g, "betweenness")),
+}
+
+
+@dataclass(frozen=True)
+class LogSummary:
+    """Every SUITE part of one log's non-trigger subnetwork in one window; a
+    part whose precondition failed holds its MetricError instead."""
+
+    agents: tuple[str, ...]  # registry before trigger exclusion
+    triggers: frozenset[int]
+    window: tuple[int, int]
+    n_agents: int  # non-trigger agents
+    parts: dict[str, object]
+
+
+def summarize(log: EventLog, trigger_agents, window: tuple[int, int]) -> LogSummary:
+    """Compute every metric's part of `log` once, on its non-trigger
+    subnetwork within the window."""
+    triggers = _trigger_set(trigger_agents)
+    view = log_view(log_window(exclude_triggers(log, triggers), *window), window)
+    parts: dict[str, object] = {}
+    for name, (part, _) in SUITE.items():
+        try:
+            parts[name] = part(view)
+        except MetricError as exc:
+            parts[name] = exc.with_traceback(None)
+    return LogSummary(log.agents, triggers, window, view.log.n_agents, parts)
+
+
+def compare(sim: LogSummary, gt: LogSummary) -> MetricsReport:
+    """Score a simulated log's summary against a ground-truth summary of the
+    same registry, trigger set and window. A metric is skipped with sim's
+    stored error, else gt's, else the error its comparison raises."""
     if sim.agents != gt.agents:
         raise MetricError("sim and gt registries differ")
-    t0, t1 = window
-    triggers = _trigger_set(trigger_agents)
-    sim_x = log_window(exclude_triggers(sim, triggers), t0, t1)
-    gt_x = log_window(exclude_triggers(gt, triggers), t0, t1)
-
-    sim_v, gt_v = log_view(sim_x, window), log_view(gt_x, window)
-    suite = {
-        "r24": lambda: r24_err(sim_x, gt_x, window),
-        "hod": lambda: hod_emd(sim_x, gt_x),
-        "wknd_drop": lambda: wknd_drop_err(sim_x, gt_x, window),
-        "burst": lambda: burstiness_emd(sim_x, gt_x),
-        "2eg_2h": lambda: motif_jsd(sim_v, gt_v, 2, 2 * 3600),
-        "2eg_8h": lambda: motif_jsd(sim_v, gt_v, 2, 8 * 3600),
-        "3eg_24h": lambda: motif_jsd(sim_v, gt_v, 3, 24 * 3600),
-        "3eg_48h": lambda: motif_jsd(sim_v, gt_v, 3, 48 * 3600),
-        "degdist": lambda: degdist_emd(sim_v, gt_v),
-        "trans": lambda: topology_rmse(daily_topology_series(sim_v, "transitivity"),
-                                       daily_topology_series(gt_v, "transitivity")),
-        "globeff": lambda: topology_rmse(daily_topology_series(sim_v, "global_efficiency"),
-                                         daily_topology_series(gt_v, "global_efficiency")),
-        "recip": lambda: topology_rmse(daily_topology_series(sim_v, "reciprocity"),
-                                       daily_topology_series(gt_v, "reciprocity")),
-        "topo_ovlp": lambda: topo_overlap_emd(sim_v, gt_v),
-        "degcen": lambda: centrality_jaccard(sim_v, gt_v, "degree"),
-        "betwcen": lambda: centrality_jaccard(sim_v, gt_v, "betweenness"),
-    }
+    if (sim.window, sim.triggers) != (gt.window, gt.triggers):
+        raise MetricError("sim and gt summaries differ in window or trigger set")
     entries = []
-    for name, metric in suite.items():
+    for name, (_, comparison) in SUITE.items():
+        s, g = sim.parts[name], gt.parts[name]
         direction = "higher" if name in HIGHER_IS_BETTER else "lower"
         try:
-            res = metric()
+            for part in (s, g):
+                if isinstance(part, MetricError):
+                    raise MetricError(str(part))  # a fresh one: the stored error is shared
+            res = comparison(s, g)
         except MetricError as exc:
             entries.append(MetricEntry(name, CATEGORY_OF[name], None, direction,
                                        skipped=str(exc)))
@@ -735,8 +728,14 @@ def evaluate_all(sim: EventLog, gt: EventLog, trigger_agents,
         value, flags = res if isinstance(res, tuple) else (res, ())
         entries.append(MetricEntry(name, CATEGORY_OF[name], float(value), direction,
                                    tuple(flags)))
+    return MetricsReport(tuple(entries), sim.window, sim.n_agents)
 
-    return MetricsReport(tuple(entries), window, sim_x.n_agents)
+
+def evaluate_all(sim: EventLog, gt: EventLog, trigger_agents,
+                 window: tuple[int, int]) -> MetricsReport:
+    """Run the full 15-metric suite on the non-trigger subnetwork."""
+    return compare(summarize(sim, trigger_agents, window),
+                   summarize(gt, trigger_agents, window))
 
 
 def regret_scores(report: MetricsReport, setting: str) -> tuple[dict[str, float], list[str]]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from commsim.corpus import Event, EventLog, ingest
-from commsim.metrics import log_view
+from commsim.metrics import SUITE, log_view
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -63,6 +63,13 @@ def view(log, window=None):
     if window is None:
         window = (log.events[0].ts, log.events[-1].ts + 1) if len(log) else (0, 0)
     return log_view(log, window)
+
+
+def run_metric(name, sim_view, gt_view):
+    """The `metrics.SUITE` row `name` on two views: its comparison of the
+    two views' parts."""
+    part, comparison = SUITE[name]
+    return comparison(part(sim_view), part(gt_view))
 
 
 class ZeroDraws:

@@ -1,0 +1,208 @@
+"""The pairwise fidelity suite that `metrics.SUITE` replaced, kept as the
+oracle of the summarize/compare split.
+
+Each function takes the sim and gt logs (or views) together, as the suite
+did before every metric became a per-log part plus a comparison;
+`oracle_evaluate_all` is the old `evaluate_all` body. `hod_histogram` and
+`ego_overlap_values` are the loops the library's versions replaced.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+
+from commsim import timeutil
+from commsim.corpus import EventLog, lag24_weekday_autocorr, node_burstiness
+from commsim.corpus import window as log_window
+from commsim.metrics import (CATEGORY_OF, HIGHER_IS_BETTER, TOPO_OVERLAP_BINS, LogView,
+                             MetricEntry, MetricError, MetricsReport, _betweenness,
+                             _top_k_nodes, _trigger_set, daily_topology_series, emd_1d,
+                             exclude_triggers, jsd, log_view, motif_census_2, motif_census_3,
+                             sample_emd, topology_rmse, weekend_weekday_ratio)
+
+
+def r24_err(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> tuple[float, list[str]]:
+    """Absolute difference of lag-24 weekday autocorrelation of hourly
+    activity. A constant (or too short) series yields rho = 0, flagged."""
+    t0, t1 = window
+    rho_s, deg_s = lag24_weekday_autocorr(sim.timestamps(), t0, t1)
+    rho_g, deg_g = lag24_weekday_autocorr(gt.timestamps(), t0, t1)
+    flags = [f"{name}: degenerate hourly series, rho set to 0"
+             for name, deg in (("sim", deg_s), ("gt", deg_g)) if deg]
+    return abs(rho_s - rho_g), flags
+
+
+def hod_histogram(log: EventLog) -> np.ndarray:
+    counts = np.zeros(24)
+    for e in log.events:
+        counts[timeutil.hour_of_day(e.ts)] += 1
+    return counts
+
+
+def hod_emd(sim: EventLog, gt: EventLog) -> float:
+    """EMD between 24-bin hour-of-day activity histograms (linear, not
+    circular, bin distance)."""
+    return emd_1d(hod_histogram(sim), hod_histogram(gt))
+
+
+def wknd_drop_err(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> float:
+    return abs(weekend_weekday_ratio(sim, window) - weekend_weekday_ratio(gt, window))
+
+
+def burstiness_emd(sim: EventLog, gt: EventLog) -> float:
+    """EMD between the node-level burstiness samples of the two logs."""
+    bs = list(node_burstiness(sim).values())
+    bg = list(node_burstiness(gt).values())
+    if not bs or not bg:
+        raise MetricError("no node with enough events for burstiness")
+    return sample_emd(bs, bg)
+
+
+def motif_jsd(sim: LogView, gt: LogView, arity: int, delta: int) -> tuple[float, list[str]]:
+    """JSD between motif class distributions; an empty census is treated as
+    uniform and flagged."""
+    census = motif_census_2 if arity == 2 else motif_census_3
+    flags = []
+    dists = []
+    for name, view in (("sim", sim), ("gt", gt)):
+        arr = census(view, delta).as_array()
+        if arr.sum() == 0:
+            arr = np.ones_like(arr)
+            flags.append(f"{name}: zero motifs, uniform assumed")
+        dists.append(arr)
+    return jsd(dists[0], dists[1]), flags
+
+
+def degdist_emd(sim: LogView, gt: LogView) -> float:
+    """Mean over days of the EMD between total-degree histograms (unit
+    distance = one degree)."""
+    sim_days = daily_topology_series(sim, "degdist")
+    gt_days = daily_topology_series(gt, "degdist")
+    vals = []
+    for ds, dg in zip(sim_days, gt_days):
+        top = int(max(ds.max(), dg.max()))
+        hs = np.bincount(ds, minlength=top + 1).astype(float)
+        hg = np.bincount(dg, minlength=top + 1).astype(float)
+        vals.append(emd_1d(hs, hg))
+    return float(np.mean(vals))
+
+
+def ego_overlap_values(view: LogView) -> dict[int, float]:
+    """Per-node mean cosine-style neighborhood overlap across consecutive
+    day pairs where both neighborhoods are nonempty."""
+    per_day = view.daily()
+    daily = []  # per day: node -> set of in/out neighbors (self excluded)
+    for d in sorted(per_day):
+        nbrs: dict[int, set[int]] = {}
+        for u, v in per_day[d]:
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
+        daily.append(nbrs)
+    acc: dict[int, list[float]] = {}
+    for a, b in zip(daily, daily[1:]):
+        for v in set(a) & set(b):
+            c = len(a[v] & b[v]) / math.sqrt(len(a[v]) * len(b[v]))
+            acc.setdefault(v, []).append(c)
+    return {v: float(np.mean(cs)) for v, cs in acc.items()}
+
+
+def topo_overlap_emd(sim: LogView, gt: LogView) -> float:
+    """EMD between ego-overlap distributions, 20 uniform bins on [0, 1],
+    scaled to overlap units (bin width 0.05)."""
+    if len(sim.daily()) < 2:
+        raise MetricError("topology overlap needs at least 2 days")
+    dists = []
+    for view in (sim, gt):
+        vals = list(ego_overlap_values(view).values())
+        if not vals:
+            raise MetricError("no node active on two consecutive days")
+        idx = np.clip((np.array(vals) * TOPO_OVERLAP_BINS).astype(int), 0, TOPO_OVERLAP_BINS - 1)
+        dists.append(np.bincount(idx, minlength=TOPO_OVERLAP_BINS).astype(float))
+    return emd_1d(dists[0], dists[1]) / TOPO_OVERLAP_BINS
+
+
+def centrality_jaccard(sim: LogView, gt: LogView, kind: str) -> tuple[float, list[str]]:
+    """Mean daily Jaccard similarity of top-10 node sets by degree or
+    betweenness centrality on the daily directed simple graphs of two views
+    of the same window."""
+    sim_days = sim.daily()
+    gt_days = gt.daily()
+    flags = []
+    vals = []
+    for d in sorted(sim_days):
+        es, eg = sim_days[d], gt_days[d]
+        if not es and not eg:
+            flags.append(f"day {d}: empty in both logs, skipped")
+            continue
+        tops = []
+        for edges in (es, eg):
+            if kind == "degree":
+                scores: dict[int, float] = Counter()
+                for u, v in edges:
+                    scores[u] += 1
+                    scores[v] += 1
+            elif kind == "betweenness":
+                scores = _betweenness(edges)
+            else:
+                raise MetricError(f"unknown centrality kind {kind!r}")
+            top = _top_k_nodes(dict(scores))
+            if 0 < len(top) < 10:
+                flags.append(f"day {d}: only {len(top)} nodes with nonzero {kind}")
+            tops.append(top)
+        union = tops[0] | tops[1]
+        if not union:
+            flags.append(f"day {d}: no node with nonzero {kind} in either log, skipped")
+            continue
+        vals.append(len(tops[0] & tops[1]) / len(union))
+    if not vals:
+        raise MetricError(f"no day with nonzero {kind} centrality")
+    return float(np.mean(vals)), flags
+
+
+def oracle_evaluate_all(sim: EventLog, gt: EventLog, trigger_agents,
+                        window: tuple[int, int]) -> MetricsReport:
+    """Run the full 15-metric suite on the non-trigger subnetwork."""
+    if sim.agents != gt.agents:
+        raise MetricError("sim and gt registries differ")
+    t0, t1 = window
+    triggers = _trigger_set(trigger_agents)
+    sim_x = log_window(exclude_triggers(sim, triggers), t0, t1)
+    gt_x = log_window(exclude_triggers(gt, triggers), t0, t1)
+
+    sim_v, gt_v = log_view(sim_x, window), log_view(gt_x, window)
+    suite = {
+        "r24": lambda: r24_err(sim_x, gt_x, window),
+        "hod": lambda: hod_emd(sim_x, gt_x),
+        "wknd_drop": lambda: wknd_drop_err(sim_x, gt_x, window),
+        "burst": lambda: burstiness_emd(sim_x, gt_x),
+        "2eg_2h": lambda: motif_jsd(sim_v, gt_v, 2, 2 * 3600),
+        "2eg_8h": lambda: motif_jsd(sim_v, gt_v, 2, 8 * 3600),
+        "3eg_24h": lambda: motif_jsd(sim_v, gt_v, 3, 24 * 3600),
+        "3eg_48h": lambda: motif_jsd(sim_v, gt_v, 3, 48 * 3600),
+        "degdist": lambda: degdist_emd(sim_v, gt_v),
+        "trans": lambda: topology_rmse(daily_topology_series(sim_v, "transitivity"),
+                                       daily_topology_series(gt_v, "transitivity")),
+        "globeff": lambda: topology_rmse(daily_topology_series(sim_v, "global_efficiency"),
+                                         daily_topology_series(gt_v, "global_efficiency")),
+        "recip": lambda: topology_rmse(daily_topology_series(sim_v, "reciprocity"),
+                                       daily_topology_series(gt_v, "reciprocity")),
+        "topo_ovlp": lambda: topo_overlap_emd(sim_v, gt_v),
+        "degcen": lambda: centrality_jaccard(sim_v, gt_v, "degree"),
+        "betwcen": lambda: centrality_jaccard(sim_v, gt_v, "betweenness"),
+    }
+    entries = []
+    for name, metric in suite.items():
+        direction = "higher" if name in HIGHER_IS_BETTER else "lower"
+        try:
+            res = metric()
+        except MetricError as exc:
+            entries.append(MetricEntry(name, CATEGORY_OF[name], None, direction,
+                                       skipped=str(exc)))
+            continue
+        value, flags = res if isinstance(res, tuple) else (res, ())
+        entries.append(MetricEntry(name, CATEGORY_OF[name], float(value), direction,
+                                   tuple(flags)))
+
+    return MetricsReport(tuple(entries), window, sim_x.n_agents)
+

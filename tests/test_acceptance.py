@@ -20,7 +20,7 @@ from commsim.corpus import EventLog, ingest, window as log_window
 from commsim.hawkes import FitConfig, HawkesModel, fit, sample_next_activation, simulate_pure_hawkes
 from commsim.simulator import PeriodicSchedule, SimConfig, TriggerPlan, run, select_triggers
 
-from conftest import BASE_MONDAY, MINI, fixture_log, make_log, random_log, view
+from conftest import BASE_MONDAY, MINI, fixture_log, make_log, random_log, run_metric, view
 from test_metrics import brute_motif2, brute_motif3
 
 HOUR = 3600
@@ -249,13 +249,13 @@ def test_criterion_7_null_model(mini_log, mini_manifest):
     day_log = log_window(mini_log, *day7)
     rewired_day = baselines.rewire_degree_preserving(
         mini_log, day7, baselines.RewireConfig(seed=3))
-    assert metrics.degdist_emd(view(rewired_day, day7), view(day_log, day7)) == 0.0
-    jsd_val, _ = metrics.motif_jsd(view(rewired_day, day7), view(day_log, day7), 2, 2 * HOUR)
+    assert run_metric("degdist", view(rewired_day, day7), view(day_log, day7)) == 0.0
+    jsd_val, _ = run_metric("2eg_2h", view(rewired_day, day7), view(day_log, day7))
     assert jsd_val > 0.0
     # and on the full window the motif mix also shifts
     rewired_full = baselines.rewire_degree_preserving(
         mini_log, full, baselines.RewireConfig(seed=3))
-    jsd_full, _ = metrics.motif_jsd(view(rewired_full, full), view(mini_log, full), 2, 8 * HOUR)
+    jsd_full, _ = run_metric("2eg_8h", view(rewired_full, full), view(mini_log, full))
     assert jsd_full > 0.0
     report(7, f"20 seeds preserve degrees and timestamps exactly; "
               f"day-window DegDist = 0, motif JSD = {jsd_val:.3f} > 0")

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commsim.baselines import RewireConfig, rewire_degree_preserving
-from commsim.metrics import motif_jsd
 
-from conftest import BASE_MONDAY, make_log, random_log, view
+from conftest import BASE_MONDAY, make_log, random_log, run_metric, view
 
 DAY = 86400
-HOUR = 3600
 
 
 def degree_multisets(edges):
@@ -63,7 +61,7 @@ def test_structure_destroyed(mini_log):
     edge_multiset = Counter((u, v) for u, v, _ in out.edges())
     orig_multiset = Counter((u, v) for u, v, _ in mini_log.edges())
     assert edge_multiset != orig_multiset
-    val, _ = motif_jsd(view(out, window), view(mini_log, window), 2, 8 * HOUR)
+    val, _ = run_metric("2eg_8h", view(out, window), view(mini_log, window))
     assert val > 0.0
 
 

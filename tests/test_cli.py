@@ -348,3 +348,45 @@ def test_internal_key_error_exits_1(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert run_cli("stats", MINI, "--out", out) == 1
     assert _error(out).startswith("KeyError")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--t0", "garbage", "--t1", SIM_T0], "unrecognized timestamp"),
+    (["--t0", BASE, "--t1", SIM_T0, "--beta", "-1"], "beta_override must be positive"),
+    (["--t0", SIM_T0, "--t1", SIM_T0], "is not after --t0"),
+    (["--t0", SIM_T0, "--t1", BASE], "is not after --t0"),
+])
+def test_fit_bad_arguments_exit_2(tmp_path, argv, message):
+    out = tmp_path / "o"
+    assert run_cli("fit", MINI, *argv, "--out", out) == 2
+    assert message in _error(out)
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--t0", "garbage", "--t1", SIM_T1], "unrecognized timestamp"),
+    (["--t0", SIM_T0], "--t0 and --t1 must be given together"),
+    (["--t1", SIM_T1], "--t0 and --t1 must be given together"),
+])
+def test_evaluate_bad_window_exits_2(tmp_path, argv, message):
+    out = tmp_path / "o"
+    assert run_cli("evaluate", MINI, MINI, *argv, "--out", out) == 2
+    assert message in _error(out)
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("policy,agent,overrides,message", [
+    ("hawkes", "stub", {"fit": {"max_iter": 5}}, "unexpected keyword argument 'max_iter'"),
+    ("hawkes", "stub", {"fit": {"max_iters": 0}}, "max_iters, tolerance and baseline_floor"),
+    ("periodic", "stub", {"periodic_interval_hours": 0}, "interval must be at least 1 second"),
+    ("periodic", "llm", {"llm": {"base_url": "http://localhost:1"}}, "model_name"),
+    ("periodic", "llm", {"llm": {"base_url": "http://localhost:1", "model_name": "m",
+                                 "max_retries": -1}}, "max_retries must be >= 0"),
+])
+def test_simulate_bad_policy_or_agent_config_exits_2(tmp_path, policy, agent, overrides,
+                                                     message):
+    out = tmp_path / "o"
+    assert run_cli("simulate", sim_config(tmp_path, **overrides), "--policy", policy,
+                   "--agent", agent, "--out", out) == 2
+    assert message in _error(out)
+    assert not (out / "sim.jsonl").exists()

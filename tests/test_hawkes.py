@@ -430,6 +430,28 @@ def test_serialization_roundtrip():
 def test_stability_warning():
     assert not const_model(alpha=0.5).stability_warning
     assert const_model(alpha=1.0).stability_warning
+    # row sum 2 but spectral radius 0: the process is stationary
+    nilpotent = HawkesModel(("a", "b"), np.ones((2, 168)), np.array([[0.0, 2.0], [0.0, 0.0]]),
+                            1.0, False)
+    assert not nilpotent.stability_warning
+
+
+@pytest.mark.parametrize("late_send", [False, True])
+def test_full_fit_leaves_sources_without_history_at_zero(late_send):
+    # agent 2 only receives before t1 (and, with late_send, sends after it):
+    # nothing in the window identifies its column of alpha
+    t0, t1 = BASE_MONDAY, BASE_MONDAY + 3 * DAY
+    rng = np.random.default_rng(4)
+    records = []
+    for t in np.sort(rng.integers(0, t1 - t0 - HOUR, 40)):
+        records += [(0, (1, 2), t0 + int(t)), (1, (0, 2), t0 + int(t) + 60)]  # 1 replies to 0
+    if late_send:
+        records.append((2, (0,), t1 + HOUR))
+    model = fit(make_log(records, n_agents=3), (t0, t1),
+                FitConfig(diagonal_only=False, beta_override=30.0))
+    assert np.all(model.alpha[:, 2] == 0.0)
+    assert model.alpha[1, 0] > 0.5
+    assert not model.stability_warning
 
 
 def test_pure_hawkes_trivial():

@@ -12,7 +12,7 @@ from commsim import corpus, metrics
 from commsim.metrics import (MetricError, emd_1d, jsd, motif_census_2, motif_census_3,
                              regret)
 
-from conftest import BASE_MONDAY, fixture_log, make_log, random_log, view
+from conftest import BASE_MONDAY, fixture_log, make_log, random_log, run_metric, view
 
 DAY = 86400
 HOUR = 3600
@@ -195,7 +195,7 @@ def test_symmetry_properties(a, b):
 
 def test_r24_identity(mini_log):
     span = (mini_log.events[0].ts, mini_log.events[-1].ts + 1)
-    err, flags = metrics.r24_err(mini_log, mini_log, span)
+    err, flags = run_metric("r24", view(mini_log, span), view(mini_log, span))
     assert err == 0.0 and not flags
 
 
@@ -208,7 +208,7 @@ def test_r24_periodic_vs_noise():
     noise = make_log([(0, 1, int(t)) for t in
                       np.sort(rng.integers(window[0], window[1], size=14 * 3))],
                      n_agents=2)
-    err, _ = metrics.r24_err(noise, periodic, window)
+    err, _ = run_metric("r24", view(noise, window), view(periodic, window))
     assert err == pytest.approx(1.0, abs=0.1)
     # a 24h shift leaves the lag-24 autocorrelation of the periodic series
     # unchanged (each log over its own span)
@@ -224,9 +224,9 @@ def test_r24_periodic_vs_noise():
 
 def test_hod_and_wknd_identity(mini_log, mini_manifest):
     s0, s1 = mini_manifest["sim_window"]
-    assert metrics.hod_emd(mini_log, mini_log) == 0.0
-    assert metrics.wknd_drop_err(mini_log, mini_log, (s0, s1)) == 0.0
-    assert metrics.burstiness_emd(mini_log, mini_log) == 0.0
+    assert run_metric("hod", view(mini_log), view(mini_log)) == 0.0
+    assert run_metric("wknd_drop", view(mini_log, (s0, s1)), view(mini_log, (s0, s1))) == 0.0
+    assert run_metric("burst", view(mini_log), view(mini_log)) == 0.0
 
 
 def test_wknd_ratio_value():
@@ -346,14 +346,14 @@ def test_motif_resort_invariance():
 
 def test_motif_jsd():
     log = make_log([(0, 1, 0), (1, 0, HOUR)])
-    val, flags = metrics.motif_jsd(view(log), view(log), 2, 2 * HOUR)
+    val, flags = run_metric("2eg_2h", view(log), view(log))
     assert val == 0.0 and not flags
     out_star = make_log([(0, 1, 0), (0, 2, HOUR)])
     in_star = make_log([(1, 0, 0), (2, 0, HOUR)])
-    val, _ = metrics.motif_jsd(view(out_star), view(in_star), 2, 2 * HOUR)
+    val, _ = run_metric("2eg_2h", view(out_star), view(in_star))
     assert val == pytest.approx(1.0)
     empty = make_log([(0, 1, 0)], n_agents=3)
-    val, flags = metrics.motif_jsd(view(empty), view(out_star), 2, 2 * HOUR)
+    val, flags = run_metric("2eg_2h", view(empty), view(out_star))
     assert flags and "uniform" in flags[0]
 
 
@@ -374,7 +374,7 @@ def test_daily_triangle_identity():
     recip = metrics.daily_topology_series(view(log, window), "reciprocity")
     assert trans == [1.0] * days and recip == [1.0] * days
     assert metrics.topology_rmse(trans, trans) == 0.0
-    assert metrics.degdist_emd(view(log, window), view(log, window)) == 0.0
+    assert run_metric("degdist", view(log, window), view(log, window)) == 0.0
 
 
 def test_global_efficiency_path():
@@ -402,7 +402,7 @@ def test_degdist_detects_shift():
     hub = make_log([(0, i, t + i) for i in range(1, 5)], n_agents=5)
     chain = make_log([(i, i + 1, t + i) for i in range(4)], n_agents=5)
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    assert metrics.degdist_emd(view(hub, window), view(chain, window)) > 0
+    assert run_metric("degdist", view(hub, window), view(chain, window)) > 0
 
 
 def test_topo_overlap():
@@ -415,7 +415,7 @@ def test_topo_overlap():
     window = (BASE_MONDAY, BASE_MONDAY + 2 * DAY)
     vals = metrics.ego_overlap_values(view(log, window))
     assert vals == {0: 1.0, 1: 1.0, 2: 1.0}
-    assert metrics.topo_overlap_emd(view(log, window), view(log, window)) == 0.0
+    assert run_metric("topo_ovlp", view(log, window), view(log, window)) == 0.0
     # disjoint neighborhoods -> C = 0
     rec2 = [(0, 1, BASE_MONDAY + 9 * HOUR), (0, 2, BASE_MONDAY + DAY + 9 * HOUR)]
     log2 = make_log(rec2)
@@ -453,13 +453,13 @@ def test_centrality_jaccard():
     t = BASE_MONDAY + 9 * HOUR
     star_a = make_log([(0, i, t + i) for i in range(1, 12)], n_agents=24)
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    val, _ = metrics.centrality_jaccard(view(star_a, window), view(star_a, window), "degree")
+    val, _ = run_metric("degcen", view(star_a, window), view(star_a, window))
     assert val == 1.0
     path = make_log([(i, i + 1, t + i) for i in range(11)], n_agents=24)
-    val_b, _ = metrics.centrality_jaccard(view(path, window), view(path, window), "betweenness")
+    val_b, _ = run_metric("betwcen", view(path, window), view(path, window))
     assert val_b == 1.0
     star_b = make_log([(12, i, t + i) for i in range(13, 24)], n_agents=24)
-    val2, _ = metrics.centrality_jaccard(view(star_a, window), view(star_b, window), "degree")
+    val2, _ = run_metric("degcen", view(star_a, window), view(star_b, window))
     assert val2 == 0.0
 
 
@@ -468,7 +468,7 @@ def test_centrality_hub_in_intersection():
     sim = make_log([(0, i, t + i) for i in range(1, 8)], n_agents=12)
     gt = make_log([(0, i, t + i) for i in range(4, 11)], n_agents=12)
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    val, flags = metrics.centrality_jaccard(view(sim, window), view(gt, window), "degree")
+    val, flags = run_metric("degcen", view(sim, window), view(gt, window))
     assert val > 0  # the hub is in both top sets
 
 
