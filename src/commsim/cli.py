@@ -302,6 +302,8 @@ def cmd_evaluate(args) -> int:
         manifest.add_input(args.gt)
         sim = corpus.ingest(args.sim)
         gt = corpus.ingest(args.gt)
+        if not gt.events:
+            raise corpus.CorpusError(f"{args.gt}: ground truth has no events")
         if sim.agents != gt.agents:
             # simulated logs only contain active agents; align on gt registry
             sim = _align_registry(sim, gt)
@@ -361,10 +363,14 @@ def cmd_compare(args) -> int:
         results: dict[str, dict[str, float]] = {}
         categories: dict[str, str] = {}
         flags: list[str] = []
+        paths: dict[str, str] = {}  # setting -> its report's path
         for path in args.reports:
             manifest.add_input(path)
             report = _read_file(_load_report, path)
             name = Path(path).parent.name or Path(path).stem
+            if name in paths:
+                raise UsageError(f"setting {name!r} named twice: {paths[name]} and {path}")
+            paths[name] = path
             categories.update((e.name, e.category) for e in report.entries)
             results[name], report_flags = metrics.regret_scores(report, name)
             flags.extend(report_flags)

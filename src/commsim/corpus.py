@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -165,7 +166,7 @@ def ingest(path, format: str = "jsonl") -> EventLog:
         raise CorpusError(f"unknown format {format!r}")
     ids = [r[0] for r in records]
     if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise CorpusError(f"duplicate event ids: {dupes[:5]}")
     return build_log(records)
 

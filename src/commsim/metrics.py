@@ -21,7 +21,8 @@ stream (self-loops dropped), a per-node time index and each UTC day's directed
 simple edge set. The comparison turns the sim and gt parts into the value and
 its flags. `summarize` computes every part of one log once into a `LogSummary`,
 so one ground-truth summary scores any number of rollouts with `compare`, and
-`evaluate_all` is `compare(summarize(sim, ...), summarize(gt, ...))`.
+`evaluate_all` is `compare(summarize(sim, ...), summarize(gt, ...))`. Rows may
+share a part: the temporal-dynamics metrics come from one motif scan per arity.
 
 The three daily-graph kernels use only the standard library and numpy and
 return, bit for bit, what NetworkX 3.6 returns (the tests keep NetworkX as
@@ -43,10 +44,11 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -229,9 +231,9 @@ class MotifCensus:
         return np.array(list(self.counts.values()), dtype=float)
 
 
-def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str | None:
-    """Class of the ordered edge pair (u1->v1, u2->v2), or None when the
-    edges share no node. Assumes no self-loops."""
+def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str:
+    """Class of the ordered pair (u1->v1, u2->v2) of two edges that share a
+    node. Assumes no self-loops."""
     if u2 == v1 and v2 == u1:
         return "reciprocal"
     if u2 == u1 and v2 == v1:
@@ -242,72 +244,69 @@ def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str | None:
         return "in_star"
     if u2 == v1:
         return "chain_forward"
-    if v2 == u1:
-        return "chain_backward"
-    return None
+    return "chain_backward"
 
 
-def motif_census_2(view: LogView, delta: int) -> MotifCensus:
-    """Count ordered edge pairs (e1, e2) with 0 < t2 - t1 <= delta sharing at
-    least one node, classified into the six 2-edge classes.
-
-    Exact; uses per-node time indexes so only node-sharing pairs are visited.
-    """
-    edges, by_node = view.edges, view.by_node
-    counts = dict.fromkeys(MOTIF2_CLASSES, 0)
-    for u2, v2, t2 in edges:
-        cand: set[int] = set()
-        for node in (u2, v2):
-            times, idxs = by_node[node]
-            lo = bisect.bisect_left(times, t2 - delta)
-            hi = bisect.bisect_left(times, t2)
-            cand.update(idxs[lo:hi])
-        for j in cand:
-            u1, v1, _ = edges[j]
-            cls = classify_pair(u1, v1, u2, v2)
-            if cls is not None:
-                counts[cls] += 1
-    return MotifCensus(counts, delta)
+def _motif_bands(deltas, classes) -> list[dict[str, int]]:
+    """Zeroed class counts per band of strictly ascending deltas; band k holds
+    the motifs whose span t_last - t1 is in (deltas[k-1], deltas[k]]."""
+    if not deltas or any(a >= b for a, b in zip(deltas, deltas[1:])):
+        raise MetricError(f"motif deltas must be nonempty and strictly ascending: {deltas}")
+    return [dict.fromkeys(classes, 0) for _ in deltas]
 
 
-def motif_census_3(view: LogView, delta: int) -> MotifCensus:
-    """Count strictly time-ordered edge triples (e1, e2, e3) with
-    t2 - t1 and t3 - t1 in (0, delta], matching one of the five 3-edge
-    classes. Triples matching no class are not counted.
+def _cumulative(bands, deltas) -> tuple[MotifCensus, ...]:
+    """The census at deltas[k] sums bands 0..k."""
+    sums = itertools.accumulate(bands, lambda a, b: {cls: a[cls] + b[cls] for cls in a})
+    return tuple(MotifCensus(counts, delta) for counts, delta in zip(sums, deltas))
+
+
+def _later_edges(view: LogView, x, y, t1, horizon) -> list[tuple[int, int, int]]:
+    """The edges, in edge order, that touch x or y with time in
+    (t1, t1 + horizon]; an x<->y edge is in both nodes' indexes, listed once."""
+    cand: set[int] = set()
+    for node in (x, y):
+        times, idxs = view.by_node[node]
+        cand.update(idxs[bisect.bisect_right(times, t1):bisect.bisect_right(times, t1 + horizon)])
+    return [view.edges[k] for k in sorted(cand)]
+
+
+def motif_census_2(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
+    """One census per delta of the ordered pairs (e1, e2) of node-sharing
+    edges with 0 < t2 - t1 <= delta, in the six 2-edge classes. Exact, from
+    one scan at the largest delta over each e1's endpoints' later edges."""
+    bands = _motif_bands(deltas, MOTIF2_CLASSES)
+    for x, y, t1 in view.edges:
+        for u2, v2, t2 in _later_edges(view, x, y, t1, deltas[-1]):
+            bands[bisect.bisect_left(deltas, t2 - t1)][classify_pair(x, y, u2, v2)] += 1
+    return _cumulative(bands, deltas)
+
+
+def motif_census_3(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
+    """One census per delta of the strictly time-ordered edge triples
+    (e1, e2, e3) with t2 - t1 and t3 - t1 in (0, delta] that match one of
+    the five 3-edge classes, from one scan at the largest delta.
 
     For an anchor e1 = x->y every class needs both e2 and e3 to touch x or y
     (dyad_alternation y->x, x->y; dyad_burst_reply x->y, y->x;
     feed_forward_closure y->b, x->b; three_cycle y->a, a->x;
-    broadcast_cross_link x->b, y->b or x->a, a->y). So only the edges in
-    x's and y's per-node time indexes within (t1, t1 + delta] are visited:
-    their union, deduplicated (x<->y edges are in both) and in edge order.
-    Earlier candidates are tallied by endpoint pair so each class reduces to
-    a lookup, one equal-timestamp group at a time, so equal timestamps never
-    satisfy the strict ordering. The cost is the sum over anchors of the
-    number of x's and y's edges inside the anchor's window, instead of the
-    number of all edges inside it.
+    broadcast_cross_link x->b, y->b or x->a, a->y), so only x's and y's
+    later edges are visited. Earlier candidates are tallied by endpoint pair
+    so each class reduces to a lookup, one equal-timestamp group at a time,
+    so equal timestamps never satisfy the strict ordering.
     """
-    edges, by_node = view.edges, view.by_node
-    counts = dict.fromkeys(MOTIF3_CLASSES, 0)
-    for x, y, t1 in edges:
-        cand: set[int] = set()
-        for node in (x, y):
-            times, idxs = by_node[node]
-            lo = bisect.bisect_right(times, t1)
-            hi = bisect.bisect_right(times, t1 + delta)
-            cand.update(idxs[lo:hi])
-        if len(cand) < 2:
+    bands = _motif_bands(deltas, MOTIF3_CLASSES)
+    for x, y, t1 in view.edges:
+        later = _later_edges(view, x, y, t1, deltas[-1])
+        if len(later) < 2:
             continue
-        later = [edges[k] for k in sorted(cand)]
         cnt2: Counter = Counter()
-        j, hi = 0, len(later)
-        while j < hi:
+        for t3, group in itertools.groupby(later, key=lambda e: e[2]):
             # process one equal-timestamp group as potential third edges,
             # then admit the group as potential second edges
-            g = j
-            while g < hi and later[g][2] == later[j][2]:
-                g += 1
-            for a, b, _ in later[j:g]:
+            group = list(group)
+            counts = bands[bisect.bisect_left(deltas, t3 - t1)]
+            for a, b, _ in group:
                 if a == x and b == y:
                     counts["dyad_alternation"] += cnt2[(y, x)]
                 elif a == y and b == x:
@@ -320,18 +319,18 @@ def motif_census_3(view: LogView, delta: int) -> MotifCensus:
                     counts["broadcast_cross_link"] += cnt2[(x, b)]
                 elif b == y and a != x:
                     counts["broadcast_cross_link"] += cnt2[(x, a)]
-            for a, b, _ in later[j:g]:
+            for a, b, _ in group:
                 cnt2[(a, b)] += 1
-            j = g
-    return MotifCensus(counts, delta)
+    return _cumulative(bands, deltas)
 
 
-def _census_jsd(s: np.ndarray, g: np.ndarray) -> tuple[float, list[str]]:
+def _census_jsd(s: MotifCensus, g: MotifCensus) -> tuple[float, list[str]]:
     """JSD between two motif class distributions; an empty census is treated
     as uniform and flagged."""
+    arrs = s.as_array(), g.as_array()
     flags = [f"{name}: zero motifs, uniform assumed"
-             for name, arr in (("sim", s), ("gt", g)) if arr.sum() == 0]
-    return jsd(*(arr if arr.sum() else np.ones_like(arr) for arr in (s, g))), flags
+             for name, arr in zip(("sim", "gt"), arrs) if arr.sum() == 0]
+    return jsd(*(arr if arr.sum() else np.ones_like(arr) for arr in arrs)), flags
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +623,7 @@ class MetricsReport:
         return {
             "window": list(self.window),
             "n_agents": self.n_agents,
-            "metrics": [
-                {"name": e.name, "category": e.category, "value": e.value,
-                 "direction": e.direction, "flags": list(e.flags), "skipped": e.skipped}
-                for e in self.entries
-            ],
+            "metrics": [{**asdict(e), "flags": list(e.flags)} for e in self.entries],
         }
 
     def to_json(self) -> str:
@@ -655,17 +650,20 @@ def report_from_dict(d: dict) -> MetricsReport:
 
 
 # name -> (part, comparison), in report order; a comparison returns the value
-# or (value, flags). Parts look functions up by name when called, so a
-# wrapper set on this module (perfbench's tracer) sees every call.
+# or (value, flags), and rows that share a part object share its value. Parts
+# look functions up by name when called, so a wrapper set on this module
+# (perfbench's tracer) sees every call.
+_MOTIFS = {2: lambda v: motif_census_2(v, 2 * 3600, 8 * 3600),
+           3: lambda v: motif_census_3(v, 24 * 3600, 48 * 3600)}
 SUITE = {
     "r24": (lambda v: lag24_weekday_autocorr(v.log.timestamps(), *v.window), _rho_diff),
     "hod": (lambda v: hod_histogram(v.log), emd_1d),
     "wknd_drop": (lambda v: weekend_weekday_ratio(v.log, v.window), lambda s, g: abs(s - g)),
     "burst": (lambda v: burstiness_sample(v.log), sample_emd),
-    "2eg_2h": (lambda v: motif_census_2(v, 2 * 3600).as_array(), _census_jsd),
-    "2eg_8h": (lambda v: motif_census_2(v, 8 * 3600).as_array(), _census_jsd),
-    "3eg_24h": (lambda v: motif_census_3(v, 24 * 3600).as_array(), _census_jsd),
-    "3eg_48h": (lambda v: motif_census_3(v, 48 * 3600).as_array(), _census_jsd),
+    "2eg_2h": (_MOTIFS[2], lambda s, g: _census_jsd(s[0], g[0])),
+    "2eg_8h": (_MOTIFS[2], lambda s, g: _census_jsd(s[1], g[1])),
+    "3eg_24h": (_MOTIFS[3], lambda s, g: _census_jsd(s[0], g[0])),
+    "3eg_48h": (_MOTIFS[3], lambda s, g: _census_jsd(s[1], g[1])),
     "degdist": (lambda v: daily_topology_series(v, "degdist"), _daily_degree_emd),
     "trans": (lambda v: daily_topology_series(v, "transitivity"), topology_rmse),
     "globeff": (lambda v: daily_topology_series(v, "global_efficiency"), topology_rmse),
@@ -692,15 +690,16 @@ class LogSummary:
 
 def summarize(log: EventLog, trigger_agents, window: tuple[int, int]) -> LogSummary:
     """Compute every metric's part of `log` once, on its non-trigger
-    subnetwork within the window."""
+    subnetwork within the window; rows that share a part share its value."""
     triggers = _trigger_set(trigger_agents)
     view = log_view(log_window(exclude_triggers(log, triggers), *window), window)
-    parts: dict[str, object] = {}
-    for name, (part, _) in SUITE.items():
+    values: dict = {}  # part -> its value or MetricError
+    for part in dict.fromkeys(part for part, _ in SUITE.values()):
         try:
-            parts[name] = part(view)
+            values[part] = part(view)
         except MetricError as exc:
-            parts[name] = exc.with_traceback(None)
+            values[part] = exc.with_traceback(None)
+    parts = {name: values[part] for name, (part, _) in SUITE.items()}
     return LogSummary(log.agents, triggers, window, view.log.n_agents, parts)
 
 

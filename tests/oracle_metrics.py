@@ -66,7 +66,7 @@ def motif_jsd(sim: LogView, gt: LogView, arity: int, delta: int) -> tuple[float,
     flags = []
     dists = []
     for name, view in (("sim", sim), ("gt", gt)):
-        arr = census(view, delta).as_array()
+        arr = census(view, delta)[0].as_array()
         if arr.sum() == 0:
             arr = np.ones_like(arr)
             flags.append(f"{name}: zero motifs, uniform assumed")

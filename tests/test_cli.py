@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +224,32 @@ def test_compare_two_reports_hand_formula(tmp_path):
     table = json.loads((cmp_out / "compare.json").read_text())["regret"]
     assert table["ra"]["cat"] == pytest.approx(math.sqrt(2) - 1, abs=1e-9)
     assert table["rb"]["cat"] == pytest.approx(math.sqrt(2) - 1, abs=1e-9)
+
+
+def test_compare_rejects_colliding_setting_names(tmp_path, capsys):
+    """A setting is named by its report's directory; two reports from
+    directories of one name would overwrite each other."""
+    report = tmp_path / "e"
+    run_cli("evaluate", MINI, MINI, "--t0", SIM_T0, "--t1", SIM_T1, "--out", report)
+    paths = []
+    for parent in ("x/hod", "y/hod", "bench/hawkes_guided"):
+        (tmp_path / parent).mkdir(parents=True)
+        paths.append(tmp_path / parent / "report.json")
+        shutil.copy(report / "report.json", paths[-1])
+    out = tmp_path / "c"
+    assert run_cli("compare", *paths, "--out", out) == 2
+    message = f"setting 'hod' named twice: {paths[0]} and {paths[1]}"
+    assert message in _error(out)
+    assert message in capsys.readouterr().err
+    assert not (out / "compare.json").exists()
+
+
+def test_evaluate_empty_ground_truth_exits_2(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "o"
+    assert run_cli("evaluate", empty, empty, "--out", out) == 2
+    assert _error(out) == f"CorpusError: {empty}: ground truth has no events"
 
 
 def test_full_pipeline_subprocess(tmp_path):

@@ -1,4 +1,9 @@
 import json
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from commsim import corpus, timeutil
 from commsim.corpus import CorpusError, Event, EventLog, ingest, serialize, window
 
-from conftest import BASE_MONDAY, make_log
+from conftest import BASE_MONDAY, DATA_DIR, make_log
 
 
 def write_jsonl(tmp_path, lines, name="log.jsonl"):
@@ -67,6 +72,35 @@ def test_ingest_errors(tmp_path):
     ], "empty.jsonl")
     with pytest.raises(CorpusError):
         ingest(empty_rcpt)
+
+
+def test_ingest_duplicate_ids_message_and_cost(tmp_path):
+    """40k events with seven ids used twice: the message names the first five
+    duplicate ids, sorted, and finding them is linear (counting each id with
+    list.count took about 12 s on a 2-vCPU machine)."""
+    n = 40_000
+    ids = list(range(n - 7)) + [31, 2, 17, 5, 40, 3, 11]
+    path = write_jsonl(tmp_path, [{"id": i, "sender": "a", "recipients": ["b"], "ts": k}
+                                  for k, i in enumerate(ids)])
+    start = time.perf_counter()
+    with pytest.raises(CorpusError) as exc:
+        ingest(path)
+    assert time.perf_counter() - start < 5
+    assert str(exc.value) == "duplicate event ids: [2, 3, 5, 11, 17]"
+
+
+def test_make_mini_corpus_reproduces_fixture(tmp_path):
+    """scripts/make_mini_corpus.py writes the mini corpus fixture and its
+    manifest byte for byte; it writes next to its own location."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_mini_corpus.py"
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(script, tmp_path / "scripts")
+    proc = subprocess.run([sys.executable, str(tmp_path / "scripts" / script.name)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("mini_corpus.jsonl", "mini_corpus_manifest.json"):
+        assert (tmp_path / "tests" / "data" / name).read_bytes() == \
+            (DATA_DIR / name).read_bytes(), name
 
 
 def test_csv_matches_jsonl(tmp_path):

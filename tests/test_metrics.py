@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from commsim import corpus, metrics
-from commsim.metrics import (MetricError, emd_1d, jsd, motif_census_2, motif_census_3,
-                             regret)
+from commsim.metrics import (MOTIF2_CLASSES, MetricError, MotifCensus, classify_pair, emd_1d,
+                             jsd, motif_census_2, motif_census_3, regret)
 
 from conftest import BASE_MONDAY, fixture_log, make_log, random_log, run_metric, view
 
@@ -145,6 +145,26 @@ def oracle_motif_census_3(log, delta):
     return counts
 
 
+def oracle_motif_census_2(view, delta):
+    """The one-delta `motif_census_2` that scanned back from each e2 over its
+    endpoints' per-node time indexes, before the multi-delta census."""
+    edges, by_node = view.edges, view.by_node
+    counts = dict.fromkeys(MOTIF2_CLASSES, 0)
+    for u2, v2, t2 in edges:
+        cand: set[int] = set()
+        for node in (u2, v2):
+            times, idxs = by_node[node]
+            lo = bisect.bisect_left(times, t2 - delta)
+            hi = bisect.bisect_left(times, t2)
+            cand.update(idxs[lo:hi])
+        for j in cand:
+            u1, v1, _ = edges[j]
+            cls = classify_pair(u1, v1, u2, v2)
+            if cls is not None:
+                counts[cls] += 1
+    return MotifCensus(counts, delta)
+
+
 # ---------------------------------------------------------------------------
 # distance primitives
 
@@ -245,32 +265,32 @@ def test_wknd_ratio_value():
 
 def test_motif2_trivial():
     log = make_log([(0, 1, 0), (1, 0, HOUR)])
-    c = motif_census_2(view(log), 2 * HOUR)
+    c = motif_census_2(view(log), 2 * HOUR)[0]
     assert c.counts["reciprocal"] == 1 and c.total() == 1
     log2 = make_log([(0, 1, 0), (0, 2, HOUR)])
-    c2 = motif_census_2(view(log2), 2 * HOUR)
+    c2 = motif_census_2(view(log2), 2 * HOUR)[0]
     assert c2.counts["out_star"] == 1 and c2.total() == 1
     # outside the window
     log3 = make_log([(0, 1, 0), (1, 0, 3 * HOUR)])
-    assert motif_census_2(view(log3), 2 * HOUR).total() == 0
+    assert motif_census_2(view(log3), 2 * HOUR)[0].total() == 0
     # simultaneous edges never pair (strict ordering)
     log4 = make_log([(0, 1, 50), (1, 0, 50)])
-    assert motif_census_2(view(log4), HOUR).total() == 0
+    assert motif_census_2(view(log4), HOUR)[0].total() == 0
 
 
 def test_motif3_trivial():
     log = make_log([(0, 1, 0), (1, 0, HOUR), (0, 1, 2 * HOUR)])
-    c = motif_census_3(view(log), 24 * HOUR)
+    c = motif_census_3(view(log), 24 * HOUR)[0]
     assert c.counts["dyad_alternation"] == 1 and c.total() == 1
     log2 = make_log([(0, 1, 0), (1, 2, HOUR), (2, 0, 2 * HOUR)])
-    c2 = motif_census_3(view(log2), 24 * HOUR)
+    c2 = motif_census_3(view(log2), 24 * HOUR)[0]
     assert c2.counts["three_cycle"] == 1 and c2.total() == 1
     log3 = make_log([(0, 1, 0), (0, 2, HOUR), (1, 2, 2 * HOUR)])
-    assert motif_census_3(view(log3), 24 * HOUR).counts["broadcast_cross_link"] == 1
+    assert motif_census_3(view(log3), 24 * HOUR)[0].counts["broadcast_cross_link"] == 1
     log4 = make_log([(0, 1, 0), (1, 2, HOUR), (0, 2, 2 * HOUR)])
-    assert motif_census_3(view(log4), 24 * HOUR).counts["feed_forward_closure"] == 1
+    assert motif_census_3(view(log4), 24 * HOUR)[0].counts["feed_forward_closure"] == 1
     log5 = make_log([(0, 1, 0), (0, 1, HOUR), (1, 0, 2 * HOUR)])
-    assert motif_census_3(view(log5), 24 * HOUR).counts["dyad_burst_reply"] == 1
+    assert motif_census_3(view(log5), 24 * HOUR)[0].counts["dyad_burst_reply"] == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -280,7 +300,7 @@ def test_motif2_matches_bruteforce(seed):
                      multi_prob=0.2)
     edges = log.edges()
     for delta in (15 * 60, 2 * HOUR, 8 * HOUR):
-        got = motif_census_2(view(log), delta).counts
+        got = motif_census_2(view(log), delta)[0].counts
         want = brute_motif2(edges, delta)
         assert got == {k: want.get(k, 0) for k in got}
 
@@ -292,7 +312,7 @@ def test_motif3_matches_bruteforce(seed):
                      multi_prob=0.2)
     edges = log.edges()
     for delta in (HOUR, 4 * HOUR):
-        got = motif_census_3(view(log), delta).counts
+        got = motif_census_3(view(log), delta)[0].counts
         want = brute_motif3(edges, delta)
         assert got == {k: want.get(k, 0) for k in got}
 
@@ -331,7 +351,61 @@ def census_logs(draw):
 @settings(max_examples=20, deadline=None)
 @given(census_logs(), st.sampled_from([HOUR, 24 * HOUR, 48 * HOUR]))
 def test_motif3_matches_anchor_scan_oracle(log, delta):
-    assert motif_census_3(view(log), delta).counts == oracle_motif_census_3(log, delta)
+    assert motif_census_3(view(log), delta)[0].counts == oracle_motif_census_3(log, delta)
+
+
+@st.composite
+def grid_logs(draw):
+    """3-12 agents and 10-150 events on a whole-hour grid, so many spans
+    t3 - t1 or t2 - t1 fall exactly on a delta; a third of the steps are 0, so
+    events share timestamps. A fifth of the events go to 2-4 recipients, and
+    recipients are drawn from all agents, so some address their sender."""
+    n = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records, ts = [], 0
+    for _ in range(draw(st.integers(10, 150))):
+        ts += HOUR * int(rng.choice([0, 0, 0, 1, 1, 2, 6, 8, 16, 24]))
+        k = 1 if rng.random() < 0.8 else int(rng.integers(2, min(4, n) + 1))
+        rcpts = tuple(int(r) for r in rng.choice(n, size=k, replace=False))
+        records.append((int(rng.integers(n)), rcpts, ts))
+    return make_log(records, n_agents=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(grid_logs(), census_logs()),
+       st.sampled_from([(HOUR,), (2 * HOUR, 8 * HOUR), (24 * HOUR, 48 * HOUR),
+                        (HOUR, 2 * HOUR, 8 * HOUR, 24 * HOUR)]))
+def test_multi_delta_censuses_match_per_delta_oracles(log, deltas):
+    """One multi-delta call equals one oracle census per delta, both arities."""
+    v = view(log)
+    for census, oracle in ((motif_census_2, lambda d: oracle_motif_census_2(v, d).counts),
+                           (motif_census_3, lambda d: oracle_motif_census_3(log, d))):
+        got = census(v, *deltas)
+        assert [c.delta for c in got] == list(deltas)
+        for c in got:
+            assert c.counts == oracle(c.delta)
+            assert all(type(n) is int for n in c.counts.values())
+
+
+@pytest.mark.parametrize("census", [motif_census_2, motif_census_3])
+@pytest.mark.parametrize("deltas", [(), (2 * HOUR, 2 * HOUR), (8 * HOUR, 2 * HOUR),
+                                    (HOUR, 8 * HOUR, 2 * HOUR)])
+def test_census_deltas_must_ascend(census, deltas):
+    log = make_log([(0, 1, 0), (1, 0, HOUR)])
+    with pytest.raises(MetricError, match="strictly ascending"):
+        census(view(log), *deltas)
+
+
+def test_summarize_scans_each_arity_once(monkeypatch):
+    calls = Counter()
+    for name in ("motif_census_2", "motif_census_3"):
+        def counted(*args, _fn=getattr(metrics, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(metrics, name, counted)
+    log = fixture_log(3)
+    metrics.summarize(log, (), (log.events[0].ts, log.events[-1].ts + 1))
+    assert calls == {"motif_census_2": 1, "motif_census_3": 1}
 
 
 def test_motif_resort_invariance():
@@ -340,8 +414,8 @@ def test_motif_resort_invariance():
     log_a = make_log(records)
     log_b = make_log(list(reversed(records)))
     for delta in (HOUR, 8 * HOUR):
-        assert motif_census_2(view(log_a), delta).counts == motif_census_2(view(log_b), delta).counts
-        assert motif_census_3(view(log_a), delta).counts == motif_census_3(view(log_b), delta).counts
+        assert motif_census_2(view(log_a), delta)[0].counts == motif_census_2(view(log_b), delta)[0].counts
+        assert motif_census_3(view(log_a), delta)[0].counts == motif_census_3(view(log_b), delta)[0].counts
 
 
 def test_motif_jsd():
