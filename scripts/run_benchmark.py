@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from commsim import agents, baselines, hawkes, metrics, simulator
-from commsim.corpus import ingest, save, window as log_window
+from commsim.corpus import contact_frequencies, ingest, save, window as log_window
 
 ROOT = Path(__file__).resolve().parent.parent
 MINI = ROOT / "tests" / "data" / "mini_corpus.jsonl"
@@ -63,8 +63,6 @@ def main():
                                        plan, counters=counters)
         print(f"{name:<14} {counters['organic_events']:>4} organic "
               f"+ {counters['trigger_events']} trigger events")
-
-    from commsim.corpus import contact_frequencies
 
     dist = contact_frequencies(log_window(log, *hist_window))
     counters = {}

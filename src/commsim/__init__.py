@@ -1,9 +1,9 @@
 """Temporal communication-network simulation engine and fidelity benchmark."""
 
-from .corpus import Event, EventLog, StatsSummary, corpus_stats, ingest, serialize, window
+from .corpus import Event, EventLog, ingest, serialize, window
 from .hawkes import (FitConfig, HawkesModel, fit, intensity, log_likelihood,
                      sample_next_activation, simulate_pure_hawkes)
-from .metrics import MetricsReport, evaluate_all, regret
+from .metrics import MetricsReport, StatsSummary, corpus_stats, evaluate_all, regret
 from .simulator import (ActionDecision, AgentContext, SimConfig, TriggerPlan,
                         run, select_triggers)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import timeutil
-from .corpus import EventLog
+from .corpus import EventLog, contact_frequencies, simple_digraph_edges, window as log_window
 from .rng import substream, uniform_hash
 from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS
 
@@ -67,8 +67,6 @@ def stub_params_from_history(log: EventLog, window: tuple[int, int],
     """Calibrate the stub to a historical window: reply probability from the
     fraction of in-neighbors the agent ever answered, initiation rate from
     sends per day, contacts from recipient frequencies."""
-    from .corpus import contact_frequencies, simple_digraph_edges, window as log_window
-
     hist = log_window(log, *window)
     n = log.n_agents
     edges = simple_digraph_edges(hist)

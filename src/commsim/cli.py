@@ -90,11 +90,15 @@ def _require(mapping: dict, key: str, source) -> object:
 
 
 def _read_file(reader, path):
-    """reader(path) for a user-supplied JSON file; a missing key is a usage error."""
+    """reader(path) for a user-supplied JSON file; a missing key or a value of
+    the wrong type, shape or range (HawkesError is a ValueError) is a usage
+    error naming the file."""
     try:
         return reader(path)
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _parse_window(t0: str, t1: str) -> tuple[int, int]:
@@ -139,7 +143,7 @@ def cmd_stats(args) -> int:
     def body(manifest: Manifest):
         manifest.add_input(args.input)
         log = corpus.ingest(args.input, args.format)
-        summary = corpus.corpus_stats(log)
+        summary = metrics.corpus_stats(log)
         out = Path(args.out) / "stats.json"
         _write_json(out, summary.to_dict())
         manifest.add_output(out)
@@ -187,7 +191,10 @@ def cmd_fit(args) -> int:
 
 def _load_sim_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise TypeError(f"config must be a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def _build_policy(name: str, cfg: dict, periodic, fit_cfg, log, hist_window,
@@ -203,6 +210,8 @@ def _build_policy(name: str, cfg: dict, periodic, fit_cfg, log, hist_window,
     if name == "hawkes":
         if cfg.get("model"):
             model = _read_file(hawkes.load_model, cfg["model"])
+            if model.agents != log.agents:
+                raise UsageError(f"{cfg['model']}: model agents differ from the corpus registry")
         else:
             model = hawkes.fit(log, hist_window, fit_cfg, counters=counters)
         return simulator.HawkesGuided(model)
@@ -212,7 +221,7 @@ def _build_policy(name: str, cfg: dict, periodic, fit_cfg, log, hist_window,
 def cmd_simulate(args) -> int:
     def body(manifest: Manifest):
         manifest.add_input(args.config)
-        cfg = _load_sim_config(args.config)
+        cfg = _read_file(_load_sim_config, args.config)
         input_path = _require(cfg, "input", args.config)
         manifest.add_input(input_path)
         log = corpus.ingest(input_path, cfg.get("format", "jsonl"))
@@ -310,10 +319,7 @@ def cmd_evaluate(args) -> int:
         trigger_agents: set[int] = set()
         if args.triggers:
             manifest.add_input(args.triggers)
-            with open(args.triggers, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            labels = (_require(data, "trigger_agents", args.triggers)
-                      if isinstance(data, dict) else data)
+            labels = _read_file(_load_trigger_labels, args.triggers)
             trigger_agents = {gt.index_of(lbl) for lbl in labels}
         if args.t0 is None and args.t1 is None:
             window = _default_window(sim if sim.events else gt)
@@ -337,6 +343,14 @@ def cmd_evaluate(args) -> int:
             print(f"{e.name:<10} {e.category:<18} {shown}")
 
     return _guarded("evaluate", args, body)
+
+
+def _load_trigger_labels(path) -> list:
+    """A JSON list of trigger agent labels, or an object whose
+    `trigger_agents` is one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    return list(data["trigger_agents"] if isinstance(data, dict) else data)
 
 
 def _align_registry(sim: corpus.EventLog, gt: corpus.EventLog) -> corpus.EventLog:

@@ -1,4 +1,4 @@
-"""Timestamped communication event logs: ingestion, windowing, summary stats.
+"""Timestamped communication event logs: ingestion, windowing, activity statistics.
 
 An event log is an immutable, time-sorted stream of directed multi-recipient
 messages over a fixed agent registry. Agents are referenced by integer index;
@@ -217,27 +217,6 @@ def contact_frequencies(log: EventLog) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class StatsSummary:
-    n_agents: int
-    time_span: tuple[int, int]
-    total_events: int
-    median_events_per_agent: float
-    median_events_per_week: float
-    r24: float
-    weekend_ratio: float
-    burstiness_median: float
-    density: float
-    transitivity: float
-    global_efficiency: float
-    reciprocity: float
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["time_span"] = list(self.time_span)
-        return d
-
-
 def hourly_counts(ts: np.ndarray, t0: int, t1: int) -> np.ndarray:
     """Event counts per UTC hour bucket over [t0, t1)."""
     h0 = timeutil.hour_index(t0)
@@ -282,60 +261,10 @@ def node_burstiness(log: EventLog, min_events: int = 3) -> dict[int, float]:
     for agent, times in sent.items():
         if len(times) < min_events:
             continue
-        gaps = np.diff(np.sort(np.array(times, dtype=np.int64))).astype(float)
+        gaps = np.diff(np.array(times, dtype=np.int64)).astype(float)
         mu = gaps.mean()
         sigma = gaps.std()  # ddof=0 over the m-1 gaps
         if sigma + mu == 0:
             continue
         out[agent] = (sigma - mu) / (sigma + mu)
     return out
-
-
-def _aggregate_graph_stats(log: EventLog) -> tuple[float, float, float, float]:
-    """(density, transitivity, global_efficiency, reciprocity) of the
-    aggregated graph; directed simple graph for density/reciprocity,
-    undirected simple collapse for transitivity/efficiency."""
-    from . import metrics  # metrics imports this module
-
-    edges = simple_digraph_edges(log)
-    n = log.n_agents
-    density = len(edges) / (n * (n - 1)) if n > 1 else 0.0
-    return (density, metrics._transitivity(edges, n), metrics._global_efficiency(edges, n),
-            metrics._reciprocity(edges))
-
-
-def corpus_stats(log: EventLog) -> StatsSummary:
-    """Corpus-level temporal and structural summary."""
-    if not log.events:
-        raise CorpusError("empty log")
-    ts = log.timestamps()
-    t0, t1 = int(ts.min()), int(ts.max()) + 1
-
-    sent_counts = np.zeros(log.n_agents, dtype=np.int64)
-    for e in log.events:
-        sent_counts[e.sender] += 1
-
-    w0, w1 = timeutil.week_index(t0), timeutil.week_index(t1 - 1)
-    week_counts = np.zeros(w1 - w0 + 1, dtype=np.int64)
-    np.add.at(week_counts, timeutil.week_index(ts) - w0, 1)
-
-    r24, _ = lag24_weekday_autocorr(ts, t0, t1)
-    weekend_ratio = float(np.mean(timeutil.is_weekend(ts)))
-    burst = node_burstiness(log)
-    burst_median = float(np.median(list(burst.values()))) if burst else 0.0
-    density, trans, eff, recip = _aggregate_graph_stats(log)
-
-    return StatsSummary(
-        n_agents=log.n_agents,
-        time_span=(t0, t1),
-        total_events=len(log.events),
-        median_events_per_agent=float(np.median(sent_counts)),
-        median_events_per_week=float(np.median(week_counts)),
-        r24=r24,
-        weekend_ratio=weekend_ratio,
-        burstiness_median=burst_median,
-        density=density,
-        transitivity=trans,
-        global_efficiency=eff,
-        reciprocity=recip,
-    )

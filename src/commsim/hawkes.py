@@ -363,9 +363,9 @@ def median_gap_beta(log: EventLog, window: tuple[int, int]) -> float:
     for ts in _sent_times(log).values():
         ts = ts[(ts >= t0) & (ts < t1)]
         if len(ts) >= 2:
-            gaps.extend(np.diff(np.sort(ts)).tolist())
+            gaps.extend(np.diff(ts).tolist())
     if not gaps:
-        all_ts = np.sort(log.timestamps())
+        all_ts = log.timestamps()
         all_ts = all_ts[(all_ts >= t0) & (all_ts < t1)]
         gaps = np.diff(all_ts).tolist()
     if not gaps:

@@ -24,9 +24,12 @@ so one ground-truth summary scores any number of rollouts with `compare`, and
 `evaluate_all` is `compare(summarize(sim, ...), summarize(gt, ...))`. Rows may
 share a part: the temporal-dynamics metrics come from one motif scan per arity.
 
-The three daily-graph kernels use only the standard library and numpy and
-return, bit for bit, what NetworkX 3.6 returns (the tests keep NetworkX as
-their oracle), so reports do not depend on the installed graph library:
+Every per-graph statistic is a kernel(edge_set, n_nodes) of a directed simple
+edge set over range(n_nodes). `daily_topology_series` maps one over a view's
+days; `corpus_stats`, the corpus-level summary behind `commsim stats`, applies
+them to the whole log's graph. Three kernels use only the standard library and
+numpy and return, bit for bit, what NetworkX 3.6 returns (the tests keep
+NetworkX as their oracle), so reports do not depend on the installed graph library:
 
   _transitivity: 6 x triangles and 2 x connected triples are exact Python
       integers, so their ratio is the one correctly rounded float.
@@ -53,8 +56,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import timeutil
-from .corpus import (Event, EventLog, lag24_weekday_autocorr, node_burstiness,
-                     window as log_window)
+from .corpus import (CorpusError, Event, EventLog, lag24_weekday_autocorr, node_burstiness,
+                     simple_digraph_edges, window as log_window)
 
 MOTIF2_CLASSES = ("reciprocal", "repeated", "out_star", "in_star",
                   "chain_forward", "chain_backward")
@@ -452,35 +455,23 @@ def _betweenness(edge_set) -> dict[int, float]:
     return dict(zip(index, bc))
 
 
-def _reciprocity(edge_set) -> float:
+def _reciprocity(edge_set, n_nodes) -> float:
     if not edge_set:
         return 0.0
     return sum(1 for (u, v) in edge_set if (v, u) in edge_set) / len(edge_set)
 
 
-def daily_topology_series(view: LogView, kind: str):
-    """Per-day values: floats for transitivity/global_efficiency/reciprocity,
-    integer degree arrays (one entry per registry node) for degdist."""
+def _degrees(edge_set, n_nodes) -> np.ndarray:
+    """Total (in + out) degree of each node of range(n_nodes)."""
+    return np.bincount([x for edge in edge_set for x in edge], minlength=n_nodes)
+
+
+def daily_topology_series(view: LogView, kernel) -> list:
+    """[kernel(edge_set, n_nodes) for each UTC day of the window, in day
+    order], n_nodes being the registry size."""
     per_day = view.daily()
     n = view.log.n_agents
-    out = []
-    for d in sorted(per_day):
-        edges = per_day[d]
-        if kind == "transitivity":
-            out.append(_transitivity(edges, n))
-        elif kind == "global_efficiency":
-            out.append(_global_efficiency(edges, n))
-        elif kind == "reciprocity":
-            out.append(_reciprocity(edges))
-        elif kind == "degdist":
-            deg = np.zeros(n, dtype=np.int64)
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
-            out.append(deg)
-        else:
-            raise MetricError(f"unknown series kind {kind!r}")
-    return out
+    return [kernel(per_day[d], n) for d in sorted(per_day)]
 
 
 def topology_rmse(sim_series, gt_series) -> float:
@@ -503,12 +494,10 @@ def _daily_degree_emd(s_days, g_days) -> float:
 def ego_overlap_values(view: LogView) -> dict[int, float]:
     """Per-node mean cosine-style neighborhood overlap across consecutive
     day pairs where both neighborhoods are nonempty."""
-    per_day = view.daily()
-    n = view.log.n_agents
-    daily = [_undirected_adjacency(per_day[d], n) for d in sorted(per_day)]
+    daily = daily_topology_series(view, _undirected_adjacency)
     acc: dict[int, list[float]] = {}
     for a, b in zip(daily, daily[1:]):
-        for v in range(n):
+        for v in range(view.log.n_agents):
             if a[v] and b[v]:
                 c = len(a[v] & b[v]) / math.sqrt(len(a[v]) * len(b[v]))
                 acc.setdefault(v, []).append(c)
@@ -538,20 +527,13 @@ def _top_k_nodes(scores: dict[int, float], k: int = 10) -> set[int]:
     return {v for _, v in ranked[:k]}
 
 
-def daily_top_nodes(view: LogView, kind: str) -> dict[int, set[int] | None]:
-    """Per UTC day of the window, the top-10 node set by degree or
-    betweenness centrality on the day's directed simple graph; None for a day
-    without edges."""
-    tops: dict[int, set[int] | None] = {}
-    for d, edges in sorted(view.daily().items()):
-        if kind == "degree":
-            scores = Counter(x for edge in edges for x in edge)
-        elif kind == "betweenness":
-            scores = _betweenness(edges)
-        else:
-            raise MetricError(f"unknown centrality kind {kind!r}")
-        tops[d] = _top_k_nodes(dict(scores)) if edges else None
-    return tops
+def daily_top_nodes(view: LogView, scores) -> dict[int, set[int] | None]:
+    """Per UTC day of the window, the top-10 node set by the centrality
+    scores(edge_set, n_nodes) -> {node: score} of the day's directed simple
+    graph; None for a day without edges."""
+    n = view.log.n_agents
+    return {d: _top_k_nodes(scores(edges, n)) if edges else None
+            for d, edges in sorted(view.daily().items())}
 
 
 def centrality_jaccard(sim_tops, gt_tops, kind: str) -> tuple[float, list[str]]:
@@ -664,14 +646,14 @@ SUITE = {
     "2eg_8h": (_MOTIFS[2], lambda s, g: _census_jsd(s[1], g[1])),
     "3eg_24h": (_MOTIFS[3], lambda s, g: _census_jsd(s[0], g[0])),
     "3eg_48h": (_MOTIFS[3], lambda s, g: _census_jsd(s[1], g[1])),
-    "degdist": (lambda v: daily_topology_series(v, "degdist"), _daily_degree_emd),
-    "trans": (lambda v: daily_topology_series(v, "transitivity"), topology_rmse),
-    "globeff": (lambda v: daily_topology_series(v, "global_efficiency"), topology_rmse),
-    "recip": (lambda v: daily_topology_series(v, "reciprocity"), topology_rmse),
+    "degdist": (lambda v: daily_topology_series(v, _degrees), _daily_degree_emd),
+    "trans": (lambda v: daily_topology_series(v, _transitivity), topology_rmse),
+    "globeff": (lambda v: daily_topology_series(v, _global_efficiency), topology_rmse),
+    "recip": (lambda v: daily_topology_series(v, _reciprocity), topology_rmse),
     "topo_ovlp": (ego_overlap_histogram, lambda s, g: emd_1d(s, g) / TOPO_OVERLAP_BINS),
-    "degcen": (lambda v: daily_top_nodes(v, "degree"),
+    "degcen": (lambda v: daily_top_nodes(v, lambda e, n: dict(enumerate(_degrees(e, n)))),
                lambda s, g: centrality_jaccard(s, g, "degree")),
-    "betwcen": (lambda v: daily_top_nodes(v, "betweenness"),
+    "betwcen": (lambda v: daily_top_nodes(v, lambda e, n: _betweenness(e)),
                 lambda s, g: centrality_jaccard(s, g, "betweenness")),
 }
 
@@ -793,3 +775,67 @@ def regret(results: dict[str, dict[str, float]],
         if not out[s]:
             raise MetricError(f"setting {s}: no metrics in any category")
     return out, flags
+
+
+# ---------------------------------------------------------------------------
+# corpus-level summary
+
+
+@dataclass(frozen=True)
+class StatsSummary:
+    n_agents: int
+    time_span: tuple[int, int]
+    total_events: int
+    median_events_per_agent: float
+    median_events_per_week: float
+    r24: float
+    weekend_ratio: float
+    burstiness_median: float
+    density: float
+    transitivity: float
+    global_efficiency: float
+    reciprocity: float
+
+    def to_dict(self) -> dict:
+        d = dict(self.__dict__)
+        d["time_span"] = list(self.time_span)
+        return d
+
+
+def corpus_stats(log: EventLog) -> StatsSummary:
+    """Corpus-level temporal and structural summary; the graph fields are the
+    kernels on the whole log's directed simple graph."""
+    if not log.events:
+        raise CorpusError("empty log")
+    ts = log.timestamps()
+    t0, t1 = int(ts.min()), int(ts.max()) + 1
+
+    sent_counts = np.zeros(log.n_agents, dtype=np.int64)
+    for e in log.events:
+        sent_counts[e.sender] += 1
+
+    w0, w1 = timeutil.week_index(t0), timeutil.week_index(t1 - 1)
+    week_counts = np.zeros(w1 - w0 + 1, dtype=np.int64)
+    np.add.at(week_counts, timeutil.week_index(ts) - w0, 1)
+
+    r24, _ = lag24_weekday_autocorr(ts, t0, t1)
+    weekend_ratio = float(np.mean(timeutil.is_weekend(ts)))
+    burst = node_burstiness(log)
+    burst_median = float(np.median(list(burst.values()))) if burst else 0.0
+    edges = simple_digraph_edges(log)
+    n = log.n_agents
+
+    return StatsSummary(
+        n_agents=n,
+        time_span=(t0, t1),
+        total_events=len(log.events),
+        median_events_per_agent=float(np.median(sent_counts)),
+        median_events_per_week=float(np.median(week_counts)),
+        r24=r24,
+        weekend_ratio=weekend_ratio,
+        burstiness_median=burst_median,
+        density=len(edges) / (n * (n - 1)) if n > 1 else 0.0,
+        transitivity=_transitivity(edges, n),
+        global_efficiency=_global_efficiency(edges, n),
+        reciprocity=_reciprocity(edges, n),
+    )

@@ -383,8 +383,6 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
     personas = personas or {}
     t0, t1 = config.window
     scheduled = [e for e in triggers.scheduled_events.events if t0 <= e.ts < t1]
-    if any(e.sender not in triggers.trigger_agents for e in scheduled):
-        raise SimulationError("trigger plan inconsistent with trigger agents")
 
     sim_events: list[Event] = []
     next_id = 1 + max(

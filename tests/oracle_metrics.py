@@ -16,8 +16,9 @@ from commsim import timeutil
 from commsim.corpus import EventLog, lag24_weekday_autocorr, node_burstiness
 from commsim.corpus import window as log_window
 from commsim.metrics import (CATEGORY_OF, HIGHER_IS_BETTER, TOPO_OVERLAP_BINS, LogView,
-                             MetricEntry, MetricError, MetricsReport, _betweenness,
-                             _top_k_nodes, _trigger_set, daily_topology_series, emd_1d,
+                             MetricEntry, MetricError, MetricsReport, _betweenness, _degrees,
+                             _global_efficiency, _reciprocity, _top_k_nodes, _transitivity,
+                             _trigger_set, daily_topology_series, emd_1d,
                              exclude_triggers, jsd, log_view, motif_census_2, motif_census_3,
                              sample_emd, topology_rmse, weekend_weekday_ratio)
 
@@ -77,8 +78,8 @@ def motif_jsd(sim: LogView, gt: LogView, arity: int, delta: int) -> tuple[float,
 def degdist_emd(sim: LogView, gt: LogView) -> float:
     """Mean over days of the EMD between total-degree histograms (unit
     distance = one degree)."""
-    sim_days = daily_topology_series(sim, "degdist")
-    gt_days = daily_topology_series(gt, "degdist")
+    sim_days = daily_topology_series(sim, _degrees)
+    gt_days = daily_topology_series(gt, _degrees)
     vals = []
     for ds, dg in zip(sim_days, gt_days):
         top = int(max(ds.max(), dg.max()))
@@ -181,12 +182,12 @@ def oracle_evaluate_all(sim: EventLog, gt: EventLog, trigger_agents,
         "3eg_24h": lambda: motif_jsd(sim_v, gt_v, 3, 24 * 3600),
         "3eg_48h": lambda: motif_jsd(sim_v, gt_v, 3, 48 * 3600),
         "degdist": lambda: degdist_emd(sim_v, gt_v),
-        "trans": lambda: topology_rmse(daily_topology_series(sim_v, "transitivity"),
-                                       daily_topology_series(gt_v, "transitivity")),
-        "globeff": lambda: topology_rmse(daily_topology_series(sim_v, "global_efficiency"),
-                                         daily_topology_series(gt_v, "global_efficiency")),
-        "recip": lambda: topology_rmse(daily_topology_series(sim_v, "reciprocity"),
-                                       daily_topology_series(gt_v, "reciprocity")),
+        "trans": lambda: topology_rmse(daily_topology_series(sim_v, _transitivity),
+                                       daily_topology_series(gt_v, _transitivity)),
+        "globeff": lambda: topology_rmse(daily_topology_series(sim_v, _global_efficiency),
+                                         daily_topology_series(gt_v, _global_efficiency)),
+        "recip": lambda: topology_rmse(daily_topology_series(sim_v, _reciprocity),
+                                       daily_topology_series(gt_v, _reciprocity)),
         "topo_ovlp": lambda: topo_overlap_emd(sim_v, gt_v),
         "degcen": lambda: centrality_jaccard(sim_v, gt_v, "degree"),
         "betwcen": lambda: centrality_jaccard(sim_v, gt_v, "betweenness"),

@@ -317,9 +317,7 @@ def test_criterion_10_enron_table():
         report(10, "SKIPPED - set COMMSIM_ENRON_LOG to a prepared Enron "
                    "JSONL log to enable the corpus-statistics check")
         pytest.skip("COMMSIM_ENRON_LOG not set; external corpus unavailable")
-    from commsim.corpus import corpus_stats
-
-    stats = corpus_stats(ingest(path))
+    stats = metrics.corpus_stats(ingest(path))
     assert abs(stats.reciprocity - 0.30) <= 0.02
     assert abs(stats.transitivity - 0.24) <= 0.02
     assert abs(stats.density - 0.03) <= 0.02

@@ -356,6 +356,33 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys, policy, overrides, me
     assert not (out / "sim.jsonl").exists()
 
 
+def _model_dict(agents):
+    n = len(agents)
+    return json.loads(hawkes.HawkesModel(agents, np.full((n, 168), 0.01), np.zeros((n, n)),
+                                         1.0, True).to_json())
+
+
+@pytest.mark.parametrize("case", ["model_baselines_shape", "model_other_registry",
+                                  "triggers_number", "config_list", "report_metrics_not_list"])
+def test_malformed_user_json_exits_2(tmp_path, case):
+    bad = tmp_path / "bad.json"
+    simulate_hawkes = ["simulate", sim_config(tmp_path, model=str(bad)), "--policy", "hawkes"]
+    payload, argv = {
+        "model_baselines_shape": ({**_model_dict(corpus.ingest(MINI).agents),
+                                   "baselines": [[0.01] * 100]}, simulate_hawkes),
+        "model_other_registry": (_model_dict(("x", "y")), simulate_hawkes),
+        "triggers_number": (5, ["evaluate", MINI, MINI, "--triggers", bad,
+                                "--t0", SIM_T0, "--t1", SIM_T1]),
+        "config_list": ([str(MINI)], ["simulate", bad, "--policy", "periodic"]),
+        "report_metrics_not_list": ({"window": [0, 1], "n_agents": 3, "metrics": 5},
+                                    ["compare", bad]),
+    }[case]
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", out) == 2
+    assert str(bad) in _error(out)
+
+
 def test_evaluate_unknown_trigger_label_exits_2(tmp_path):
     triggers = tmp_path / "triggers.json"
     triggers.write_text(json.dumps({"trigger_agents": ["nobody"]}))
@@ -366,12 +393,12 @@ def test_evaluate_unknown_trigger_label_exits_2(tmp_path):
 
 
 def test_internal_key_error_exits_1(tmp_path, monkeypatch):
-    from commsim import corpus
+    from commsim import metrics
 
     def broken(log):
         raise KeyError("internal")
 
-    monkeypatch.setattr(corpus, "corpus_stats", broken)
+    monkeypatch.setattr(metrics, "corpus_stats", broken)
     out = tmp_path / "o"
     assert run_cli("stats", MINI, "--out", out) == 1
     assert _error(out).startswith("KeyError")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commsim import corpus, timeutil
+from commsim import corpus, metrics, timeutil
 from commsim.corpus import CorpusError, Event, EventLog, ingest, serialize, window
 
 from conftest import BASE_MONDAY, DATA_DIR, make_log
@@ -203,7 +203,7 @@ def test_roundtrip_property(tmp_path):
 def test_stats_two_event_reciprocal():
     day = 86400
     log = make_log([(0, 1, 4 * day + 3600), (1, 0, 4 * day + 7200)])
-    s = corpus.corpus_stats(log)
+    s = metrics.corpus_stats(log)
     assert s.reciprocity == 1.0
     assert s.density == 1.0
     assert s.transitivity == 0.0 and isinstance(s.transitivity, float)
@@ -215,25 +215,25 @@ def test_stats_weekend_ratio_all_saturday():
     # 1970-01-03 was a Saturday
     sat = 2 * 86400
     log = make_log([(0, 1, sat + 100), (1, 0, sat + 200), (0, 1, sat + 300)])
-    s = corpus.corpus_stats(log)
+    s = metrics.corpus_stats(log)
     assert s.weekend_ratio == 1.0
 
 
 def test_stats_ranges(mini_log):
-    s = corpus.corpus_stats(mini_log)
+    s = metrics.corpus_stats(mini_log)
     for name in ("weekend_ratio", "density", "transitivity",
                  "global_efficiency", "reciprocity"):
         assert 0.0 <= getattr(s, name) <= 1.0, name
     assert -1.0 <= s.burstiness_median <= 1.0
     assert -1.0 <= s.r24 <= 1.0
     assert s.total_events == 50
-    assert corpus.corpus_stats(mini_log) == s  # deterministic
+    assert metrics.corpus_stats(mini_log) == s  # deterministic
 
 
 def test_stats_empty_log_errors():
     log = EventLog(("a", "b"), ())
     with pytest.raises(CorpusError):
-        corpus.corpus_stats(log)
+        metrics.corpus_stats(log)
 
 
 def test_burstiness_values():
@@ -303,7 +303,7 @@ def test_stats_ranges_property(records):
     records = [(s, (r,), t) for s, r, t in records if s != r]
     if not records:
         return
-    s = corpus.corpus_stats(make_log(records))
+    s = metrics.corpus_stats(make_log(records))
     assert 0.0 <= s.weekend_ratio <= 1.0
     assert 0.0 <= s.density <= 1.0
     assert 0.0 <= s.transitivity <= 1.0

@@ -444,8 +444,8 @@ def test_daily_triangle_identity():
                     (2, 0, t + 4), (0, 2, t + 5)]
     log = make_log(records)
     window = (BASE_MONDAY, BASE_MONDAY + days * DAY)
-    trans = metrics.daily_topology_series(view(log, window), "transitivity")
-    recip = metrics.daily_topology_series(view(log, window), "reciprocity")
+    trans = metrics.daily_topology_series(view(log, window), metrics._transitivity)
+    recip = metrics.daily_topology_series(view(log, window), metrics._reciprocity)
     assert trans == [1.0] * days and recip == [1.0] * days
     assert metrics.topology_rmse(trans, trans) == 0.0
     assert run_metric("degdist", view(log, window), view(log, window)) == 0.0
@@ -454,7 +454,7 @@ def test_daily_triangle_identity():
 def test_global_efficiency_path():
     log = make_log([(0, 1, BASE_MONDAY + 10), (1, 2, BASE_MONDAY + 20)], n_agents=3)
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    eff = metrics.daily_topology_series(view(log, window), "global_efficiency")
+    eff = metrics.daily_topology_series(view(log, window), metrics._global_efficiency)
     assert eff == [pytest.approx(5 / 6)]
 
 
@@ -463,11 +463,11 @@ def test_daily_fixture_hand_values():
     t = BASE_MONDAY + 8 * HOUR
     log = make_log([(0, 1, t), (1, 0, t + 60), (1, 2, t + 120), (2, 3, t + 180)])
     window = (BASE_MONDAY, BASE_MONDAY + DAY)
-    assert metrics.daily_topology_series(view(log, window), "reciprocity") == [0.5]
-    assert metrics.daily_topology_series(view(log, window), "transitivity") == [0.0]
-    assert metrics.daily_topology_series(view(log, window), "global_efficiency") == \
+    assert metrics.daily_topology_series(view(log, window), metrics._reciprocity) == [0.5]
+    assert metrics.daily_topology_series(view(log, window), metrics._transitivity) == [0.0]
+    assert metrics.daily_topology_series(view(log, window), metrics._global_efficiency) == \
         [pytest.approx(13 / 18)]
-    (deg,) = metrics.daily_topology_series(view(log, window), "degdist")
+    (deg,) = metrics.daily_topology_series(view(log, window), metrics._degrees)
     assert deg.tolist() == [2, 3, 2, 1]
 
 
@@ -617,11 +617,18 @@ def test_betweenness_equals_networkx(graph):
 def test_corpus_stats_graph_kernels_equal_networkx():
     log = random_log(np.random.default_rng(3), n_agents=300, n_events=600,
                      t0=BASE_MONDAY, span=14 * DAY)
-    stats = corpus.corpus_stats(log)
-    g = nx_undirected(corpus.simple_digraph_edges(log), log.n_agents)
+    stats = metrics.corpus_stats(log)
+    edges = corpus.simple_digraph_edges(log)
+    g = nx_undirected(edges, log.n_agents)
     assert stats.transitivity > 0 and nx.number_connected_components(g) > 1
     assert stats.transitivity == nx.transitivity(g)
     assert stats.global_efficiency == nx.global_efficiency(g)
+    dg = nx.DiGraph()
+    dg.add_nodes_from(range(log.n_agents))
+    dg.add_edges_from(edges)
+    assert 0 < stats.reciprocity < 1
+    assert stats.density == nx.density(dg)
+    assert stats.reciprocity == nx.overall_reciprocity(dg)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from commsim.simulator import (MIN_CLAMP_SECONDS, ActionDecision, Action, Empiri
                                build_context, next_activation, run, select_triggers)
 from commsim.rng import substream
 
-from conftest import BASE_MONDAY, ZeroDraws, make_log
+from conftest import BASE_MONDAY, ZeroDraws
 
 DAY = 86400
 HOUR = 3600
@@ -60,17 +60,23 @@ def test_select_triggers_empty_history(mini_log):
         select_triggers(mini_log, (0, 10), 0.1, (100, 200))
 
 
+def test_trigger_plan_rejects_non_trigger_sender(mini_log):
+    alice, bob = mini_log.index_of("alice"), mini_log.index_of("bob")
+    event = Event(900, bob, (alice,), BASE_MONDAY, "trigger")
+    with pytest.raises(SimulationError, match="sent by non-trigger agent"):
+        TriggerPlan(frozenset({alice}), EventLog(mini_log.agents, (event,)))
+
+
 # ---------------------------------------------------------------------------
 # next_activation
 
 
 def test_periodic_next():
-    log = make_log([(0, 1, BASE_MONDAY)])
     rng = substream(0, "t")
-    t = next_activation(PeriodicSchedule(3.0), 0, log, BASE_MONDAY,
+    t = next_activation(PeriodicSchedule(3.0), 0, None, BASE_MONDAY,
                         BASE_MONDAY + DAY, rng)
     assert t == BASE_MONDAY + 3 * HOUR
-    late = next_activation(PeriodicSchedule(30.0), 0, log, BASE_MONDAY,
+    late = next_activation(PeriodicSchedule(30.0), 0, None, BASE_MONDAY,
                            BASE_MONDAY + DAY, rng)
     assert late is None
 
@@ -92,10 +98,9 @@ def test_hod_degenerate_histogram():
     h = np.zeros((1, 24))
     h[0, 9] = 1.0
     pol = EmpiricalHoD(h)
-    log = make_log([(0, 1, BASE_MONDAY)])
     rng = substream(1, "t")
     for _ in range(5):
-        t = next_activation(pol, 0, log, BASE_MONDAY + 10 * HOUR,
+        t = next_activation(pol, 0, None, BASE_MONDAY + 10 * HOUR,
                             BASE_MONDAY + 10 * DAY, rng)
         assert (t % DAY) // HOUR == 9
         assert t > BASE_MONDAY + 10 * HOUR
@@ -111,9 +116,8 @@ def test_hawkes_guided_delegates():
 
 
 def test_llm_predicted_returns_none():
-    log = make_log([(0, 1, BASE_MONDAY)])
     rng = substream(3, "t")
-    assert next_activation(LLMPredicted(), 0, log, BASE_MONDAY,
+    assert next_activation(LLMPredicted(), 0, None, BASE_MONDAY,
                            BASE_MONDAY + DAY, rng) is None
 
 
