@@ -34,7 +34,10 @@ def rewire_degree_preserving(log: EventLog, window: tuple[int, int],
     self-loop, then randomly permute the original timestamps among the edges.
 
     Multi-recipient events are expanded to single-recipient edges first;
-    multi-edges are allowed in the result. Deterministic per seed.
+    multi-edges are allowed in the result. Deterministic per seed: the swap
+    indices are drawn in batches, which for m < 2**32 take the same values
+    from the seed's stream, and leave the generator in the same state, as one
+    rng.integers(m) call per index.
     """
     t0, t1 = window
     win = log_window(log, t0, t1)
@@ -51,16 +54,23 @@ def rewire_degree_preserving(log: EventLog, window: tuple[int, int],
     times = [t for _, _, t in edge_list]
     m = len(edge_list)
     n_swaps = cfg.n_swaps if cfg.n_swaps is not None else DEFAULT_SWAPS_PER_EDGE * m
-    for _ in range(n_swaps):
-        i = int(rng.integers(m))
-        j = int(rng.integers(m))
-        if i == j:
-            continue
-        if tails[i] == heads[j] or tails[j] == heads[i]:
-            continue  # would create a self-loop
-        heads[i], heads[j] = heads[j], heads[i]
-
+    _swap_heads(tails, heads, n_swaps, rng)
     perm = rng.permutation(m)
     events = [Event(k, tails[k], (heads[k],), times[perm[k]], ORGANIC)
               for k in range(m)]
     return EventLog(log.agents, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
+
+
+def _swap_heads(tails: list[int], heads: list[int], n_swaps: int, rng) -> None:
+    """Attempt n_swaps double swaps in place, each on two edge indices drawn
+    uniformly. The draws come in batches of 2 * m, so the extra memory stays
+    O(m)."""
+    m = len(heads)
+    for start in range(0, n_swaps, m):
+        draws = rng.integers(m, size=2 * min(m, n_swaps - start)).tolist()
+        for i, j in zip(draws[::2], draws[1::2]):
+            if i == j:
+                continue
+            if tails[i] == heads[j] or tails[j] == heads[i]:
+                continue  # would create a self-loop
+            heads[i], heads[j] = heads[j], heads[i]

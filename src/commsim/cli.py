@@ -245,6 +245,9 @@ def cmd_simulate(args) -> int:
             fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
             llm_cfg = (agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
                        if args.agent == "llm" else None)
+            model_path = cfg.get("model")
+            if model_path is not None and not isinstance(model_path, str):
+                raise TypeError(f"model must be a file path, not {model_path!r}")  # open(3) reads fd 3
         except (ValueError, TypeError, agents.AgentError) as exc:
             # SimulationError and HawkesError are ValueErrors, a missing or
             # unknown keyword is a TypeError, LLMEndpointConfig raises AgentError

@@ -17,12 +17,16 @@ agents count (degree 0, disconnected pairs contribute 0 to efficiency).
 
 Each metric is one row of `SUITE`, name -> (part, comparison). A part reads
 only one log's `LogView`: the windowed non-trigger log, the window, its edge
-stream (self-loops dropped), a per-node time index and each UTC day's directed
-simple edge set. The comparison turns the sim and gt parts into the value and
-its flags. `summarize` computes every part of one log once into a `LogSummary`,
-so one ground-truth summary scores any number of rollouts with `compare`, and
-`evaluate_all` is `compare(summarize(sim, ...), summarize(gt, ...))`. Rows may
-share a part: the temporal-dynamics metrics come from one motif scan per arity.
+stream (self-loops dropped) as int64 columns u, v, t, and each UTC day's
+directed simple edge set. The comparison turns the sim and gt parts into the
+value and its flags. `summarize` computes every part of one log once into a
+`LogSummary`, so one ground-truth summary scores any number of rollouts with
+`compare`, and `evaluate_all` is `compare(summarize(sim, ...), summarize(gt,
+...))`. Rows may share a part: the temporal-dynamics metrics come from one
+census call per arity. Both arities count over one array enumeration of the
+node-sharing edge pairs within the largest delta (`_later_pairs`); arity 3
+adds, per pair, a count of the middle edges on one endpoint pair between two
+times.
 
 Every per-graph statistic is a kernel(edge_set, n_nodes) of a directed simple
 edge set over range(n_nodes). `daily_topology_series` maps one over a view's
@@ -44,13 +48,10 @@ NetworkX as their oracle), so reports do not depend on the installed graph libra
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
-import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -174,12 +175,15 @@ def burstiness_sample(log: EventLog) -> list[float]:
 
 @dataclass(frozen=True)
 class LogView:
-    """What every metric's part reads of one log."""
+    """What every metric's part reads of one log: the log, its window, the
+    int64 columns u, v, t of its time-sorted, self-loop-free edge stream and
+    each UTC day's directed simple edge set."""
 
     log: EventLog
     window: tuple[int, int]
-    edges: list[tuple[int, int, int]]
-    by_node: dict[int, tuple[list[int], list[int]]]
+    u: np.ndarray
+    v: np.ndarray
+    t: np.ndarray
     days: dict[int, set[tuple[int, int]]] | None  # None: empty window
 
     def daily(self) -> dict[int, set[tuple[int, int]]]:
@@ -192,19 +196,8 @@ def log_view(log: EventLog, window: tuple[int, int]) -> LogView:
     edges = log.edges()
     t0, t1 = window
     days = daily_edge_sets(edges, window) if t1 > t0 else None
-    return LogView(log, window, edges, _node_index(edges), days)
-
-
-def _node_index(edges) -> dict[int, tuple[list[int], list[int]]]:
-    """node -> (times, edge indices) of every edge it sends or receives, in
-    edge order. Edges are time-sorted, so each `times` list is too."""
-    by_node: dict[int, tuple[list[int], list[int]]] = {}
-    for k, (u, v, t) in enumerate(edges):
-        for node in (u, v):
-            times, idxs = by_node.setdefault(node, ([], []))
-            times.append(t)
-            idxs.append(k)
-    return by_node
+    u, v, t = np.array(edges, dtype=np.int64).reshape(-1, 3).T.copy()
+    return LogView(log, window, u, v, t, days)
 
 
 def daily_edge_sets(edges, window: tuple[int, int]) -> dict[int, set[tuple[int, int]]]:
@@ -250,81 +243,97 @@ def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str:
     return "chain_backward"
 
 
-def _motif_bands(deltas, classes) -> list[dict[str, int]]:
-    """Zeroed class counts per band of strictly ascending deltas; band k holds
-    the motifs whose span t_last - t1 is in (deltas[k-1], deltas[k]]."""
+def _check_deltas(deltas) -> None:
     if not deltas or any(a >= b for a, b in zip(deltas, deltas[1:])):
         raise MetricError(f"motif deltas must be nonempty and strictly ascending: {deltas}")
-    return [dict.fromkeys(classes, 0) for _ in deltas]
 
 
-def _cumulative(bands, deltas) -> tuple[MotifCensus, ...]:
-    """The census at deltas[k] sums bands 0..k."""
-    sums = itertools.accumulate(bands, lambda a, b: {cls: a[cls] + b[cls] for cls in a})
-    return tuple(MotifCensus(counts, delta) for counts, delta in zip(sums, deltas))
+def _censuses(classes, deltas, span, cls, weight=1) -> tuple[MotifCensus, ...]:
+    """One census per delta from each found motif's span t_last - t1, class
+    index and multiplicity. Band k holds the spans in (deltas[k-1], deltas[k]],
+    and the census at deltas[k] sums bands 0..k."""
+    counts = np.zeros(len(deltas) * len(classes), dtype=np.int64)
+    np.add.at(counts, np.searchsorted(deltas, span) * len(classes) + cls, weight)
+    sums = counts.reshape(len(deltas), len(classes)).cumsum(axis=0)
+    return tuple(MotifCensus(dict(zip(classes, map(int, row))), delta)
+                 for row, delta in zip(sums, deltas))
 
 
-def _later_edges(view: LogView, x, y, t1, horizon) -> list[tuple[int, int, int]]:
-    """The edges, in edge order, that touch x or y with time in
-    (t1, t1 + horizon]; an x<->y edge is in both nodes' indexes, listed once."""
-    cand: set[int] = set()
-    for node in (x, y):
-        times, idxs = view.by_node[node]
-        cand.update(idxs[bisect.bisect_right(times, t1):bisect.bisect_right(times, t1 + horizon)])
-    return [view.edges[k] for k in sorted(cand)]
+def _time_rank(t: np.ndarray) -> np.ndarray:
+    """Index of the first edge at each edge's time: a rank below len(t) that
+    orders and ties as the sorted times do."""
+    return np.searchsorted(t, t)
+
+
+def _later_pairs(view: LogView, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (i, j) of edge indices, each once, in which e_j
+    touches an endpoint of e_i and t_i < t_j <= t_i + horizon.
+
+    Each edge has an incidence at either endpoint. Sorted by (node, time),
+    the incidences list each node's edges in time order, so the later edges
+    e_i meets at one endpoint are one run, bounded by two searchsorted calls,
+    and np.repeat expands the runs. An e_j joining the same two nodes as e_i
+    is in both endpoints' runs; it is kept from u_i's and dropped from v_i's."""
+    u, v, t = view.u, view.v, view.t
+    m = len(t)
+    rank = _time_rank(t)
+    edge = np.tile(np.arange(m), 2)
+    base = np.concatenate([u, v]) * (m + 1)  # one key block per node: a run's bound may be m
+    key = base + rank[edge]
+    order = np.argsort(key)
+    key = key[order]
+    lo = np.searchsorted(key, base + np.searchsorted(t, t, "right")[edge])
+    hi = np.searchsorted(key, base + np.searchsorted(t, t + horizon, "right")[edge])
+    runs = hi - lo
+    starts = np.cumsum(runs) - runs
+    i = np.repeat(edge, runs)
+    j = edge[order][np.arange(runs.sum()) + np.repeat(lo - starts, runs)]
+    from_v = np.repeat(np.arange(2 * m) >= m, runs)
+    keep = ~from_v | ((u[j] != u[i]) & (v[j] != u[i]))
+    return i[keep], j[keep]
 
 
 def motif_census_2(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
     """One census per delta of the ordered pairs (e1, e2) of node-sharing
-    edges with 0 < t2 - t1 <= delta, in the six 2-edge classes. Exact, from
-    one scan at the largest delta over each e1's endpoints' later edges."""
-    bands = _motif_bands(deltas, MOTIF2_CLASSES)
-    for x, y, t1 in view.edges:
-        for u2, v2, t2 in _later_edges(view, x, y, t1, deltas[-1]):
-            bands[bisect.bisect_left(deltas, t2 - t1)][classify_pair(x, y, u2, v2)] += 1
-    return _cumulative(bands, deltas)
+    edges with 0 < t2 - t1 <= delta, in the six 2-edge classes. Exact: every
+    pair comes from one `_later_pairs` enumeration at the largest delta and is
+    classified with `classify_pair`'s precedence."""
+    _check_deltas(deltas)
+    i, j = _later_pairs(view, deltas[-1])
+    u1, v1, u2, v2 = view.u[i], view.v[i], view.u[j], view.v[j]
+    cls = np.select([(u2 == v1) & (v2 == u1), (u2 == u1) & (v2 == v1),
+                     u2 == u1, v2 == v1, u2 == v1], range(5), 5)
+    return _censuses(MOTIF2_CLASSES, deltas, view.t[j] - view.t[i], cls)
 
 
 def motif_census_3(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
     """One census per delta of the strictly time-ordered edge triples
     (e1, e2, e3) with t2 - t1 and t3 - t1 in (0, delta] that match one of
-    the five 3-edge classes, from one scan at the largest delta.
+    the five 3-edge classes.
 
     For an anchor e1 = x->y every class needs both e2 and e3 to touch x or y
     (dyad_alternation y->x, x->y; dyad_burst_reply x->y, y->x;
     feed_forward_closure y->b, x->b; three_cycle y->a, a->x;
-    broadcast_cross_link x->b, y->b or x->a, a->y), so only x's and y's
-    later edges are visited. Earlier candidates are tallied by endpoint pair
-    so each class reduces to a lookup, one equal-timestamp group at a time,
-    so equal timestamps never satisfy the strict ordering.
+    broadcast_cross_link x->b, y->b or x->a, a->y), so the (e1, e3) pairs
+    are those of `_later_pairs` at the largest delta. Each such pair fixes
+    the class and the ordered pair (p, q) that e2 must join; the e2 on
+    (p, q) with t1 < t2 < t3 are counted by two searchsorted calls on the
+    sorted edge keys (p * n + q) * m + time rank, which stay below n^2 * m.
     """
-    bands = _motif_bands(deltas, MOTIF3_CLASSES)
-    for x, y, t1 in view.edges:
-        later = _later_edges(view, x, y, t1, deltas[-1])
-        if len(later) < 2:
-            continue
-        cnt2: Counter = Counter()
-        for t3, group in itertools.groupby(later, key=lambda e: e[2]):
-            # process one equal-timestamp group as potential third edges,
-            # then admit the group as potential second edges
-            group = list(group)
-            counts = bands[bisect.bisect_left(deltas, t3 - t1)]
-            for a, b, _ in group:
-                if a == x and b == y:
-                    counts["dyad_alternation"] += cnt2[(y, x)]
-                elif a == y and b == x:
-                    counts["dyad_burst_reply"] += cnt2[(x, y)]
-                if a == x and b != y:
-                    counts["feed_forward_closure"] += cnt2[(y, b)]
-                elif b == x and a != y:
-                    counts["three_cycle"] += cnt2[(y, a)]
-                if a == y and b != x:
-                    counts["broadcast_cross_link"] += cnt2[(x, b)]
-                elif b == y and a != x:
-                    counts["broadcast_cross_link"] += cnt2[(x, a)]
-            for a, b, _ in group:
-                cnt2[(a, b)] += 1
-    return _cumulative(bands, deltas)
+    _check_deltas(deltas)
+    i, j = _later_pairs(view, deltas[-1])
+    u, v, t = view.u, view.v, view.t
+    x, y, a, b = u[i], v[i], u[j], v[j]
+    rules = [(a == x) & (b == y), (a == y) & (b == x), a == x, b == x, a == y]  # else b == y
+    cls = np.select(rules, range(5), 4)
+    p = np.select(rules, [y, x, y, y, x], x)
+    q = np.select(rules, [x, y, b, a, b], a)
+    n, m = view.log.n_agents, len(t)
+    rank = _time_rank(t)
+    keys = np.sort((u * n + v) * m + rank)
+    pq = (p * n + q) * m
+    e2 = np.searchsorted(keys, pq + rank[j]) - np.searchsorted(keys, pq + rank[i], "right")
+    return _censuses(MOTIF3_CLASSES, deltas, t[j] - t[i], cls, e2)
 
 
 def _census_jsd(s: MotifCensus, g: MotifCensus) -> tuple[float, list[str]]:

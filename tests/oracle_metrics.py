@@ -4,9 +4,13 @@ oracle of the summarize/compare split.
 Each function takes the sim and gt logs (or views) together, as the suite
 did before every metric became a per-log part plus a comparison;
 `oracle_evaluate_all` is the old `evaluate_all` body. `hod_histogram` and
-`ego_overlap_values` are the loops the library's versions replaced.
+`ego_overlap_values` are the loops the library's versions replaced, and
+`scan_motif_census_2`/`scan_motif_census_3` are the per-anchor scans the
+array censuses replaced.
 """
 
+import bisect
+import itertools
 import math
 from collections import Counter
 
@@ -15,10 +19,11 @@ import numpy as np
 from commsim import timeutil
 from commsim.corpus import EventLog, lag24_weekday_autocorr, node_burstiness
 from commsim.corpus import window as log_window
-from commsim.metrics import (CATEGORY_OF, HIGHER_IS_BETTER, TOPO_OVERLAP_BINS, LogView,
-                             MetricEntry, MetricError, MetricsReport, _betweenness, _degrees,
+from commsim.metrics import (CATEGORY_OF, HIGHER_IS_BETTER, MOTIF2_CLASSES, MOTIF3_CLASSES,
+                             TOPO_OVERLAP_BINS, LogView, MetricEntry, MetricError, MetricsReport,
+                             MotifCensus, _betweenness, _check_deltas, _degrees,
                              _global_efficiency, _reciprocity, _top_k_nodes, _transitivity,
-                             _trigger_set, daily_topology_series, emd_1d,
+                             _trigger_set, classify_pair, daily_topology_series, emd_1d,
                              exclude_triggers, jsd, log_view, motif_census_2, motif_census_3,
                              sample_emd, topology_rmse, weekend_weekday_ratio)
 
@@ -58,6 +63,90 @@ def burstiness_emd(sim: EventLog, gt: EventLog) -> float:
     if not bs or not bg:
         raise MetricError("no node with enough events for burstiness")
     return sample_emd(bs, bg)
+
+
+def node_index(edges) -> dict[int, tuple[list[int], list[int]]]:
+    """node -> (times, edge indices) of every edge it sends or receives, in
+    edge order. Edges are time-sorted, so each `times` list is too."""
+    by_node: dict[int, tuple[list[int], list[int]]] = {}
+    for k, (u, v, t) in enumerate(edges):
+        for node in (u, v):
+            times, idxs = by_node.setdefault(node, ([], []))
+            times.append(t)
+            idxs.append(k)
+    return by_node
+
+
+def _later_edges(edges, by_node, x, y, t1, horizon) -> list[tuple[int, int, int]]:
+    """The edges, in edge order, that touch x or y with time in
+    (t1, t1 + horizon]; an x<->y edge is in both nodes' indexes, listed once."""
+    cand: set[int] = set()
+    for node in (x, y):
+        times, idxs = by_node[node]
+        cand.update(idxs[bisect.bisect_right(times, t1):bisect.bisect_right(times, t1 + horizon)])
+    return [edges[k] for k in sorted(cand)]
+
+
+def _cumulative(bands, deltas) -> tuple[MotifCensus, ...]:
+    """The census at deltas[k] sums bands 0..k."""
+    sums = itertools.accumulate(bands, lambda a, b: {cls: a[cls] + b[cls] for cls in a})
+    return tuple(MotifCensus(counts, delta) for counts, delta in zip(sums, deltas))
+
+
+def scan_motif_census_2(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
+    """One census per delta of the ordered pairs (e1, e2) of node-sharing
+    edges with 0 < t2 - t1 <= delta, in the six 2-edge classes. Exact, from
+    one scan at the largest delta over each e1's endpoints' later edges."""
+    _check_deltas(deltas)
+    bands = [dict.fromkeys(MOTIF2_CLASSES, 0) for _ in deltas]
+    edges = view.log.edges()
+    by_node = node_index(edges)
+    for x, y, t1 in edges:
+        for u2, v2, t2 in _later_edges(edges, by_node, x, y, t1, deltas[-1]):
+            bands[bisect.bisect_left(deltas, t2 - t1)][classify_pair(x, y, u2, v2)] += 1
+    return _cumulative(bands, deltas)
+
+
+def scan_motif_census_3(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
+    """One census per delta of the strictly time-ordered edge triples
+    (e1, e2, e3) with t2 - t1 and t3 - t1 in (0, delta] that match one of
+    the five 3-edge classes, from one scan at the largest delta.
+
+    For an anchor e1 = x->y only x's and y's later edges are visited.
+    Earlier candidates are tallied by endpoint pair so each class reduces to
+    a lookup, one equal-timestamp group at a time, so equal timestamps never
+    satisfy the strict ordering.
+    """
+    _check_deltas(deltas)
+    bands = [dict.fromkeys(MOTIF3_CLASSES, 0) for _ in deltas]
+    edges = view.log.edges()
+    by_node = node_index(edges)
+    for x, y, t1 in edges:
+        later = _later_edges(edges, by_node, x, y, t1, deltas[-1])
+        if len(later) < 2:
+            continue
+        cnt2: Counter = Counter()
+        for t3, group in itertools.groupby(later, key=lambda e: e[2]):
+            # process one equal-timestamp group as potential third edges,
+            # then admit the group as potential second edges
+            group = list(group)
+            counts = bands[bisect.bisect_left(deltas, t3 - t1)]
+            for a, b, _ in group:
+                if a == x and b == y:
+                    counts["dyad_alternation"] += cnt2[(y, x)]
+                elif a == y and b == x:
+                    counts["dyad_burst_reply"] += cnt2[(x, y)]
+                if a == x and b != y:
+                    counts["feed_forward_closure"] += cnt2[(y, b)]
+                elif b == x and a != y:
+                    counts["three_cycle"] += cnt2[(y, a)]
+                if a == y and b != x:
+                    counts["broadcast_cross_link"] += cnt2[(x, b)]
+                elif b == y and a != x:
+                    counts["broadcast_cross_link"] += cnt2[(x, a)]
+            for a, b, _ in group:
+                cnt2[(a, b)] += 1
+    return _cumulative(bands, deltas)
 
 
 def motif_jsd(sim: LogView, gt: LogView, arity: int, delta: int) -> tuple[float, list[str]]:

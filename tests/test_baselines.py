@@ -4,11 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commsim.baselines import RewireConfig, rewire_degree_preserving
+from commsim.baselines import (DEFAULT_SWAPS_PER_EDGE, RewireConfig, _swap_heads,
+                               rewire_degree_preserving)
+from commsim.rng import substream
 
 from conftest import BASE_MONDAY, make_log, random_log, run_metric, view
 
 DAY = 86400
+
+
+def scalar_swap_heads(tails, heads, n_swaps, rng):
+    """The swap loop before batched draws: two scalar draws per swap."""
+    m = len(heads)
+    for _ in range(n_swaps):
+        i = int(rng.integers(m))
+        j = int(rng.integers(m))
+        if i == j:
+            continue
+        if tails[i] == heads[j] or tails[j] == heads[i]:
+            continue  # would create a self-loop
+        heads[i], heads[j] = heads[j], heads[i]
 
 
 def degree_multisets(edges):
@@ -91,3 +106,22 @@ def test_zero_swaps_only_shuffles_timestamps():
         Counter((u, v) for u, v, _ in log.edges())
     assert Counter(t for _, _, t in out.edges()) == \
         Counter(t for _, _, t in log.edges())
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 5000), st.integers(2, 30), st.data())
+@settings(max_examples=25, deadline=None)
+def test_batched_swap_draws_match_scalar_draws(seed, m, n_nodes, data):
+    """Batched draws swap exactly as one scalar draw per index did and leave
+    the generator in the same state, so rng.permutation sees the same stream."""
+    n_swaps = data.draw(st.one_of(
+        st.sampled_from([0, 1, DEFAULT_SWAPS_PER_EDGE * m]),
+        st.integers(1, 3 * m).filter(lambda k: k % m)))  # not a whole number of batches
+    draw = np.random.default_rng(seed)
+    tails = draw.integers(n_nodes, size=m).tolist()
+    heads = ((np.array(tails) + 1 + draw.integers(n_nodes - 1, size=m)) % n_nodes).tolist()
+    rng, twin = substream(seed, "rewire"), substream(seed, "rewire")
+    batched, scalar = list(heads), list(heads)
+    _swap_heads(tails, batched, n_swaps, rng)
+    scalar_swap_heads(tails, scalar, n_swaps, twin)
+    assert batched == scalar
+    assert rng.bit_generator.state == twin.bit_generator.state

@@ -346,6 +346,7 @@ def test_simulate_model_file_missing_key_exits_2(tmp_path):
     ("periodic", {"trigger_ratio": 1.5}, "trigger_ratio outside [0, 1]"),
     ("periodic", {"trigger_ratio": -0.1}, "trigger_ratio outside [0, 1]"),
     ("periodic", {"max_actions_per_wake": 0}, "max_actions_per_wake must be positive"),
+    ("hawkes", {"model": 3}, "model must be a file path, not 3"),
 ])
 def test_simulate_invalid_config_exits_2(tmp_path, capsys, policy, overrides, message):
     out = tmp_path / "o"

@@ -13,6 +13,7 @@ from commsim.metrics import (MOTIF2_CLASSES, MetricError, MotifCensus, classify_
                              jsd, motif_census_2, motif_census_3, regret)
 
 from conftest import BASE_MONDAY, fixture_log, make_log, random_log, run_metric, view
+from oracle_metrics import node_index, scan_motif_census_2, scan_motif_census_3
 
 DAY = 86400
 HOUR = 3600
@@ -148,7 +149,8 @@ def oracle_motif_census_3(log, delta):
 def oracle_motif_census_2(view, delta):
     """The one-delta `motif_census_2` that scanned back from each e2 over its
     endpoints' per-node time indexes, before the multi-delta census."""
-    edges, by_node = view.edges, view.by_node
+    edges = view.log.edges()
+    by_node = node_index(edges)
     counts = dict.fromkeys(MOTIF2_CLASSES, 0)
     for u2, v2, t2 in edges:
         cand: set[int] = set()
@@ -387,13 +389,44 @@ def test_multi_delta_censuses_match_per_delta_oracles(log, deltas):
             assert all(type(n) is int for n in c.counts.values())
 
 
+SCANS = ((motif_census_2, scan_motif_census_2), (motif_census_3, scan_motif_census_3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(grid_logs(), census_logs()))
+def test_array_censuses_match_scan_oracles(log):
+    """Both array censuses equal the per-anchor scans at the suite's delta
+    pairs."""
+    v = view(log)
+    for census, scan in SCANS:
+        for deltas in ((2 * HOUR, 8 * HOUR), (24 * HOUR, 48 * HOUR)):
+            got = census(v, *deltas)
+            assert got == scan(v, *deltas)
+            assert all(type(n) is int for c in got for n in c.counts.values())
+
+
+@pytest.mark.parametrize("log, motifs", [
+    (make_log([], n_agents=3), False),  # empty window
+    (make_log([(0, 1, 0)]), False),
+    (make_log([(0, 1, 5), (1, 0, 5), (1, 2, 5), (2, 0, 5), (0, 2, 5)]), False),
+    (make_log([(0, (0, 1, 2), 0), (1, (1, 0), HOUR), (2, (0, 2, 1), HOUR),
+               (0, (1, 0), 2 * HOUR), (1, (2, 1), 3 * HOUR)]), True),
+], ids=["empty_window", "one_edge", "one_timestamp", "self_addressed_multi_recipient"])
+def test_census_edge_cases_match_scan_oracles(log, motifs):
+    v = view(log)
+    for census, scan in SCANS:
+        got = census(v, HOUR, 2 * HOUR, 48 * HOUR)
+        assert got == scan(v, HOUR, 2 * HOUR, 48 * HOUR)
+        assert (got[-1].total() > 0) == motifs
+
+
 @pytest.mark.parametrize("census", [motif_census_2, motif_census_3])
 @pytest.mark.parametrize("deltas", [(), (2 * HOUR, 2 * HOUR), (8 * HOUR, 2 * HOUR),
                                     (HOUR, 8 * HOUR, 2 * HOUR)])
 def test_census_deltas_must_ascend(census, deltas):
-    log = make_log([(0, 1, 0), (1, 0, HOUR)])
-    with pytest.raises(MetricError, match="strictly ascending"):
-        census(view(log), *deltas)
+    for records in ([(0, 1, 0), (1, 0, HOUR)], []):
+        with pytest.raises(MetricError, match="strictly ascending"):
+            census(view(make_log(records, n_agents=2)), *deltas)
 
 
 def test_summarize_scans_each_arity_once(monkeypatch):
