@@ -15,6 +15,7 @@ interface:
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -81,9 +82,7 @@ def stub_params_from_history(log: EventLog, window: tuple[int, int],
         if senders:
             reply[v] = len(senders & out_nbrs.get(v, set())) / len(senders)
     days = max(1, (window[1] - window[0]) / 86400)
-    sent = np.zeros(n)
-    for e in hist.events:
-        sent[e.sender] += 1
+    sent = np.bincount(hist.senders, minlength=n)
     return StubParams(reply_prob=reply, initiate_rate=sent / days,
                       contact_dist=contact_frequencies(hist), seed=seed)
 
@@ -151,10 +150,11 @@ class LLMEndpointConfig:
     backoff_base_seconds: float = 1.0
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise AgentError("max_retries must be >= 0")
-        if self.timeout_seconds <= 0:
-            raise AgentError("timeout_seconds must be positive")
+        retries = self.max_retries
+        if isinstance(retries, bool) or not isinstance(retries, (int, np.integer)) or retries < 0:
+            raise AgentError("max_retries must be >= 0 and an integer")
+        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
+            raise AgentError("timeout_seconds must be positive and finite")
 
 
 SYSTEM_TEMPLATE = """\

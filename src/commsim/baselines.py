@@ -58,7 +58,7 @@ def rewire_degree_preserving(log: EventLog, window: tuple[int, int],
     perm = rng.permutation(m)
     events = [Event(k, tails[k], (heads[k],), times[perm[k]], ORGANIC)
               for k in range(m)]
-    return EventLog(log.agents, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
+    return log.with_events(events)
 
 
 def _swap_heads(tails: list[int], heads: list[int], n_swaps: int, rng) -> None:

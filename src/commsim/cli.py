@@ -248,9 +248,9 @@ def cmd_simulate(args) -> int:
             model_path = cfg.get("model")
             if model_path is not None and not isinstance(model_path, str):
                 raise TypeError(f"model must be a file path, not {model_path!r}")  # open(3) reads fd 3
-        except (ValueError, TypeError, agents.AgentError) as exc:
-            # SimulationError and HawkesError are ValueErrors, a missing or
-            # unknown keyword is a TypeError, LLMEndpointConfig raises AgentError
+        except (ValueError, TypeError, OverflowError, agents.AgentError) as exc:
+            # SimulationError and HawkesError are ValueErrors, a missing or unknown
+            # keyword a TypeError, int(Infinity) an OverflowError, LLMEndpointConfig an AgentError
             raise UsageError(f"{args.config}: {exc}") from None
         manifest.data["seed"] = seed
         counters = manifest.data["counters"]
@@ -302,9 +302,9 @@ def cmd_simulate(args) -> int:
 
 
 def _default_window(log: corpus.EventLog) -> tuple[int, int]:
-    ts = log.timestamps()
-    t0 = int(timeutil.day_index(ts.min())) * 86400
-    t1 = (int(timeutil.day_index(ts.max())) + 1) * 86400
+    ts = log.ts
+    t0 = int(timeutil.day_index(ts[0])) * 86400
+    t1 = (int(timeutil.day_index(ts[-1])) + 1) * 86400
     return t0, t1
 
 
@@ -330,8 +330,7 @@ def cmd_evaluate(args) -> int:
             raise UsageError("--t0 and --t1 must be given together")
         else:
             window = _parse_window(args.t0, args.t1)
-        gt_w = corpus.window(gt, *window)
-        if not gt_w.events:
+        if not gt.events[gt.span(*window)]:
             raise corpus.CorpusError("ground truth has no events in the window")
         report = metrics.evaluate_all(sim, gt, trigger_agents, window)
         out = Path(args.out)

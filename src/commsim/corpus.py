@@ -5,11 +5,17 @@ messages over a fixed agent registry. Agents are referenced by integer index;
 the registry maps indices to opaque labels (e.g. mailbox addresses) sorted
 lexicographically, so ingestion of the same data always yields the same
 indexing regardless of record order.
+
+A log caches two read-only int64 columns, `ts` and `senders`, built on first
+read. Every time window is half-open, t0 <= ts < t1, and is found by one
+bisect per bound on the sorted `ts` (`EventLog.span`); a reader of ts <= t
+asks for the span up to t + 1. `sent_times` splits the columns per sender.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from collections import Counter
@@ -84,8 +90,22 @@ class EventLog:
         """Same registry, new (re-sorted) event list."""
         return EventLog(self.agents, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([e.ts for e in self.events], dtype=np.int64)
+    @functools.cached_property
+    def ts(self) -> np.ndarray:
+        """Event timestamps in log order (int64, read-only)."""
+        return _column([e.ts for e in self.events])
+
+    @functools.cached_property
+    def senders(self) -> np.ndarray:
+        """Event senders in log order (int64, read-only)."""
+        return _column([e.sender for e in self.events])
+
+    def span(self, t0: int | None = None, t1: int | None = None) -> slice:
+        """The slice of `events` with t0 <= ts < t1, one bisect per bound on
+        `ts`; an omitted bound is open."""
+        lo = 0 if t0 is None else int(np.searchsorted(self.ts, t0))
+        hi = len(self.events) if t1 is None else int(np.searchsorted(self.ts, t1))
+        return slice(lo, hi)
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Expand to a (sender, recipient, ts) directed edge stream, one edge
@@ -94,8 +114,10 @@ class EventLog:
                 if r != e.sender]
 
 
-def _sorted_events(events: Iterable[Event]) -> tuple[Event, ...]:
-    return tuple(sorted(events, key=lambda e: (e.ts, e.event_id)))
+def _column(values: list[int]) -> np.ndarray:
+    col = np.array(values, dtype=np.int64)
+    col.setflags(write=False)
+    return col
 
 
 def build_log(labels_by_event: Sequence[tuple[int, str, Sequence[str], int, int | None, str | None]]) -> EventLog:
@@ -107,17 +129,18 @@ def build_log(labels_by_event: Sequence[tuple[int, str, Sequence[str], int, int 
         labels.update(recipients)
     registry = tuple(sorted(labels))
     index = {lbl: i for i, lbl in enumerate(registry)}
-    events = []
-    for event_id, sender, recipients, ts, thread, body in labels_by_event:
-        events.append(Event(
-            event_id=event_id,
-            sender=index[sender],
-            recipients=tuple(index[r] for r in recipients),
-            ts=ts,
-            thread_id=thread,
-            body=body,
-        ))
-    return EventLog(registry, _sorted_events(events))
+    events = (Event(event_id, index[sender], tuple(index[r] for r in recipients), ts,
+                    thread_id=thread, body=body)
+              for event_id, sender, recipients, ts, thread, body in labels_by_event)
+    return EventLog(registry, ()).with_events(events)
+
+
+def _json_int(rec: dict, key: str) -> int:
+    value = rec[key]
+    # int() would silently truncate 1.7 and accept true as 1
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return value
 
 
 def _parse_jsonl(text: str):
@@ -126,13 +149,12 @@ def _parse_jsonl(text: str):
             continue
         try:
             rec = json.loads(line)
-            ts = rec["ts"]
-            # int() would silently truncate 1.7 and accept true as 1
-            if not isinstance(ts, int) or isinstance(ts, bool):
-                raise ValueError(f"ts {ts!r} is not an integer")
-            yield (int(rec["id"]), str(rec["sender"]),
-                   [str(r) for r in rec["recipients"]], ts,
-                   rec.get("thread"), rec.get("body"))
+            thread, body = rec.get("thread"), rec.get("body")
+            if body is not None and not isinstance(body, str):
+                raise ValueError(f"body {body!r} is not a string")
+            yield (_json_int(rec, "id"), str(rec["sender"]),
+                   [str(r) for r in rec["recipients"]], _json_int(rec, "ts"),
+                   None if thread is None else _json_int(rec, "thread"), body)
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
 
@@ -197,7 +219,15 @@ def window(log: EventLog, t0: int, t1: int) -> EventLog:
     """Events with t0 <= ts < t1; registry unchanged."""
     if t0 > t1:
         raise CorpusError(f"window start {t0} after end {t1}")
-    return EventLog(log.agents, tuple(e for e in log.events if t0 <= e.ts < t1))
+    return EventLog(log.agents, log.events[log.span(t0, t1)])
+
+
+def sent_times(log: EventLog) -> dict[int, np.ndarray]:
+    """{sender: its send times, ascending int64} for every agent that sent,
+    in ascending agent order."""
+    order = np.argsort(log.senders, kind="stable")
+    agents, starts = np.unique(log.senders[order], return_index=True)
+    return dict(zip(agents.tolist(), np.split(log.ts[order], starts[1:])))
 
 
 def simple_digraph_edges(log: EventLog) -> set[tuple[int, int]]:
@@ -254,14 +284,11 @@ def node_burstiness(log: EventLog, min_events: int = 3) -> dict[int, float]:
     """Per-agent burstiness of inter-send gaps: (sigma - mu) / (sigma + mu),
     both moments over the m-1 gaps with divisor m-1. Agents with fewer than
     `min_events` sends are skipped (fewer than 2 gaps)."""
-    sent: dict[int, list[int]] = {}
-    for e in log.events:
-        sent.setdefault(e.sender, []).append(e.ts)
     out = {}
-    for agent, times in sent.items():
+    for agent, times in sent_times(log).items():
         if len(times) < min_events:
             continue
-        gaps = np.diff(np.array(times, dtype=np.int64)).astype(float)
+        gaps = np.diff(times).astype(float)
         mu = gaps.mean()
         sigma = gaps.std()  # ddof=0 over the m-1 gaps
         if sigma + mu == 0:

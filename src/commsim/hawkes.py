@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import timeutil
-from .corpus import Event, EventLog, ORGANIC
+from .corpus import Event, EventLog, ORGANIC, sent_times, window as log_window
 from .rng import substream
 
 N_BINS = 168
@@ -74,8 +74,8 @@ class HawkesModel:
             raise HawkesError("baseline rates must be finite and nonnegative")
         if np.any(self.alpha < 0) or not np.all(np.isfinite(self.alpha)):
             raise HawkesError("alpha must be finite and nonnegative")
-        if self.beta_per_hour <= 0:
-            raise HawkesError("beta must be positive")
+        if not (math.isfinite(self.beta_per_hour) and self.beta_per_hour > 0):
+            raise HawkesError("beta must be positive and finite")
         if self.diagonal_only and np.any(self.alpha * (1 - np.eye(d)) != 0):
             raise HawkesError("diagonal_only model has nonzero off-diagonal alpha")
         self.baselines.setflags(write=False)
@@ -144,10 +144,13 @@ class FitConfig:
     baseline_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.beta_override is not None and self.beta_override <= 0:
-            raise HawkesError("beta_override must be positive")
-        if self.max_iters <= 0 or self.tolerance <= 0 or self.baseline_floor <= 0:
-            raise HawkesError("max_iters, tolerance and baseline_floor must be positive")
+        beta, iters = self.beta_override, self.max_iters
+        if beta is not None and not (math.isfinite(beta) and beta > 0):
+            raise HawkesError("beta_override must be positive and finite")
+        if (isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters <= 0
+                or not all(math.isfinite(x) and x > 0 for x in (self.tolerance, self.baseline_floor))):
+            raise HawkesError("max_iters, tolerance and baseline_floor must be positive, "
+                              "max_iters an integer and the others finite")
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +185,7 @@ class ExcitationState:
     def from_log(cls, model: HawkesModel, history: EventLog, t_now: int) -> "ExcitationState":
         """State over the history events with ts <= t_now."""
         state = cls(model)
-        for e in history.events:
-            if e.ts > t_now:
-                break
+        for e in history.events[history.span(t1=t_now + 1)]:
             state.add(e.sender, e.ts)
         return state
 
@@ -275,13 +276,6 @@ class _AgentTerms:
     columns: np.ndarray   # (m,) source agent index per fitted column
 
 
-def _sent_times(log: EventLog) -> dict[int, np.ndarray]:
-    per: dict[int, list[int]] = {}
-    for e in log.events:
-        per.setdefault(e.sender, []).append(e.ts)
-    return {a: np.array(ts, dtype=np.int64) for a, ts in per.items()}
-
-
 def _agent_terms(log: EventLog, window: tuple[int, int], beta: float,
                  diagonal_only: bool) -> dict[int, _AgentTerms]:
     """Every agent's terms from one time-ordered sweep over the log.
@@ -294,16 +288,14 @@ def _agent_terms(log: EventLog, window: tuple[int, int], beta: float,
     """
     t0, t1 = window
     n = log.n_agents
-    counts = np.bincount(np.array([e.sender for e in log.events if t0 <= e.ts < t1],
-                                  dtype=np.int64), minlength=n)
+    in_window = log.span(t0, t1)
+    counts = np.bincount(log.senders[in_window], minlength=n)
     m = 1 if diagonal_only else n
     S = [np.zeros((c, m)) for c in counts]
     bins = [np.zeros(c, dtype=np.int64) for c in counts]
     filled = [0] * n
     state = ExcitationState(beta_per_hour=beta, n_agents=n)
-    for t, group in itertools.groupby(log.events, key=lambda e: e.ts):
-        if t >= t1:
-            break
+    for t, group in itertools.groupby(log.events[:in_window.stop], key=lambda e: e.ts):
         group = list(group)
         if t >= t0:
             b = timeutil.flat_bin_of(t)
@@ -316,7 +308,7 @@ def _agent_terms(log: EventLog, window: tuple[int, int], beta: float,
         for e in group:
             state.add(e.sender, t)
     col_weight = np.zeros(n)
-    for j, src in _sent_times(log).items():
+    for j, src in sent_times(log).items():
         col_weight[j] = _excitation_weights(src, t0, t1, beta)
     cols_full = np.arange(n)
     out = {}
@@ -358,16 +350,10 @@ def log_likelihood(model: HawkesModel, log: EventLog, window: tuple[int, int]) -
 def median_gap_beta(log: EventLog, window: tuple[int, int]) -> float:
     """beta (1/hour) = 1 / median inter-event gap, gaps taken per agent
     between consecutive sends within the window and pooled across agents."""
-    t0, t1 = window
-    gaps = []
-    for ts in _sent_times(log).values():
-        ts = ts[(ts >= t0) & (ts < t1)]
-        if len(ts) >= 2:
-            gaps.extend(np.diff(ts).tolist())
+    hist = log_window(log, *window)
+    gaps = [g for ts in sent_times(hist).values() for g in np.diff(ts).tolist()]
     if not gaps:
-        all_ts = log.timestamps()
-        all_ts = all_ts[(all_ts >= t0) & (all_ts < t1)]
-        gaps = np.diff(all_ts).tolist()
+        gaps = np.diff(hist.ts).tolist()
     if not gaps:
         return 1.0
     med = float(np.median(gaps))
@@ -450,9 +436,9 @@ def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None,
     counters.setdefault("unconverged_backtracking_failed", 0)
     config = config or FitConfig()
     t0, t1 = window
-    in_window = [e for e in log.events if t0 <= e.ts < t1]
-    if len(in_window) < 2:
-        raise HawkesError(f"window has {len(in_window)} events; need at least 2")
+    n_events = len(log.ts[log.span(t0, t1)])
+    if n_events < 2:
+        raise HawkesError(f"window has {n_events} events; need at least 2")
     beta = config.beta_override if config.beta_override is not None else median_gap_beta(log, window)
     terms = _agent_terms(log, window, beta, config.diagonal_only)
     bin_hours = timeutil.weekly_bin_hours(t0, t1)
@@ -548,8 +534,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
     trigger_agents = frozenset(getattr(triggers, "trigger_agents", None) or ())
     sched_src = getattr(triggers, "scheduled_events", None)
     organic = np.array([i for i in range(n) if i not in trigger_agents], dtype=np.int64)
-    schedule = [e for e in (sched_src.events if sched_src is not None else ())
-                if t0 <= e.ts < t1]
+    schedule = sched_src.events[sched_src.span(t0, t1)] if sched_src is not None else ()
 
     mu_org = model.baselines[organic]            # (K, 168)
     alpha_org = model.alpha[organic]             # (K, D)
@@ -559,9 +544,8 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
 
     g = np.zeros(n)
     t0_h = t0 / SECONDS_PER_HOUR
-    for e in history.events:
-        if e.ts <= t0:
-            g[e.sender] += math.exp(-beta * (t0 - e.ts) / SECONDS_PER_HOUR)
+    for e in history.events[history.span(t1=t0 + 1)]:
+        g[e.sender] += math.exp(-beta * (t0 - e.ts) / SECONDS_PER_HOUR)
 
     out: list[Event] = list(schedule)
     next_id = max((e.event_id for e in schedule), default=-1) + 1
@@ -600,9 +584,6 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             continue
         t_star = s + delta
         decay_to(t_star)
-        if len(organic) == 0:
-            s = t_star
-            continue
         if model.diagonal_only:
             exc = beta * alpha_diag * g[organic]
         else:
@@ -627,4 +608,4 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             g[sender] += 1.0
         s = t_star
 
-    return EventLog(model.agents, tuple(sorted(out, key=lambda e: (e.ts, e.event_id))))
+    return EventLog(model.agents, ()).with_events(out)

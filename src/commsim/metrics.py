@@ -139,7 +139,7 @@ def _rho_diff(s, g) -> tuple[float, list[str]]:
 def hod_histogram(log: EventLog) -> np.ndarray:
     """24-bin hour-of-day activity histogram; two are compared by linear,
     not circular, bin distance."""
-    return np.bincount(timeutil.hour_of_day(log.timestamps()), minlength=24).astype(float)
+    return np.bincount(timeutil.hour_of_day(log.ts), minlength=24).astype(float)
 
 
 def weekend_weekday_ratio(log: EventLog, window: tuple[int, int]) -> float:
@@ -149,7 +149,7 @@ def weekend_weekday_ratio(log: EventLog, window: tuple[int, int]) -> float:
     days = np.arange(d0, d1 + 1)
     wknd_days = int(np.sum(timeutil.is_weekend(days * timeutil.SECONDS_PER_DAY)))
     wkdy_days = len(days) - wknd_days
-    ts = log.timestamps()
+    ts = log.ts
     wknd_events = int(np.sum(timeutil.is_weekend(ts)))
     wkdy_events = len(ts) - wknd_events
     mu_wknd = wknd_events / wknd_days if wknd_days else 0.0
@@ -647,7 +647,7 @@ def report_from_dict(d: dict) -> MetricsReport:
 _MOTIFS = {2: lambda v: motif_census_2(v, 2 * 3600, 8 * 3600),
            3: lambda v: motif_census_3(v, 24 * 3600, 48 * 3600)}
 SUITE = {
-    "r24": (lambda v: lag24_weekday_autocorr(v.log.timestamps(), *v.window), _rho_diff),
+    "r24": (lambda v: lag24_weekday_autocorr(v.log.ts, *v.window), _rho_diff),
     "hod": (lambda v: hod_histogram(v.log), emd_1d),
     "wknd_drop": (lambda v: weekend_weekday_ratio(v.log, v.window), lambda s, g: abs(s - g)),
     "burst": (lambda v: burstiness_sample(v.log), sample_emd),
@@ -683,7 +683,7 @@ def summarize(log: EventLog, trigger_agents, window: tuple[int, int]) -> LogSumm
     """Compute every metric's part of `log` once, on its non-trigger
     subnetwork within the window; rows that share a part share its value."""
     triggers = _trigger_set(trigger_agents)
-    view = log_view(log_window(exclude_triggers(log, triggers), *window), window)
+    view = log_view(exclude_triggers(log_window(log, *window), triggers), window)
     values: dict = {}  # part -> its value or MetricError
     for part in dict.fromkeys(part for part, _ in SUITE.values()):
         try:
@@ -816,12 +816,9 @@ def corpus_stats(log: EventLog) -> StatsSummary:
     kernels on the whole log's directed simple graph."""
     if not log.events:
         raise CorpusError("empty log")
-    ts = log.timestamps()
-    t0, t1 = int(ts.min()), int(ts.max()) + 1
-
-    sent_counts = np.zeros(log.n_agents, dtype=np.int64)
-    for e in log.events:
-        sent_counts[e.sender] += 1
+    ts = log.ts
+    t0, t1 = int(ts[0]), int(ts[-1]) + 1
+    sent_counts = np.bincount(log.senders, minlength=log.n_agents)
 
     w0, w1 = timeutil.week_index(t0), timeutil.week_index(t1 - 1)
     week_counts = np.zeros(w1 - w0 + 1, dtype=np.int64)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -62,8 +62,8 @@ class PeriodicSchedule:
     interval_hours: float = 3.0
 
     def __post_init__(self):
-        if not self.interval_hours * 3600 >= 1:
-            raise SimulationError("interval must be at least 1 second")
+        if not (math.isfinite(self.interval_hours) and self.interval_hours * 3600 >= 1):
+            raise SimulationError("interval must be at least 1 second and finite")
 
     @property
     def step_seconds(self) -> int:
@@ -100,9 +100,8 @@ ActivationPolicy = PeriodicSchedule | LLMPredicted | EmpiricalHoD | HawkesGuided
 
 def hod_histograms(log: EventLog) -> np.ndarray:
     """Per-agent hour-of-day send histograms, row-normalized."""
-    h = np.zeros((log.n_agents, 24))
-    for e in log.events:
-        h[e.sender, timeutil.hour_of_day(e.ts)] += 1
+    cells = log.senders * 24 + timeutil.hour_of_day(log.ts)
+    h = np.bincount(cells, minlength=log.n_agents * 24).reshape(-1, 24).astype(float)
     sums = h.sum(axis=1, keepdims=True)
     np.divide(h, sums, out=h, where=sums > 0)
     return h
@@ -178,8 +177,7 @@ def select_triggers(log: EventLog, history_window: tuple[int, int], ratio: float
     ranked = sorted(range(log.n_agents), key=lambda i: (-degree[i], i))
     chosen = frozenset(ranked[:k])
     s0, s1 = sim_window
-    scheduled = [e for e in log.events
-                 if s0 <= e.ts < s1 and e.sender in chosen]
+    scheduled = [e for e in log.events[log.span(s0, s1)] if e.sender in chosen]
     marked = tuple(Event(e.event_id, e.sender, e.recipients, e.ts, TRIGGER,
                          e.thread_id, e.body) for e in scheduled)
     return TriggerPlan(chosen, EventLog(log.agents, marked))
@@ -303,9 +301,7 @@ class ContextIndex:
         n = history.n_agents
         self.sent: list[list[Event]] = [[] for _ in range(n)]
         self.received: list[list[Event]] = [[] for _ in range(n)]
-        lo = bisect_left(history.events, self.span[0], key=_ts)
-        hi = bisect_left(history.events, t0, key=_ts)
-        for e in history.events[lo:hi]:
+        for e in history.events[history.span(*self.span)]:
             self.add(e)
         self.cadence = [cadence_summary(sent, self.span) for sent in self.sent]
 
@@ -382,13 +378,10 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
     counters.setdefault("actions_truncated", 0)
     personas = personas or {}
     t0, t1 = config.window
-    scheduled = [e for e in triggers.scheduled_events.events if t0 <= e.ts < t1]
+    scheduled = log_window(triggers.scheduled_events, t0, t1).events
 
     sim_events: list[Event] = []
-    next_id = 1 + max(
-        max((e.event_id for e in history.events), default=-1),
-        max((e.event_id for e in scheduled), default=-1),
-    )
+    next_id = 1 + max((e.event_id for e in history.events + scheduled), default=-1)
     queue: list[tuple[int, int, int]] = []  # (ts, kind, tiebreak)
 
     for k, e in enumerate(scheduled):

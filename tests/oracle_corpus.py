@@ -1,0 +1,45 @@
+"""The per-event scans that the cached `ts`/`senders` columns, `EventLog.span`
+and `corpus.sent_times` replaced, kept as oracles of the column readers."""
+
+import math
+
+import numpy as np
+
+from commsim import timeutil
+from commsim.corpus import EventLog
+from commsim.hawkes import SECONDS_PER_HOUR, ExcitationState
+
+
+def scan_window(log: EventLog, t0: int, t1: int) -> EventLog:
+    """The old `corpus.window` body: a filter over every event."""
+    return EventLog(log.agents, tuple(e for e in log.events if t0 <= e.ts < t1))
+
+
+def scan_sent_times(log: EventLog) -> dict[int, np.ndarray]:
+    """The old `hawkes._sent_times`: a dict of per-sender lists."""
+    per: dict[int, list[int]] = {}
+    for e in log.events:
+        per.setdefault(e.sender, []).append(e.ts)
+    return {a: np.array(ts, dtype=np.int64) for a, ts in per.items()}
+
+
+def scan_excitation_state(model, history: EventLog, t_now: int) -> ExcitationState:
+    """The old `ExcitationState.from_log`: add events until one is after t_now."""
+    state = ExcitationState(model)
+    for e in history.events:
+        if e.ts > t_now:
+            break
+        decay = math.exp(-state.beta * (e.ts - state.last[e.sender]) / SECONDS_PER_HOUR)
+        state.g[e.sender] = state.g[e.sender] * decay + 1.0
+        state.last[e.sender] = e.ts
+    return state
+
+
+def scan_hod_histograms(log: EventLog) -> np.ndarray:
+    """The old `simulator.hod_histograms`: one increment per event."""
+    h = np.zeros((log.n_agents, 24))
+    for e in log.events:
+        h[e.sender, timeutil.hour_of_day(e.ts)] += 1
+    sums = h.sum(axis=1, keepdims=True)
+    np.divide(h, sums, out=h, where=sums > 0)
+    return h

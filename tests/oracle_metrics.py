@@ -32,8 +32,8 @@ def r24_err(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> tuple[float
     """Absolute difference of lag-24 weekday autocorrelation of hourly
     activity. A constant (or too short) series yields rho = 0, flagged."""
     t0, t1 = window
-    rho_s, deg_s = lag24_weekday_autocorr(sim.timestamps(), t0, t1)
-    rho_g, deg_g = lag24_weekday_autocorr(gt.timestamps(), t0, t1)
+    rho_s, deg_s = lag24_weekday_autocorr(sim.ts, t0, t1)
+    rho_g, deg_g = lag24_weekday_autocorr(gt.ts, t0, t1)
     flags = [f"{name}: degenerate hourly series, rho set to 0"
              for name, deg in (("sim", deg_s), ("gt", deg_g)) if deg]
     return abs(rho_s - rho_g), flags

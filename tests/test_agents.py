@@ -215,6 +215,16 @@ def make_policy(transport, max_retries=2):
     return LLMPolicy(cfg, transport=transport, sleeper=lambda s: None)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("timeout_seconds", float("nan")), ("timeout_seconds", float("inf")),
+    ("timeout_seconds", 0.0), ("max_retries", 1.5), ("max_retries", True),
+    ("max_retries", -1),
+])
+def test_endpoint_config_rejects_bad_settings(field, value):
+    with pytest.raises(agents.AgentError, match=field):
+        LLMEndpointConfig(base_url="http://mock", model_name="m", **{field: value})
+
+
 def test_llm_decide_golden():
     def transport(url, payload, headers, timeout):
         assert url.endswith("/v1/chat/completions")

@@ -303,6 +303,22 @@ def test_ingest_non_integer_ts_exits_2(tmp_path, ts):
     assert "not an integer" in _error(out)
 
 
+@pytest.mark.parametrize("record,message", [
+    ({"id": 2.5, "thread": "x"}, "id 2.5 is not an integer"),
+    ({"id": True, "thread": [1]}, "id True is not an integer"),
+    ({"thread": "x"}, "thread 'x' is not an integer"),
+    ({"thread": [1]}, "thread [1] is not an integer"),
+    ({"body": 7}, "body 7 is not a string"),
+])
+def test_ingest_bad_jsonl_fields_exit_2(tmp_path, record, message):
+    good = {"id": 1, "sender": "a", "recipients": ["b"], "ts": 983782800}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": 2, **record}) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("stats", bad, "--out", out) == 2
+    assert f"line 2: {message}" in _error(out)
+
+
 @pytest.mark.parametrize("fmt,line", [
     ("jsonl", json.dumps({"id": 7, "sender": "a", "recipients": [], "ts": 983782800})),
     ("csv", "id,sender,recipients,ts\n7,a,,983782800"),
@@ -347,6 +363,7 @@ def test_simulate_model_file_missing_key_exits_2(tmp_path):
     ("periodic", {"trigger_ratio": -0.1}, "trigger_ratio outside [0, 1]"),
     ("periodic", {"max_actions_per_wake": 0}, "max_actions_per_wake must be positive"),
     ("hawkes", {"model": 3}, "model must be a file path, not 3"),
+    ("periodic", {"history_days": math.inf}, "cannot convert float infinity to integer"),
 ])
 def test_simulate_invalid_config_exits_2(tmp_path, capsys, policy, overrides, message):
     out = tmp_path / "o"
@@ -384,6 +401,16 @@ def test_malformed_user_json_exits_2(tmp_path, case):
     assert str(bad) in _error(out)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_simulate_model_non_finite_beta_exits_2(tmp_path, beta):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**_model_dict(corpus.ingest(MINI).agents), "beta_per_hour": beta}))
+    out = tmp_path / "o"
+    assert run_cli("simulate", sim_config(tmp_path, model=str(model)),
+                   "--policy", "hawkes", "--out", out) == 2
+    assert "beta must be positive and finite" in _error(out)
+
+
 def test_evaluate_unknown_trigger_label_exits_2(tmp_path):
     triggers = tmp_path / "triggers.json"
     triggers.write_text(json.dumps({"trigger_agents": ["nobody"]}))
@@ -410,6 +437,8 @@ def test_internal_key_error_exits_1(tmp_path, monkeypatch):
     (["--t0", BASE, "--t1", SIM_T0, "--beta", "-1"], "beta_override must be positive"),
     (["--t0", SIM_T0, "--t1", SIM_T0], "is not after --t0"),
     (["--t0", SIM_T0, "--t1", BASE], "is not after --t0"),
+    (["--t0", BASE, "--t1", SIM_T0, "--beta", "nan"], "beta_override must be positive"),
+    (["--t0", BASE, "--t1", SIM_T0, "--beta", "inf"], "beta_override must be positive"),
 ])
 def test_fit_bad_arguments_exit_2(tmp_path, argv, message):
     out = tmp_path / "o"
@@ -437,6 +466,9 @@ def test_evaluate_bad_window_exits_2(tmp_path, argv, message):
     ("periodic", "llm", {"llm": {"base_url": "http://localhost:1"}}, "model_name"),
     ("periodic", "llm", {"llm": {"base_url": "http://localhost:1", "model_name": "m",
                                  "max_retries": -1}}, "max_retries must be >= 0"),
+    ("hawkes", "stub", {"fit": {"max_iters": 2.5}}, "max_iters an integer"),
+    ("hawkes", "stub", {"fit": {"tolerance": math.nan}}, "the others finite"),
+    ("periodic", "stub", {"periodic_interval_hours": math.inf}, "interval must be at least 1"),
 ])
 def test_simulate_bad_policy_or_agent_config_exits_2(tmp_path, policy, agent, overrides,
                                                      message):

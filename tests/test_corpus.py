@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -10,9 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commsim import corpus, metrics, timeutil
-from commsim.corpus import CorpusError, Event, EventLog, ingest, serialize, window
+from commsim.corpus import CorpusError, Event, EventLog, ingest, sent_times, serialize, window
+from commsim.hawkes import ExcitationState, HawkesModel
+from commsim.simulator import hod_histograms
 
 from conftest import BASE_MONDAY, DATA_DIR, make_log
+from oracle_corpus import (scan_excitation_state, scan_hod_histograms, scan_sent_times,
+                           scan_window)
 
 
 def write_jsonl(tmp_path, lines, name="log.jsonl"):
@@ -72,6 +77,26 @@ def test_ingest_errors(tmp_path):
     ], "empty.jsonl")
     with pytest.raises(CorpusError):
         ingest(empty_rcpt)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("id", 2.5, "id 2.5 is not an integer"),
+    ("id", True, "id True is not an integer"),
+    ("id", "3", "id '3' is not an integer"),
+    ("thread", "x", "thread 'x' is not an integer"),
+    ("thread", [1], "thread [1] is not an integer"),
+    ("thread", False, "thread False is not an integer"),
+    ("thread", 1.0, "thread 1.0 is not an integer"),
+    ("body", 5, "body 5 is not a string"),
+    ("body", ["hi"], "body ['hi'] is not a string"),
+])
+def test_ingest_jsonl_field_types(tmp_path, field, value, message):
+    good = {"id": 1, "sender": "a", "recipients": ["b"], "ts": 0, "thread": 4, "body": "x"}
+    path = write_jsonl(tmp_path, [good, {**good, "id": 2, field: value}])
+    with pytest.raises(CorpusError, match=f"^line 2: {re.escape(message)}$"):
+        ingest(path)
+    nulls = write_jsonl(tmp_path, [{**good, "thread": None, "body": None}], "nulls.jsonl")
+    assert ingest(nulls).events[0].thread_id is None
 
 
 def test_ingest_duplicate_ids_message_and_cost(tmp_path):
@@ -180,6 +205,53 @@ def test_window_union_property(records, a, b, c):
     right = window(log, b, c).events
     combined = window(log, a, c).events
     assert tuple(sorted(left + right, key=lambda e: (e.ts, e.event_id))) == combined
+
+
+@st.composite
+def column_cases(draw):
+    """(log, t0, t1): a sorted log on few half-hour slots, so timestamps
+    repeat, possibly empty, and bounds before, inside, at and after the data."""
+    n = draw(st.integers(1, 4))
+    slots = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.integers(0, 60)), max_size=25))
+    log = make_log([(s, (r,), BASE_MONDAY + 1800 * k) for s, r, k in slots], n_agents=n)
+    bound = st.one_of(st.sampled_from([int(t) for t in log.ts] or [BASE_MONDAY]),
+                      st.integers(BASE_MONDAY - 3600, BASE_MONDAY + 1800 * 62))
+    return log, draw(bound), draw(bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_cases())
+def test_columns_span_and_sent_times_match_scans(case):
+    log, t0, t1 = case
+    assert log.ts.tolist() == [e.ts for e in log.events]
+    assert log.senders.tolist() == [e.sender for e in log.events]
+    if t0 > t1:
+        with pytest.raises(CorpusError):
+            window(log, t0, t1)
+        assert log.events[log.span(t0, t1)] == ()
+    else:
+        assert window(log, t0, t1).events == scan_window(log, t0, t1).events
+    assert log.events[log.span(t1=t1)] == tuple(e for e in log.events if e.ts < t1)
+    got, want = sent_times(log), scan_sent_times(log)
+    assert sorted(got) == sorted(want)
+    for agent, times in got.items():
+        assert times.dtype == np.int64 and np.array_equal(times, want[agent])
+    n = log.n_agents
+    model = HawkesModel(log.agents, np.ones((n, 168)), np.full((n, n), 0.2), 0.7, False)
+    state = ExcitationState.from_log(model, log, t1)
+    scan = scan_excitation_state(model, log, t1)
+    assert np.array_equal(state.g, scan.g) and np.array_equal(state.last, scan.last)
+    assert np.array_equal(hod_histograms(log), scan_hod_histograms(log))
+
+
+def test_columns_are_read_only(mini_log):
+    for column in (mini_log.ts, mini_log.senders):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    assert mini_log.ts is mini_log.ts
+    fresh = ingest(DATA_DIR / "mini_corpus.jsonl")
+    assert mini_log == fresh and hash(mini_log) == hash(fresh)
 
 
 def test_roundtrip_property(tmp_path):

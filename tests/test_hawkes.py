@@ -12,6 +12,7 @@ from commsim.hawkes import (FitConfig, HawkesError, HawkesModel, fit, intensity,
                             sample_next_activation, simulate_pure_hawkes)
 
 from conftest import BASE_MONDAY, ZeroDraws, make_log
+from oracle_corpus import scan_sent_times
 
 HOUR = 3600
 DAY = 86400
@@ -173,7 +174,7 @@ def oracle_agent_terms(log, window, beta, diagonal_only):
     """The per-(receiver, source column) construction that the one-sweep
     `hawkes._agent_terms` replaced."""
     t0, t1 = window
-    sent = hawkes._sent_times(log)
+    sent = scan_sent_times(log)
     n = log.n_agents
     out = {}
     for i in range(n):
@@ -281,6 +282,23 @@ def test_fit_beta_override_and_preconditions(mini_log, mini_manifest):
     assert np.all(model.alpha >= 0) and np.all(model.baselines > 0)
     with pytest.raises(HawkesError):
         fit(mini_log, (h0, h0 + 60), FitConfig())  # < 2 events
+
+
+@pytest.mark.parametrize("field,value", [
+    ("beta_override", math.nan), ("beta_override", math.inf), ("beta_override", 0.0),
+    ("max_iters", 2.5), ("max_iters", True), ("max_iters", 0),
+    ("tolerance", math.nan), ("tolerance", math.inf), ("baseline_floor", math.nan),
+    ("baseline_floor", -1e-6),
+])
+def test_fit_config_rejects_bad_settings(field, value):
+    with pytest.raises(HawkesError, match="must be positive"):
+        FitConfig(**{field: value})
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0])
+def test_model_rejects_non_finite_or_nonpositive_beta(beta):
+    with pytest.raises(HawkesError, match="beta must be positive and finite"):
+        HawkesModel(("a",), np.ones((1, 168)), np.zeros((1, 1)), beta, True)
 
 
 def test_fit_monotone_likelihood(mini_log, mini_manifest):
@@ -475,6 +493,22 @@ def test_pure_hawkes_triggers_verbatim():
     out = simulate_pure_hawkes(m, window, plan, EventLog(m.agents, ()),
                                np.zeros((2, 2)), seed=5)
     assert out.events == sched.events
+
+
+def test_pure_hawkes_all_triggers_returns_schedule():
+    """With every agent a trigger the organic rate is 0, so the output is the
+    in-window schedule exactly, however excitable the model."""
+    from commsim.simulator import TriggerPlan
+
+    m = const_model(n=2, mu=2.0, alpha=0.8, beta=1.0)
+    window = (BASE_MONDAY, BASE_MONDAY + DAY)
+    sched = make_log([(0, 1, BASE_MONDAY - HOUR), (0, 1, BASE_MONDAY + 2 * HOUR),
+                      (1, 0, BASE_MONDAY + 2 * HOUR), (1, 0, BASE_MONDAY + 5 * HOUR),
+                      (0, 1, BASE_MONDAY + DAY)], n_agents=2)
+    plan = TriggerPlan(frozenset({0, 1}), sched)
+    hist = make_log([(0, 1, BASE_MONDAY - 2 * HOUR), (1, 0, BASE_MONDAY)], n_agents=2)
+    out = simulate_pure_hawkes(m, window, plan, hist, np.full((2, 2), 0.5), seed=5)
+    assert out.events == sched.events[1:4]
 
 
 def test_pure_hawkes_daily_poisson_counts():

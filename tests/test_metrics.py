@@ -238,8 +238,8 @@ def test_r24_periodic_vs_noise():
 
     shifted = make_log([(e.sender, e.recipients, e.ts + DAY)
                         for e in periodic.events], n_agents=2)
-    rho_orig, _ = lag24_weekday_autocorr(periodic.timestamps(), *window)
-    rho_shift, _ = lag24_weekday_autocorr(shifted.timestamps(),
+    rho_orig, _ = lag24_weekday_autocorr(periodic.ts, *window)
+    rho_shift, _ = lag24_weekday_autocorr(shifted.ts,
                                           window[0] + DAY, window[1] + DAY)
     assert rho_shift == pytest.approx(rho_orig, abs=1e-9)
 
