@@ -1,7 +1,11 @@
 """Golden rollout digests: SHA-256 of `corpus.serialize(sim)` for every
 activation policy with the stub agent, and for the pure-Hawkes rollout, on
-the mini corpus and on a 12-agent synthetic fixture. HawkesGuided runs with
-the fitted model and with pinned diagonal and full excitation matrices.
+the mini corpus and on a 12-agent synthetic fixture. HawkesGuided and the
+pure-Hawkes rollout run with the fitted model and with pinned diagonal and
+full excitation matrices. The pinned pure-Hawkes digests were recorded
+before the sampler skipped its excitation work when alpha is zero and
+stopped calling `rng.choice`, so they cover its excitation branch byte by
+byte.
 
 The rollout digests were recorded before the simulator kept its excitation
 state and context index incrementally, so a refactor of the rollout that
@@ -37,6 +41,8 @@ GOLDEN = {
     "mini/hawkes_diag": "cedf54f6f9342e354df0ebb0f5b451b02bdf66b891734f4ebe0f307d0786e23c",
     "mini/hawkes_full": "257e1470c7fdcda4dd09c9d05c1510798f04b53a1bcdaffd7908fd4c2603a6ed",
     "mini/pure_hawkes": "b7704f957bef0266221fa27fcc43d08fe10f5f2c3db355ccbb3bea175aaae196",
+    "mini/pure_hawkes_diag": "a40f179089cd73843f8432af0fb76acd80d8da68a2754e7aa09a5853bcbe3cb3",
+    "mini/pure_hawkes_full": "1868e935f8f8cda166cb1616cd23e66f69c17c5e86095a01edde5d4517f82ffd",
     "fixture/periodic": "40855575323af1422a13abe3d58c0319417ef1951c745cf53f027c3e07801631",
     "fixture/llm_predicted": "c2796b58fc40c6bd6f5e944287f7385cfd4ee740b40883b2d4f4c2dd33a9c79e",
     "fixture/hod": "8d2676433a24e4c80f311af0182cce8b4ecad90f2bbab12d2efbaceefa4cc691",
@@ -44,6 +50,8 @@ GOLDEN = {
     "fixture/hawkes_diag": "f83e8b6bab2ee17c2e2e08c63eb1981c2a7506b60f9e46e48ac29aeec5b9d15b",
     "fixture/hawkes_full": "07e7eb549b3c3ae4ad6e6a09b52dd513831b3f7e6c5f4adce371fb4030defd00",
     "fixture/pure_hawkes": "12598b657ee602d45ca7c3aa788dd8ea005ba4760bc7fa128c59d3edd06f40d2",
+    "fixture/pure_hawkes_diag": "2a89ba46c0f72e00806de1e376bca80cfb45a7d0a50dd9500c1547103001a6a2",
+    "fixture/pure_hawkes_full": "d6cc4ee9e940429e0d1ffebc8b5c7425a6cd379b8606ba12560d109cb0385051",
 }
 
 REPORT_GOLDEN = {
@@ -78,6 +86,21 @@ MODEL_GOLDEN = {
 }
 
 
+def _model(name, log, hist):
+    """The fitted model; with a `_diag` or `_full` suffix, its baselines with
+    a pinned alpha instead. The fitted alpha is often zero on these corpora,
+    so explicit self- and cross-excitation exercises the excitation paths."""
+    model = hawkes.fit(log, hist)
+    if name.endswith(("_diag", "_full")):
+        n = model.n_agents
+        alpha = 0.4 * np.eye(n)
+        if name.endswith("_full"):
+            alpha = 0.3 * np.eye(n) + 0.03 * (1 - np.eye(n))
+        model = hawkes.HawkesModel(model.agents, model.baselines.copy(), alpha,
+                                   model.beta_per_hour, name.endswith("_diag"))
+    return model
+
+
 def _policy(name, log, hist):
     if name == "periodic":
         return simulator.PeriodicSchedule(3.0)
@@ -85,17 +108,7 @@ def _policy(name, log, hist):
         return simulator.LLMPredicted()
     if name == "hod":
         return simulator.EmpiricalHoD(simulator.hod_histograms(corpus.window(log, *hist)))
-    model = hawkes.fit(log, hist)
-    if name != "hawkes":
-        # the fitted alpha is often zero on these corpora; pin explicit
-        # self- and cross-excitation so the excitation state is exercised
-        n = model.n_agents
-        alpha = 0.4 * np.eye(n)
-        if name == "hawkes_full":
-            alpha = 0.3 * np.eye(n) + 0.03 * (1 - np.eye(n))
-        model = hawkes.HawkesModel(model.agents, model.baselines.copy(), alpha,
-                                   model.beta_per_hour, name == "hawkes_diag")
-    return simulator.HawkesGuided(model)
+    return simulator.HawkesGuided(_model(name, log, hist))
 
 
 def _setup(corpus_name, mini_log):
@@ -116,8 +129,8 @@ def _rollout(corpus_name, policy_name, mini_log):
     log, window, history_days = _setup(corpus_name, mini_log)
     hist = (window[0] - history_days * DAY, window[0])
     plan = simulator.select_triggers(log, hist, RATIO, window)
-    if policy_name == "pure_hawkes":
-        model = hawkes.fit(log, hist)
+    if policy_name.startswith("pure_hawkes"):
+        model = _model(policy_name, log, hist)
         hist_log = corpus.window(log, *hist)
         sim = hawkes.simulate_pure_hawkes(model, window, plan, hist_log,
                                           corpus.contact_frequencies(hist_log), SEED)
