@@ -197,6 +197,15 @@ def _load_sim_config(path) -> dict:
     return cfg
 
 
+def _setting(cfg: dict, key: str, default, kind: type):
+    """cfg[key], or the default when absent, which must be a `kind` (int or
+    bool): int() would run 7.9 as 7 and bool() would run "no" as True."""
+    value = cfg.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{key} {value!r} is not {'an integer' if kind is int else 'a boolean'}")
+    return value
+
+
 def _build_policy(name: str, cfg: dict, periodic, fit_cfg, log, hist_window,
                   counters: dict):
     h0, t0 = hist_window
@@ -230,17 +239,20 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"{args.config}: window must be [start, end]")
         # validate the run settings before the policy, which may fit a model
         try:
-            seed = int(args.seed) if args.seed is not None else int(cfg.get("seed", 42))
+            seed = args.seed if args.seed is not None else _setting(cfg, "seed", 42, int)
             t0 = timeutil.parse_utc(str(window[0]))
             t1 = timeutil.parse_utc(str(window[1]))
             sim_config = simulator.SimConfig(
                 window=(t0, t1),
-                history_days=int(cfg.get("history_days", 32)),
+                history_days=_setting(cfg, "history_days", 32, int),
                 trigger_ratio=float(cfg.get("trigger_ratio", 0.10)),
                 seed=seed,
-                max_actions_per_wake=int(cfg.get("max_actions_per_wake", 5)),
-                llm_adjusts_next_check=bool(cfg.get("llm_adjusts_next_check", False)),
+                max_actions_per_wake=_setting(cfg, "max_actions_per_wake", 5, int),
+                llm_adjusts_next_check=_setting(cfg, "llm_adjusts_next_check", False, bool),
             )
+            hist_window = (t0 - sim_config.history_days * 86400, t0)
+            triggers = simulator.select_triggers(log, hist_window,
+                                                 sim_config.trigger_ratio, (t0, t1))
             periodic = simulator.PeriodicSchedule(float(cfg.get("periodic_interval_hours", 3.0)))
             fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
             llm_cfg = (agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
@@ -254,11 +266,8 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"{args.config}: {exc}") from None
         manifest.data["seed"] = seed
         counters = manifest.data["counters"]
-        hist_window = (t0 - sim_config.history_days * 86400, t0)
         policy = _build_policy(args.policy, cfg, periodic, fit_cfg, log, hist_window, counters)
         sim_config = dataclasses.replace(sim_config, policy=policy)
-        triggers = simulator.select_triggers(log, hist_window,
-                                             sim_config.trigger_ratio, (t0, t1))
         if args.agent == "stub":
             params = agents.stub_params_from_history(log, hist_window, seed)
             policy_impl = agents.StubPolicy(params)

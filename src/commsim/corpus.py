@@ -152,8 +152,13 @@ def _parse_jsonl(text: str):
             thread, body = rec.get("thread"), rec.get("body")
             if body is not None and not isinstance(body, str):
                 raise ValueError(f"body {body!r} is not a string")
-            yield (_json_int(rec, "id"), str(rec["sender"]),
-                   [str(r) for r in rec["recipients"]], _json_int(rec, "ts"),
+            sender, recipients = rec["sender"], rec["recipients"]
+            # str() would read the label "5" from 5 and the recipients b, c from "bc"
+            if not isinstance(sender, str):
+                raise ValueError(f"sender {sender!r} is not a string")
+            if not (isinstance(recipients, list) and all(isinstance(r, str) for r in recipients)):
+                raise ValueError(f"recipients {recipients!r} is not a list of strings")
+            yield (_json_int(rec, "id"), sender, recipients, _json_int(rec, "ts"),
                    None if thread is None else _json_int(rec, "thread"), body)
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc

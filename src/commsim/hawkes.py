@@ -31,12 +31,15 @@ at ts == t count with weight 1. Three readers share it:
 
 `simulate_pure_hawkes` keeps its own decayed vector with one common
 reference time: its superposition sampler reads the whole vector at every
-step, which then costs one `exp` instead of one per sender. `intensity`
+step, which then costs one `exp` instead of one per sender. When alpha is
+zero on every organic row it keeps none, as the excitation only adds exact
+zeros. `intensity`
 and `excitation_integral` stay brute-force sums and serve as test oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -94,6 +97,11 @@ class HawkesModel:
         if not np.any(self.alpha.sum(axis=1) >= 1.0):
             return False
         return bool(np.max(np.abs(np.linalg.eigvals(self.alpha))) >= 1.0)
+
+    @functools.cached_property
+    def baseline_rows(self) -> list[list[float]]:
+        """`baselines` as Python floats: one 168-entry list per agent."""
+        return self.baselines.tolist()
 
     def baseline_rate(self, agent: int, ts) -> float:
         return float(self.baselines[agent, timeutil.flat_bin_of(int(ts))])
@@ -319,11 +327,12 @@ def _agent_terms(log: EventLog, window: tuple[int, int], beta: float,
 
 
 def _agent_ll(terms: _AgentTerms, mu: np.ndarray, alpha_row: np.ndarray,
-              beta: float, bin_hours: np.ndarray) -> float:
+              beta: float, bin_hours: np.ndarray) -> tuple[float, np.ndarray]:
+    """(log-likelihood, intensity at each of the agent's events)."""
     lam = mu[terms.bins] + beta * (terms.S @ alpha_row)
     if np.any(lam <= 0):
         raise HawkesError("nonpositive intensity at an event; raise baseline_floor")
-    return float(np.sum(np.log(lam)) - mu @ bin_hours - alpha_row @ terms.weights)
+    return float(np.sum(np.log(lam)) - mu @ bin_hours - alpha_row @ terms.weights), lam
 
 
 def log_likelihood(model: HawkesModel, log: EventLog, window: tuple[int, int]) -> float:
@@ -337,7 +346,7 @@ def log_likelihood(model: HawkesModel, log: EventLog, window: tuple[int, int]) -
     total = 0.0
     for i in range(model.n_agents):
         total += _agent_ll(terms[i], model.baselines[i], model.alpha[i],
-                           model.beta_per_hour, bin_hours)
+                           model.beta_per_hour, bin_hours)[0]
     if not math.isfinite(total):
         raise HawkesError("non-finite log-likelihood")
     return total
@@ -369,7 +378,8 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
     stop): "converged" when the gain fell below the tolerance (or the agent
     has no events), "max_iters" when the iteration budget ran out, and
     "backtracking_failed" when no step along the ascent direction kept the
-    likelihood from falling."""
+    likelihood from falling. Each iteration starts from the intensities the
+    accepted candidate's likelihood computed."""
     floor = cfg.baseline_floor
     n_ev = len(terms.bins)
     mu = np.full(N_BINS, floor)
@@ -384,13 +394,9 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
     # so a zero gradient: its entry is not identifiable and starts (and stays) 0
     alpha = np.where(terms.weights > 0, 0.1, 0.0)
 
-    def ll(m, a):
-        return _agent_ll(terms, m, a, beta, bin_hours)
-
-    cur = ll(mu, alpha)
+    cur, lam = _agent_ll(terms, mu, alpha, beta, bin_hours)
     s_sq = terms.S ** 2
     for _ in range(cfg.max_iters):
-        lam = mu[terms.bins] + beta * (terms.S @ alpha)
         inv = 1.0 / lam
         g_mu = np.bincount(terms.bins, weights=inv, minlength=N_BINS) - bin_hours
         g_alpha = beta * (terms.S.T @ inv) - terms.weights
@@ -404,7 +410,7 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
         for _ in range(60):
             mu_c = np.maximum(mu + step * d_mu, floor)
             alpha_c = np.maximum(alpha + step * d_alpha, 0.0)
-            cand = ll(mu_c, alpha_c)
+            cand, lam_c = _agent_ll(terms, mu_c, alpha_c, beta, bin_hours)
             if not math.isfinite(cand):
                 raise HawkesError("non-finite likelihood during optimization")
             if cand >= cur:
@@ -414,7 +420,7 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
         if not accepted:
             return mu, alpha, "backtracking_failed"
         improved = cand - cur
-        mu, alpha, cur = mu_c, alpha_c, cand
+        mu, alpha, cur, lam = mu_c, alpha_c, cand, lam_c
         if improved <= cfg.tolerance * max(1.0, abs(cur)):
             return mu, alpha, "converged"
     return mu, alpha, "max_iters"
@@ -483,16 +489,17 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     beta = model.beta_per_hour
-    mu = model.baselines[agent]
+    mu = model.baseline_rows[agent]
     a = excitation
 
     s = t_now / SECONDS_PER_HOUR
     a_ref = s
     horizon_h = horizon / SECONDS_PER_HOUR
     while s < horizon_h:
-        b = min(math.floor(s) + 1.0, horizon_h)
+        hour = math.floor(s)
+        b = min(hour + 1.0, horizon_h)
         exc = a * math.exp(-beta * (s - a_ref))
-        lam_bar = float(mu[timeutil.flat_bin_of_hour(int(math.floor(s)))]) + beta * exc
+        lam_bar = mu[timeutil.flat_bin_of_hour(hour)] + beta * exc
         if lam_bar <= 0:
             s = b
             continue
@@ -501,7 +508,7 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
             s = b
             continue
         t_star = s + delta
-        lam = float(mu[timeutil.flat_bin_of_hour(int(math.floor(t_star)))]) \
+        lam = mu[timeutil.flat_bin_of_hour(math.floor(t_star))] \
             + beta * a * math.exp(-beta * (t_star - a_ref))
         assert lam <= lam_bar * (1 + 1e-12), "thinning bound violated"
         if rng.uniform() * lam_bar <= lam:
@@ -509,6 +516,24 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
             return max(min(int(math.ceil(t_star * SECONDS_PER_HOUR)), horizon), t_now + 1)
         s = t_star
     return None
+
+
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _choice_cdf(row: np.ndarray, n: int) -> np.ndarray:
+    """The CDF that `Generator.choice(n, p=row / row.sum())` builds and
+    searches. `cdf.searchsorted(rng.random(), side="right")` then draws the
+    same index from the same single uniform as `choice`. Raises ValueError
+    where `choice` would: p of the wrong length, negative or non-finite, or
+    not summing to 1 within sqrt(float64 eps)."""
+    p = row / row.sum()
+    if p.shape != (n,) or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= _CHOICE_ATOL):
+        raise ValueError("recipient probabilities must be n finite, nonnegative values "
+                         "summing to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
@@ -522,6 +547,17 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
     multivariate thinning, each with one recipient drawn from the sender's
     historical contact distribution. Trigger agents do not generate organic
     events (their ground truth is the injection).
+
+    Two invariants keep the output byte-identical to thinning that updates
+    the excitation vector at every step and draws with `rng.choice`:
+
+    - when alpha is zero on every organic row, a candidate's intensity
+      vector is its hour's baseline column plus exact zeros, a contiguous
+      array; its sum and cumsum are tabulated once per weekly bin, and no
+      excitation is kept;
+    - each sender's recipient CDF is built as `Generator.choice` builds it
+      (`_choice_cdf`), the first time the sender sends, and searched with
+      one `rng.random()`, the one draw `choice` makes.
     """
     if counters is None:
         counters = {}
@@ -540,12 +576,21 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
     alpha_org = model.alpha[organic]             # (K, D)
     alpha_diag = np.diag(model.alpha)[organic]
     col_weight = alpha_org.sum(axis=0)           # excitation column weights
-    sum_mu = mu_org.sum(axis=0)                  # (168,)
+    sum_mu = mu_org.sum(axis=0).tolist()         # (168,)
+    excited = bool(alpha_org.any())
+    if not excited:
+        zeros = np.zeros(len(organic))
+        bin_lam = [mu_org[:, k] + zeros for k in range(N_BINS)]
+        # a pairwise sum, which need not equal the sequential cumsum's last entry
+        bin_total = [float(lam.sum()) for lam in bin_lam]
+        bin_cum = [np.cumsum(lam) for lam in bin_lam]
+    cdfs: dict[int, np.ndarray | None] = {}
 
     g = np.zeros(n)
     t0_h = t0 / SECONDS_PER_HOUR
-    for e in history.events[history.span(t1=t0 + 1)]:
-        g[e.sender] += math.exp(-beta * (t0 - e.ts) / SECONDS_PER_HOUR)
+    if excited:
+        for e in history.events[history.span(t1=t0 + 1)]:
+            g[e.sender] += math.exp(-beta * (t0 - e.ts) / SECONDS_PER_HOUR)
 
     out: list[Event] = list(schedule)
     next_id = max((e.event_id for e in schedule), default=-1) + 1
@@ -566,15 +611,21 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
     while s < horizon_h:
         next_trig = sched_h[si] if si < len(schedule) else math.inf
         if next_trig <= s:
-            decay_to(s)
+            if excited:
+                decay_to(s)
             tt = schedule[si].ts
             while si < len(schedule) and schedule[si].ts == tt:
-                g[schedule[si].sender] += 1.0
+                if excited:
+                    g[schedule[si].sender] += 1.0
                 si += 1
             continue
-        b = min(math.floor(s) + 1.0, horizon_h, next_trig)
-        decay_to(s)
-        lam_bar = float(sum_mu[timeutil.flat_bin_of_hour(int(math.floor(s)))]) + beta * float(col_weight @ g)
+        hour = math.floor(s)
+        b = min(hour + 1.0, horizon_h, next_trig)
+        if excited:
+            decay_to(s)
+            lam_bar = sum_mu[timeutil.flat_bin_of_hour(hour)] + beta * float(col_weight @ g)
+        else:
+            lam_bar = sum_mu[timeutil.flat_bin_of_hour(hour)]
         if lam_bar <= 0:
             s = b
             continue
@@ -583,20 +634,28 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             s = b
             continue
         t_star = s + delta
-        decay_to(t_star)
-        if model.diagonal_only:
-            exc = beta * alpha_diag * g[organic]
+        k = timeutil.flat_bin_of_hour(math.floor(t_star))
+        if excited:
+            decay_to(t_star)
+            if model.diagonal_only:
+                exc = beta * alpha_diag * g[organic]
+            else:
+                exc = beta * (alpha_org @ g)
+            lam = mu_org[:, k] + exc
+            total = float(lam.sum())
         else:
-            exc = beta * (alpha_org @ g)
-        lam = mu_org[:, timeutil.flat_bin_of_hour(int(math.floor(t_star)))] + exc
-        total = float(lam.sum())
+            total = bin_total[k]
         u = rng.uniform() * lam_bar
         assert total <= lam_bar * (1 + 1e-12), "thinning bound violated"
         if u <= total:
-            sender = int(organic[int(np.searchsorted(np.cumsum(lam), u, side="left"))])
-            probs = recipient_dist[sender]
-            if probs.sum() > 0:
-                recipient = int(rng.choice(n, p=probs / probs.sum()))
+            cum = np.cumsum(lam) if excited else bin_cum[k]
+            sender = int(organic[int(cum.searchsorted(u, side="left"))])
+            if sender not in cdfs:
+                probs = recipient_dist[sender]
+                cdfs[sender] = _choice_cdf(probs, n) if probs.sum() > 0 else None
+            cdf = cdfs[sender]
+            if cdf is not None:
+                recipient = int(cdf.searchsorted(rng.random(), side="right"))
             else:
                 counters["uniform_recipient_fallbacks"] += 1
                 others = [j for j in range(n) if j != sender]
@@ -605,7 +664,8 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             out.append(Event(next_id, sender, (recipient,), ts, ORGANIC))
             next_id += 1
             counters["organic_events"] += 1
-            g[sender] += 1.0
+            if excited:
+                g[sender] += 1.0
         s = t_star
 
     return EventLog(model.agents, ()).with_events(out)

@@ -294,6 +294,19 @@ def _error(out):
     return json.loads((out / "manifest.json").read_text())["error"]
 
 
+def test_ingest_non_string_labels_exit_2(tmp_path):
+    # str() read this file as registry ('5', 'a', 'b', 'c'), event 1 sent to b and c
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": 1, "sender": "a", "recipients": "bc", "ts": 0}\n'
+                   '{"id": 2, "sender": 5, "recipients": ["a"], "ts": 1}\n')
+    out = tmp_path / "o"
+    assert run_cli("stats", bad, "--out", out) == 2
+    assert _error(out) == "CorpusError: line 1: recipients 'bc' is not a list of strings"
+    bad.write_text(bad.read_text().splitlines()[1] + "\n")
+    assert run_cli("stats", bad, "--out", out) == 2
+    assert _error(out) == "CorpusError: line 1: sender 5 is not a string"
+
+
 @pytest.mark.parametrize("ts", [1.7, True, "983782800"])
 def test_ingest_non_integer_ts_exits_2(tmp_path, ts):
     bad = tmp_path / "bad.jsonl"
@@ -355,7 +368,7 @@ def test_simulate_model_file_missing_key_exits_2(tmp_path):
     ("periodic", {"window": [SIM_T0, SIM_T0]}, "empty simulation window"),
     ("periodic", {"window": ["2001-03-05", "next week"]}, "unrecognized timestamp"),
     ("periodic", {"window": [SIM_T0]}, "window must be [start, end]"),
-    ("periodic", {"seed": "x"}, "invalid literal for int()"),
+    ("periodic", {"seed": "x"}, "seed 'x' is not an integer"),
     # hawkes fits on the history window: validation must come first
     ("hawkes", {"history_days": 0}, "history_days must be positive"),
     ("periodic", {"history_days": -2}, "history_days must be positive"),
@@ -363,7 +376,15 @@ def test_simulate_model_file_missing_key_exits_2(tmp_path):
     ("periodic", {"trigger_ratio": -0.1}, "trigger_ratio outside [0, 1]"),
     ("periodic", {"max_actions_per_wake": 0}, "max_actions_per_wake must be positive"),
     ("hawkes", {"model": 3}, "model must be a file path, not 3"),
-    ("periodic", {"history_days": math.inf}, "cannot convert float infinity to integer"),
+    ("periodic", {"history_days": math.inf}, "history_days inf is not an integer"),
+    # int() and bool() would run these as seed 7, 3 days and True
+    ("periodic", {"seed": 7.9}, "seed 7.9 is not an integer"),
+    ("periodic", {"history_days": 3.9}, "history_days 3.9 is not an integer"),
+    ("periodic", {"seed": True}, "seed True is not an integer"),
+    ("periodic", {"max_actions_per_wake": 2.5}, "max_actions_per_wake 2.5 is not an integer"),
+    ("periodic", {"llm_adjusts_next_check": "no"}, "llm_adjusts_next_check 'no' is not a boolean"),
+    # the history window [SIM_T0 - 4 days, BASE) ends where the corpus starts
+    ("hawkes", {"window": [BASE, SIM_T1]}, "empty history window"),
 ])
 def test_simulate_invalid_config_exits_2(tmp_path, capsys, policy, overrides, message):
     out = tmp_path / "o"

@@ -89,6 +89,11 @@ def test_ingest_errors(tmp_path):
     ("thread", 1.0, "thread 1.0 is not an integer"),
     ("body", 5, "body 5 is not a string"),
     ("body", ["hi"], "body ['hi'] is not a string"),
+    ("sender", 5, "sender 5 is not a string"),
+    ("sender", None, "sender None is not a string"),
+    ("recipients", "bc", "recipients 'bc' is not a list of strings"),
+    ("recipients", ["b", 3], "recipients ['b', 3] is not a list of strings"),
+    ("recipients", {"b": 1}, "recipients {'b': 1} is not a list of strings"),
 ])
 def test_ingest_jsonl_field_types(tmp_path, field, value, message):
     good = {"id": 1, "sender": "a", "recipients": ["b"], "ts": 0, "thread": 4, "body": "x"}

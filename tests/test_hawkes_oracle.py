@@ -1,0 +1,193 @@
+"""Differential tests of the pure-Hawkes sampler, the thinning loop and the
+fitter's ascent against the bodies they replaced (`oracle_hawkes`).
+
+Each sampler runs on twin generators: the output must be equal byte for
+byte and the generator must end in the same state, so every random draw is
+the same draw in the same order.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracle_hawkes
+from commsim import corpus, hawkes, rng as rng_mod, timeutil
+from commsim.corpus import EventLog
+from commsim.hawkes import FitConfig, HawkesModel
+from commsim.simulator import TriggerPlan
+
+from conftest import BASE_MONDAY, make_log, random_log
+
+HOUR = 3600
+DAY = 86400
+
+
+def random_model(r, n, diagonal, alpha_kind, trigger_agents):
+    """Baselines up to 0.6/h with about a third of the bins at zero; alpha
+    "zero", "nonzero", or "triggers" (nonzero only on the trigger agents'
+    rows, so the organic rows stay zero)."""
+    base = r.random((n, hawkes.N_BINS)) * 0.6 * (r.random((n, hawkes.N_BINS)) > 0.3)
+    alpha = np.zeros((n, n))
+    if alpha_kind != "zero":
+        alpha = r.random((n, n)) * 0.3 * (r.random((n, n)) > 0.3)
+        if diagonal:
+            alpha = np.diag(np.diag(alpha))
+        if alpha_kind == "triggers":
+            organic = [i for i in range(n) if i not in trigger_agents]
+            alpha[organic] = 0.0
+    labels = tuple(f"a{i:02d}" for i in range(n))
+    return HawkesModel(labels, base, alpha, float(r.uniform(0.2, 3.0)), diagonal)
+
+
+def random_schedule(r, n, trigger_agents, t0, t1):
+    """Trigger events in and around the window, several sharing a timestamp."""
+    if not trigger_agents:
+        return EventLog(tuple(f"a{i:02d}" for i in range(n)), ())
+    stamps = r.integers(t0 - HOUR, t1 + HOUR, size=4).tolist() + [t0]
+    records = []
+    for _ in range(int(r.integers(0, 10))):
+        sender = int(r.choice(sorted(trigger_agents)))
+        records.append((sender, (sender + 1) % n, int(r.choice(stamps))))
+    return make_log(records, n_agents=n)
+
+
+@contextmanager
+def captured_generators():
+    """Record every generator `substream` hands out, in order."""
+    made = []
+
+    def spy(seed, *labels):
+        g = rng_mod.substream(seed, *labels)
+        made.append(g)
+        return g
+
+    with mock.patch.object(hawkes, "substream", spy), \
+            mock.patch.object(oracle_hawkes, "substream", spy):
+        yield made
+
+
+def assert_same_rollout(*args) -> dict:
+    """Run both samplers on `args`; return the (equal) counters."""
+    with captured_generators() as made:
+        fast_counters, slow_counters = {}, {}
+        fast = hawkes.simulate_pure_hawkes(*args, fast_counters)
+        slow = oracle_hawkes.simulate_pure_hawkes(*args, slow_counters)
+    assert corpus.serialize(fast) == corpus.serialize(slow)
+    assert fast_counters == slow_counters
+    assert made[0].bit_generator.state == made[1].bit_generator.state
+    return fast_counters
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), diagonal=st.booleans(),
+       alpha_kind=st.sampled_from(["zero", "nonzero", "triggers"]),
+       n_triggers=st.integers(0, 2), zero_row=st.booleans())
+def test_simulate_pure_hawkes_matches_oracle(seed, n, diagonal, alpha_kind, n_triggers,
+                                             zero_row):
+    r = np.random.default_rng(seed)
+    trigger_agents = frozenset(r.permutation(n)[:min(n_triggers, n - 1)].tolist())
+    model = random_model(r, n, diagonal, alpha_kind, trigger_agents)
+    t0 = BASE_MONDAY + int(r.integers(0, 7 * DAY))
+    t1 = t0 + int(r.integers(HOUR, 2 * DAY))
+    plan = TriggerPlan(trigger_agents, random_schedule(r, n, trigger_agents, t0, t1))
+    history = random_log(r, n, int(r.integers(0, 30)), t0 - 2 * DAY, 2 * DAY + 1)
+    dist = r.random((n, n)) * (r.random((n, n)) > 0.4)
+    if zero_row:
+        dist[int(r.integers(n))] = 0.0  # that sender falls back to a uniform recipient
+    assert_same_rollout(model, (t0, t1), plan, history, dist, int(r.integers(2**31)))
+
+
+def test_simulate_pure_hawkes_covers_the_fallback_and_excited_paths():
+    """A fixed case of the property above that is sure to take the uniform
+    fallback, the choice CDF and the excitation branch with shared-timestamp
+    triggers."""
+    n = 4
+    base = np.full((n, hawkes.N_BINS), 0.8)
+    alpha = 0.2 * np.eye(n) + 0.05
+    model = HawkesModel(tuple(f"a{i:02d}" for i in range(n)), base, alpha, 1.5, False)
+    t0, t1 = BASE_MONDAY, BASE_MONDAY + DAY
+    sched = make_log([(0, 1, t0 + HOUR), (0, 2, t0 + HOUR), (0, 3, t0 + 5 * HOUR)], n_agents=n)
+    plan = TriggerPlan(frozenset({0}), sched)
+    dist = np.array([[0, 1, 1, 1], [0, 0, 0, 0], [1, 2, 0, 0], [3, 0, 1, 0]], dtype=float)
+    counters = assert_same_rollout(model, (t0, t1), plan, EventLog(model.agents, ()), dist, 3)
+    assert 0 < counters["uniform_recipient_fallbacks"] < counters["organic_events"]
+
+
+def test_simulate_pure_hawkes_rejects_a_row_choice_rejects():
+    m = HawkesModel(("a", "b", "c"), np.full((3, hawkes.N_BINS), 2.0), np.zeros((3, 3)),
+                    1.0, True)
+    dist = np.array([[0.0, 2.0, -1.0]] * 3)  # positive sum, one negative entry
+    window = (BASE_MONDAY, BASE_MONDAY + DAY)
+    for simulate in (hawkes.simulate_pure_hawkes, oracle_hawkes.simulate_pure_hawkes):
+        with pytest.raises(ValueError):
+            simulate(m, window, None, EventLog(m.agents, ()), dist, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), draws=st.integers(1, 6))
+def test_choice_cdf_draw_matches_generator_choice(seed, n, draws):
+    r = np.random.default_rng(seed)
+    row = r.random(n) * (r.random(n) > 0.4) * 10.0 ** float(r.integers(-3, 4))
+    if row.sum() == 0:
+        row[int(r.integers(n))] = 1.0
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    cdf = hawkes._choice_cdf(row, n)
+    for _ in range(draws):
+        want = int(theirs.choice(n, p=row / row.sum()))
+        assert int(cdf.searchsorted(ours.random(), side="right")) == want
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("row", [[0.0, 2.0, -1.0], [np.inf, 1.0, 0.0], [1e308, 1e308, 0.0]])
+def test_choice_cdf_rejects_what_choice_rejects(row):
+    row = np.array(row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(3, p=row / row.sum())
+        with pytest.raises(ValueError):
+            hawkes._choice_cdf(row, 3)
+    with pytest.raises(ValueError):
+        hawkes._choice_cdf(np.array([1.0, 1.0]), 3)  # choice: a and p differ in size
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), excitation=st.floats(0.0, 5.0),
+       start=st.integers(0, 7 * DAY), length=st.integers(1, 3 * DAY))
+def test_thin_next_activation_matches_oracle(seed, excitation, start, length):
+    r = np.random.default_rng(seed)
+    n = 3
+    model = random_model(r, n, diagonal=True, alpha_kind="nonzero", trigger_agents=())
+    agent = int(r.integers(n))
+    t_now = BASE_MONDAY + start
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):  # successive wakes, as a rollout makes them
+        fast = hawkes.thin_next_activation(model, agent, excitation, t_now, t_now + length,
+                                           fast_rng)
+        slow = oracle_hawkes.thin_next_activation(model, agent, excitation, t_now,
+                                                  t_now + length, slow_rng)
+        assert fast == slow
+        if fast is None:
+            break
+        t_now = fast
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), diagonal=st.booleans(),
+       beta=st.sampled_from([0.5, 4.0, 30.0]))
+def test_maximize_agent_matches_oracle(seed, n, diagonal, beta):
+    r = np.random.default_rng(seed)
+    t0, t1 = BASE_MONDAY + DAY, BASE_MONDAY + 4 * DAY
+    log = random_log(r, n, int(r.integers(2, 60)), BASE_MONDAY, 4 * DAY)
+    terms = hawkes._agent_terms(log, (t0, t1), beta, diagonal)
+    bin_hours = timeutil.weekly_bin_hours(t0, t1)
+    cfg = FitConfig(max_iters=int(r.integers(1, 40)))
+    for i in range(n):
+        mu, alpha, stop = hawkes._maximize_agent(terms[i], beta, bin_hours, cfg)
+        mu_o, alpha_o, stop_o = oracle_hawkes.maximize_agent(terms[i], beta, bin_hours, cfg)
+        assert mu.tobytes() == mu_o.tobytes()
+        assert alpha.tobytes() == alpha_o.tobytes()
+        assert stop == stop_o
