@@ -198,12 +198,16 @@ def _load_sim_config(path) -> dict:
 
 
 def _setting(cfg: dict, key: str, default, kind: type):
-    """cfg[key], or the default when absent, which must be a `kind` (int or
-    bool): int() would run 7.9 as 7 and bool() would run "no" as True."""
+    """cfg[key], or the default when absent, which must be a `kind`: int,
+    bool, or float for an int or a float (returned as a float), never a bool.
+    int() would run 7.9 as 7, bool() "no" as True and float() true as 1.0.
+    The setting's consumer checks its range, finiteness included."""
     value = cfg.get(key, default)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise TypeError(f"{key} {value!r} is not {'an integer' if kind is int else 'a boolean'}")
-    return value
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) and kind is not bool):
+        name = {int: "an integer", bool: "a boolean", float: "a number"}[kind]
+        raise TypeError(f"{key} {value!r} is not {name}")
+    return float(value) if kind is float else value
 
 
 def _build_policy(name: str, cfg: dict, periodic, fit_cfg, log, hist_window,
@@ -245,7 +249,7 @@ def cmd_simulate(args) -> int:
             sim_config = simulator.SimConfig(
                 window=(t0, t1),
                 history_days=_setting(cfg, "history_days", 32, int),
-                trigger_ratio=float(cfg.get("trigger_ratio", 0.10)),
+                trigger_ratio=_setting(cfg, "trigger_ratio", 0.10, float),
                 seed=seed,
                 max_actions_per_wake=_setting(cfg, "max_actions_per_wake", 5, int),
                 llm_adjusts_next_check=_setting(cfg, "llm_adjusts_next_check", False, bool),
@@ -253,7 +257,8 @@ def cmd_simulate(args) -> int:
             hist_window = (t0 - sim_config.history_days * 86400, t0)
             triggers = simulator.select_triggers(log, hist_window,
                                                  sim_config.trigger_ratio, (t0, t1))
-            periodic = simulator.PeriodicSchedule(float(cfg.get("periodic_interval_hours", 3.0)))
+            periodic = simulator.PeriodicSchedule(
+                _setting(cfg, "periodic_interval_hours", 3.0, float))
             fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
             llm_cfg = (agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
                        if args.agent == "llm" else None)

@@ -6,10 +6,19 @@ the registry maps indices to opaque labels (e.g. mailbox addresses) sorted
 lexicographically, so ingestion of the same data always yields the same
 indexing regardless of record order.
 
-A log caches two read-only int64 columns, `ts` and `senders`, built on first
-read. Every time window is half-open, t0 <= ts < t1, and is found by one
-bisect per bound on the sorted `ts` (`EventLog.span`); a reader of ts <= t
-asks for the span up to t + 1. `sent_times` splits the columns per sender.
+A log caches read-only int64 columns, built on first read: `ts` and `senders`,
+and `recipients` (all recipients flattened in log order) with `recipient_rows`
+(each one's event index). Every time window is half-open, t0 <= ts < t1, and
+is found by one bisect per bound on the sorted `ts` (`EventLog.span`); a reader
+of ts <= t asks for the span up to t + 1. `sent_times` splits the columns per
+sender.
+
+`EventLog(...)`, `with_events`, `ingest` and `simulator.run`'s result check the
+registry range, the (ts, event_id) order and id uniqueness of what a user or
+an agent supplies. `EventLog._unchecked` skips the check where all three hold
+by construction: a subsequence of a checked log (`window`, `metrics.
+exclude_triggers`, `simulator.select_triggers`' schedule) and `build_log`'s
+sorted records after its duplicate-id check.
 """
 
 from __future__ import annotations
@@ -86,6 +95,15 @@ class EventLog:
         except ValueError:
             raise CorpusError(f"unknown agent label {label!r}") from None
 
+    @classmethod
+    def _unchecked(cls, agents: tuple[str, ...], events: tuple[Event, ...]) -> "EventLog":
+        """An EventLog without `__post_init__`'s check, for events already
+        sorted by (ts, event_id) with unique ids inside the registry."""
+        log = object.__new__(cls)
+        object.__setattr__(log, "agents", agents)
+        object.__setattr__(log, "events", events)
+        return log
+
     def with_events(self, events: Iterable[Event]) -> "EventLog":
         """Same registry, new (re-sorted) event list."""
         return EventLog(self.agents, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
@@ -99,6 +117,17 @@ class EventLog:
     def senders(self) -> np.ndarray:
         """Event senders in log order (int64, read-only)."""
         return _column([e.sender for e in self.events])
+
+    @functools.cached_property
+    def recipients(self) -> np.ndarray:
+        """Every event's recipients, flattened in log order (int64, read-only)."""
+        return _column([r for e in self.events for r in e.recipients])
+
+    @functools.cached_property
+    def recipient_rows(self) -> np.ndarray:
+        """The event index of each entry of `recipients` (int64, read-only)."""
+        fanout = [len(e.recipients) for e in self.events]
+        return _column(np.repeat(np.arange(len(fanout)), fanout))
 
     def span(self, t0: int | None = None, t1: int | None = None) -> slice:
         """The slice of `events` with t0 <= ts < t1, one bisect per bound on
@@ -122,7 +151,11 @@ def _column(values: list[int]) -> np.ndarray:
 
 def build_log(labels_by_event: Sequence[tuple[int, str, Sequence[str], int, int | None, str | None]]) -> EventLog:
     """Assemble an EventLog from label-based records
-    (event_id, sender, recipients, ts, thread, body)."""
+    (event_id, sender, recipients, ts, thread, body); ids must be unique."""
+    ids = [r[0] for r in labels_by_event]
+    if len(ids) != len(set(ids)):
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+        raise CorpusError(f"duplicate event ids: {dupes[:5]}")
     labels = set()
     for _, sender, recipients, _, _, _ in labels_by_event:
         labels.add(sender)
@@ -132,7 +165,8 @@ def build_log(labels_by_event: Sequence[tuple[int, str, Sequence[str], int, int 
     events = (Event(event_id, index[sender], tuple(index[r] for r in recipients), ts,
                     thread_id=thread, body=body)
               for event_id, sender, recipients, ts, thread, body in labels_by_event)
-    return EventLog(registry, ()).with_events(events)
+    # unique ids, sorted, indexed into their own registry: the full check holds
+    return EventLog._unchecked(registry, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
 
 
 def _json_int(rec: dict, key: str) -> int:
@@ -191,10 +225,6 @@ def ingest(path, format: str = "jsonl") -> EventLog:
         records = list(_parse_csv(text))
     else:
         raise CorpusError(f"unknown format {format!r}")
-    ids = [r[0] for r in records]
-    if len(ids) != len(set(ids)):
-        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
-        raise CorpusError(f"duplicate event ids: {dupes[:5]}")
     return build_log(records)
 
 
@@ -224,12 +254,13 @@ def window(log: EventLog, t0: int, t1: int) -> EventLog:
     """Events with t0 <= ts < t1; registry unchanged."""
     if t0 > t1:
         raise CorpusError(f"window start {t0} after end {t1}")
-    return EventLog(log.agents, log.events[log.span(t0, t1)])
+    return EventLog._unchecked(log.agents, log.events[log.span(t0, t1)])
 
 
 def sent_times(log: EventLog) -> dict[int, np.ndarray]:
     """{sender: its send times, ascending int64} for every agent that sent,
-    in ascending agent order."""
+    in ascending agent order. Reads only `ts` and `senders`, as a
+    `metrics.LogView` has them too."""
     order = np.argsort(log.senders, kind="stable")
     agents, starts = np.unique(log.senders[order], return_index=True)
     return dict(zip(agents.tolist(), np.split(log.ts[order], starts[1:])))
@@ -244,9 +275,9 @@ def contact_frequencies(log: EventLog) -> np.ndarray:
     """Row-normalized (D, D) recipient frequency table; rows of agents who
     never sent are all-zero. Self-loops excluded."""
     n = log.n_agents
-    table = np.zeros((n, n))
-    for u, v, _ in log.edges():
-        table[u, v] += 1.0
+    u, v = log.senders[log.recipient_rows], log.recipients
+    pair = (u * n + v)[u != v]
+    table = np.bincount(pair, minlength=n * n).reshape(n, n).astype(float)
     sums = table.sum(axis=1, keepdims=True)
     np.divide(table, sums, out=table, where=sums > 0)
     return table

@@ -79,6 +79,7 @@ class HawkesModel:
             raise HawkesError("alpha must be finite and nonnegative")
         if not (math.isfinite(self.beta_per_hour) and self.beta_per_hour > 0):
             raise HawkesError("beta must be positive and finite")
+        _check_bool("diagonal_only", self.diagonal_only)
         if self.diagonal_only and np.any(self.alpha * (1 - np.eye(d)) != 0):
             raise HawkesError("diagonal_only model has nonzero off-diagonal alpha")
         self.baselines.setflags(write=False)
@@ -129,8 +130,15 @@ def model_from_dict(d: dict) -> HawkesModel:
         alpha = np.diag(np.array(d["alpha"]["diag"], dtype=float))
     else:
         alpha = np.array(d["alpha"], dtype=float)
-    return HawkesModel(agents, baselines, alpha, float(d["beta_per_hour"]),
-                       bool(d["diagonal_only"]))
+    beta = d["beta_per_hour"]
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)):  # float() reads "2"
+        raise HawkesError(f"beta_per_hour {beta!r} is not a number")
+    return HawkesModel(agents, baselines, alpha, float(beta), d["diagonal_only"])
+
+
+def _check_bool(name: str, value) -> None:
+    if not isinstance(value, bool):  # bool() would read "no" as True
+        raise HawkesError(f"{name} {value!r} is not a boolean")
 
 
 def load_model(path) -> HawkesModel:
@@ -152,6 +160,7 @@ class FitConfig:
     baseline_floor: float = 1e-6
 
     def __post_init__(self):
+        _check_bool("diagonal_only", self.diagonal_only)
         beta, iters = self.beta_override, self.max_iters
         if beta is not None and not (math.isfinite(beta) and beta > 0):
             raise HawkesError("beta_override must be positive and finite")

@@ -16,9 +16,12 @@ direction. Node sets always include the full registry, so isolated
 agents count (degree 0, disconnected pairs contribute 0 to efficiency).
 
 Each metric is one row of `SUITE`, name -> (part, comparison). A part reads
-only one log's `LogView`: the windowed non-trigger log, the window, its edge
-stream (self-loops dropped) as int64 columns u, v, t, and each UTC day's
-directed simple edge set. The comparison turns the sim and gt parts into the
+only one log's `LogView`, its non-trigger subnetwork within the window, built
+by `log_view` from the log's columns without any derived log: the rhythm
+parts read the kept events' `ts` (and `burst` their renumbered `senders`),
+the censuses the int64 edge columns u, v, t (self-loops dropped, log order)
+and `n_agents`, and the daily-topology parts each UTC day's directed simple
+edge set and `n_agents`. The comparison turns the sim and gt parts into the
 value and its flags. `summarize` computes every part of one log once into a
 `LogSummary`, so one ground-truth summary scores any number of rollouts with
 `compare`, and `evaluate_all` is `compare(summarize(sim, ...), summarize(gt,
@@ -58,7 +61,7 @@ import numpy as np
 
 from . import timeutil
 from .corpus import (CorpusError, Event, EventLog, lag24_weekday_autocorr, node_burstiness,
-                     simple_digraph_edges, window as log_window)
+                     simple_digraph_edges)
 
 MOTIF2_CLASSES = ("reciprocal", "repeated", "out_star", "in_star",
                   "chain_forward", "chain_backward")
@@ -136,20 +139,20 @@ def _rho_diff(s, g) -> tuple[float, list[str]]:
     return abs(s[0] - g[0]), flags
 
 
-def hod_histogram(log: EventLog) -> np.ndarray:
-    """24-bin hour-of-day activity histogram; two are compared by linear,
-    not circular, bin distance."""
-    return np.bincount(timeutil.hour_of_day(log.ts), minlength=24).astype(float)
+def hod_histogram(ts: np.ndarray) -> np.ndarray:
+    """24-bin hour-of-day histogram of event times; two are compared by
+    linear, not circular, bin distance."""
+    return np.bincount(timeutil.hour_of_day(ts), minlength=24).astype(float)
 
 
-def weekend_weekday_ratio(log: EventLog, window: tuple[int, int]) -> float:
-    """Mean events per weekend day over mean events per weekday."""
+def weekend_weekday_ratio(ts: np.ndarray, window: tuple[int, int]) -> float:
+    """Mean events per weekend day over mean events per weekday of the
+    window, from the event times in it."""
     t0, t1 = window
     d0, d1 = timeutil.day_index(t0), timeutil.day_index(t1 - 1)
     days = np.arange(d0, d1 + 1)
     wknd_days = int(np.sum(timeutil.is_weekend(days * timeutil.SECONDS_PER_DAY)))
     wkdy_days = len(days) - wknd_days
-    ts = log.ts
     wknd_events = int(np.sum(timeutil.is_weekend(ts)))
     wkdy_events = len(ts) - wknd_events
     mu_wknd = wknd_events / wknd_days if wknd_days else 0.0
@@ -161,9 +164,9 @@ def weekend_weekday_ratio(log: EventLog, window: tuple[int, int]) -> float:
     return mu_wknd / mu_wkdy
 
 
-def burstiness_sample(log: EventLog) -> list[float]:
+def burstiness_sample(view: LogView) -> list[float]:
     """Node-level burstiness values; two are compared by sample EMD."""
-    values = list(node_burstiness(log).values())
+    values = list(node_burstiness(view).values())
     if not values:
         raise MetricError("no node with enough events for burstiness")
     return values
@@ -175,12 +178,16 @@ def burstiness_sample(log: EventLog) -> list[float]:
 
 @dataclass(frozen=True)
 class LogView:
-    """What every metric's part reads of one log: the log, its window, the
-    int64 columns u, v, t of its time-sorted, self-loop-free edge stream and
-    each UTC day's directed simple edge set."""
+    """What every metric's part reads of one log's non-trigger subnetwork in
+    one window: the window, the count of non-trigger agents (numbered
+    0..n_agents-1 in registry order), the kept events' int64 `ts` and
+    renumbered `senders`, the int64 columns u, v, t of their self-loop-free
+    edge stream in log order, and each UTC day's directed simple edge set."""
 
-    log: EventLog
     window: tuple[int, int]
+    n_agents: int
+    ts: np.ndarray
+    senders: np.ndarray
     u: np.ndarray
     v: np.ndarray
     t: np.ndarray
@@ -192,23 +199,41 @@ class LogView:
         return self.days
 
 
-def log_view(log: EventLog, window: tuple[int, int]) -> LogView:
-    edges = log.edges()
+def log_view(log: EventLog, window: tuple[int, int], triggers=()) -> LogView:
+    """The view of `log`'s events in the window that no trigger agent sends or
+    receives, from the log's columns: one `span`, one trigger mask, and the
+    other agents renumbered in order (a trigger outside the registry is
+    ignored)."""
     t0, t1 = window
-    days = daily_edge_sets(edges, window) if t1 > t0 else None
-    u, v, t = np.array(edges, dtype=np.int64).reshape(-1, 3).T.copy()
-    return LogView(log, window, u, v, t, days)
+    if t0 > t1:
+        raise CorpusError(f"window start {t0} after end {t1}")
+    n = log.n_agents
+    is_trigger = np.isin(np.arange(n), list(triggers))
+    span = log.span(t0, t1)
+    ts, senders = log.ts[span], log.senders[span]
+    lo, hi = np.searchsorted(log.recipient_rows, (span.start, span.stop))
+    rows, rcpt = log.recipient_rows[lo:hi] - span.start, log.recipients[lo:hi]
+    dropped = is_trigger[senders]
+    dropped[rows[is_trigger[rcpt]]] = True
+    renumber = np.cumsum(~is_trigger) - 1
+    edge = ~dropped[rows] & (senders[rows] != rcpt)
+    u, v, t = renumber[senders[rows[edge]]], renumber[rcpt[edge]], ts[rows[edge]]
+    days = daily_edge_sets(u, v, t, window) if t1 > t0 else None
+    return LogView(window, n - int(is_trigger.sum()), ts[~dropped],
+                   renumber[senders[~dropped]], u, v, t, days)
 
 
-def daily_edge_sets(edges, window: tuple[int, int]) -> dict[int, set[tuple[int, int]]]:
-    """Directed simple edges per UTC day bucket of a nonempty window, from a
-    self-loop-free edge stream."""
+def daily_edge_sets(u, v, t, window: tuple[int, int]) -> dict[int, set[tuple[int, int]]]:
+    """Directed simple edges per UTC day bucket of a nonempty window, from
+    the window's time-sorted edge columns. Each day's set is filled in edge
+    order, which fixes its iteration order (`_betweenness` numbers nodes by
+    it)."""
     t0, t1 = window
-    days = {d: set() for d in range(timeutil.day_index(t0), timeutil.day_index(t1 - 1) + 1)}
-    for u, v, t in edges:
-        if t0 <= t < t1:
-            days[timeutil.day_index(t)].add((u, v))
-    return days
+    d0, d1 = timeutil.day_index(t0), timeutil.day_index(t1 - 1)
+    cuts = np.searchsorted(t, np.arange(d0 + 1, d1 + 1) * timeutil.SECONDS_PER_DAY).tolist()
+    pairs = list(zip(u.tolist(), v.tolist()))
+    return {d: set(pairs[lo:hi])
+            for d, lo, hi in zip(range(d0, d1 + 1), [0] + cuts, cuts + [len(pairs)])}
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +353,7 @@ def motif_census_3(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
     cls = np.select(rules, range(5), 4)
     p = np.select(rules, [y, x, y, y, x], x)
     q = np.select(rules, [x, y, b, a, b], a)
-    n, m = view.log.n_agents, len(t)
+    n, m = view.n_agents, len(t)
     rank = _time_rank(t)
     keys = np.sort((u * n + v) * m + rank)
     pq = (p * n + q) * m
@@ -479,7 +504,7 @@ def daily_topology_series(view: LogView, kernel) -> list:
     """[kernel(edge_set, n_nodes) for each UTC day of the window, in day
     order], n_nodes being the registry size."""
     per_day = view.daily()
-    n = view.log.n_agents
+    n = view.n_agents
     return [kernel(per_day[d], n) for d in sorted(per_day)]
 
 
@@ -495,7 +520,7 @@ def _daily_degree_emd(s_days, g_days) -> float:
     distance = one degree)."""
     vals = []
     for ds, dg in zip(s_days, g_days):
-        bins = int(max(ds.max(), dg.max())) + 1
+        bins = int(max(ds.max(initial=0), dg.max(initial=0))) + 1  # no agents: all-zero, skipped
         vals.append(emd_1d(np.bincount(ds, minlength=bins), np.bincount(dg, minlength=bins)))
     return float(np.mean(vals))
 
@@ -506,7 +531,7 @@ def ego_overlap_values(view: LogView) -> dict[int, float]:
     daily = daily_topology_series(view, _undirected_adjacency)
     acc: dict[int, list[float]] = {}
     for a, b in zip(daily, daily[1:]):
-        for v in range(view.log.n_agents):
+        for v in range(view.n_agents):
             if a[v] and b[v]:
                 c = len(a[v] & b[v]) / math.sqrt(len(a[v]) * len(b[v]))
                 acc.setdefault(v, []).append(c)
@@ -540,7 +565,7 @@ def daily_top_nodes(view: LogView, scores) -> dict[int, set[int] | None]:
     """Per UTC day of the window, the top-10 node set by the centrality
     scores(edge_set, n_nodes) -> {node: score} of the day's directed simple
     graph; None for a day without edges."""
-    n = view.log.n_agents
+    n = view.n_agents
     return {d: _top_k_nodes(scores(edges, n)) if edges else None
             for d, edges in sorted(view.daily().items())}
 
@@ -591,7 +616,8 @@ def exclude_triggers(log: EventLog, trigger_agents) -> EventLog:
         events.append(Event(e.event_id, remap[e.sender],
                             tuple(remap[r] for r in e.recipients),
                             e.ts, e.kind, e.thread_id, e.body))
-    return EventLog(tuple(log.agents[i] for i in keep), tuple(events))
+    # a subsequence of a checked log, remapped into the kept registry
+    return EventLog._unchecked(tuple(log.agents[i] for i in keep), tuple(events))
 
 
 @dataclass(frozen=True)
@@ -647,10 +673,10 @@ def report_from_dict(d: dict) -> MetricsReport:
 _MOTIFS = {2: lambda v: motif_census_2(v, 2 * 3600, 8 * 3600),
            3: lambda v: motif_census_3(v, 24 * 3600, 48 * 3600)}
 SUITE = {
-    "r24": (lambda v: lag24_weekday_autocorr(v.log.ts, *v.window), _rho_diff),
-    "hod": (lambda v: hod_histogram(v.log), emd_1d),
-    "wknd_drop": (lambda v: weekend_weekday_ratio(v.log, v.window), lambda s, g: abs(s - g)),
-    "burst": (lambda v: burstiness_sample(v.log), sample_emd),
+    "r24": (lambda v: lag24_weekday_autocorr(v.ts, *v.window), _rho_diff),
+    "hod": (lambda v: hod_histogram(v.ts), emd_1d),
+    "wknd_drop": (lambda v: weekend_weekday_ratio(v.ts, v.window), lambda s, g: abs(s - g)),
+    "burst": (lambda v: burstiness_sample(v), sample_emd),
     "2eg_2h": (_MOTIFS[2], lambda s, g: _census_jsd(s[0], g[0])),
     "2eg_8h": (_MOTIFS[2], lambda s, g: _census_jsd(s[1], g[1])),
     "3eg_24h": (_MOTIFS[3], lambda s, g: _census_jsd(s[0], g[0])),
@@ -683,7 +709,7 @@ def summarize(log: EventLog, trigger_agents, window: tuple[int, int]) -> LogSumm
     """Compute every metric's part of `log` once, on its non-trigger
     subnetwork within the window; rows that share a part share its value."""
     triggers = _trigger_set(trigger_agents)
-    view = log_view(exclude_triggers(log_window(log, *window), triggers), window)
+    view = log_view(log, window, triggers)
     values: dict = {}  # part -> its value or MetricError
     for part in dict.fromkeys(part for part, _ in SUITE.values()):
         try:
@@ -691,7 +717,7 @@ def summarize(log: EventLog, trigger_agents, window: tuple[int, int]) -> LogSumm
         except MetricError as exc:
             values[part] = exc.with_traceback(None)
     parts = {name: values[part] for name, (part, _) in SUITE.items()}
-    return LogSummary(log.agents, triggers, window, view.log.n_agents, parts)
+    return LogSummary(log.agents, triggers, window, view.n_agents, parts)
 
 
 def compare(sim: LogSummary, gt: LogSummary) -> MetricsReport:

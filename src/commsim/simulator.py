@@ -180,7 +180,7 @@ def select_triggers(log: EventLog, history_window: tuple[int, int], ratio: float
     scheduled = [e for e in log.events[log.span(s0, s1)] if e.sender in chosen]
     marked = tuple(Event(e.event_id, e.sender, e.recipients, e.ts, TRIGGER,
                          e.thread_id, e.body) for e in scheduled)
-    return TriggerPlan(chosen, EventLog(log.agents, marked))
+    return TriggerPlan(chosen, EventLog._unchecked(log.agents, marked))  # a subsequence of log
 
 
 @dataclass(frozen=True)

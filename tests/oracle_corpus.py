@@ -1,18 +1,40 @@
-"""The per-event scans that the cached `ts`/`senders` columns, `EventLog.span`
-and `corpus.sent_times` replaced, kept as oracles of the column readers."""
+"""The per-event scans that the cached columns, `EventLog.span` and
+`corpus.sent_times` replaced, kept as oracles of the column readers, and the
+checked `build_log` that the internal constructor replaced."""
 
 import math
 
 import numpy as np
 
 from commsim import timeutil
-from commsim.corpus import EventLog
+from commsim.corpus import Event, EventLog
 from commsim.hawkes import SECONDS_PER_HOUR, ExcitationState
 
 
 def scan_window(log: EventLog, t0: int, t1: int) -> EventLog:
     """The old `corpus.window` body: a filter over every event."""
     return EventLog(log.agents, tuple(e for e in log.events if t0 <= e.ts < t1))
+
+
+def scan_contact_frequencies(log: EventLog) -> np.ndarray:
+    """The old `corpus.contact_frequencies`: one increment per edge."""
+    n = log.n_agents
+    table = np.zeros((n, n))
+    for u, v, _ in log.edges():
+        table[u, v] += 1.0
+    sums = table.sum(axis=1, keepdims=True)
+    np.divide(table, sums, out=table, where=sums > 0)
+    return table
+
+
+def oracle_build_log(records) -> EventLog:
+    """The old `corpus.build_log` body: the registry, then `with_events`,
+    which sorts and runs the full check."""
+    registry = tuple(sorted({lbl for _, s, rs, _, _, _ in records for lbl in (s, *rs)}))
+    index = {lbl: i for i, lbl in enumerate(registry)}
+    return EventLog(registry, ()).with_events(
+        Event(event_id, index[s], tuple(index[r] for r in rs), ts, thread_id=thread, body=body)
+        for event_id, s, rs, ts, thread, body in records)
 
 
 def scan_sent_times(log: EventLog) -> dict[int, np.ndarray]:

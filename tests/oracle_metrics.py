@@ -6,7 +6,8 @@ did before every metric became a per-log part plus a comparison;
 `oracle_evaluate_all` is the old `evaluate_all` body. `hod_histogram` and
 `ego_overlap_values` are the loops the library's versions replaced, and
 `scan_motif_census_2`/`scan_motif_census_3` are the per-anchor scans the
-array censuses replaced.
+array censuses replaced. `oracle_log_view` is the old path from a log to its
+view: a windowed log, then a trigger-free log, then its `edges()` list.
 """
 
 import bisect
@@ -24,8 +25,35 @@ from commsim.metrics import (CATEGORY_OF, HIGHER_IS_BETTER, MOTIF2_CLASSES, MOTI
                              MotifCensus, _betweenness, _check_deltas, _degrees,
                              _global_efficiency, _reciprocity, _top_k_nodes, _transitivity,
                              _trigger_set, classify_pair, daily_topology_series, emd_1d,
-                             exclude_triggers, jsd, log_view, motif_census_2, motif_census_3,
+                             exclude_triggers, jsd, motif_census_2, motif_census_3,
                              sample_emd, topology_rmse, weekend_weekday_ratio)
+
+
+def oracle_daily_edge_sets(edges, window: tuple[int, int]) -> dict[int, set[tuple[int, int]]]:
+    """Directed simple edges per UTC day bucket of a nonempty window, one
+    `add` per edge of a self-loop-free edge stream."""
+    t0, t1 = window
+    days = {d: set() for d in range(timeutil.day_index(t0), timeutil.day_index(t1 - 1) + 1)}
+    for u, v, t in edges:
+        if t0 <= t < t1:
+            days[timeutil.day_index(t)].add((u, v))
+    return days
+
+
+def oracle_log_view(log: EventLog, window: tuple[int, int], triggers=()) -> LogView:
+    """`log_view(log, window, triggers)` by way of the derived logs: the
+    window, then `exclude_triggers`, then the edge list."""
+    x = exclude_triggers(log_window(log, *window), _trigger_set(triggers))
+    edges = x.edges()
+    t0, t1 = window
+    days = oracle_daily_edge_sets(edges, window) if t1 > t0 else None
+    u, v, t = np.array(edges, dtype=np.int64).reshape(-1, 3).T.copy()
+    return LogView(window, x.n_agents, x.ts, x.senders, u, v, t, days)
+
+
+def view_edges(view: LogView) -> list[tuple[int, int, int]]:
+    """A view's edge columns as the (u, v, t) list `EventLog.edges` gives."""
+    return list(zip(view.u.tolist(), view.v.tolist(), view.t.tolist()))
 
 
 def r24_err(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> tuple[float, list[str]]:
@@ -53,7 +81,7 @@ def hod_emd(sim: EventLog, gt: EventLog) -> float:
 
 
 def wknd_drop_err(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> float:
-    return abs(weekend_weekday_ratio(sim, window) - weekend_weekday_ratio(gt, window))
+    return abs(weekend_weekday_ratio(sim.ts, window) - weekend_weekday_ratio(gt.ts, window))
 
 
 def burstiness_emd(sim: EventLog, gt: EventLog) -> float:
@@ -99,7 +127,7 @@ def scan_motif_census_2(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
     one scan at the largest delta over each e1's endpoints' later edges."""
     _check_deltas(deltas)
     bands = [dict.fromkeys(MOTIF2_CLASSES, 0) for _ in deltas]
-    edges = view.log.edges()
+    edges = view_edges(view)
     by_node = node_index(edges)
     for x, y, t1 in edges:
         for u2, v2, t2 in _later_edges(edges, by_node, x, y, t1, deltas[-1]):
@@ -119,7 +147,7 @@ def scan_motif_census_3(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
     """
     _check_deltas(deltas)
     bands = [dict.fromkeys(MOTIF3_CLASSES, 0) for _ in deltas]
-    edges = view.log.edges()
+    edges = view_edges(view)
     by_node = node_index(edges)
     for x, y, t1 in edges:
         later = _later_edges(edges, by_node, x, y, t1, deltas[-1])
@@ -171,7 +199,7 @@ def degdist_emd(sim: LogView, gt: LogView) -> float:
     gt_days = daily_topology_series(gt, _degrees)
     vals = []
     for ds, dg in zip(sim_days, gt_days):
-        top = int(max(ds.max(), dg.max()))
+        top = int(max(ds.max(initial=0), dg.max(initial=0)))
         hs = np.bincount(ds, minlength=top + 1).astype(float)
         hg = np.bincount(dg, minlength=top + 1).astype(float)
         vals.append(emd_1d(hs, hg))
@@ -260,7 +288,7 @@ def oracle_evaluate_all(sim: EventLog, gt: EventLog, trigger_agents,
     sim_x = log_window(exclude_triggers(sim, triggers), t0, t1)
     gt_x = log_window(exclude_triggers(gt, triggers), t0, t1)
 
-    sim_v, gt_v = log_view(sim_x, window), log_view(gt_x, window)
+    sim_v, gt_v = oracle_log_view(sim_x, window), oracle_log_view(gt_x, window)
     suite = {
         "r24": lambda: r24_err(sim_x, gt_x, window),
         "hod": lambda: hod_emd(sim_x, gt_x),

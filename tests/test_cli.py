@@ -385,6 +385,15 @@ def test_simulate_model_file_missing_key_exits_2(tmp_path):
     ("periodic", {"llm_adjusts_next_check": "no"}, "llm_adjusts_next_check 'no' is not a boolean"),
     # the history window [SIM_T0 - 4 days, BASE) ends where the corpus starts
     ("hawkes", {"window": [BASE, SIM_T1]}, "empty history window"),
+    # float() would run the strings and bools as numbers; NaN stops at the setting's range check
+    ("periodic", {"trigger_ratio": True}, "trigger_ratio True is not a number"),
+    ("periodic", {"trigger_ratio": "0.1"}, "trigger_ratio '0.1' is not a number"),
+    ("periodic", {"trigger_ratio": math.nan}, "trigger_ratio outside [0, 1]"),
+    ("periodic", {"periodic_interval_hours": "3"}, "periodic_interval_hours '3' is not a number"),
+    ("periodic", {"periodic_interval_hours": False},
+     "periodic_interval_hours False is not a number"),
+    ("periodic", {"periodic_interval_hours": math.nan}, "interval must be at least 1 second and finite"),
+    ("hawkes", {"fit": {"diagonal_only": "no"}}, "diagonal_only 'no' is not a boolean"),
 ])
 def test_simulate_invalid_config_exits_2(tmp_path, capsys, policy, overrides, message):
     out = tmp_path / "o"
@@ -402,7 +411,8 @@ def _model_dict(agents):
 
 
 @pytest.mark.parametrize("case", ["model_baselines_shape", "model_other_registry",
-                                  "triggers_number", "config_list", "report_metrics_not_list"])
+                                  "triggers_number", "config_list", "report_metrics_not_list",
+                                  "model_diagonal_only_string", "model_beta_string"])
 def test_malformed_user_json_exits_2(tmp_path, case):
     bad = tmp_path / "bad.json"
     simulate_hawkes = ["simulate", sim_config(tmp_path, model=str(bad)), "--policy", "hawkes"]
@@ -415,6 +425,10 @@ def test_malformed_user_json_exits_2(tmp_path, case):
         "config_list": ([str(MINI)], ["simulate", bad, "--policy", "periodic"]),
         "report_metrics_not_list": ({"window": [0, 1], "n_agents": 3, "metrics": 5},
                                     ["compare", bad]),
+        "model_diagonal_only_string": ({**_model_dict(corpus.ingest(MINI).agents),
+                                        "diagonal_only": "no"}, simulate_hawkes),
+        "model_beta_string": ({**_model_dict(corpus.ingest(MINI).agents),
+                               "beta_per_hour": "2"}, simulate_hawkes),
     }[case]
     bad.write_text(json.dumps(payload))
     out = tmp_path / "o"

@@ -16,8 +16,8 @@ from commsim.hawkes import ExcitationState, HawkesModel
 from commsim.simulator import hod_histograms
 
 from conftest import BASE_MONDAY, DATA_DIR, make_log
-from oracle_corpus import (scan_excitation_state, scan_hod_histograms, scan_sent_times,
-                           scan_window)
+from oracle_corpus import (scan_contact_frequencies, scan_excitation_state, scan_hod_histograms,
+                           scan_sent_times, scan_window)
 
 
 def write_jsonl(tmp_path, lines, name="log.jsonl"):
@@ -333,6 +333,31 @@ def test_contact_frequencies():
     assert table[0, 2] == pytest.approx(1 / 3)
     assert table[1, 0] == 1.0
     assert table[2].sum() == 0.0
+
+
+@st.composite
+def recipient_cases(draw):
+    """A log with multi-recipient events, self-addressed and repeated
+    recipients and agents that never send."""
+    n = draw(st.integers(1, 6))
+    event = st.tuples(st.integers(0, n - 1),
+                      st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+                      st.integers(0, 50))
+    return make_log([(s, tuple(r), BASE_MONDAY + 600 * k)
+                     for s, r, k in draw(st.lists(event, max_size=40))], n_agents=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipient_cases())
+def test_recipient_columns_and_contact_frequencies_match_scans(log):
+    assert log.recipients.tolist() == [r for e in log.events for r in e.recipients]
+    assert log.recipient_rows.tolist() == [k for k, e in enumerate(log.events)
+                                           for _ in e.recipients]
+    for column in (log.recipients, log.recipient_rows):
+        assert column.dtype == np.int64 and not column.flags.writeable
+    got, want = corpus.contact_frequencies(log), scan_contact_frequencies(log)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_multi_recipient_edges_and_self_loops():

@@ -295,6 +295,24 @@ def test_fit_config_rejects_bad_settings(field, value):
         FitConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["no", 0, None])
+def test_fit_config_rejects_non_bool_diagonal_only(value):
+    with pytest.raises(HawkesError, match="diagonal_only .* is not a boolean"):
+        FitConfig(diagonal_only=value)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("diagonal_only", "no", "diagonal_only 'no' is not a boolean"),
+    ("diagonal_only", 1, "diagonal_only 1 is not a boolean"),
+    ("beta_per_hour", "2", "beta_per_hour '2' is not a number"),
+    ("beta_per_hour", True, "beta_per_hour True is not a number"),
+])
+def test_model_from_dict_rejects_wrong_types(field, value, message):
+    d = json.loads(const_model(n=2, mu=0.5, alpha=0.3).to_json())
+    with pytest.raises(HawkesError, match=message):
+        model_from_dict({**d, field: value})
+
+
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0])
 def test_model_rejects_non_finite_or_nonpositive_beta(beta):
     with pytest.raises(HawkesError, match="beta must be positive and finite"):

@@ -13,7 +13,7 @@ from commsim.metrics import (MOTIF2_CLASSES, MetricError, MotifCensus, classify_
                              jsd, motif_census_2, motif_census_3, regret)
 
 from conftest import BASE_MONDAY, fixture_log, make_log, random_log, run_metric, view
-from oracle_metrics import node_index, scan_motif_census_2, scan_motif_census_3
+from oracle_metrics import node_index, scan_motif_census_2, scan_motif_census_3, view_edges
 
 DAY = 86400
 HOUR = 3600
@@ -149,7 +149,7 @@ def oracle_motif_census_3(log, delta):
 def oracle_motif_census_2(view, delta):
     """The one-delta `motif_census_2` that scanned back from each e2 over its
     endpoints' per-node time indexes, before the multi-delta census."""
-    edges = view.log.edges()
+    edges = view_edges(view)
     by_node = node_index(edges)
     counts = dict.fromkeys(MOTIF2_CLASSES, 0)
     for u2, v2, t2 in edges:
@@ -258,7 +258,7 @@ def test_wknd_ratio_value():
     events += [(0, 1, BASE_MONDAY + 5 * DAY + 9 * HOUR + i) for i in range(2)]
     log = make_log(events, n_agents=2)
     window = (BASE_MONDAY, BASE_MONDAY + 7 * DAY)
-    assert metrics.weekend_weekday_ratio(log, window) == pytest.approx(0.5)
+    assert metrics.weekend_weekday_ratio(log.ts, window) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
