@@ -19,12 +19,13 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import timeutil
 from .corpus import EventLog, contact_frequencies, simple_digraph_edges, window as log_window
-from .rng import substream, uniform_hash
+from .rng import choice_cdf, substream, uniform_hash
 from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS
 
 DEFAULT_NEXT_CHECK_GAP = 3 * 3600
@@ -58,9 +59,19 @@ class StubParams:
             raise AgentError("reply_prob outside [0, 1]")
         if np.any(self.initiate_rate < 0):
             raise AgentError("negative initiate_rate")
+        if np.any(self.contact_dist < 0):
+            raise AgentError("negative contact_dist entry")
         sums = self.contact_dist.sum(axis=1)
         if np.any((np.abs(sums - 1.0) > 1e-9) & (sums != 0)):
             raise AgentError("contact_dist rows must be normalized or zero")
+
+    @cached_property
+    def recipient_cdfs(self) -> tuple[np.ndarray | None, ...]:
+        """Per agent, the CDF `rng.choice(D, p=row / row.sum())` searches for
+        a recipient (`rng.choice_cdf`), or None for a row without a positive
+        sum, whose agent picks a uniform other agent instead."""
+        return tuple(choice_cdf(row, len(row)) if row.sum() > 0 else None
+                     for row in self.contact_dist)
 
 
 def stub_params_from_history(log: EventLog, window: tuple[int, int],
@@ -114,11 +125,12 @@ def stub_decide(params: StubParams, ctx: AgentContext) -> ActionDecision:
     if rate > 0 and elapsed_days > 0:
         rng = substream(params.seed, "initiate", agent, ctx.now)
         n_init = int(rng.poisson(rate * elapsed_days))
-        row = params.contact_dist[agent]
-        n_agents = len(row)
+        cdf = params.recipient_cdfs[agent]
+        n_agents = params.contact_dist.shape[1]
         for k in range(n_init):
-            if row.sum() > 0:
-                recipient = int(rng.choice(n_agents, p=row / row.sum()))
+            if cdf is not None:
+                # the one uniform `rng.choice(p=...)` draws, searched as it searches
+                recipient = int(cdf.searchsorted(rng.random(), side="right"))
             else:
                 others = [j for j in range(n_agents) if j != agent]
                 if not others:

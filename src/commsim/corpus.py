@@ -10,8 +10,8 @@ A log caches read-only int64 columns, built on first read: `ts` and `senders`,
 and `recipients` (all recipients flattened in log order) with `recipient_rows`
 (each one's event index). Every time window is half-open, t0 <= ts < t1, and
 is found by one bisect per bound on the sorted `ts` (`EventLog.span`); a reader
-of ts <= t asks for the span up to t + 1. `sent_times` splits the columns per
-sender.
+of ts <= t asks for the span up to t + 1. A `window` starts with slices of the
+columns its parent has built. `sent_times` splits the columns per sender.
 
 `EventLog(...)`, `with_events`, `ingest` and `simulator.run`'s result check the
 registry range, the (ts, event_id) order and id uniqueness of what a user or
@@ -27,6 +27,7 @@ import csv
 import functools
 import io
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -96,12 +97,16 @@ class EventLog:
             raise CorpusError(f"unknown agent label {label!r}") from None
 
     @classmethod
-    def _unchecked(cls, agents: tuple[str, ...], events: tuple[Event, ...]) -> "EventLog":
+    def _unchecked(cls, agents: tuple[str, ...], events: tuple[Event, ...],
+                   **columns: np.ndarray) -> "EventLog":
         """An EventLog without `__post_init__`'s check, for events already
-        sorted by (ts, event_id) with unique ids inside the registry."""
+        sorted by (ts, event_id) with unique ids inside the registry.
+        `columns` presets cached columns by name with the read-only arrays
+        they would build from `events`."""
         log = object.__new__(cls)
         object.__setattr__(log, "agents", agents)
         object.__setattr__(log, "events", events)
+        log.__dict__.update(columns)
         return log
 
     def with_events(self, events: Iterable[Event]) -> "EventLog":
@@ -198,17 +203,31 @@ def _parse_jsonl(text: str):
             raise CorpusError(f"line {lineno}: {exc}") from exc
 
 
+def _csv_int(rec: dict, key: str) -> int:
+    value = rec[key]
+    # int() would also read "983_782_800", "+3", " 3" and non-ASCII digits
+    if not re.fullmatch(r"-?[0-9]+", value):
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return int(value)
+
+
 def _parse_csv(text: str):
-    reader = csv.DictReader(io.StringIO(text))
-    for lineno, rec in enumerate(reader, start=2):
+    rows = csv.reader(io.StringIO(text))
+    header = next(rows, [])
+    for row in rows:
+        if not row:
+            continue
         try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+            rec = dict(zip(header, row))
             thread = rec.get("thread") or None
             body = rec.get("body") or None
-            yield (int(rec["id"]), rec["sender"],
-                   [r for r in rec["recipients"].split(";") if r], int(rec["ts"]),
-                   int(thread) if thread is not None else None, body)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"line {lineno}: {exc}") from exc
+            yield (_csv_int(rec, "id"), rec["sender"],
+                   [r for r in rec["recipients"].split(";") if r], _csv_int(rec, "ts"),
+                   _csv_int(rec, "thread") if thread is not None else None, body)
+        except (KeyError, ValueError) as exc:
+            raise CorpusError(f"line {rows.line_num}: {exc}") from exc
 
 
 def ingest(path, format: str = "jsonl") -> EventLog:
@@ -251,10 +270,21 @@ def save(log: EventLog, path) -> None:
 
 
 def window(log: EventLog, t0: int, t1: int) -> EventLog:
-    """Events with t0 <= ts < t1; registry unchanged."""
+    """Events with t0 <= ts < t1; registry unchanged. The window starts with
+    slices of the columns its parent has built."""
     if t0 > t1:
         raise CorpusError(f"window start {t0} after end {t1}")
-    return EventLog._unchecked(log.agents, log.events[log.span(t0, t1)])
+    span = log.span(t0, t1)
+    built = log.__dict__
+    columns = {name: built[name][span] for name in ("ts", "senders") if name in built}
+    if "recipient_rows" in built:
+        rows = built["recipient_rows"]
+        lo, hi = rows.searchsorted((span.start, span.stop)).tolist()
+        columns["recipient_rows"] = rows[lo:hi] - span.start
+        columns["recipient_rows"].setflags(write=False)
+        if "recipients" in built:
+            columns["recipients"] = built["recipients"][lo:hi]
+    return EventLog._unchecked(log.agents, log.events[span], **columns)
 
 
 def sent_times(log: EventLog) -> dict[int, np.ndarray]:

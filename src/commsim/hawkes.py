@@ -49,7 +49,7 @@ import numpy as np
 
 from . import timeutil
 from .corpus import Event, EventLog, ORGANIC, sent_times, window as log_window
-from .rng import substream
+from .rng import choice_cdf, substream
 
 N_BINS = 168
 SECONDS_PER_HOUR = 3600.0
@@ -527,24 +527,6 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
     return None
 
 
-_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-
-
-def _choice_cdf(row: np.ndarray, n: int) -> np.ndarray:
-    """The CDF that `Generator.choice(n, p=row / row.sum())` builds and
-    searches. `cdf.searchsorted(rng.random(), side="right")` then draws the
-    same index from the same single uniform as `choice`. Raises ValueError
-    where `choice` would: p of the wrong length, negative or non-finite, or
-    not summing to 1 within sqrt(float64 eps)."""
-    p = row / row.sum()
-    if p.shape != (n,) or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= _CHOICE_ATOL):
-        raise ValueError("recipient probabilities must be n finite, nonnegative values "
-                         "summing to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
 def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
                          triggers, history: EventLog,
                          recipient_dist: np.ndarray, seed: int,
@@ -565,7 +547,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
       array; its sum and cumsum are tabulated once per weekly bin, and no
       excitation is kept;
     - each sender's recipient CDF is built as `Generator.choice` builds it
-      (`_choice_cdf`), the first time the sender sends, and searched with
+      (`rng.choice_cdf`), the first time the sender sends, and searched with
       one `rng.random()`, the one draw `choice` makes.
     """
     if counters is None:
@@ -661,7 +643,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             sender = int(organic[int(cum.searchsorted(u, side="left"))])
             if sender not in cdfs:
                 probs = recipient_dist[sender]
-                cdfs[sender] = _choice_cdf(probs, n) if probs.sum() > 0 else None
+                cdfs[sender] = choice_cdf(probs, n) if probs.sum() > 0 else None
             cdf = cdfs[sender]
             if cdf is not None:
                 recipient = int(cdf.searchsorted(rng.random(), side="right"))

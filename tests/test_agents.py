@@ -4,8 +4,9 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from commsim import agents
+from commsim import agents, rng as rng_mod
 from commsim.agents import (LLMDecodeError, LLMEndpointConfig, LLMPolicy,
                             LLMTransportError, StubParams, parse_decision,
                             render_prompt, stub_decide, stub_params_from_history)
@@ -13,6 +14,7 @@ from commsim.corpus import Event
 from commsim.simulator import (AgentContext, CadenceSummary, PeriodicSchedule,
                                SimConfig, build_context)
 
+import oracle_agents
 from conftest import BASE_MONDAY
 
 HOUR = 3600
@@ -111,6 +113,59 @@ def test_stub_calibration(mini_log, mini_manifest):
     # bob sends 3 times over the 4-day history window
     assert params.initiate_rate[bob] == pytest.approx(3 / 4)
     assert params.contact_dist[bob].sum() == pytest.approx(1.0)
+
+
+@st.composite
+def stub_cases(draw):
+    """(params, ctx): contact rows of mixed scale with zero entries, some
+    all-zero rows, rates that make several initiations per wake likely."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    r = np.random.default_rng(seed)
+    n = draw(st.integers(1, 8))
+    rows = r.random((n, n)) * (r.random((n, n)) > 0.4) * 10.0 ** r.integers(-3, 4, (n, 1))
+    rows[r.random(n) < 0.25] = 0.0
+    sums = rows.sum(axis=1, keepdims=True)
+    dist = np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
+    params = StubParams(reply_prob=r.random(n), initiate_rate=r.random(n) * 20.0,
+                        contact_dist=dist, seed=seed)
+    now = BASE_MONDAY + 4 * DAY + draw(st.integers(0, 3 * DAY))
+    ctx = make_ctx(agent=draw(st.integers(0, n - 1)), n_agents=n, now=now,
+                   last_check=now - draw(st.integers(0, 2 * DAY)))
+    return params, ctx
+
+
+def _decide_recording(decide, module, params, ctx):
+    """`decide(params, ctx)` and the generators it made by `module.substream`."""
+    made = []
+
+    def recording(*labels):
+        made.append(rng_mod.substream(*labels))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "substream", recording)
+        return decide(params, ctx), made
+
+
+@settings(max_examples=300, deadline=None)
+@given(stub_cases())
+def test_stub_decide_matches_choice_loop(case):
+    """The cached recipient CDFs make the decisions of the `rng.choice` loop
+    and leave the initiation stream in the same state."""
+    params, ctx = case
+    ours, our_rngs = _decide_recording(stub_decide, agents, params, ctx)
+    theirs, their_rngs = _decide_recording(oracle_agents.oracle_stub_decide, oracle_agents,
+                                           params, ctx)
+    assert ours == theirs
+    assert len(our_rngs) == len(their_rngs) <= 1
+    for a, b in zip(our_rngs, their_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_stub_params_reject_negative_contacts():
+    dist = np.array([[0.0, 1.5, -0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    with pytest.raises(agents.AgentError, match="negative"):
+        StubParams(reply_prob=np.zeros(3), initiate_rate=np.ones(3), contact_dist=dist)
 
 
 # ---------------------------------------------------------------------------

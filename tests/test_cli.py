@@ -286,6 +286,28 @@ def test_warmup_pass_imports_no_heavy_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_evaluate_runs_without_scipy(tmp_path):
+    """The runtime needs only numpy: with scipy made unimportable,
+    `commsim evaluate` of the mini corpus against itself still scores all 15
+    metrics, `burst` included, and writes the report a normal run writes."""
+    root = Path(__file__).resolve().parent.parent
+    normal, blocked = tmp_path / "normal", tmp_path / "blocked"
+    assert run_cli("evaluate", MINI, MINI, "--out", normal) == 0
+    argv = ["evaluate", str(MINI), str(MINI), "--out", str(blocked)]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from commsim.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=root, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = (blocked / "report.json").read_bytes()
+    assert report == (normal / "report.json").read_bytes()
+    burst = next(m for m in json.loads(report)["metrics"] if m["name"] == "burst")
+    assert burst["skipped"] is None and burst["value"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # exit codes: input errors 2, internal errors 1
 
@@ -342,6 +364,24 @@ def test_ingest_empty_recipients_exits_2(tmp_path, fmt, line):
     out = tmp_path / "o"
     assert run_cli("stats", bad, "--format", fmt, "--out", out) == 2
     assert "event 7: empty recipient list" in _error(out)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("2,b", "line 3: 2 fields, the header has 4"),
+    ("2,b,a,983782860,x", "line 3: 5 fields, the header has 4"),
+    ("2,b,a,983_782_860", "line 3: ts '983_782_860' is not an integer"),
+    ("+2,b,a,983782860", "line 3: id '+2' is not an integer"),
+    ("\u0662,b,a,983782860", "line 3: id '\u0662' is not an integer"),
+    (" 2,b,a,983782860", "line 3: id ' 2' is not an integer"),
+])
+def test_ingest_bad_csv_rows_exit_2(tmp_path, row, message):
+    # a short row once exited 1 ("'NoneType' object has no attribute 'split'"),
+    # and int() read 983_782_860, +2 and non-ASCII digits
+    bad = tmp_path / "bad.csv"
+    bad.write_text("id,sender,recipients,ts\n1,a,b,983782800\n" + row + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("stats", bad, "--format", "csv", "--out", out) == 2
+    assert _error(out) == f"CorpusError: {message}"
 
 
 @pytest.mark.parametrize("key", ["input", "window"])

@@ -250,6 +250,48 @@ def test_columns_span_and_sent_times_match_scans(case):
     assert np.array_equal(hod_histograms(log), scan_hod_histograms(log))
 
 
+COLUMNS = ("ts", "senders", "recipients", "recipient_rows")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_window_carries_built_columns(data):
+    """A window starts with slices of the columns its parent built (recipients
+    only with their rows), and each equals the column rebuilt from its events;
+    so does a window of a window."""
+    n = data.draw(st.integers(1, 4))
+    agent = st.integers(0, n - 1)
+    records = data.draw(st.lists(st.tuples(agent, st.lists(agent, min_size=1, max_size=3),
+                                           st.integers(0, 60)), max_size=25))
+    log = make_log([(s, r, BASE_MONDAY + 1800 * k) for s, r, k in records], n_agents=n)
+    bound = st.integers(BASE_MONDAY - 3600, BASE_MONDAY + 1800 * 62)
+    for _ in range(2):
+        built = data.draw(st.sets(st.sampled_from(COLUMNS)))
+        for name in built:
+            getattr(log, name)
+        had = {name for name in COLUMNS if name in vars(log)}
+        t0, t1 = sorted((data.draw(bound), data.draw(bound)))
+        sub = window(log, t0, t1)
+        want = {"ts"} | (had & {"senders", "recipient_rows"})
+        if {"recipients", "recipient_rows"} <= had:
+            want.add("recipients")
+        assert {name for name in COLUMNS if name in vars(sub)} == want
+        fresh = EventLog._unchecked(sub.agents, sub.events)
+        for name in COLUMNS:
+            column = getattr(sub, name)
+            assert column.dtype == np.int64 and not column.flags.writeable
+            assert np.array_equal(column, getattr(fresh, name)), name
+        log = sub
+
+
+@pytest.mark.parametrize("row,want", [
+    ("1,a,b,-5,-2,x", (1, "a", ["b"], -5, -2, "x")),
+    ("-1,a,b;c,0,,", (-1, "a", ["b", "c"], 0, None, None)),
+])
+def test_csv_reads_signed_ascii_integers(row, want):
+    assert list(corpus._parse_csv("id,sender,recipients,ts,thread,body\n" + row + "\n")) == [want]
+
+
 def test_columns_are_read_only(mini_log):
     for column in (mini_log.ts, mini_log.senders):
         with pytest.raises(ValueError):

@@ -134,7 +134,7 @@ def test_choice_cdf_draw_matches_generator_choice(seed, n, draws):
     if row.sum() == 0:
         row[int(r.integers(n))] = 1.0
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    cdf = hawkes._choice_cdf(row, n)
+    cdf = rng_mod.choice_cdf(row, n)
     for _ in range(draws):
         want = int(theirs.choice(n, p=row / row.sum()))
         assert int(cdf.searchsorted(ours.random(), side="right")) == want
@@ -148,9 +148,9 @@ def test_choice_cdf_rejects_what_choice_rejects(row):
         with pytest.raises(ValueError):
             np.random.default_rng(0).choice(3, p=row / row.sum())
         with pytest.raises(ValueError):
-            hawkes._choice_cdf(row, 3)
+            rng_mod.choice_cdf(row, 3)
     with pytest.raises(ValueError):
-        hawkes._choice_cdf(np.array([1.0, 1.0]), 3)  # choice: a and p differ in size
+        rng_mod.choice_cdf(np.array([1.0, 1.0]), 3)  # choice: a and p differ in size
 
 
 @settings(max_examples=120, deadline=None)

@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from commsim import corpus, metrics
 from commsim.metrics import (MOTIF2_CLASSES, MetricError, MotifCensus, classify_pair, emd_1d,
-                             jsd, motif_census_2, motif_census_3, regret)
+                             jsd, motif_census_2, motif_census_3, regret, sample_emd)
 
 from conftest import BASE_MONDAY, fixture_log, make_log, random_log, run_metric, view
-from oracle_metrics import node_index, scan_motif_census_2, scan_motif_census_3, view_edges
+from oracle_metrics import (node_index, oracle_sample_emd, scan_motif_census_2,
+                            scan_motif_census_3, view_edges)
 
 DAY = 86400
 HOUR = 3600
@@ -186,6 +187,45 @@ def test_emd_matches_lp_oracle():
         p = rng.random(24)
         q = rng.random(24)
         assert emd_1d(p, q) == pytest.approx(emd_lp_oracle(p, q), abs=1e-9)
+
+
+@st.composite
+def emd_samples(draw):
+    """Two samples at one of seven magnitudes from 1e-300 to 1e300, drawn
+    from a shared pool of values so both hold ties, within and across."""
+    scale = draw(st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]))
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0),
+                         min_size=1, max_size=12))
+    value = st.sampled_from(pool).map(lambda v: v * scale) | st.floats(-scale, scale)
+    return (draw(st.lists(value, min_size=1, max_size=40)),
+            draw(st.lists(value, min_size=1, max_size=40)))
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(emd_samples())
+@example(([0.0], [-0.0]))
+@example(([-0.0], [0.0, 0.0, -0.0]))
+@example(([1e300], [-1e300, 1e300]))
+@example(([5e-324], [0.0]))
+def test_sample_emd_matches_scipy(samples):
+    """The kernel returns the float SciPy's wasserstein_distance returns,
+    signed zeros included."""
+    xs, ys = samples
+    assert _bits(sample_emd(xs, ys)) == _bits(oracle_sample_emd(xs, ys))
+    assert _bits(sample_emd(ys, xs)) == _bits(oracle_sample_emd(ys, xs))
+
+
+def test_sample_emd_cases():
+    assert sample_emd([0, 1, 3], [5, 6, 8]) == 5.0
+    assert sample_emd([2.5], [2.5, 2.5]) == 0.0
+    assert sample_emd([0.0, 1.0], [0.0, 0.0, 1.0, 1.0]) == 0.0
+    for xs, ys in (([], [1.0]), ([1.0], []), ([], [])):
+        with pytest.raises(MetricError, match="empty sample"):
+            sample_emd(xs, ys)
 
 
 def test_jsd_trivial_and_formula():
