@@ -19,7 +19,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,25 +52,27 @@ class StubParams:
     initiate_rate: np.ndarray   # (D,) expected initiations per day
     contact_dist: np.ndarray    # (D, D) row-normalized recipient frequencies
     seed: int = 0
+    _recipient_cdfs: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         if np.any((self.reply_prob < 0) | (self.reply_prob > 1)):
             raise AgentError("reply_prob outside [0, 1]")
         if np.any(self.initiate_rate < 0):
             raise AgentError("negative initiate_rate")
-        if np.any(self.contact_dist < 0):
-            raise AgentError("negative contact_dist entry")
         sums = self.contact_dist.sum(axis=1)
         if np.any((np.abs(sums - 1.0) > 1e-9) & (sums != 0)):
             raise AgentError("contact_dist rows must be normalized or zero")
 
-    @cached_property
-    def recipient_cdfs(self) -> tuple[np.ndarray | None, ...]:
-        """Per agent, the CDF `rng.choice(D, p=row / row.sum())` searches for
-        a recipient (`rng.choice_cdf`), or None for a row without a positive
-        sum, whose agent picks a uniform other agent instead."""
-        return tuple(choice_cdf(row, len(row)) if row.sum() > 0 else None
-                     for row in self.contact_dist)
+    def recipient_cdf(self, agent: int) -> np.ndarray | None:
+        """The CDF `rng.choice(D, p=row / row.sum())` searches for the agent's
+        recipient (`rng.choice_cdf`), built the first time the agent
+        initiates; None for a row without a positive sum, whose agent picks a
+        uniform other agent instead."""
+        if agent not in self._recipient_cdfs:
+            row = self.contact_dist[agent]
+            self._recipient_cdfs[agent] = choice_cdf(row, len(row)) if row.sum() > 0 else None
+        return self._recipient_cdfs[agent]
 
 
 def stub_params_from_history(log: EventLog, window: tuple[int, int],
@@ -125,9 +126,9 @@ def stub_decide(params: StubParams, ctx: AgentContext) -> ActionDecision:
     if rate > 0 and elapsed_days > 0:
         rng = substream(params.seed, "initiate", agent, ctx.now)
         n_init = int(rng.poisson(rate * elapsed_days))
-        cdf = params.recipient_cdfs[agent]
         n_agents = params.contact_dist.shape[1]
         for k in range(n_init):
+            cdf = params.recipient_cdf(agent)
             if cdf is not None:
                 # the one uniform `rng.choice(p=...)` draws, searched as it searches
                 recipient = int(cdf.searchsorted(rng.random(), side="right"))

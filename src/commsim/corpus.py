@@ -10,8 +10,9 @@ A log caches read-only int64 columns, built on first read: `ts` and `senders`,
 and `recipients` (all recipients flattened in log order) with `recipient_rows`
 (each one's event index). Every time window is half-open, t0 <= ts < t1, and
 is found by one bisect per bound on the sorted `ts` (`EventLog.span`); a reader
-of ts <= t asks for the span up to t + 1. A `window` starts with slices of the
-columns its parent has built. `sent_times` splits the columns per sender.
+of ts <= t asks for the span up to t + 1. A `window` starts with the slice of
+its parent's `ts`, and of `senders` where built. `sent_times` splits the
+columns per sender.
 
 `EventLog(...)`, `with_events`, `ingest` and `simulator.run`'s result check the
 registry range, the (ts, event_id) order and id uniqueness of what a user or
@@ -98,15 +99,18 @@ class EventLog:
 
     @classmethod
     def _unchecked(cls, agents: tuple[str, ...], events: tuple[Event, ...],
-                   **columns: np.ndarray) -> "EventLog":
+                   ts: np.ndarray | None = None,
+                   senders: np.ndarray | None = None) -> "EventLog":
         """An EventLog without `__post_init__`'s check, for events already
-        sorted by (ts, event_id) with unique ids inside the registry.
-        `columns` presets cached columns by name with the read-only arrays
-        they would build from `events`."""
+        sorted by (ts, event_id) with unique ids inside the registry. A given
+        `ts` or `senders` presets that cached column with the read-only array
+        it would build from `events`."""
         log = object.__new__(cls)
         object.__setattr__(log, "agents", agents)
         object.__setattr__(log, "events", events)
-        log.__dict__.update(columns)
+        for name, column in (("ts", ts), ("senders", senders)):
+            if column is not None:
+                log.__dict__[name] = column
         return log
 
     def with_events(self, events: Iterable[Event]) -> "EventLog":
@@ -211,6 +215,9 @@ def _csv_int(rec: dict, key: str) -> int:
     return int(value)
 
 
+_CSV_REQUIRED = ("id", "sender", "recipients", "ts")
+
+
 def _parse_csv(text: str):
     rows = csv.reader(io.StringIO(text))
     header = next(rows, [])
@@ -218,15 +225,19 @@ def _parse_csv(text: str):
         if not row:
             continue
         try:
-            if len(row) != len(header):
+            if len(row) > len(header):
                 raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+            # a short row leaves out its trailing columns, which may only be optional
             rec = dict(zip(header, row))
+            missing = [key for key in _CSV_REQUIRED if key not in rec]
+            if missing:
+                raise ValueError(f"missing {', '.join(missing)}")
             thread = rec.get("thread") or None
             body = rec.get("body") or None
             yield (_csv_int(rec, "id"), rec["sender"],
                    [r for r in rec["recipients"].split(";") if r], _csv_int(rec, "ts"),
                    _csv_int(rec, "thread") if thread is not None else None, body)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise CorpusError(f"line {rows.line_num}: {exc}") from exc
 
 
@@ -271,20 +282,14 @@ def save(log: EventLog, path) -> None:
 
 def window(log: EventLog, t0: int, t1: int) -> EventLog:
     """Events with t0 <= ts < t1; registry unchanged. The window starts with
-    slices of the columns its parent has built."""
+    the slice of its parent's `ts` (built by `span`), and of `senders` where
+    the parent has built it."""
     if t0 > t1:
         raise CorpusError(f"window start {t0} after end {t1}")
     span = log.span(t0, t1)
-    built = log.__dict__
-    columns = {name: built[name][span] for name in ("ts", "senders") if name in built}
-    if "recipient_rows" in built:
-        rows = built["recipient_rows"]
-        lo, hi = rows.searchsorted((span.start, span.stop)).tolist()
-        columns["recipient_rows"] = rows[lo:hi] - span.start
-        columns["recipient_rows"].setflags(write=False)
-        if "recipients" in built:
-            columns["recipients"] = built["recipients"][lo:hi]
-    return EventLog._unchecked(log.agents, log.events[span], **columns)
+    senders = log.__dict__.get("senders")
+    return EventLog._unchecked(log.agents, log.events[span], ts=log.ts[span],
+                               senders=None if senders is None else senders[span])
 
 
 def sent_times(log: EventLog) -> dict[int, np.ndarray]:

@@ -85,6 +85,14 @@ def wknd_drop_err(sim: EventLog, gt: EventLog, window: tuple[int, int]) -> float
     return abs(weekend_weekday_ratio(sim.ts, window) - weekend_weekday_ratio(gt.ts, window))
 
 
+def scipy_ends_with_vecdot() -> bool:
+    """Whether SciPy's `_cdf_distance` sums with `np_vecdot` (`np.vecdot` on
+    numpy 2), as `metrics.sample_emd` does, rather than `np.sum`."""
+    from scipy.stats import _stats_py
+
+    return hasattr(_stats_py, "np_vecdot")
+
+
 def oracle_sample_emd(xs, ys) -> float:
     """Exact 1-D Wasserstein distance between two empirical samples."""
     from scipy.stats import wasserstein_distance

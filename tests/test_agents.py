@@ -162,10 +162,18 @@ def test_stub_decide_matches_choice_loop(case):
         assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_stub_params_reject_negative_contacts():
+def test_stub_negative_contact_raises_where_choice_raised():
+    """A row with a negative entry constructs and fails only when its agent
+    draws a recipient, with the ValueError `rng.choice(p=...)` raised."""
     dist = np.array([[0.0, 1.5, -0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-    with pytest.raises(agents.AgentError, match="negative"):
-        StubParams(reply_prob=np.zeros(3), initiate_rate=np.ones(3), contact_dist=dist)
+    params = StubParams(reply_prob=np.zeros(3), initiate_rate=np.full(3, 50.0),
+                        contact_dist=dist)
+    now = BASE_MONDAY + 4 * DAY
+    ctx = make_ctx(agent=1, n_agents=3, now=now, last_check=now - DAY)
+    assert stub_decide(params, ctx) == oracle_agents.oracle_stub_decide(params, ctx)
+    for decide in (stub_decide, oracle_agents.oracle_stub_decide):
+        with pytest.raises(ValueError):
+            decide(params, make_ctx(agent=0, n_agents=3, now=now, last_check=now - DAY))
 
 
 # ---------------------------------------------------------------------------

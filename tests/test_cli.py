@@ -367,7 +367,8 @@ def test_ingest_empty_recipients_exits_2(tmp_path, fmt, line):
 
 
 @pytest.mark.parametrize("row,message", [
-    ("2,b", "line 3: 2 fields, the header has 4"),
+    ("2,b", "line 3: missing recipients, ts"),
+    ("2", "line 3: missing sender, recipients, ts"),
     ("2,b,a,983782860,x", "line 3: 5 fields, the header has 4"),
     ("2,b,a,983_782_860", "line 3: ts '983_782_860' is not an integer"),
     ("+2,b,a,983782860", "line 3: id '+2' is not an integer"),
@@ -375,8 +376,9 @@ def test_ingest_empty_recipients_exits_2(tmp_path, fmt, line):
     (" 2,b,a,983782860", "line 3: id ' 2' is not an integer"),
 ])
 def test_ingest_bad_csv_rows_exit_2(tmp_path, row, message):
-    # a short row once exited 1 ("'NoneType' object has no attribute 'split'"),
-    # and int() read 983_782_860, +2 and non-ASCII digits
+    # a row short of a required field once exited 1 ("'NoneType' object has
+    # no attribute 'split'"), and int() read 983_782_860, +2 and non-ASCII
+    # digits; a row with more fields than the header is refused, not cut
     bad = tmp_path / "bad.csv"
     bad.write_text("id,sender,recipients,ts\n1,a,b,983782800\n" + row + "\n", encoding="utf-8")
     out = tmp_path / "o"
