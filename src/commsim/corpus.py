@@ -219,12 +219,14 @@ _CSV_REQUIRED = ("id", "sender", "recipients", "ts")
 
 
 def _parse_csv(text: str):
+    """Rows as records; a bad row, or a field over the `csv` module's limit
+    (131,072 characters), raises `CorpusError` naming its line."""
     rows = csv.reader(io.StringIO(text))
-    header = next(rows, [])
-    for row in rows:
-        if not row:
-            continue
-        try:
+    try:
+        header = next(rows, [])
+        for row in rows:
+            if not row:
+                continue
             if len(row) > len(header):
                 raise ValueError(f"{len(row)} fields, the header has {len(header)}")
             # a short row leaves out its trailing columns, which may only be optional
@@ -237,8 +239,8 @@ def _parse_csv(text: str):
             yield (_csv_int(rec, "id"), rec["sender"],
                    [r for r in rec["recipients"].split(";") if r], _csv_int(rec, "ts"),
                    _csv_int(rec, "thread") if thread is not None else None, body)
-        except ValueError as exc:
-            raise CorpusError(f"line {rows.line_num}: {exc}") from exc
+    except (ValueError, csv.Error) as exc:
+        raise CorpusError(f"line {rows.line_num}: {exc}") from exc
 
 
 def ingest(path, format: str = "jsonl") -> EventLog:

@@ -10,10 +10,20 @@ with beta shared across agents (units 1/hour; elapsed times in hours).
 Excitation attaches to an event's sender and timestamp only; recipients do
 not excite. Parameters are fitted by maximizing the exact log-likelihood
 with projected gradient ascent (the likelihood is concave in mu and alpha
-for fixed beta), and future activations are sampled by thinning with a
-per-interval bound: within an hour bin, the baseline is constant and the
-excitation is non-increasing, so bin rate + excitation at the interval's
-left endpoint dominates the intensity.
+for fixed beta).
+
+Both samplers draw from one Ogata (1981) thinning kernel, `_thinning`. It
+steps from interval to interval, none longer than an hour: each step takes
+a rate bound, one exponential gap and, for a candidate inside the interval,
+one acceptance uniform. Within an hour the baseline is constant and the
+excitation only decays, so the rate at the interval's left endpoint
+dominates. The samplers differ only in their bound:
+
+- `thin_next_activation` bounds one agent: its bin rate plus its
+  excitation at the left endpoint, up to the end of the hour;
+- `simulate_pure_hawkes` bounds the sum over the organic agents up to the
+  end of the hour or the next trigger, and injects each trigger as the
+  kernel reaches it.
 
 Excitation is read from one recursion, `ExcitationState`: one decayed
 event count per sender, updated as each event is appended (Ozaki 1979).
@@ -33,8 +43,7 @@ at ts == t count with weight 1. Three readers share it:
 reference time: its superposition sampler reads the whole vector at every
 step, which then costs one `exp` instead of one per sender. When alpha is
 zero on every organic row it keeps none, as the excitation only adds exact
-zeros. `intensity`
-and `excitation_integral` stay brute-force sums and serve as test oracles.
+zeros.
 """
 
 from __future__ import annotations
@@ -233,42 +242,6 @@ class ExcitationState:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def intensity(model: HawkesModel, agent: int, t: int, history: EventLog) -> float:
-    """lam_agent(t) in events/hour; history events strictly before t excite."""
-    if not (0 <= agent < model.n_agents):
-        raise HawkesError(f"agent {agent} not in model")
-    beta = model.beta_per_hour
-    lam = model.baseline_rate(agent, t)
-    row = model.alpha[agent]
-    for e in history.events:
-        if e.ts >= t:
-            break
-        a = row[e.sender]
-        if a > 0:
-            lam += a * beta * math.exp(-beta * (t - e.ts) / SECONDS_PER_HOUR)
-    return lam
-
-
-def excitation_integral(model: HawkesModel, agent: int, history: EventLog,
-                        window: tuple[int, int]) -> float:
-    """Closed-form integral over [t0, t1) of the excitation part of
-    lam_agent: each event by j contributes
-    alpha[agent][j] * (exp(-beta * max(0, t0 - t_e)) - exp(-beta * (t1 - t_e)))."""
-    t0, t1 = window
-    beta = model.beta_per_hour
-    total = 0.0
-    row = model.alpha[agent]
-    for e in history.events:
-        if e.ts >= t1:
-            break
-        a = row[e.sender]
-        if a > 0:
-            up = math.exp(-beta * max(0, t0 - e.ts) / SECONDS_PER_HOUR)
-            lo = math.exp(-beta * (t1 - e.ts) / SECONDS_PER_HOUR)
-            total += a * (up - lo)
-    return total
 
 
 def _excitation_weights(source_ts: np.ndarray, t0: int, t1: int, beta: float) -> float:
@@ -483,6 +456,28 @@ def sample_next_activation(model: HawkesModel, agent: int, history: EventLog,
                                 t_now, horizon, rng)
 
 
+def _thinning(rng: np.random.Generator, s: float, end_h: float, bound, rate):
+    """Ogata (1981) thinning over [s, end_h), in hours. `bound(s)` returns
+    (lam_bar, b): a rate that dominates the intensity on [s, b), where b is
+    at most the end of s's hour. `rate(t)` is the intensity at a candidate t.
+    Yields (t, u) for each accepted candidate, u = uniform * lam_bar <= rate(t)."""
+    while s < end_h:
+        lam_bar, b = bound(s)
+        if lam_bar <= 0:
+            s = b
+            continue
+        delta = rng.exponential(1.0 / lam_bar)
+        if s + delta >= b:
+            s = b
+            continue
+        s += delta
+        lam = rate(s)
+        assert lam <= lam_bar * (1 + 1e-12), "thinning bound violated"
+        u = rng.uniform() * lam_bar
+        if u <= lam:
+            yield s, u
+
+
 def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
                          t_now: int, horizon: int,
                          rng: np.random.Generator | int) -> int | None:
@@ -491,7 +486,7 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
 
     Interval bound: within an hour the baseline is constant and the
     excitation only decays, so bin rate + excitation at the left endpoint
-    dominates (Ogata 1981).
+    dominates.
     """
     if t_now >= horizon:
         raise HawkesError("t_now must be before horizon")
@@ -500,30 +495,21 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
     beta = model.beta_per_hour
     mu = model.baseline_rows[agent]
     a = excitation
-
-    s = t_now / SECONDS_PER_HOUR
-    a_ref = s
+    a_ref = t_now / SECONDS_PER_HOUR
     horizon_h = horizon / SECONDS_PER_HOUR
-    while s < horizon_h:
+
+    def bound(s):
         hour = math.floor(s)
-        b = min(hour + 1.0, horizon_h)
         exc = a * math.exp(-beta * (s - a_ref))
-        lam_bar = mu[timeutil.flat_bin_of_hour(hour)] + beta * exc
-        if lam_bar <= 0:
-            s = b
-            continue
-        delta = rng.exponential(1.0 / lam_bar)
-        if s + delta >= b:
-            s = b
-            continue
-        t_star = s + delta
-        lam = mu[timeutil.flat_bin_of_hour(math.floor(t_star))] \
-            + beta * a * math.exp(-beta * (t_star - a_ref))
-        assert lam <= lam_bar * (1 + 1e-12), "thinning bound violated"
-        if rng.uniform() * lam_bar <= lam:
-            # ceil can round t_star back onto t_now; a wake is strictly later
-            return max(min(int(math.ceil(t_star * SECONDS_PER_HOUR)), horizon), t_now + 1)
-        s = t_star
+        return mu[timeutil.flat_bin_of_hour(hour)] + beta * exc, min(hour + 1.0, horizon_h)
+
+    def rate(t):
+        return (mu[timeutil.flat_bin_of_hour(math.floor(t))]
+                + beta * a * math.exp(-beta * (t - a_ref)))
+
+    for t_star, _ in _thinning(rng, a_ref, horizon_h, bound, rate):
+        # ceil can round t_star back onto t_now; a wake is strictly later
+        return max(min(int(math.ceil(t_star * SECONDS_PER_HOUR)), horizon), t_now + 1)
     return None
 
 
@@ -585,12 +571,11 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
 
     out: list[Event] = list(schedule)
     next_id = max((e.event_id for e in schedule), default=-1) + 1
-    sched_h = [e.ts / SECONDS_PER_HOUR for e in schedule]
+    sched_h = [e.ts / SECONDS_PER_HOUR for e in schedule] + [math.inf]
     si = 0
-
-    s = t0_h
-    g_ref = s
+    g_ref = t0_h
     horizon_h = t1 / SECONDS_PER_HOUR
+    lam = None  # the excited candidate's intensity vector, kept for the sender search
 
     def decay_to(t):
         nonlocal g_ref
@@ -599,64 +584,54 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             g[:] *= g_val
             g_ref = t
 
-    while s < horizon_h:
-        next_trig = sched_h[si] if si < len(schedule) else math.inf
-        if next_trig <= s:
-            if excited:
-                decay_to(s)
-            tt = schedule[si].ts
-            while si < len(schedule) and schedule[si].ts == tt:
-                if excited:
-                    g[schedule[si].sender] += 1.0
-                si += 1
-            continue
-        hour = math.floor(s)
-        b = min(hour + 1.0, horizon_h, next_trig)
+    def bound(s):
+        """Inject every trigger due by s, then bound the rate up to the end of
+        s's hour or the next trigger."""
+        nonlocal si
         if excited:
             decay_to(s)
-            lam_bar = sum_mu[timeutil.flat_bin_of_hour(hour)] + beta * float(col_weight @ g)
-        else:
-            lam_bar = sum_mu[timeutil.flat_bin_of_hour(hour)]
-        if lam_bar <= 0:
-            s = b
-            continue
-        delta = rng.exponential(1.0 / lam_bar)
-        if s + delta >= b:
-            s = b
-            continue
-        t_star = s + delta
-        k = timeutil.flat_bin_of_hour(math.floor(t_star))
-        if excited:
-            decay_to(t_star)
-            if model.diagonal_only:
-                exc = beta * alpha_diag * g[organic]
-            else:
-                exc = beta * (alpha_org @ g)
-            lam = mu_org[:, k] + exc
-            total = float(lam.sum())
-        else:
-            total = bin_total[k]
-        u = rng.uniform() * lam_bar
-        assert total <= lam_bar * (1 + 1e-12), "thinning bound violated"
-        if u <= total:
-            cum = np.cumsum(lam) if excited else bin_cum[k]
-            sender = int(organic[int(cum.searchsorted(u, side="left"))])
-            if sender not in cdfs:
-                probs = recipient_dist[sender]
-                cdfs[sender] = choice_cdf(probs, n) if probs.sum() > 0 else None
-            cdf = cdfs[sender]
-            if cdf is not None:
-                recipient = int(cdf.searchsorted(rng.random(), side="right"))
-            else:
-                counters["uniform_recipient_fallbacks"] += 1
-                others = [j for j in range(n) if j != sender]
-                recipient = int(others[rng.integers(len(others))]) if others else sender
-            ts = min(int(math.ceil(t_star * SECONDS_PER_HOUR)), t1 - 1)
-            out.append(Event(next_id, sender, (recipient,), ts, ORGANIC))
-            next_id += 1
-            counters["organic_events"] += 1
+        while sched_h[si] <= s:
             if excited:
-                g[sender] += 1.0
-        s = t_star
+                g[schedule[si].sender] += 1.0
+            si += 1
+        hour = math.floor(s)
+        lam_bar = sum_mu[timeutil.flat_bin_of_hour(hour)]
+        if excited:
+            lam_bar += beta * float(col_weight @ g)
+        return lam_bar, min(hour + 1.0, horizon_h, sched_h[si])
+
+    def rate(t):
+        nonlocal lam
+        k = timeutil.flat_bin_of_hour(math.floor(t))
+        if not excited:
+            return bin_total[k]
+        decay_to(t)
+        if model.diagonal_only:
+            exc = beta * alpha_diag * g[organic]
+        else:
+            exc = beta * (alpha_org @ g)
+        lam = mu_org[:, k] + exc
+        return float(lam.sum())
+
+    for t_star, u in _thinning(rng, t0_h, horizon_h, bound, rate):
+        k = timeutil.flat_bin_of_hour(math.floor(t_star))
+        cum = np.cumsum(lam) if excited else bin_cum[k]
+        sender = int(organic[int(cum.searchsorted(u, side="left"))])
+        if sender not in cdfs:
+            probs = recipient_dist[sender]
+            cdfs[sender] = choice_cdf(probs, n) if probs.sum() > 0 else None
+        cdf = cdfs[sender]
+        if cdf is not None:
+            recipient = int(cdf.searchsorted(rng.random(), side="right"))
+        else:
+            counters["uniform_recipient_fallbacks"] += 1
+            others = [j for j in range(n) if j != sender]
+            recipient = int(others[rng.integers(len(others))]) if others else sender
+        ts = min(int(math.ceil(t_star * SECONDS_PER_HOUR)), t1 - 1)
+        out.append(Event(next_id, sender, (recipient,), ts, ORGANIC))
+        next_id += 1
+        counters["organic_events"] += 1
+        if excited:
+            g[sender] += 1.0
 
     return EventLog(model.agents, ()).with_events(out)

@@ -269,22 +269,6 @@ class MotifCensus:
         return np.array(list(self.counts.values()), dtype=float)
 
 
-def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str:
-    """Class of the ordered pair (u1->v1, u2->v2) of two edges that share a
-    node. Assumes no self-loops."""
-    if u2 == v1 and v2 == u1:
-        return "reciprocal"
-    if u2 == u1 and v2 == v1:
-        return "repeated"
-    if u2 == u1:
-        return "out_star"
-    if v2 == v1:
-        return "in_star"
-    if u2 == v1:
-        return "chain_forward"
-    return "chain_backward"
-
-
 def _check_deltas(deltas) -> None:
     if not deltas or any(a >= b for a, b in zip(deltas, deltas[1:])):
         raise MetricError(f"motif deltas must be nonempty and strictly ascending: {deltas}")
@@ -338,8 +322,11 @@ def _later_pairs(view: LogView, horizon: int) -> tuple[np.ndarray, np.ndarray]:
 def motif_census_2(view: LogView, *deltas: int) -> tuple[MotifCensus, ...]:
     """One census per delta of the ordered pairs (e1, e2) of node-sharing
     edges with 0 < t2 - t1 <= delta, in the six 2-edge classes. Exact: every
-    pair comes from one `_later_pairs` enumeration at the largest delta and is
-    classified with `classify_pair`'s precedence."""
+    pair comes from one `_later_pairs` enumeration at the largest delta. With
+    e1 = u1->v1 and e2 = u2->v2, the first class that matches wins:
+    reciprocal (u2 = v1 and v2 = u1), repeated (u2 = u1 and v2 = v1),
+    out_star (u2 = u1), in_star (v2 = v1), chain_forward (u2 = v1), else
+    chain_backward."""
     _check_deltas(deltas)
     i, j = _later_pairs(view, deltas[-1])
     u1, v1, u2, v2 = view.u[i], view.v[i], view.u[j], view.v[j]

@@ -1,14 +1,16 @@
 """The pure-Hawkes sampler, the thinning loop and the fitter's ascent as
 they were before their exact fast paths, kept as oracles of
 `hawkes.simulate_pure_hawkes`, `hawkes.thin_next_activation` and
-`hawkes._maximize_agent`.
+`hawkes._maximize_agent`, and the brute-force sums `intensity` and
+`excitation_integral`.
 
 `simulate_pure_hawkes` keeps the excitation vector up to date and runs both
 matvecs on every thinning candidate, whatever alpha is, and draws each
 recipient with `rng.choice`. `thin_next_activation` reads each hour's
 baseline from the numpy row. `maximize_agent` recomputes the intensities at
-the start of every iteration. The bodies are unchanged.
-"""
+the start of every iteration. The bodies are unchanged. `intensity` and
+`excitation_integral` sum the excitation of every history event, one event
+at a time."""
 
 import math
 
@@ -19,6 +21,42 @@ from commsim.corpus import Event, EventLog, ORGANIC
 from commsim.hawkes import (N_BINS, SECONDS_PER_HOUR, FitConfig, HawkesError, HawkesModel,
                             _AgentTerms)
 from commsim.rng import substream
+
+
+def intensity(model: HawkesModel, agent: int, t: int, history: EventLog) -> float:
+    """lam_agent(t) in events/hour; history events strictly before t excite."""
+    if not (0 <= agent < model.n_agents):
+        raise HawkesError(f"agent {agent} not in model")
+    beta = model.beta_per_hour
+    lam = model.baseline_rate(agent, t)
+    row = model.alpha[agent]
+    for e in history.events:
+        if e.ts >= t:
+            break
+        a = row[e.sender]
+        if a > 0:
+            lam += a * beta * math.exp(-beta * (t - e.ts) / SECONDS_PER_HOUR)
+    return lam
+
+
+def excitation_integral(model: HawkesModel, agent: int, history: EventLog,
+                        window: tuple[int, int]) -> float:
+    """Closed-form integral over [t0, t1) of the excitation part of
+    lam_agent: each event by j contributes
+    alpha[agent][j] * (exp(-beta * max(0, t0 - t_e)) - exp(-beta * (t1 - t_e)))."""
+    t0, t1 = window
+    beta = model.beta_per_hour
+    total = 0.0
+    row = model.alpha[agent]
+    for e in history.events:
+        if e.ts >= t1:
+            break
+        a = row[e.sender]
+        if a > 0:
+            up = math.exp(-beta * max(0, t0 - e.ts) / SECONDS_PER_HOUR)
+            lo = math.exp(-beta * (t1 - e.ts) / SECONDS_PER_HOUR)
+            total += a * (up - lo)
+    return total
 
 
 def thin_next_activation(model: HawkesModel, agent: int, excitation: float,

@@ -9,6 +9,7 @@ did before every metric became a per-log part plus a comparison;
 array censuses replaced. `oracle_log_view` is the old path from a log to its
 view: a windowed log, then a trigger-free log, then its `edges()` list.
 `oracle_sample_emd` is the SciPy call that `metrics.sample_emd` replaced.
+`classify_pair` is the per-pair rule that `motif_census_2` applies to arrays.
 """
 
 import bisect
@@ -25,9 +26,25 @@ from commsim.metrics import (CATEGORY_OF, HIGHER_IS_BETTER, MOTIF2_CLASSES, MOTI
                              TOPO_OVERLAP_BINS, LogView, MetricEntry, MetricError, MetricsReport,
                              MotifCensus, _betweenness, _check_deltas, _degrees,
                              _global_efficiency, _reciprocity, _top_k_nodes, _transitivity,
-                             _trigger_set, classify_pair, daily_topology_series, emd_1d,
+                             _trigger_set, daily_topology_series, emd_1d,
                              exclude_triggers, jsd, motif_census_2, motif_census_3,
                              topology_rmse, weekend_weekday_ratio)
+
+
+def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str:
+    """Class of the ordered pair (u1->v1, u2->v2) of two edges that share a
+    node. Assumes no self-loops."""
+    if u2 == v1 and v2 == u1:
+        return "reciprocal"
+    if u2 == u1 and v2 == v1:
+        return "repeated"
+    if u2 == u1:
+        return "out_star"
+    if v2 == v1:
+        return "in_star"
+    if u2 == v1:
+        return "chain_forward"
+    return "chain_backward"
 
 
 def oracle_daily_edge_sets(edges, window: tuple[int, int]) -> dict[int, set[tuple[int, int]]]:

@@ -374,11 +374,14 @@ def test_ingest_empty_recipients_exits_2(tmp_path, fmt, line):
     ("+2,b,a,983782860", "line 3: id '+2' is not an integer"),
     ("\u0662,b,a,983782860", "line 3: id '\u0662' is not an integer"),
     (" 2,b,a,983782860", "line 3: id ' 2' is not an integer"),
+    ("2,b,a,983782860,,{body}", "line 3: field larger than field limit (131072)"),
 ])
 def test_ingest_bad_csv_rows_exit_2(tmp_path, row, message):
     # a row short of a required field once exited 1 ("'NoneType' object has
     # no attribute 'split'"), and int() read 983_782_860, +2 and non-ASCII
-    # digits; a row with more fields than the header is refused, not cut
+    # digits; a row with more fields than the header is refused, not cut; a
+    # body over the csv module's field limit once exited 1 on its csv.Error
+    row = row.format(body="x" * 140_000)
     bad = tmp_path / "bad.csv"
     bad.write_text("id,sender,recipients,ts\n1,a,b,983782800\n" + row + "\n", encoding="utf-8")
     out = tmp_path / "o"

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from commsim import hawkes, timeutil
 from commsim.corpus import Event, EventLog
-from commsim.hawkes import (FitConfig, HawkesError, HawkesModel, fit, intensity,
+from commsim.hawkes import (FitConfig, HawkesError, HawkesModel, fit,
                             log_likelihood, model_from_dict,
                             sample_next_activation, simulate_pure_hawkes)
 
 from conftest import BASE_MONDAY, ZeroDraws, make_log
 from oracle_corpus import scan_sent_times
+from oracle_hawkes import excitation_integral, intensity
 
 HOUR = 3600
 DAY = 86400
@@ -130,7 +131,7 @@ def test_excitation_integral_quadrature_oracle():
         times = sorted(int(t) for t in rng.integers(t0 - 5 * HOUR, t0 + 8 * HOUR, size=3))
         hist = make_log([(0, 1, t) for t in times], n_agents=2)
         window = (t0, t0 + 10 * HOUR)
-        closed = hawkes.excitation_integral(m, 0, hist, window)
+        closed = excitation_integral(m, 0, hist, window)
 
         def exc(u_hours):
             t = window[0] + u_hours * HOUR
@@ -254,7 +255,7 @@ def test_log_likelihood_matches_brute_force(seed):
             if e.sender == i and window[0] <= e.ts < window[1]:
                 want += math.log(intensity(model, i, e.ts, log))
         want -= bin_hours @ model.baselines[i]
-        want -= hawkes.excitation_integral(model, i, log, window)
+        want -= excitation_integral(model, i, log, window)
     assert log_likelihood(model, log, window) == pytest.approx(want, rel=1e-9)
 
 

@@ -100,16 +100,23 @@ def test_simulate_pure_hawkes_matches_oracle(seed, n, diagonal, alpha_kind, n_tr
     assert_same_rollout(model, (t0, t1), plan, history, dist, int(r.integers(2**31)))
 
 
-def test_simulate_pure_hawkes_covers_the_fallback_and_excited_paths():
-    """A fixed case of the property above that is sure to take the uniform
-    fallback, the choice CDF and the excitation branch with shared-timestamp
-    triggers."""
+@pytest.mark.parametrize("quiet_hours,triggers", [
+    (0, [(1, HOUR), (2, HOUR), (3, 5 * HOUR)]),
+    (3, [(1, HOUR + 1800), (2, 2 * HOUR + 600), (3, 2 * HOUR + 2400), (1, 3 * HOUR)]),
+], ids=["shared_stamp", "folded_injection"])
+def test_simulate_pure_hawkes_covers_the_fallback_and_excited_paths(quiet_hours, triggers):
+    """Fixed cases of the property above that are sure to take the uniform
+    fallback, the choice CDF and the excitation branch. The first has
+    shared-timestamp triggers. The second has no baseline in its first
+    hours, so the zero-bound jump lands on the first trigger; it also has
+    two trigger stamps in one hour and a trigger on an hour boundary."""
     n = 4
+    t0, t1 = BASE_MONDAY, BASE_MONDAY + DAY
     base = np.full((n, hawkes.N_BINS), 0.8)
+    base[:, [timeutil.flat_bin_of(t0 + h * HOUR) for h in range(quiet_hours)]] = 0.0
     alpha = 0.2 * np.eye(n) + 0.05
     model = HawkesModel(tuple(f"a{i:02d}" for i in range(n)), base, alpha, 1.5, False)
-    t0, t1 = BASE_MONDAY, BASE_MONDAY + DAY
-    sched = make_log([(0, 1, t0 + HOUR), (0, 2, t0 + HOUR), (0, 3, t0 + 5 * HOUR)], n_agents=n)
+    sched = make_log([(0, r, t0 + dt) for r, dt in triggers], n_agents=n)
     plan = TriggerPlan(frozenset({0}), sched)
     dist = np.array([[0, 1, 1, 1], [0, 0, 0, 0], [1, 2, 0, 0], [3, 0, 1, 0]], dtype=float)
     counters = assert_same_rollout(model, (t0, t1), plan, EventLog(model.agents, ()), dist, 3)

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from commsim import corpus, metrics
-from commsim.metrics import (MOTIF2_CLASSES, MetricError, MotifCensus, classify_pair, emd_1d,
+from commsim.metrics import (MOTIF2_CLASSES, MetricError, MotifCensus, emd_1d,
                              jsd, motif_census_2, motif_census_3, regret, sample_emd)
 
 from conftest import BASE_MONDAY, fixture_log, make_log, random_log, run_metric, view
-from oracle_metrics import (node_index, oracle_sample_emd, scan_motif_census_2,
+from oracle_metrics import (classify_pair, node_index, oracle_sample_emd, scan_motif_census_2,
                             scan_motif_census_3, scipy_ends_with_vecdot, view_edges)
 
 DAY = 86400
