@@ -82,17 +82,11 @@ def stub_params_from_history(log: EventLog, window: tuple[int, int],
     sends per day, contacts from recipient frequencies."""
     hist = log_window(log, *window)
     n = log.n_agents
-    edges = simple_digraph_edges(hist)
-    in_nbrs: dict[int, set[int]] = {}
-    out_nbrs: dict[int, set[int]] = {}
-    for u, v in edges:
-        out_nbrs.setdefault(u, set()).add(v)
-        in_nbrs.setdefault(v, set()).add(u)
+    u, v = simple_digraph_edges(hist)
+    in_degree = np.bincount(v, minlength=n)
+    answered = np.bincount(v[np.isin(v * n + u, u * n + v)], minlength=n)
     reply = np.full(n, 0.3)
-    for v in range(n):
-        senders = in_nbrs.get(v, set())
-        if senders:
-            reply[v] = len(senders & out_nbrs.get(v, set())) / len(senders)
+    np.divide(answered, in_degree, out=reply, where=in_degree > 0)
     days = max(1, (window[1] - window[0]) / 86400)
     sent = np.bincount(hist.senders, minlength=n)
     return StubParams(reply_prob=reply, initiate_rate=sent / days,
@@ -168,6 +162,9 @@ class LLMEndpointConfig:
             raise AgentError("max_retries must be >= 0 and an integer")
         if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
             raise AgentError("timeout_seconds must be positive and finite")
+        # time.sleep raises on a negative, NaN or infinite backoff at the first retry
+        if not (math.isfinite(self.backoff_base_seconds) and self.backoff_base_seconds >= 0):
+            raise AgentError("backoff_base_seconds must be >= 0 and finite")
 
 
 SYSTEM_TEMPLATE = """\

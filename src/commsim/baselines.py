@@ -41,18 +41,14 @@ def rewire_degree_preserving(log: EventLog, window: tuple[int, int],
     """
     t0, t1 = window
     win = log_window(log, t0, t1)
-    edge_list = win.edges()
-    if len(edge_list) < 2:
-        if len(edge_list) == 1:
-            u, v, t = edge_list[0]
-            return EventLog(log.agents, (Event(0, u, (v,), t, ORGANIC),))
-        raise ValueError(f"window has {len(edge_list)} edges; need at least 2")
+    rows = win.edge_rows
+    tails, heads = win.senders[rows].tolist(), win.edge_heads.tolist()
+    times = win.ts[rows].tolist()
+    m = len(heads)
+    if not m:
+        raise ValueError("window has no edges")
 
     rng = substream(cfg.seed, "rewire")
-    heads = [v for _, v, _ in edge_list]
-    tails = [u for u, _, _ in edge_list]
-    times = [t for _, _, t in edge_list]
-    m = len(edge_list)
     n_swaps = cfg.n_swaps if cfg.n_swaps is not None else DEFAULT_SWAPS_PER_EDGE * m
     _swap_heads(tails, heads, n_swaps, rng)
     perm = rng.permutation(m)

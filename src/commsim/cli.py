@@ -361,12 +361,16 @@ def cmd_evaluate(args) -> int:
     return _guarded("evaluate", args, body)
 
 
-def _load_trigger_labels(path) -> list:
-    """A JSON list of trigger agent labels, or an object whose
+def _load_trigger_labels(path) -> list[str]:
+    """A JSON list of trigger agent labels (strings), or an object whose
     `trigger_agents` is one."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return list(data["trigger_agents"] if isinstance(data, dict) else data)
+    labels = data["trigger_agents"] if isinstance(data, dict) else data
+    # list() would read the string "ab" as the two labels a and b
+    if not (isinstance(labels, list) and all(isinstance(lbl, str) for lbl in labels)):
+        raise ValueError(f"trigger labels {labels!r} are not a list of strings")
+    return labels
 
 
 def _align_registry(sim: corpus.EventLog, gt: corpus.EventLog) -> corpus.EventLog:

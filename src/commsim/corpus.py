@@ -6,10 +6,11 @@ the registry maps indices to opaque labels (e.g. mailbox addresses) sorted
 lexicographically, so ingestion of the same data always yields the same
 indexing regardless of record order.
 
-A log caches read-only int64 columns, built on first read: `ts` and `senders`,
-and `recipients` (all recipients flattened in log order) with `recipient_rows`
-(each one's event index). Every time window is half-open, t0 <= ts < t1, and
-is found by one bisect per bound on the sorted `ts` (`EventLog.span`); a reader
+A log caches read-only int64 columns, built on first read: `ts`, `senders`
+and its edge stream, `edge_rows` (event index) with `edge_heads` (recipient).
+The edge rule is decided here only: one edge per recipient other than the
+sender, in log order. Every time window is half-open, t0 <= ts < t1, and is
+found by one bisect per bound on the sorted `ts` (`EventLog.span`); a reader
 of ts <= t asks for the span up to t + 1. A `window` starts with the slice of
 its parent's `ts`, and of `senders` where built. `sent_times` splits the
 columns per sender.
@@ -128,15 +129,16 @@ class EventLog:
         return _column([e.sender for e in self.events])
 
     @functools.cached_property
-    def recipients(self) -> np.ndarray:
-        """Every event's recipients, flattened in log order (int64, read-only)."""
-        return _column([r for e in self.events for r in e.recipients])
+    def edge_rows(self) -> np.ndarray:
+        """The event index of each edge (int64, read-only); the edge's sender
+        is `senders[edge_rows]` and its time `ts[edge_rows]`."""
+        return _column([k for k, e in enumerate(self.events) for r in e.recipients
+                        if r != e.sender])
 
     @functools.cached_property
-    def recipient_rows(self) -> np.ndarray:
-        """The event index of each entry of `recipients` (int64, read-only)."""
-        fanout = [len(e.recipients) for e in self.events]
-        return _column(np.repeat(np.arange(len(fanout)), fanout))
+    def edge_heads(self) -> np.ndarray:
+        """The recipient of each edge (int64, read-only)."""
+        return _column([r for e in self.events for r in e.recipients if r != e.sender])
 
     def span(self, t0: int | None = None, t1: int | None = None) -> slice:
         """The slice of `events` with t0 <= ts < t1, one bisect per bound on
@@ -146,10 +148,10 @@ class EventLog:
         return slice(lo, hi)
 
     def edges(self) -> list[tuple[int, int, int]]:
-        """Expand to a (sender, recipient, ts) directed edge stream, one edge
-        per recipient other than the sender, in log order."""
-        return [(e.sender, r, e.ts) for e in self.events for r in e.recipients
-                if r != e.sender]
+        """The edge stream as (sender, recipient, ts) tuples, in log order."""
+        rows = self.edge_rows
+        return list(zip(self.senders[rows].tolist(), self.edge_heads.tolist(),
+                        self.ts[rows].tolist()))
 
 
 def _column(values: list[int]) -> np.ndarray:
@@ -303,17 +305,20 @@ def sent_times(log: EventLog) -> dict[int, np.ndarray]:
     return dict(zip(agents.tolist(), np.split(log.ts[order], starts[1:])))
 
 
-def simple_digraph_edges(log: EventLog) -> set[tuple[int, int]]:
-    """Distinct directed (sender, recipient) pairs, self-loops excluded."""
-    return {(u, v) for u, v, _ in log.edges()}
+def simple_digraph_edges(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
+    """The edge stream's distinct (sender, recipient) pairs, sorted, as int64 columns."""
+    n = log.n_agents
+    # stable, as in `sent_times`: np.unique's default sort pages in ~1 MiB more numpy code
+    pairs = np.sort(log.senders[log.edge_rows] * n + log.edge_heads, kind="stable")
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    return pairs // n, pairs % n
 
 
 def contact_frequencies(log: EventLog) -> np.ndarray:
-    """Row-normalized (D, D) recipient frequency table; rows of agents who
-    never sent are all-zero. Self-loops excluded."""
+    """Row-normalized (D, D) recipient frequency table over the edge stream;
+    rows of agents who never sent are all-zero."""
     n = log.n_agents
-    u, v = log.senders[log.recipient_rows], log.recipients
-    pair = (u * n + v)[u != v]
+    pair = log.senders[log.edge_rows] * n + log.edge_heads
     table = np.bincount(pair, minlength=n * n).reshape(n, n).astype(float)
     sums = table.sum(axis=1, keepdims=True)
     np.divide(table, sums, out=table, where=sums > 0)

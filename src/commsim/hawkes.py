@@ -32,9 +32,9 @@ Its invariant: it covers exactly the events added so far, in append order
 at ts == t count with weight 1. Three readers share it:
 
 - the fitter builds every agent's likelihood terms in one time-ordered
-  sweep over the log, reading each in-window event's decayed source counts
-  before adding the event's timestamp group, so an event is excited only
-  by sources strictly before it;
+  sweep over the log's `ts` and `senders`, reading each in-window event's
+  decayed source counts before adding its timestamp group, so an event is
+  excited only by sources strictly before it;
 - `sample_next_activation` builds the state from a history and thins;
 - `simulator.run` keeps one state across a rollout, so a wake costs O(1)
   (diagonal model) or O(D) instead of a rescan of the history.
@@ -49,7 +49,6 @@ zeros.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -112,9 +111,6 @@ class HawkesModel:
     def baseline_rows(self) -> list[list[float]]:
         """`baselines` as Python floats: one 168-entry list per agent."""
         return self.baselines.tolist()
-
-    def baseline_rate(self, agent: int, ts) -> float:
-        return float(self.baselines[agent, timeutil.flat_bin_of(int(ts))])
 
     def to_dict(self) -> dict:
         alpha = ({"diag": np.diag(self.alpha).tolist()} if self.diagonal_only
@@ -211,8 +207,9 @@ class ExcitationState:
     def from_log(cls, model: HawkesModel, history: EventLog, t_now: int) -> "ExcitationState":
         """State over the history events with ts <= t_now."""
         state = cls(model)
-        for e in history.events[history.span(t1=t_now + 1)]:
-            state.add(e.sender, e.ts)
+        span = history.span(t1=t_now + 1)
+        for sender, ts in zip(history.senders[span].tolist(), history.ts[span].tolist()):
+            state.add(sender, ts)
         return state
 
     def add(self, sender: int, ts: int) -> None:
@@ -268,7 +265,7 @@ class _AgentTerms:
 
 def _agent_terms(log: EventLog, window: tuple[int, int], beta: float,
                  diagonal_only: bool) -> dict[int, _AgentTerms]:
-    """Every agent's terms from one time-ordered sweep over the log.
+    """Every agent's terms from one time-ordered sweep over `ts` and `senders`.
 
     An `ExcitationState` covers the events before the current timestamp
     group; each in-window event's `S` row is read from it before the group
@@ -285,18 +282,19 @@ def _agent_terms(log: EventLog, window: tuple[int, int], beta: float,
     bins = [np.zeros(c, dtype=np.int64) for c in counts]
     filled = [0] * n
     state = ExcitationState(beta_per_hour=beta, n_agents=n)
-    for t, group in itertools.groupby(log.events[:in_window.stop], key=lambda e: e.ts):
-        group = list(group)
+    ts, senders = log.ts[:in_window.stop], log.senders[:in_window.stop].tolist()
+    starts = np.flatnonzero(np.diff(ts, prepend=ts[:1] - 1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(senders)]):
+        t, group = int(ts[lo]), senders[lo:hi]
         if t >= t0:
             b = timeutil.flat_bin_of(t)
             row = None if diagonal_only else state.decayed_all(t)
-            for e in group:
-                i = e.sender
+            for i in group:
                 S[i][filled[i]] = state.decayed(i, t) if diagonal_only else row
                 bins[i][filled[i]] = b
                 filled[i] += 1
-        for e in group:
-            state.add(e.sender, t)
+        for i in group:
+            state.add(i, t)
     col_weight = np.zeros(n)
     for j, src in sent_times(log).items():
         col_weight[j] = _excitation_weights(src, t0, t1, beta)
@@ -566,8 +564,9 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
     g = np.zeros(n)
     t0_h = t0 / SECONDS_PER_HOUR
     if excited:
-        for e in history.events[history.span(t1=t0 + 1)]:
-            g[e.sender] += math.exp(-beta * (t0 - e.ts) / SECONDS_PER_HOUR)
+        span = history.span(t1=t0 + 1)
+        for sender, ts in zip(history.senders[span].tolist(), history.ts[span].tolist()):
+            g[sender] += math.exp(-beta * (t0 - ts) / SECONDS_PER_HOUR)
 
     out: list[Event] = list(schedule)
     next_id = max((e.event_id for e in schedule), default=-1) + 1

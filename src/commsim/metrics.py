@@ -17,19 +17,19 @@ agents count (degree 0, disconnected pairs contribute 0 to efficiency).
 
 Each metric is one row of `SUITE`, name -> (part, comparison). A part reads
 only one log's `LogView`, its non-trigger subnetwork within the window, built
-by `log_view` from the log's columns without any derived log: the rhythm
-parts read the kept events' `ts` (and `burst` their renumbered `senders`),
-the censuses the int64 edge columns u, v, t (self-loops dropped, log order)
-and `n_agents`, and the daily-topology parts each UTC day's directed simple
-edge set and `n_agents`. The comparison turns the sim and gt parts into the
-value and its flags. `summarize` computes every part of one log once into a
-`LogSummary`, so one ground-truth summary scores any number of rollouts with
-`compare`, and `evaluate_all` is `compare(summarize(sim, ...), summarize(gt,
-...))`. Rows may share a part: the temporal-dynamics metrics come from one
-census call per arity. Both arities count over one array enumeration of the
-node-sharing edge pairs within the largest delta (`_later_pairs`); arity 3
-adds, per pair, a count of the middle edges on one endpoint pair between two
-times.
+by `log_view` from the log's columns and edge stream (`EventLog.edge_rows`,
+self-loop-free) without any derived log: the rhythm parts read the kept
+events' `ts` (and `burst` their renumbered `senders`), the censuses the kept
+int64 edge columns u, v, t (log order) and `n_agents`, and the daily-topology
+parts each UTC day's directed simple edge set and `n_agents`. The comparison
+turns the sim and gt parts into the value and its flags. `summarize` computes
+every part of one log once into a `LogSummary`, so one ground-truth summary
+scores any number of rollouts with `compare`, and `evaluate_all` is
+`compare(summarize(sim, ...), summarize(gt, ...))`. Rows may share a part:
+the temporal-dynamics metrics come from one census call per arity. Both
+arities count over one array enumeration of the node-sharing edge pairs
+within the largest delta (`_later_pairs`); arity 3 adds, per pair, a count
+of the middle edges on one endpoint pair between two times.
 
 Every per-graph statistic is a kernel(edge_set, n_nodes) of a directed simple
 edge set over range(n_nodes). `daily_topology_series` maps one over a view's
@@ -66,8 +66,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import timeutil
-from .corpus import (CorpusError, Event, EventLog, lag24_weekday_autocorr, node_burstiness,
-                     simple_digraph_edges)
+from .corpus import CorpusError, Event, EventLog, lag24_weekday_autocorr, node_burstiness
 
 MOTIF2_CLASSES = ("reciprocal", "repeated", "out_star", "in_star",
                   "chain_forward", "chain_backward")
@@ -228,13 +227,13 @@ def log_view(log: EventLog, window: tuple[int, int], triggers=()) -> LogView:
     is_trigger = np.isin(np.arange(n), list(triggers))
     span = log.span(t0, t1)
     ts, senders = log.ts[span], log.senders[span]
-    lo, hi = np.searchsorted(log.recipient_rows, (span.start, span.stop))
-    rows, rcpt = log.recipient_rows[lo:hi] - span.start, log.recipients[lo:hi]
+    lo, hi = np.searchsorted(log.edge_rows, (span.start, span.stop))
+    rows, heads = log.edge_rows[lo:hi] - span.start, log.edge_heads[lo:hi]
     dropped = is_trigger[senders]
-    dropped[rows[is_trigger[rcpt]]] = True
+    dropped[rows[is_trigger[heads]]] = True
     renumber = np.cumsum(~is_trigger) - 1
-    edge = ~dropped[rows] & (senders[rows] != rcpt)
-    u, v, t = renumber[senders[rows[edge]]], renumber[rcpt[edge]], ts[rows[edge]]
+    edge = ~dropped[rows]
+    u, v, t = renumber[senders[rows[edge]]], renumber[heads[edge]], ts[rows[edge]]
     days = daily_edge_sets(u, v, t, window) if t1 > t0 else None
     return LogView(window, n - int(is_trigger.sum()), ts[~dropped],
                    renumber[senders[~dropped]], u, v, t, days)
@@ -379,12 +378,11 @@ def _census_jsd(s: MotifCensus, g: MotifCensus) -> tuple[float, list[str]]:
 
 
 def _undirected_adjacency(edge_set, n_nodes) -> list[set[int]]:
-    """Neighbour sets of the undirected simple collapse over range(n_nodes)."""
+    """Neighbour sets of a simple edge set's undirected collapse over range(n_nodes)."""
     nbrs: list[set[int]] = [set() for _ in range(n_nodes)]
     for u, v in edge_set:
-        if u != v:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     return nbrs
 
 
@@ -858,7 +856,7 @@ def corpus_stats(log: EventLog) -> StatsSummary:
     weekend_ratio = float(np.mean(timeutil.is_weekend(ts)))
     burst = node_burstiness(log)
     burst_median = float(np.median(list(burst.values()))) if burst else 0.0
-    edges = simple_digraph_edges(log)
+    edges = {(u, v) for u, v, _ in log.edges()}
     n = log.n_agents
 
     return StatsSummary(

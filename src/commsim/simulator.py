@@ -169,13 +169,11 @@ def select_triggers(log: EventLog, history_window: tuple[int, int], ratio: float
     hist = log_window(log, h0, h1)
     if not hist.events:
         raise SimulationError("empty history window")
-    degree = np.zeros(log.n_agents, dtype=np.int64)
-    for u, v in simple_digraph_edges(hist):
-        degree[u] += 1
-        degree[v] += 1
-    k = math.ceil(ratio * log.n_agents)
-    ranked = sorted(range(log.n_agents), key=lambda i: (-degree[i], i))
-    chosen = frozenset(ranked[:k])
+    n = log.n_agents
+    u, v = simple_digraph_edges(hist)
+    degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    ranked = np.argsort(-degree, kind="stable")
+    chosen = frozenset(ranked[:math.ceil(ratio * n)].tolist())
     s0, s1 = sim_window
     scheduled = [e for e in log.events[log.span(s0, s1)] if e.sender in chosen]
     marked = tuple(Event(e.event_id, e.sender, e.recipients, e.ts, TRIGGER,

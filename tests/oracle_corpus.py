@@ -7,8 +7,20 @@ import math
 import numpy as np
 
 from commsim import timeutil
-from commsim.corpus import Event, EventLog
+from commsim.corpus import TRIGGER, Event, EventLog, window
 from commsim.hawkes import SECONDS_PER_HOUR, ExcitationState
+from commsim.simulator import SimulationError, TriggerPlan
+
+
+def scan_edges(log: EventLog) -> list[tuple[int, int, int]]:
+    """The old `EventLog.edges()` body: one (sender, recipient, ts) edge per
+    recipient other than the sender, walking every event."""
+    return [(e.sender, r, e.ts) for e in log.events for r in e.recipients if r != e.sender]
+
+
+def scan_edge_rows(log: EventLog) -> list[int]:
+    """The event index of each edge of `scan_edges`."""
+    return [k for k, e in enumerate(log.events) for r in e.recipients if r != e.sender]
 
 
 def scan_window(log: EventLog, t0: int, t1: int) -> EventLog:
@@ -20,7 +32,7 @@ def scan_contact_frequencies(log: EventLog) -> np.ndarray:
     """The old `corpus.contact_frequencies`: one increment per edge."""
     n = log.n_agents
     table = np.zeros((n, n))
-    for u, v, _ in log.edges():
+    for u, v, _ in scan_edges(log):
         table[u, v] += 1.0
     sums = table.sum(axis=1, keepdims=True)
     np.divide(table, sums, out=table, where=sums > 0)
@@ -65,3 +77,26 @@ def scan_hod_histograms(log: EventLog) -> np.ndarray:
     sums = h.sum(axis=1, keepdims=True)
     np.divide(h, sums, out=h, where=sums > 0)
     return h
+
+
+def oracle_select_triggers(log: EventLog, history_window: tuple[int, int], ratio: float,
+                           sim_window: tuple[int, int]) -> TriggerPlan:
+    """The old `simulator.select_triggers`: degrees counted one distinct edge
+    at a time, agents ranked by a Python sort."""
+    if not 0 <= ratio <= 1:
+        raise SimulationError(f"ratio {ratio} outside [0, 1]")
+    hist = window(log, *history_window)
+    if not hist.events:
+        raise SimulationError("empty history window")
+    degree = np.zeros(log.n_agents, dtype=np.int64)
+    for u, v in {(u, v) for u, v, _ in scan_edges(hist)}:
+        degree[u] += 1
+        degree[v] += 1
+    k = math.ceil(ratio * log.n_agents)
+    ranked = sorted(range(log.n_agents), key=lambda i: (-degree[i], i))
+    chosen = frozenset(ranked[:k])
+    s0, s1 = sim_window
+    scheduled = [e for e in log.events if s0 <= e.ts < s1 and e.sender in chosen]
+    marked = tuple(Event(e.event_id, e.sender, e.recipients, e.ts, TRIGGER,
+                         e.thread_id, e.body) for e in scheduled)
+    return TriggerPlan(chosen, EventLog(log.agents, marked))

@@ -2,7 +2,7 @@
 they were before their exact fast paths, kept as oracles of
 `hawkes.simulate_pure_hawkes`, `hawkes.thin_next_activation` and
 `hawkes._maximize_agent`, and the brute-force sums `intensity` and
-`excitation_integral`.
+`excitation_integral` with their `baseline_rate`.
 
 `simulate_pure_hawkes` keeps the excitation vector up to date and runs both
 matvecs on every thinning candidate, whatever alpha is, and draws each
@@ -23,12 +23,17 @@ from commsim.hawkes import (N_BINS, SECONDS_PER_HOUR, FitConfig, HawkesError, Ha
 from commsim.rng import substream
 
 
+def baseline_rate(model: HawkesModel, agent: int, ts) -> float:
+    """The agent's baseline rate in the weekly bin of ts (events/hour)."""
+    return float(model.baselines[agent, timeutil.flat_bin_of(int(ts))])
+
+
 def intensity(model: HawkesModel, agent: int, t: int, history: EventLog) -> float:
     """lam_agent(t) in events/hour; history events strictly before t excite."""
     if not (0 <= agent < model.n_agents):
         raise HawkesError(f"agent {agent} not in model")
     beta = model.beta_per_hour
-    lam = model.baseline_rate(agent, t)
+    lam = baseline_rate(model, agent, t)
     row = model.alpha[agent]
     for e in history.events:
         if e.ts >= t:

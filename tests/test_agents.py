@@ -281,7 +281,8 @@ def make_policy(transport, max_retries=2):
 @pytest.mark.parametrize("field,value", [
     ("timeout_seconds", float("nan")), ("timeout_seconds", float("inf")),
     ("timeout_seconds", 0.0), ("max_retries", 1.5), ("max_retries", True),
-    ("max_retries", -1),
+    ("max_retries", -1), ("backoff_base_seconds", -1.0),
+    ("backoff_base_seconds", float("nan")), ("backoff_base_seconds", float("inf")),
 ])
 def test_endpoint_config_rejects_bad_settings(field, value):
     with pytest.raises(agents.AgentError, match=field):

@@ -457,7 +457,8 @@ def _model_dict(agents):
 
 @pytest.mark.parametrize("case", ["model_baselines_shape", "model_other_registry",
                                   "triggers_number", "config_list", "report_metrics_not_list",
-                                  "model_diagonal_only_string", "model_beta_string"])
+                                  "model_diagonal_only_string", "model_beta_string",
+                                  "triggers_string", "triggers_non_string_label"])
 def test_malformed_user_json_exits_2(tmp_path, case):
     bad = tmp_path / "bad.json"
     simulate_hawkes = ["simulate", sim_config(tmp_path, model=str(bad)), "--policy", "hawkes"]
@@ -467,6 +468,10 @@ def test_malformed_user_json_exits_2(tmp_path, case):
         "model_other_registry": (_model_dict(("x", "y")), simulate_hawkes),
         "triggers_number": (5, ["evaluate", MINI, MINI, "--triggers", bad,
                                 "--t0", SIM_T0, "--t1", SIM_T1]),
+        # list() would read "ab" as the labels a and b
+        "triggers_string": ({"trigger_agents": "ab"}, ["evaluate", MINI, MINI, "--triggers", bad]),
+        "triggers_non_string_label": ([corpus.ingest(MINI).agents[0], 5],
+                                      ["evaluate", MINI, MINI, "--triggers", bad]),
         "config_list": ([str(MINI)], ["simulate", bad, "--policy", "periodic"]),
         "report_metrics_not_list": ({"window": [0, 1], "n_agents": 3, "metrics": 5},
                                     ["compare", bad]),

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commsim import corpus, metrics, timeutil
+from commsim.agents import stub_params_from_history
 from commsim.corpus import CorpusError, Event, EventLog, ingest, sent_times, serialize, window
 from commsim.hawkes import ExcitationState, HawkesModel
-from commsim.simulator import hod_histograms
+from commsim.simulator import SimulationError, hod_histograms, select_triggers
 
 from conftest import BASE_MONDAY, DATA_DIR, make_log
-from oracle_corpus import (scan_contact_frequencies, scan_excitation_state, scan_hod_histograms,
+from oracle_agents import oracle_reply_prob
+from oracle_corpus import (oracle_select_triggers, scan_contact_frequencies, scan_edge_rows,
+                           scan_edges, scan_excitation_state, scan_hod_histograms,
                            scan_sent_times, scan_window)
 
 
@@ -250,7 +253,18 @@ def test_columns_span_and_sent_times_match_scans(case):
     assert np.array_equal(hod_histograms(log), scan_hod_histograms(log))
 
 
-COLUMNS = ("ts", "senders", "recipients", "recipient_rows")
+COLUMNS = ("ts", "senders", "edge_rows", "edge_heads")
+
+
+def assert_edge_stream_matches_scan(log):
+    """`edge_rows`, `edge_heads` and `edges()` equal the walk over every
+    event's recipients that drops the self-addressed ones."""
+    for column in (log.edge_rows, log.edge_heads):
+        assert column.dtype == np.int64 and not column.flags.writeable
+    want = scan_edges(log)
+    assert log.edge_rows.tolist() == scan_edge_rows(log)
+    assert log.edge_heads.tolist() == [v for _, v, _ in want]
+    assert log.edges() == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -278,6 +292,7 @@ def test_window_carries_built_columns(data):
             column = getattr(sub, name)
             assert column.dtype == np.int64 and not column.flags.writeable
             assert np.array_equal(column, getattr(fresh, name)), name
+        assert_edge_stream_matches_scan(sub)
         log = sub
 
 
@@ -392,14 +407,36 @@ def recipient_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(recipient_cases())
 def test_recipient_columns_and_contact_frequencies_match_scans(log):
-    assert log.recipients.tolist() == [r for e in log.events for r in e.recipients]
-    assert log.recipient_rows.tolist() == [k for k, e in enumerate(log.events)
-                                           for _ in e.recipients]
-    for column in (log.recipients, log.recipient_rows):
-        assert column.dtype == np.int64 and not column.flags.writeable
+    assert_edge_stream_matches_scan(log)
     got, want = corpus.contact_frequencies(log), scan_contact_frequencies(log)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipient_cases(), st.data())
+def test_distinct_pairs_trigger_ranks_and_reply_probs_match_scans(log, data):
+    """The numpy readers of the distinct (sender, recipient) pairs equal the
+    scans over sets of edges that they replaced: the pairs themselves, the
+    reply probabilities byte for byte, and the trigger plan at every count
+    of triggers, which fixes the whole degree ranking."""
+    u, v = corpus.simple_digraph_edges(log)
+    assert u.dtype == v.dtype == np.int64
+    assert list(zip(u.tolist(), v.tolist())) == sorted({(a, b) for a, b, _ in scan_edges(log)})
+    bound = st.integers(BASE_MONDAY - 600, BASE_MONDAY + 600 * 51)
+    hist = tuple(sorted((data.draw(bound), data.draw(bound))))
+    sim = tuple(sorted((data.draw(bound), data.draw(bound))))
+    reply = stub_params_from_history(log, hist).reply_prob
+    assert reply.tobytes() == oracle_reply_prob(log, hist).tobytes()
+    n = log.n_agents
+    for k in range(n + 1):
+        try:
+            want = oracle_select_triggers(log, hist, k / n, sim)
+        except SimulationError as exc:
+            with pytest.raises(SimulationError, match=re.escape(str(exc))):
+                select_triggers(log, hist, k / n, sim)
+            continue
+        assert select_triggers(log, hist, k / n, sim) == want
 
 
 def test_multi_recipient_edges_and_self_loops():

@@ -13,7 +13,7 @@ from commsim.hawkes import (FitConfig, HawkesError, HawkesModel, fit,
 
 from conftest import BASE_MONDAY, ZeroDraws, make_log
 from oracle_corpus import scan_sent_times
-from oracle_hawkes import excitation_integral, intensity
+from oracle_hawkes import baseline_rate, excitation_integral, intensity
 
 HOUR = 3600
 DAY = 86400
@@ -424,7 +424,7 @@ def test_excitation_state_incremental_matches_from_log():
         again = hawkes.ExcitationState.from_log(m, hist, t)
         assert state.at(agent, t) == again.at(agent, t)
         # beta * excitation strictly before t is intensity minus baseline
-        assert m.baseline_rate(agent, t) + m.beta_per_hour * state.at(agent, t) \
+        assert baseline_rate(m, agent, t) + m.beta_per_hour * state.at(agent, t) \
             == pytest.approx(intensity(m, agent, t, hist), rel=1e-12)
     # events after t_now are not covered
     early = hawkes.ExcitationState.from_log(m, hist, BASE_MONDAY + 600)

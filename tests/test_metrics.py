@@ -696,7 +696,7 @@ def test_corpus_stats_graph_kernels_equal_networkx():
     log = random_log(np.random.default_rng(3), n_agents=300, n_events=600,
                      t0=BASE_MONDAY, span=14 * DAY)
     stats = metrics.corpus_stats(log)
-    edges = corpus.simple_digraph_edges(log)
+    edges = {(u, v) for u, v, _ in log.edges()}
     g = nx_undirected(edges, log.n_agents)
     assert stats.transitivity > 0 and nx.number_connected_components(g) > 1
     assert stats.transitivity == nx.transitivity(g)
