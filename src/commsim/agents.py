@@ -17,13 +17,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import timeutil
-from .corpus import EventLog, contact_frequencies, simple_digraph_edges, window as log_window
+from .corpus import (EventLog, _json_int, contact_frequencies, simple_digraph_edges,
+                     window as log_window)
 from .rng import choice_cdf, substream, uniform_hash
 from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS
 
@@ -162,9 +164,14 @@ class LLMEndpointConfig:
             raise AgentError("max_retries must be >= 0 and an integer")
         if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
             raise AgentError("timeout_seconds must be positive and finite")
-        # time.sleep raises on a negative, NaN or infinite backoff at the first retry
-        if not (math.isfinite(self.backoff_base_seconds) and self.backoff_base_seconds >= 0):
+        # time.sleep raises on a negative, NaN or infinite backoff at the first
+        # retry, and on one above threading.TIMEOUT_MAX at the retry that reaches it
+        base = self.backoff_base_seconds
+        if not (math.isfinite(base) and base >= 0):
             raise AgentError("backoff_base_seconds must be >= 0 and finite")
+        if retries and base > math.ldexp(threading.TIMEOUT_MAX, 1 - retries):
+            raise AgentError("the longest backoff, backoff_base_seconds * 2 ** (max_retries - 1), "
+                             f"must be at most {threading.TIMEOUT_MAX} s")
 
 
 SYSTEM_TEMPLATE = """\
@@ -265,9 +272,11 @@ def render_prompt(ctx: AgentContext) -> tuple[str, str]:
 
 
 def parse_decision(content: str, ctx: AgentContext) -> ActionDecision:
-    """Validate and convert the model's JSON reply. Unknown recipients and
-    self-addressed recipients are dropped; an action losing all recipients is
-    dropped; a past next_check is clamped and flagged."""
+    """Validate and convert the model's JSON reply. Each action's fields
+    follow the JSONL rules: a list of string recipients, an integer or null
+    thread and a string or null body. Unknown recipients and self-addressed
+    recipients are dropped; an action losing all recipients is dropped; a
+    past next_check is clamped and flagged."""
     try:
         data = json.loads(content)
         raw_actions = data.get("actions", [])
@@ -282,14 +291,18 @@ def parse_decision(content: str, ctx: AgentContext) -> ActionDecision:
             kind = a["type"]
             if kind not in ("reply", "initiate"):
                 raise LLMDecodeError(f"unknown action type {kind!r}")
-            recipients = tuple(registry[r] for r in a.get("recipients", ())
+            names, body = a.get("recipients", []), a.get("body")
+            thread = None if a.get("thread") is None else _json_int(a, "thread")
+            # iterating "a01" would read the labels a, 0 and 1
+            if not (isinstance(names, list) and all(isinstance(r, str) for r in names)):
+                raise ValueError(f"recipients {names!r} is not a list of strings")
+            if body is not None and not isinstance(body, str):
+                raise ValueError(f"body {body!r} is not a string")
+            recipients = tuple(registry[r] for r in names
                                if r in registry and registry[r] != ctx.agent)
             if not recipients:
                 continue
-            thread = a.get("thread")
-            actions.append(Action(kind, recipients,
-                                  int(thread) if thread is not None else None,
-                                  a.get("body")))
+            actions.append(Action(kind, recipients, thread, body))
         next_check = timeutil.parse_utc(str(next_check_raw))
     except (KeyError, TypeError, ValueError) as exc:
         raise LLMDecodeError(f"undecodable decision: {exc}") from exc
@@ -377,6 +390,6 @@ class LLMPolicy:
                 last_exc = exc
                 if attempt < cfg.max_retries:
                     self.retries += 1
-                    self.sleeper(cfg.backoff_base_seconds * 2 ** attempt)
+                    self.sleeper(math.ldexp(cfg.backoff_base_seconds, attempt))
         raise LLMTransportError(f"endpoint failed after {cfg.max_retries + 1} "
                                 f"attempts: {last_exc}") from last_exc

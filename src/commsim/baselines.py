@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Event, EventLog, ORGANIC, window as log_window
+from .corpus import Event, EventLog, window as log_window
 from .rng import substream
 
 DEFAULT_SWAPS_PER_EDGE = 10
@@ -52,8 +52,7 @@ def rewire_degree_preserving(log: EventLog, window: tuple[int, int],
     n_swaps = cfg.n_swaps if cfg.n_swaps is not None else DEFAULT_SWAPS_PER_EDGE * m
     _swap_heads(tails, heads, n_swaps, rng)
     perm = rng.permutation(m)
-    events = [Event(k, tails[k], (heads[k],), times[perm[k]], ORGANIC)
-              for k in range(m)]
+    events = [Event(k, tails[k], (heads[k],), times[perm[k]]) for k in range(m)]
     return log.with_events(events)
 
 

@@ -382,7 +382,7 @@ def _align_registry(sim: corpus.EventLog, gt: corpus.EventLog) -> corpus.EventLo
     events = tuple(
         corpus.Event(e.event_id, mapping[e.sender],
                      tuple(mapping[r] for r in e.recipients),
-                     e.ts, e.kind, e.thread_id, e.body)
+                     e.ts, e.thread_id, e.body)
         for e in sim.events)
     return corpus.EventLog(gt.agents, events)
 

@@ -4,7 +4,9 @@ An event log is an immutable, time-sorted stream of directed multi-recipient
 messages over a fixed agent registry. Agents are referenced by integer index;
 the registry maps indices to opaque labels (e.g. mailbox addresses) sorted
 lexicographically, so ingestion of the same data always yields the same
-indexing regardless of record order.
+indexing regardless of record order. An `Event` is one file record and no
+more (id, sender, recipients, ts, thread, body), so a saved log, ingested and
+re-indexed onto its registry, equals the log that was saved.
 
 A log caches read-only int64 columns, built on first read: `ts`, `senders`
 and its edge stream, `edge_rows` (event index) with `edge_heads` (recipient).
@@ -38,9 +40,6 @@ import numpy as np
 
 from . import timeutil
 
-ORGANIC = "organic"
-TRIGGER = "trigger"
-
 
 class CorpusError(ValueError):
     """Malformed input data or an operation on an unsuitable log."""
@@ -52,15 +51,18 @@ class Event:
     sender: int
     recipients: tuple[int, ...]
     ts: int
-    kind: str = ORGANIC
     thread_id: int | None = None
     body: str | None = None
 
     def __post_init__(self):
         if not self.recipients:
             raise CorpusError(f"event {self.event_id}: empty recipient list")
-        if self.kind not in (ORGANIC, TRIGGER):
-            raise CorpusError(f"event {self.event_id}: bad kind {self.kind!r}")
+        # the JSONL rules, so every log serializes to a file `ingest` accepts
+        thread = self.thread_id
+        if thread is not None and (not isinstance(thread, int) or isinstance(thread, bool)):
+            raise CorpusError(f"event {self.event_id}: thread {thread!r} is not an integer")
+        if self.body is not None and not isinstance(self.body, str):
+            raise CorpusError(f"event {self.event_id}: body {self.body!r} is not a string")
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,7 @@ def build_log(labels_by_event: Sequence[tuple[int, str, Sequence[str], int, int 
         labels.update(recipients)
     registry = tuple(sorted(labels))
     index = {lbl: i for i, lbl in enumerate(registry)}
-    events = (Event(event_id, index[sender], tuple(index[r] for r in recipients), ts,
-                    thread_id=thread, body=body)
+    events = (Event(event_id, index[sender], tuple(index[r] for r in recipients), ts, thread, body)
               for event_id, sender, recipients, ts, thread, body in labels_by_event)
     # unique ids, sorted, indexed into their own registry: the full check holds
     return EventLog._unchecked(registry, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import timeutil
-from .corpus import Event, EventLog, ORGANIC, sent_times, window as log_window
+from .corpus import Event, EventLog, sent_times, window as log_window
 from .rng import choice_cdf, substream
 
 N_BINS = 168
@@ -627,7 +627,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             others = [j for j in range(n) if j != sender]
             recipient = int(others[rng.integers(len(others))]) if others else sender
         ts = min(int(math.ceil(t_star * SECONDS_PER_HOUR)), t1 - 1)
-        out.append(Event(next_id, sender, (recipient,), ts, ORGANIC))
+        out.append(Event(next_id, sender, (recipient,), ts))
         next_id += 1
         counters["organic_events"] += 1
         if excited:

@@ -261,9 +261,6 @@ class MotifCensus:
     counts: dict[str, int]  # in class order
     delta: int
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def as_array(self) -> np.ndarray:
         return np.array(list(self.counts.values()), dtype=float)
 
@@ -617,7 +614,7 @@ def exclude_triggers(log: EventLog, trigger_agents) -> EventLog:
             continue
         events.append(Event(e.event_id, remap[e.sender],
                             tuple(remap[r] for r in e.recipients),
-                            e.ts, e.kind, e.thread_id, e.body))
+                            e.ts, e.thread_id, e.body))
     # a subsequence of a checked log, remapped into the kept registry
     return EventLog._unchecked(tuple(log.agents[i] for i in keep), tuple(events))
 

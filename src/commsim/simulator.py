@@ -4,7 +4,10 @@ A priority queue interleaves ground-truth trigger injections with agent
 wakes. On wake an agent receives its context (pre-simulation history,
 simulated traffic, unread mail), returns reply/initiate actions plus a next
 check time, and its organic events are appended at the wake timestamp.
-Trigger agents never wake; their ground-truth events are injected verbatim.
+Trigger agents never wake; their ground-truth events are injected verbatim,
+as the same `Event` objects. An event carries no mark of its origin: in a
+`run` or `hawkes.simulate_pure_hawkes` output, the injected events are
+exactly those sent by `plan.trigger_agents`.
 
 Queue ties at equal timestamps resolve deterministically: trigger
 injections first (by event id), then wakes by agent index. The loop is
@@ -34,7 +37,7 @@ from typing import Protocol
 import numpy as np
 
 from . import hawkes, timeutil
-from .corpus import Event, EventLog, ORGANIC, TRIGGER, window as log_window, simple_digraph_edges
+from .corpus import Event, EventLog, window as log_window, simple_digraph_edges
 from .rng import substream
 
 MIN_CLAMP_SECONDS = 60
@@ -175,10 +178,8 @@ def select_triggers(log: EventLog, history_window: tuple[int, int], ratio: float
     ranked = np.argsort(-degree, kind="stable")
     chosen = frozenset(ranked[:math.ceil(ratio * n)].tolist())
     s0, s1 = sim_window
-    scheduled = [e for e in log.events[log.span(s0, s1)] if e.sender in chosen]
-    marked = tuple(Event(e.event_id, e.sender, e.recipients, e.ts, TRIGGER,
-                         e.thread_id, e.body) for e in scheduled)
-    return TriggerPlan(chosen, EventLog._unchecked(log.agents, marked))  # a subsequence of log
+    scheduled = tuple(e for e in log.events[log.span(s0, s1)] if e.sender in chosen)
+    return TriggerPlan(chosen, EventLog._unchecked(log.agents, scheduled))  # a subsequence of log
 
 
 @dataclass(frozen=True)
@@ -453,8 +454,7 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
             recipients = tuple(r for r in action.recipients if r != agent)
             if not recipients:
                 continue
-            append(Event(next_id, agent, recipients, ts, ORGANIC,
-                         action.thread_id, action.body))
+            append(Event(next_id, agent, recipients, ts, action.thread_id, action.body))
             next_id += 1
             counters["organic_events"] += 1
         last_check[agent] = ts

@@ -24,18 +24,17 @@ def mini_log():
 
 
 def make_log(records, n_agents=None):
-    """EventLog from (sender, recipient_or_recipients, ts[, kind]) tuples;
+    """EventLog from (sender, recipient_or_recipients, ts) tuples;
     integer agents labeled a00..; ids follow record order."""
     events = []
     max_agent = 0
     for k, rec in enumerate(records):
-        sender, recipients, ts = rec[0], rec[1], rec[2]
-        kind = rec[3] if len(rec) > 3 else "organic"
+        sender, recipients, ts = rec
         if isinstance(recipients, int):
             recipients = (recipients,)
         recipients = tuple(recipients)
         max_agent = max(max_agent, sender, *recipients)
-        events.append(Event(k, sender, recipients, int(ts), kind))
+        events.append(Event(k, sender, recipients, int(ts)))
     n = n_agents if n_agents is not None else max_agent + 1
     labels = tuple(f"a{i:02d}" for i in range(n))
     return EventLog(labels, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from commsim import timeutil
-from commsim.corpus import TRIGGER, Event, EventLog, window
+from commsim.corpus import Event, EventLog, window
 from commsim.hawkes import SECONDS_PER_HOUR, ExcitationState
 from commsim.simulator import SimulationError, TriggerPlan
 
@@ -96,7 +96,5 @@ def oracle_select_triggers(log: EventLog, history_window: tuple[int, int], ratio
     ranked = sorted(range(log.n_agents), key=lambda i: (-degree[i], i))
     chosen = frozenset(ranked[:k])
     s0, s1 = sim_window
-    scheduled = [e for e in log.events if s0 <= e.ts < s1 and e.sender in chosen]
-    marked = tuple(Event(e.event_id, e.sender, e.recipients, e.ts, TRIGGER,
-                         e.thread_id, e.body) for e in scheduled)
-    return TriggerPlan(chosen, EventLog(log.agents, marked))
+    scheduled = tuple(e for e in log.events if s0 <= e.ts < s1 and e.sender in chosen)
+    return TriggerPlan(chosen, EventLog(log.agents, scheduled))

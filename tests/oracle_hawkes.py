@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from commsim import timeutil
-from commsim.corpus import Event, EventLog, ORGANIC
+from commsim.corpus import Event, EventLog
 from commsim.hawkes import (N_BINS, SECONDS_PER_HOUR, FitConfig, HawkesError, HawkesModel,
                             _AgentTerms)
 from commsim.rng import substream
@@ -198,7 +198,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
                 others = [j for j in range(n) if j != sender]
                 recipient = int(others[rng.integers(len(others))]) if others else sender
             ts = min(int(math.ceil(t_star * SECONDS_PER_HOUR)), t1 - 1)
-            out.append(Event(next_id, sender, (recipient,), ts, ORGANIC))
+            out.append(Event(next_id, sender, (recipient,), ts))
             next_id += 1
             counters["organic_events"] += 1
             g[sender] += 1.0

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import threading
 import urllib.error
 import urllib.request
 
@@ -57,7 +60,7 @@ def test_stub_idle_when_zeroed():
 def test_stub_replies_to_each_unread():
     params = uniform_params(reply=1.0)
     t = BASE_MONDAY + 4 * DAY + 8 * HOUR
-    unread = [Event(7, 1, (0,), t, "organic", 7), Event(9, 2, (0,), t + 60)]
+    unread = [Event(7, 1, (0,), t, 7), Event(9, 2, (0,), t + 60)]
     d = stub_decide(params, make_ctx(unread=unread))
     assert len(d.actions) == 2
     assert d.actions[0].kind == "reply" and d.actions[0].recipients == (1,)
@@ -186,8 +189,8 @@ def test_prompt_no_future_leakage(mini_log, mini_manifest):
     bob = mini_log.index_of("bob")
     alice = mini_log.index_of("alice")
     now = s0 + 2 * HOUR
-    sim_events = [Event(1000, alice, (bob,), s0 + HOUR, "trigger"),
-                  Event(1001, alice, (bob,), s0 + 3 * HOUR, "trigger")]
+    sim_events = [Event(1000, alice, (bob,), s0 + HOUR),
+                  Event(1001, alice, (bob,), s0 + 3 * HOUR)]
     visible = [e for e in sim_events if e.ts <= now]
     ctx = build_context(bob, mini_log, visible, cfg, now, None, None)
     system, user = render_prompt(ctx)
@@ -262,6 +265,26 @@ def test_parse_rejects_garbage():
     with pytest.raises(LLMDecodeError):
         parse_decision(json.dumps({"actions": [{"type": "forward", "recipients": ["a01"]}],
                                    "next_check": "2001-03-10 09:00:00"}), ctx)
+    # field types follow the JSONL rules: a body {"x": 1} would be written to
+    # a sim.jsonl that ingest rejects, 1.7 and true would read as thread 1,
+    # and "a01" as the labels a, 0 and 1
+    for field, value, message in [
+        ("body", {"x": 1}, "body {'x': 1} is not a string"),
+        ("body", 5, "body 5 is not a string"),
+        ("thread", 1.7, "thread 1.7 is not an integer"),
+        ("thread", True, "thread True is not an integer"),
+        ("thread", "7", "thread '7' is not an integer"),
+        ("recipients", "a01", "recipients 'a01' is not a list of strings"),
+        ("recipients", ["a01", 2], "recipients ['a01', 2] is not a list of strings"),
+    ]:
+        payload = good_payload()
+        payload["actions"][0][field] = value
+        with pytest.raises(LLMDecodeError, match=re.escape(message)):
+            parse_decision(json.dumps(payload), ctx)
+        payload["actions"][0]["recipients"] = ["a00"]  # dropped as self-addressed: still checked
+        if field != "recipients":
+            with pytest.raises(LLMDecodeError, match=re.escape(message)):
+                parse_decision(json.dumps(payload), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +310,37 @@ def make_policy(transport, max_retries=2):
 def test_endpoint_config_rejects_bad_settings(field, value):
     with pytest.raises(agents.AgentError, match=field):
         LLMEndpointConfig(base_url="http://mock", model_name="m", **{field: value})
+
+
+# time.sleep raises OverflowError above threading.TIMEOUT_MAX (about 9.2e9 s)
+@pytest.mark.parametrize("base,max_retries", [
+    (1e308, 3), (5e9, 2), (3e9, 3), (math.nextafter(threading.TIMEOUT_MAX, math.inf), 1),
+    (1.0, 1100),
+])
+def test_endpoint_config_rejects_a_backoff_that_time_sleep_refuses(base, max_retries):
+    names_both = re.escape("backoff_base_seconds * 2 ** (max_retries - 1)")
+    with pytest.raises(agents.AgentError, match=names_both):
+        LLMEndpointConfig(base_url="http://mock", model_name="m",
+                          backoff_base_seconds=base, max_retries=max_retries)
+
+
+@pytest.mark.parametrize("base,max_retries", [
+    (0.0, 1100), (1.5, 3), (threading.TIMEOUT_MAX, 1), (threading.TIMEOUT_MAX / 4, 3),
+    (1e308, 0),
+])
+def test_backoff_doubles_from_the_base_on_each_retry(base, max_retries):
+    def transport(url, payload, headers, timeout):
+        raise ConnectionError("down")
+
+    sleeps = []
+    cfg = LLMEndpointConfig(base_url="http://mock", model_name="m",
+                            backoff_base_seconds=base, max_retries=max_retries)
+    policy = LLMPolicy(cfg, transport=transport, sleeper=sleeps.append)
+    with pytest.raises(LLMTransportError):
+        policy.decide(make_ctx())
+    # 0.0 * 2 ** 1024 would raise: the int is too large to convert to float
+    want = [0.0] * max_retries if base == 0 else [base * 2 ** k for k in range(max_retries)]
+    assert sleeps == want and all(s <= threading.TIMEOUT_MAX for s in sleeps)
 
 
 def test_llm_decide_golden():

@@ -107,6 +107,19 @@ def test_ingest_jsonl_field_types(tmp_path, field, value, message):
     assert ingest(nulls).events[0].thread_id is None
 
 
+@pytest.mark.parametrize("extra,kwargs,message", [
+    (("trigger",), {}, "thread 'trigger' is not an integer"),  # a stale 5th kind argument
+    ((), {"thread_id": True}, "thread True is not an integer"),
+    ((), {"thread_id": 1.0}, "thread 1.0 is not an integer"),
+    ((), {"body": 5}, "body 5 is not a string"),
+    ((7,), {"body": b"x"}, "body b'x' is not a string"),
+])
+def test_event_fields_follow_the_jsonl_rules(extra, kwargs, message):
+    with pytest.raises(CorpusError, match=f"^event 1: {re.escape(message)}$"):
+        Event(1, 0, (1,), 5, *extra, **kwargs)
+    assert Event(1, 0, (1,), 5, 3, "x") == Event(1, 0, (1,), 5, thread_id=3, body="x")
+
+
 def test_ingest_duplicate_ids_message_and_cost(tmp_path):
     """40k events with seven ids used twice: the message names the first five
     duplicate ids, sorted, and finding them is linear (counting each id with

@@ -313,25 +313,25 @@ def test_wknd_ratio_value():
 def test_motif2_trivial():
     log = make_log([(0, 1, 0), (1, 0, HOUR)])
     c = motif_census_2(view(log), 2 * HOUR)[0]
-    assert c.counts["reciprocal"] == 1 and c.total() == 1
+    assert c.counts["reciprocal"] == 1 and sum(c.counts.values()) == 1
     log2 = make_log([(0, 1, 0), (0, 2, HOUR)])
     c2 = motif_census_2(view(log2), 2 * HOUR)[0]
-    assert c2.counts["out_star"] == 1 and c2.total() == 1
+    assert c2.counts["out_star"] == 1 and sum(c2.counts.values()) == 1
     # outside the window
     log3 = make_log([(0, 1, 0), (1, 0, 3 * HOUR)])
-    assert motif_census_2(view(log3), 2 * HOUR)[0].total() == 0
+    assert sum(motif_census_2(view(log3), 2 * HOUR)[0].counts.values()) == 0
     # simultaneous edges never pair (strict ordering)
     log4 = make_log([(0, 1, 50), (1, 0, 50)])
-    assert motif_census_2(view(log4), HOUR)[0].total() == 0
+    assert sum(motif_census_2(view(log4), HOUR)[0].counts.values()) == 0
 
 
 def test_motif3_trivial():
     log = make_log([(0, 1, 0), (1, 0, HOUR), (0, 1, 2 * HOUR)])
     c = motif_census_3(view(log), 24 * HOUR)[0]
-    assert c.counts["dyad_alternation"] == 1 and c.total() == 1
+    assert c.counts["dyad_alternation"] == 1 and sum(c.counts.values()) == 1
     log2 = make_log([(0, 1, 0), (1, 2, HOUR), (2, 0, 2 * HOUR)])
     c2 = motif_census_3(view(log2), 24 * HOUR)[0]
-    assert c2.counts["three_cycle"] == 1 and c2.total() == 1
+    assert c2.counts["three_cycle"] == 1 and sum(c2.counts.values()) == 1
     log3 = make_log([(0, 1, 0), (0, 2, HOUR), (1, 2, 2 * HOUR)])
     assert motif_census_3(view(log3), 24 * HOUR)[0].counts["broadcast_cross_link"] == 1
     log4 = make_log([(0, 1, 0), (1, 2, HOUR), (0, 2, 2 * HOUR)])
@@ -462,7 +462,7 @@ def test_census_edge_cases_match_scan_oracles(log, motifs):
     for census, scan in SCANS:
         got = census(v, HOUR, 2 * HOUR, 48 * HOUR)
         assert got == scan(v, HOUR, 2 * HOUR, 48 * HOUR)
-        assert (got[-1].total() > 0) == motifs
+        assert (sum(got[-1].counts.values()) > 0) == motifs
 
 
 @pytest.mark.parametrize("census", [motif_census_2, motif_census_3])

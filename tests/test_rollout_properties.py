@@ -4,7 +4,8 @@
 index that are updated as events are appended. These tests compare both
 with the list scans they replaced, on random small logs and random diagonal
 and full-matrix models, and check the rollout invariants on the same
-scenarios.
+scenarios: among them, that every generated log reads back from its file
+unchanged.
 """
 
 import math
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commsim import hawkes, timeutil
+from commsim import cli, hawkes, timeutil
 from commsim.agents import StubParams, StubPolicy
-from commsim.corpus import TRIGGER, Event, EventLog
+from commsim.baselines import RewireConfig, rewire_degree_preserving
+from commsim.corpus import Event, EventLog, contact_frequencies, ingest, save
 from commsim.simulator import (AgentContext, CadenceSummary, EmpiricalHoD, HawkesGuided,
-                               LLMPredicted, PeriodicSchedule, SimConfig, TriggerPlan, run)
+                               LLMPredicted, PeriodicSchedule, SimConfig, TriggerPlan, run,
+                               select_triggers)
 
 from conftest import BASE_MONDAY
 
@@ -137,8 +140,7 @@ def scenarios(draw, kind):
                        seed=draw(st.integers(0, 2**31 - 1)), policy=policy,
                        max_actions_per_wake=draw(st.integers(1, 3)))
     trigger_agents = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
-    scheduled = tuple(Event(e.event_id, e.sender, e.recipients, e.ts, TRIGGER)
-                      for e in log.events if e.sender in trigger_agents and t0 <= e.ts < t1)
+    scheduled = tuple(e for e in log.events if e.sender in trigger_agents and t0 <= e.ts < t1)
     plan = TriggerPlan(trigger_agents, EventLog(log.agents, scheduled))
     contacts = 1.0 - np.eye(n)
     params = StubParams(reply_prob=np.full(n, draw(st.floats(0.3, 1.0))),
@@ -194,7 +196,7 @@ def test_indexed_contexts_match_list_scan(kind, data):
         # plus same-instant triggers and same-instant wakes of lower agents
         appended = [e for e in out.events
                     if e.ts < ctx.now or (e.ts == ctx.now and (
-                        e.kind == TRIGGER or e.sender < ctx.agent))]
+                        e.sender in plan.trigger_agents or e.sender < ctx.agent))]
         want = oracle_build_context(ctx.agent, log, appended, config, ctx.now,
                                     ctx.last_check, ctx.suggested_next_check)
         for field in AgentContext.__dataclass_fields__:
@@ -210,13 +212,15 @@ def test_rollout_window_and_triggers_verbatim(kind, data):
     out = run(config, log, recorder, plan)
     t0, t1 = config.window
     assert all(t0 <= e.ts < t1 for e in out.events)
-    injected = tuple(e for e in out.events if e.kind == TRIGGER)
-    assert injected == plan.scheduled_events.events
-    # organic events are sent by non-trigger agents at one of their wakes
+    # the injected events are those the trigger agents send: the plan's own
+    # Event objects, each once, in order
+    injected = tuple(e for e in out.events if e.sender in plan.trigger_agents)
+    assert len(injected) == len(plan.scheduled_events)
+    assert all(e is want for e, want in zip(injected, plan.scheduled_events.events))
+    # every other event is sent by a non-trigger agent at one of its wakes
     wakes = {(ctx.agent, ctx.now) for ctx in recorder.contexts}
     for e in out.events:
-        if e.kind != TRIGGER:
-            assert e.sender not in plan.trigger_agents
+        if e.sender not in plan.trigger_agents:
             assert (e.sender, e.ts) in wakes
     per_agent = {}
     for ctx in recorder.contexts:
@@ -224,3 +228,31 @@ def test_rollout_window_and_triggers_verbatim(kind, data):
     for times in per_agent.values():
         assert all(a < b for a, b in zip(times, times[1:]))
         assert all(t0 <= t < t1 for t in times)
+
+
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip") / "sim.jsonl"
+
+
+@pytest.mark.parametrize("kind", POLICIES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_generated_logs_read_back_from_their_files(kind, data, out_path):
+    """A rollout, a pure-Hawkes rollout with the same `select_triggers` plan
+    and the rewired null, each saved, ingested and re-indexed onto its registry as `commsim
+    evaluate` reads a simulated log, equal the logs that were saved."""
+    config, log, plan, stub = data.draw(scenarios(kind))
+    if len(log):
+        ratio = len(plan.trigger_agents) / log.n_agents
+        plan = select_triggers(log, (log.ts[0], log.ts[-1] + 1), ratio, config.window)
+    model = data.draw(models(log.n_agents))
+    outputs = [run(config, log, stub, plan),
+               hawkes.simulate_pure_hawkes(model, config.window, plan, log,
+                                           contact_frequencies(log), config.seed)]
+    if len(log):
+        outputs.append(rewire_degree_preserving(log, (log.ts[0], log.ts[-1] + 1),
+                                                RewireConfig(seed=config.seed)))
+    for out in outputs:
+        save(out, out_path)
+        assert cli._align_registry(ingest(out_path), out) == out

@@ -47,12 +47,12 @@ def test_select_triggers_hand_ranked(mini_log, mini_manifest):
     plan2 = select_triggers(mini_log, (h0, h1), 0.25, (s0, s1))
     assert {mini_log.agents[i] for i in plan2.trigger_agents} == \
         set(mini_manifest["triggers_ratio_0.25"])
-    # scheduled events: alice's ground truth inside the sim window, marked
+    # scheduled events: alice's ground truth inside the sim window, the
+    # log's own Event objects
     alice = mini_log.index_of("alice")
-    expected = [e.event_id for e in mini_log.events
-                if s0 <= e.ts < s1 and e.sender == alice]
-    assert [e.event_id for e in plan.scheduled_events.events] == expected
-    assert all(e.kind == "trigger" for e in plan.scheduled_events.events)
+    expected = [e for e in mini_log.events if s0 <= e.ts < s1 and e.sender == alice]
+    assert len(plan.scheduled_events.events) == len(expected)
+    assert all(e is want for e, want in zip(plan.scheduled_events.events, expected))
 
 
 def test_select_triggers_empty_history(mini_log):
@@ -62,7 +62,7 @@ def test_select_triggers_empty_history(mini_log):
 
 def test_trigger_plan_rejects_non_trigger_sender(mini_log):
     alice, bob = mini_log.index_of("alice"), mini_log.index_of("bob")
-    event = Event(900, bob, (alice,), BASE_MONDAY, "trigger")
+    event = Event(900, bob, (alice,), BASE_MONDAY)
     with pytest.raises(SimulationError, match="sent by non-trigger agent"):
         TriggerPlan(frozenset({alice}), EventLog(mini_log.agents, (event,)))
 
@@ -143,7 +143,7 @@ def test_build_context_unread(mini_log, mini_manifest):
     cfg = SimConfig(window=(s0, s1), history_days=4, policy=PeriodicSchedule())
     bob = mini_log.index_of("bob")
     alice = mini_log.index_of("alice")
-    sim_events = [Event(1000, alice, (bob,), s0 + 100, "trigger")]
+    sim_events = [Event(1000, alice, (bob,), s0 + 100)]
     ctx = build_context(bob, mini_log, sim_events, cfg, s0 + HOUR, None, None)
     assert ctx.unread == (sim_events[0],)
     # after acknowledging, the same event is no longer unread
@@ -212,11 +212,8 @@ def test_run_invariants(mini_log, mini_manifest):
     assert len(seen_triggers) == len(trigger_ids)  # each exactly once
     for e in out.events:
         assert s0 <= e.ts < s1
-        if e.event_id in trigger_ids:
-            assert e.kind == "trigger"
-        else:
-            assert e.kind == "organic"
-            assert e.sender not in plan.trigger_agents
+        # injected exactly when sent by a trigger agent
+        assert (e.event_id in trigger_ids) == (e.sender in plan.trigger_agents)
     assert counters["organic_events"] == len(out) - len(trigger_ids)
     assert counters["wakes"] > 0
 
@@ -297,7 +294,7 @@ def test_run_caps_actions(mini_log, mini_manifest):
     out = run(cfg, mini_log, Chatty(), plan, counters=counters)
     by_wake = {}
     for e in out.events:
-        if e.kind == "organic":
+        if e.sender not in plan.trigger_agents:
             by_wake.setdefault((e.sender, e.ts), []).append(e)
     assert by_wake and all(len(v) <= cfg.max_actions_per_wake for v in by_wake.values())
     assert counters["actions_truncated"] > 0
@@ -432,7 +429,7 @@ def test_queue_ties_trigger_first_then_agent_index(mini_log, mini_manifest):
     s0, s1 = mini_manifest["sim_window"]
     alice = mini_log.index_of("alice")
     bob = mini_log.index_of("bob")
-    opening = Event(900, alice, (bob,), s0, "trigger")
+    opening = Event(900, alice, (bob,), s0)
     plan = TriggerPlan(frozenset({alice}), EventLog(mini_log.agents, (opening,)))
     cfg = SimConfig(window=(s0, s1), history_days=4, trigger_ratio=0.125,
                     seed=1, policy=LLMPredicted())
@@ -480,7 +477,7 @@ def test_run_with_llm_agent_mock_endpoint(mini_log, mini_manifest):
     counters = {}
     out = run(cfg, mini_log, policy_impl, plan, counters=counters)
     carol = mini_log.index_of("carol")
-    organic = [e for e in out.events if e.kind == "organic"]
+    organic = [e for e in out.events if e.sender not in plan.trigger_agents]
     assert organic and all(e.recipients == (carol,) or e.sender == carol
                            for e in organic)
     # every organic sender is a non-trigger agent waking on its 4h schedule
