@@ -31,7 +31,6 @@ import csv
 import functools
 import io
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -189,31 +188,51 @@ def _json_int(rec: dict, key: str) -> int:
     return value
 
 
+# `json.loads` without its per-call argument checks, which take about a tenth
+# of the reader's time on typical records
+_decode = json.JSONDecoder().decode
+
+
 def _parse_jsonl(text: str):
+    """Records, one per non-blank line. Every value is decoded JSON, so
+    `type(v) is` tests apply the format's rules exactly (a JSON integer is an
+    `int`, never a `bool`); the first field that breaks them names the
+    line's error."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            if line.startswith("\ufeff"):  # json.loads' own first check, kept for its text
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            rec = _decode(line)
+            if type(rec) is not dict:
+                raise ValueError(f"record {rec!r} is not a JSON object")
             thread, body = rec.get("thread"), rec.get("body")
-            if body is not None and not isinstance(body, str):
+            if body is not None and type(body) is not str:
                 raise ValueError(f"body {body!r} is not a string")
             sender, recipients = rec["sender"], rec["recipients"]
             # str() would read the label "5" from 5 and the recipients b, c from "bc"
-            if not isinstance(sender, str):
+            if type(sender) is not str:
                 raise ValueError(f"sender {sender!r} is not a string")
-            if not (isinstance(recipients, list) and all(isinstance(r, str) for r in recipients)):
+            if type(recipients) is not list or not all(type(r) is str for r in recipients):
                 raise ValueError(f"recipients {recipients!r} is not a list of strings")
-            yield (_json_int(rec, "id"), sender, recipients, _json_int(rec, "ts"),
-                   None if thread is None else _json_int(rec, "thread"), body)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            # int() would silently truncate 1.7 and accept true as 1
+            event_id = rec["id"]
+            if type(event_id) is not int:
+                raise ValueError(f"id {event_id!r} is not an integer")
+            ts = rec["ts"]
+            if type(ts) is not int:
+                raise ValueError(f"ts {ts!r} is not an integer")
+            if thread is not None and type(thread) is not int:
+                raise ValueError(f"thread {thread!r} is not an integer")
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
+        yield event_id, sender, recipients, ts, thread, body
 
 
 def _csv_int(rec: dict, key: str) -> int:
     value = rec[key]
-    # int() would also read "983_782_800", "+3", " 3" and non-ASCII digits
-    if not re.fullmatch(r"-?[0-9]+", value):
+    if not timeutil.DECIMAL_INT.fullmatch(value):
         raise ValueError(f"{key} {value!r} is not an integer")
     return int(value)
 

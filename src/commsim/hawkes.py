@@ -9,8 +9,11 @@ plus exponentially decaying excitation from past events:
 with beta shared across agents (units 1/hour; elapsed times in hours).
 Excitation attaches to an event's sender and timestamp only; recipients do
 not excite. Parameters are fitted by maximizing the exact log-likelihood
-with projected gradient ascent (the likelihood is concave in mu and alpha
-for fixed beta).
+(concave in mu and alpha for fixed beta), one agent at a time, with
+projected gradient ascent on one vector x = (mu_i, alpha_i) held
+componentwise above (baseline_floor, 0). Each coordinate steps along its
+gradient over its curvature, and the step is halved until the likelihood
+does not fall.
 
 Both samplers draw from one Ogata (1981) thinning kernel, `_thinning`. It
 steps from interval to interval, none longer than an hour: each step takes
@@ -310,9 +313,10 @@ def _agent_ll(terms: _AgentTerms, mu: np.ndarray, alpha_row: np.ndarray,
               beta: float, bin_hours: np.ndarray) -> tuple[float, np.ndarray]:
     """(log-likelihood, intensity at each of the agent's events)."""
     lam = mu[terms.bins] + beta * (terms.S @ alpha_row)
-    if np.any(lam <= 0):
+    # the array methods run the same reductions as np.any and np.sum, minus their wrappers
+    if (lam <= 0).any():
         raise HawkesError("nonpositive intensity at an event; raise baseline_floor")
-    return float(np.sum(np.log(lam)) - mu @ bin_hours - alpha_row @ terms.weights), lam
+    return float(np.log(lam).sum() - mu @ bin_hours - alpha_row @ terms.weights), lam
 
 
 def log_likelihood(model: HawkesModel, log: EventLog, window: tuple[int, int]) -> float:
@@ -359,7 +363,12 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
     has no events), "max_iters" when the iteration budget ran out, and
     "backtracking_failed" when no step along the ascent direction kept the
     likelihood from falling. Each iteration starts from the intensities the
-    accepted candidate's likelihood computed."""
+    accepted candidate's likelihood computed.
+
+    The ascent steps one vector x = (mu, alpha_row), projected onto x >= lower
+    = (baseline_floor in the 168 bins, 0 in the m columns): the gradient, the
+    curvature and the step are one array each, and a candidate is one
+    `np.maximum`."""
     floor = cfg.baseline_floor
     n_ev = len(terms.bins)
     mu = np.full(N_BINS, floor)
@@ -375,22 +384,24 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
     alpha = np.where(terms.weights > 0, 0.1, 0.0)
 
     cur, lam = _agent_ll(terms, mu, alpha, beta, bin_hours)
-    s_sq = terms.S ** 2
+    x = np.concatenate([mu, alpha])
+    lower = np.concatenate([np.full(N_BINS, floor), np.zeros(len(alpha))])
+    grad, curv = np.empty_like(x), np.empty_like(x)
+    s_t, s_sq_t = terms.S.T, (terms.S ** 2).T
     for _ in range(cfg.max_iters):
         inv = 1.0 / lam
-        g_mu = np.bincount(terms.bins, weights=inv, minlength=N_BINS) - bin_hours
-        g_alpha = beta * (terms.S.T @ inv) - terms.weights
         inv_sq = inv * inv
-        h_mu = np.bincount(terms.bins, weights=inv_sq, minlength=N_BINS)
-        h_alpha = beta * beta * (s_sq.T @ inv_sq)
-        d_mu = g_mu / np.maximum(h_mu, 1e-9)
-        d_alpha = g_alpha / np.maximum(h_alpha, 1e-9)
+        np.subtract(np.bincount(terms.bins, weights=inv, minlength=N_BINS), bin_hours,
+                    out=grad[:N_BINS])
+        np.subtract(beta * (s_t @ inv), terms.weights, out=grad[N_BINS:])
+        curv[:N_BINS] = np.bincount(terms.bins, weights=inv_sq, minlength=N_BINS)
+        np.multiply(beta * beta, s_sq_t @ inv_sq, out=curv[N_BINS:])
+        d = grad / np.maximum(curv, 1e-9)
         step = 1.0
         accepted = False
         for _ in range(60):
-            mu_c = np.maximum(mu + step * d_mu, floor)
-            alpha_c = np.maximum(alpha + step * d_alpha, 0.0)
-            cand, lam_c = _agent_ll(terms, mu_c, alpha_c, beta, bin_hours)
+            x_c = np.maximum(x + step * d, lower)
+            cand, lam_c = _agent_ll(terms, x_c[:N_BINS], x_c[N_BINS:], beta, bin_hours)
             if not math.isfinite(cand):
                 raise HawkesError("non-finite likelihood during optimization")
             if cand >= cur:
@@ -398,12 +409,12 @@ def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
                 break
             step *= 0.5
         if not accepted:
-            return mu, alpha, "backtracking_failed"
+            return x[:N_BINS], x[N_BINS:], "backtracking_failed"
         improved = cand - cur
-        mu, alpha, cur, lam = mu_c, alpha_c, cand, lam_c
+        x, cur, lam = x_c, cand, lam_c
         if improved <= cfg.tolerance * max(1.0, abs(cur)):
-            return mu, alpha, "converged"
-    return mu, alpha, "max_iters"
+            return x[:N_BINS], x[N_BINS:], "converged"
+    return x[:N_BINS], x[N_BINS:], "max_iters"
 
 
 def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None,

@@ -7,6 +7,7 @@ Thursday, hence the +3 shift below.
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -17,6 +18,10 @@ HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
 
 _EPOCH_WEEKDAY_SHIFT = 3  # 1970-01-01 was a Thursday
+
+# an integer as the files and the command line write one; int() would also
+# read "983_750_400", "+3", " 3" and non-ASCII digits
+DECIMAL_INT = re.compile(r"-?[0-9]+")
 
 
 def day_index(ts):
@@ -87,12 +92,10 @@ def weekly_bin_hours(t0: int, t1: int) -> np.ndarray:
 
 def parse_utc(text: str) -> int:
     """Parse 'YYYY-MM-DD' or 'YYYY-MM-DD HH:MM:SS' (UTC) or integer epoch
-    seconds into epoch seconds."""
+    seconds (`DECIMAL_INT`) into epoch seconds."""
     text = text.strip()
-    try:
+    if DECIMAL_INT.fullmatch(text):
         return int(text)
-    except ValueError:
-        pass
     for fmt in ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M", "%Y-%m-%d"):
         try:
             dt = datetime.strptime(text, fmt).replace(tzinfo=timezone.utc)

@@ -1,13 +1,15 @@
 """The per-event scans that the cached columns, `EventLog.span` and
-`corpus.sent_times` replaced, kept as oracles of the column readers, and the
-checked `build_log` that the internal constructor replaced."""
+`corpus.sent_times` replaced, kept as oracles of the column readers, the
+checked `build_log` that the internal constructor replaced, and the JSONL
+reader that `corpus._parse_jsonl`'s one-decode accept test replaced."""
 
+import json
 import math
 
 import numpy as np
 
 from commsim import timeutil
-from commsim.corpus import Event, EventLog, window
+from commsim.corpus import CorpusError, Event, EventLog, _json_int, build_log, window
 from commsim.hawkes import SECONDS_PER_HOUR, ExcitationState
 from commsim.simulator import SimulationError, TriggerPlan
 
@@ -47,6 +49,38 @@ def oracle_build_log(records) -> EventLog:
     return EventLog(registry, ()).with_events(
         Event(event_id, index[s], tuple(index[r] for r in rs), ts, thread_id=thread, body=body)
         for event_id, s, rs, ts, thread, body in records)
+
+
+def parse_jsonl(text: str):
+    """The old `corpus._parse_jsonl` body: `json.loads` and every field check
+    on each non-blank line. The one addition is the object check, without
+    which a line such as `[1, 2]` raised AttributeError."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"record {rec!r} is not a JSON object")
+            thread, body = rec.get("thread"), rec.get("body")
+            if body is not None and not isinstance(body, str):
+                raise ValueError(f"body {body!r} is not a string")
+            sender, recipients = rec["sender"], rec["recipients"]
+            # str() would read the label "5" from 5 and the recipients b, c from "bc"
+            if not isinstance(sender, str):
+                raise ValueError(f"sender {sender!r} is not a string")
+            if not (isinstance(recipients, list) and all(isinstance(r, str) for r in recipients)):
+                raise ValueError(f"recipients {recipients!r} is not a list of strings")
+            yield (_json_int(rec, "id"), sender, recipients, _json_int(rec, "ts"),
+                   None if thread is None else _json_int(rec, "thread"), body)
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            raise CorpusError(f"line {lineno}: {exc}") from exc
+
+
+def ingest_jsonl(text: str) -> EventLog:
+    """The old JSONL `corpus.ingest` after the file read: `parse_jsonl`, then
+    `build_log`."""
+    return build_log(list(parse_jsonl(text)))
 
 
 def scan_sent_times(log: EventLog) -> dict[int, np.ndarray]:

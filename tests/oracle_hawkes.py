@@ -1,14 +1,18 @@
 """The pure-Hawkes sampler, the thinning loop and the fitter's ascent as
 they were before their exact fast paths, kept as oracles of
 `hawkes.simulate_pure_hawkes`, `hawkes.thin_next_activation` and
-`hawkes._maximize_agent`, and the brute-force sums `intensity` and
-`excitation_integral` with their `baseline_rate`.
+`hawkes._maximize_agent` (two of them), and the brute-force sums
+`intensity` and `excitation_integral` with their `baseline_rate`.
 
 `simulate_pure_hawkes` keeps the excitation vector up to date and runs both
 matvecs on every thinning candidate, whatever alpha is, and draws each
 recipient with `rng.choice`. `thin_next_activation` reads each hour's
 baseline from the numpy row. `maximize_agent` recomputes the intensities at
-the start of every iteration. The bodies are unchanged. `intensity` and
+the start of every iteration. `maximize_agent_two_arrays` is the ascent that
+followed it: each iteration starts from the intensities the accepted
+candidate's `agent_ll_and_intensity` computed, and mu and alpha step as two
+arrays, each with its own gradient, curvature and projection. The bodies
+are unchanged. `intensity` and
 `excitation_integral` sum the excitation of every history event, one event
 at a time."""
 
@@ -270,6 +274,65 @@ def maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
             return mu, alpha, "backtracking_failed"
         improved = cand - cur
         mu, alpha, cur = mu_c, alpha_c, cand
+        if improved <= cfg.tolerance * max(1.0, abs(cur)):
+            return mu, alpha, "converged"
+    return mu, alpha, "max_iters"
+
+
+def agent_ll_and_intensity(terms: _AgentTerms, mu: np.ndarray, alpha_row: np.ndarray,
+                           beta: float, bin_hours: np.ndarray) -> tuple[float, np.ndarray]:
+    """(log-likelihood, intensity at each of the agent's events)."""
+    lam = mu[terms.bins] + beta * (terms.S @ alpha_row)
+    if np.any(lam <= 0):
+        raise HawkesError("nonpositive intensity at an event; raise baseline_floor")
+    return float(np.sum(np.log(lam)) - mu @ bin_hours - alpha_row @ terms.weights), lam
+
+
+def maximize_agent_two_arrays(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
+                              cfg: FitConfig) -> tuple[np.ndarray, np.ndarray, str]:
+    """`maximize_agent`, with each iteration starting from the intensities
+    the accepted candidate's likelihood computed."""
+    floor = cfg.baseline_floor
+    n_ev = len(terms.bins)
+    mu = np.full(N_BINS, floor)
+    if n_ev:
+        counts = np.bincount(terms.bins, minlength=N_BINS).astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            emp = np.where(bin_hours > 0, counts / np.maximum(bin_hours, 1e-12), 0.0)
+        mu = np.maximum(emp, floor)
+    if n_ev == 0:
+        return mu, np.zeros(len(terms.columns)), "converged"
+    # a source with no event before t1 has a zero S column and a zero weight,
+    # so a zero gradient: its entry is not identifiable and starts (and stays) 0
+    alpha = np.where(terms.weights > 0, 0.1, 0.0)
+
+    cur, lam = agent_ll_and_intensity(terms, mu, alpha, beta, bin_hours)
+    s_sq = terms.S ** 2
+    for _ in range(cfg.max_iters):
+        inv = 1.0 / lam
+        g_mu = np.bincount(terms.bins, weights=inv, minlength=N_BINS) - bin_hours
+        g_alpha = beta * (terms.S.T @ inv) - terms.weights
+        inv_sq = inv * inv
+        h_mu = np.bincount(terms.bins, weights=inv_sq, minlength=N_BINS)
+        h_alpha = beta * beta * (s_sq.T @ inv_sq)
+        d_mu = g_mu / np.maximum(h_mu, 1e-9)
+        d_alpha = g_alpha / np.maximum(h_alpha, 1e-9)
+        step = 1.0
+        accepted = False
+        for _ in range(60):
+            mu_c = np.maximum(mu + step * d_mu, floor)
+            alpha_c = np.maximum(alpha + step * d_alpha, 0.0)
+            cand, lam_c = agent_ll_and_intensity(terms, mu_c, alpha_c, beta, bin_hours)
+            if not math.isfinite(cand):
+                raise HawkesError("non-finite likelihood during optimization")
+            if cand >= cur:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return mu, alpha, "backtracking_failed"
+        improved = cand - cur
+        mu, alpha, cur, lam = mu_c, alpha_c, cand, lam_c
         if improved <= cfg.tolerance * max(1.0, abs(cur)):
             return mu, alpha, "converged"
     return mu, alpha, "max_iters"

@@ -265,6 +265,10 @@ def test_parse_rejects_garbage():
     with pytest.raises(LLMDecodeError):
         parse_decision(json.dumps({"actions": [{"type": "forward", "recipients": ["a01"]}],
                                    "next_check": "2001-03-10 09:00:00"}), ctx)
+    # int() would read these as a time; a time is an integer as CSV ingest reads one
+    for next_check in ("+983750400", "983_750_400"):
+        with pytest.raises(LLMDecodeError, match="unrecognized timestamp"):
+            parse_decision(json.dumps(good_payload(next_check)), ctx)
     # field types follow the JSONL rules: a body {"x": 1} would be written to
     # a sim.jsonl that ingest rejects, 1.7 and true would read as thread 1,
     # and "a01" as the labels a, 0 and 1

@@ -354,6 +354,20 @@ def test_ingest_bad_jsonl_fields_exit_2(tmp_path, record, message):
     assert f"line 2: {message}" in _error(out)
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["[1, 2]"], "line 1: record [1, 2] is not a JSON object"),
+    ([json.dumps({"id": 1, "sender": "a", "recipients": ["b"], "ts": 983782800}), "5"],
+     "line 2: record 5 is not a JSON object"),
+])
+def test_ingest_non_object_line_exits_2(tmp_path, capsys, lines, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("stats", bad, "--out", out) == 2
+    assert _error(out) == f"CorpusError: {message}"
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt,line", [
     ("jsonl", json.dumps({"id": 7, "sender": "a", "recipients": [], "ts": 983782800})),
     ("csv", "id,sender,recipients,ts\n7,a,,983782800"),
@@ -439,6 +453,8 @@ def test_simulate_model_file_missing_key_exits_2(tmp_path):
      "periodic_interval_hours False is not a number"),
     ("periodic", {"periodic_interval_hours": math.nan}, "interval must be at least 1 second and finite"),
     ("hawkes", {"fit": {"diagonal_only": "no"}}, "diagonal_only 'no' is not a boolean"),
+    # int() would read this as SIM_T0; CSV ingest does not
+    ("periodic", {"window": [f"+{SIM_T0}", SIM_T1]}, "unrecognized timestamp"),
 ])
 def test_simulate_invalid_config_exits_2(tmp_path, capsys, policy, overrides, message):
     out = tmp_path / "o"
@@ -524,6 +540,9 @@ def test_internal_key_error_exits_1(tmp_path, monkeypatch):
     (["--t0", SIM_T0, "--t1", BASE], "is not after --t0"),
     (["--t0", BASE, "--t1", SIM_T0, "--beta", "nan"], "beta_override must be positive"),
     (["--t0", BASE, "--t1", SIM_T0, "--beta", "inf"], "beta_override must be positive"),
+    # int() would read these as BASE; CSV ingest does not
+    (["--t0", "983_750_400", "--t1", SIM_T0], "unrecognized timestamp"),
+    (["--t0", "+983750400", "--t1", SIM_T0], "unrecognized timestamp"),
 ])
 def test_fit_bad_arguments_exit_2(tmp_path, argv, message):
     out = tmp_path / "o"

@@ -17,6 +17,7 @@ from commsim.hawkes import ExcitationState, HawkesModel
 from commsim.simulator import SimulationError, hod_histograms, select_triggers
 
 from conftest import BASE_MONDAY, DATA_DIR, make_log
+import oracle_corpus
 from oracle_agents import oracle_reply_prob
 from oracle_corpus import (oracle_select_triggers, scan_contact_frequencies, scan_edge_rows,
                            scan_edges, scan_excitation_state, scan_hod_histograms,
@@ -105,6 +106,61 @@ def test_ingest_jsonl_field_types(tmp_path, field, value, message):
         ingest(path)
     nulls = write_jsonl(tmp_path, [{**good, "thread": None, "body": None}], "nulls.jsonl")
     assert ingest(nulls).events[0].thread_id is None
+
+
+_LABELS = st.sampled_from(["a", "b", "c", "é"])
+_VALID_RECORDS = st.fixed_dictionaries(
+    {"id": st.integers(0, 12), "sender": _LABELS, "recipients": st.lists(_LABELS, max_size=3),
+     "ts": st.integers(-5, 5)},
+    optional={"thread": st.none() | st.integers(-3, 3), "body": st.none() | st.text(max_size=4)})
+# one field replaced by a value of the wrong type, or a required field left out
+_WRONG_FIELDS = st.sampled_from([
+    ("thread", True), ("thread", False), ("thread", 1.0), ("thread", "2"), ("id", True),
+    ("id", 2.5), ("id", None), ("ts", "3"), ("ts", False), ("sender", 5), ("sender", None),
+    ("recipients", "bc"), ("recipients", ["a", 1]), ("recipients", {"a": 1}),
+    ("body", 7), ("body", ["x"]), ("id", ...), ("ts", ...), ("sender", ...),
+    ("recipients", ...)])
+
+
+@st.composite
+def _jsonl_lines(draw):
+    kind = draw(st.sampled_from(["valid", "valid", "valid", "blank", "padded", "non-object",
+                                 "wrong-type", "not-json"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", " \t ", "\u00a0"]))
+    if kind == "non-object":
+        return draw(st.sampled_from(["[1, 2]", "5", "null", "true", '"x"', "[]", "1.5"]))
+    if kind == "not-json":
+        return draw(st.sampled_from(["{", '{"id": 1,}', "x", "\ufeff{}", "{} {}"]))
+    rec = draw(_VALID_RECORDS)
+    if kind == "wrong-type":
+        field, value = draw(_WRONG_FIELDS)
+        rec = {k: v for k, v in rec.items() if k != field}
+        if value is not ...:
+            rec[field] = value
+    line = json.dumps(rec, ensure_ascii=draw(st.booleans()))
+    if kind == "padded":
+        line = (draw(st.sampled_from([" ", "\t", "  "])) + line
+                + draw(st.sampled_from(["", " ", "\r"])))
+    return line
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_jsonl_lines(), max_size=8))
+def test_parse_jsonl_matches_oracle(lines):
+    """The reader gives the old reader's records and log, or its error text."""
+    text = "\n".join(lines)
+    records = _outcome(lambda t: list(corpus._parse_jsonl(t)), text)
+    assert records == _outcome(lambda t: list(oracle_corpus.parse_jsonl(t)), text)
+    log = _outcome(lambda t: corpus.build_log(list(corpus._parse_jsonl(t))), text)
+    assert log == _outcome(oracle_corpus.ingest_jsonl, text)
 
 
 @pytest.mark.parametrize("extra,kwargs,message", [
@@ -469,6 +525,28 @@ def test_multi_recipient_edges_and_self_loops():
 def test_flat_bin_of_hour_matches_flat_bin_of(ts, want):
     assert timeutil.flat_bin_of(ts) == want
     assert timeutil.flat_bin_of_hour(ts // 3600) == want
+
+
+@pytest.mark.parametrize("text,want", [
+    ("983750400", 983750400), (" -5\n", -5), ("0983750400", 983750400),
+    ("2001-03-05", 983750400), ("2001-03-05 01:00:00", 983754000),
+])
+def test_parse_utc_reads_integers_and_dates(text, want):
+    assert timeutil.parse_utc(text) == want
+
+
+@pytest.mark.parametrize("text", [
+    "983_750_400", "+983750400", "\u0669\u0668\u0663\u0667\u0665\u0660\u0664\u0660\u0660",
+    "983750400.0", "1e9", ""])
+def test_parse_utc_reads_integers_as_csv_ingest_does(text, tmp_path):
+    """int() reads the first three as 983750400; a time is an integer by the
+    one rule CSV ingest applies to its ts column."""
+    with pytest.raises(ValueError, match="unrecognized timestamp"):
+        timeutil.parse_utc(text)
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,sender,recipients,ts\n1,a,b,{text}\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="is not an integer"):
+        ingest(path, format="csv")
 
 
 def test_flat_bin_of_hour_across_weeks():

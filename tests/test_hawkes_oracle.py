@@ -198,3 +198,51 @@ def test_maximize_agent_matches_oracle(seed, n, diagonal, beta):
         assert mu.tobytes() == mu_o.tobytes()
         assert alpha.tobytes() == alpha_o.tobytes()
         assert stop == stop_o
+
+
+@st.composite
+def random_agent_terms(draw):
+    """One agent's `_AgentTerms` drawn directly, with the `bin_hours` of its
+    window: events at random times in the window, a nonnegative S with some
+    zero entries, diagonal (one column) or full, columns that never excite
+    (an all-zero S column with weight 0) and agents with no event."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diagonal = draw(st.booleans())
+    m = 1 if diagonal else draw(st.integers(2, 6))
+    n_ev = draw(st.integers(0, 40))
+    start = BASE_MONDAY + int(r.integers(0, 7 * DAY))
+    window = (start, start + int(r.integers(HOUR, 9 * DAY)))
+    stamps = r.integers(*window, size=n_ev)
+    scale = float(draw(st.sampled_from([0.01, 1.0, 20.0])))
+    S = r.exponential(scale, size=(n_ev, m)) * (r.random((n_ev, m)) > 0.2)
+    weights = r.uniform(0.0, 3.0, size=m)
+    silent = r.random(m) < 0.3
+    S[:, silent], weights[silent] = 0.0, 0.0
+    columns = np.array([int(r.integers(5))]) if diagonal else np.arange(m)
+    terms = hawkes._AgentTerms(bins=timeutil.flat_bin_of(stamps), S=S, weights=weights,
+                               columns=columns)
+    return terms, timeutil.weekly_bin_hours(*window)
+
+
+def _ascent(maximize, terms, beta, bin_hours, cfg):
+    try:
+        mu, alpha, stop = maximize(terms, beta, bin_hours, cfg)
+    except hawkes.HawkesError as exc:
+        return f"HawkesError: {exc}"
+    return mu.tobytes(), alpha.tobytes(), stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=random_agent_terms(), beta=st.sampled_from([0.3, 2.0, 30.0]),
+       max_iters=st.integers(1, 80), tolerance=st.sampled_from([1e-9, 1e-6, 1e-2]),
+       floor=st.sampled_from([1e-9, 1e-6, 0.05]))
+def test_maximize_agent_on_random_terms_matches_oracles(case, beta, max_iters, tolerance, floor):
+    """Byte-equal mu, alpha and stop reason (or the same error) from the
+    one-vector ascent and from both earlier bodies: the one that recomputes
+    the intensities each iteration, and the two-array one that reuses the
+    accepted candidate's."""
+    terms, bin_hours = case
+    cfg = FitConfig(max_iters=max_iters, tolerance=tolerance, baseline_floor=floor)
+    got = _ascent(hawkes._maximize_agent, terms, beta, bin_hours, cfg)
+    assert got == _ascent(oracle_hawkes.maximize_agent, terms, beta, bin_hours, cfg)
+    assert got == _ascent(oracle_hawkes.maximize_agent_two_arrays, terms, beta, bin_hours, cfg)
