@@ -225,7 +225,9 @@ def _parse_jsonl(text: str):
                 raise ValueError(f"ts {ts!r} is not an integer")
             if thread is not None and type(thread) is not int:
                 raise ValueError(f"thread {thread!r} is not an integer")
-        except (KeyError, TypeError, ValueError) as exc:
+        # the decoder recurses once per nesting level: a line of 200,000 "["
+        # raises RecursionError
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
         yield event_id, sender, recipients, ts, thread, body
 

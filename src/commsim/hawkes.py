@@ -20,10 +20,14 @@ steps from interval to interval, none longer than an hour: each step takes
 a rate bound, one exponential gap and, for a candidate inside the interval,
 one acceptance uniform. Within an hour the baseline is constant and the
 excitation only decays, so the rate at the interval's left endpoint
-dominates. The samplers differ only in their bound:
+dominates. The kernel walks the hours itself and hands the bound and the
+rate the hour's weekly bin, advanced by one per hour rather than recomputed
+from the time at each step. The samplers differ only in their bound:
 
 - `thin_next_activation` bounds one agent: its bin rate plus its
-  excitation at the left endpoint, up to the end of the hour;
+  excitation at the left endpoint, up to the end of the hour. With zero
+  excitation the bin rate is the intensity itself, so it passes no rate
+  and the kernel accepts every candidate, still drawing its uniform;
 - `simulate_pure_hawkes` bounds the sum over the organic agents up to the
   end of the hour or the next trigger, and injects each trigger as the
   kernel reaches it.
@@ -40,7 +44,8 @@ at ts == t count with weight 1. Three readers share it:
   excited only by sources strictly before it;
 - `sample_next_activation` builds the state from a history and thins;
 - `simulator.run` keeps one state across a rollout, so a wake costs O(1)
-  (diagonal model) or O(D) instead of a rescan of the history.
+  (diagonal model) or O(D) instead of a rescan of the history; it keeps
+  none when alpha is zero everywhere, as every read would be 0.0.
 
 `simulate_pure_hawkes` keeps its own decayed vector with one common
 reference time: its superposition sampler reads the whole vector at every
@@ -466,12 +471,27 @@ def sample_next_activation(model: HawkesModel, agent: int, history: EventLog,
 
 
 def _thinning(rng: np.random.Generator, s: float, end_h: float, bound, rate):
-    """Ogata (1981) thinning over [s, end_h), in hours. `bound(s)` returns
-    (lam_bar, b): a rate that dominates the intensity on [s, b), where b is
-    at most the end of s's hour. `rate(t)` is the intensity at a candidate t.
-    Yields (t, u) for each accepted candidate, u = uniform * lam_bar <= rate(t)."""
+    """Ogata (1981) thinning over [s, end_h), in hours.
+
+    The kernel keeps k, the weekly bin of s's hour: computed once, then
+    advanced by one (167 wraps to 0) each time s reaches the hour's end.
+    `bound(s, k, end)` returns (lam_bar, b): a rate that dominates the
+    intensity on [s, b), where b <= end, the end of s's hour clipped to end_h.
+    `rate(t, k)` is the intensity at a candidate t in s's hour; `rate=None`
+    says the bound is the intensity, so every candidate is accepted. Each
+    candidate draws its acceptance uniform with `rng.random()`, the double
+    and the generator state `rng.uniform()` gives. Yields (t, u, k) for each
+    accepted candidate, u = uniform * lam_bar <= rate(t, k)."""
+    hour = math.floor(s)
+    k = timeutil.flat_bin_of_hour(hour)
+    hour_end = hour + 1.0
+    end = min(hour_end, end_h)
     while s < end_h:
-        lam_bar, b = bound(s)
+        if s >= hour_end:
+            k = (k + 1) % N_BINS
+            hour_end += 1.0
+            end = min(hour_end, end_h)
+        lam_bar, b = bound(s, k, end)
         if lam_bar <= 0:
             s = b
             continue
@@ -480,11 +500,15 @@ def _thinning(rng: np.random.Generator, s: float, end_h: float, bound, rate):
             s = b
             continue
         s += delta
-        lam = rate(s)
-        assert lam <= lam_bar * (1 + 1e-12), "thinning bound violated"
-        u = rng.uniform() * lam_bar
+        u = rng.random() * lam_bar
+        if rate is None:
+            yield s, u, k
+            continue
+        lam = rate(s, k)
+        if not lam <= lam_bar * (1 + 1e-12):  # a NaN rate fails it too
+            raise HawkesError("thinning bound violated")
         if u <= lam:
-            yield s, u
+            yield s, u, k
 
 
 def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
@@ -495,7 +519,8 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
 
     Interval bound: within an hour the baseline is constant and the
     excitation only decays, so bin rate + excitation at the left endpoint
-    dominates.
+    dominates. Without excitation the bin rate is the bound and the
+    intensity both, and the kernel takes no rate.
     """
     if t_now >= horizon:
         raise HawkesError("t_now must be before horizon")
@@ -507,16 +532,19 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
     a_ref = t_now / SECONDS_PER_HOUR
     horizon_h = horizon / SECONDS_PER_HOUR
 
-    def bound(s):
-        hour = math.floor(s)
-        exc = a * math.exp(-beta * (s - a_ref))
-        return mu[timeutil.flat_bin_of_hour(hour)] + beta * exc, min(hour + 1.0, horizon_h)
+    if a == 0.0:
+        def bound(s, k, end):
+            return mu[k], end
+        rate = None
+    else:
+        def bound(s, k, end):
+            exc = a * math.exp(-beta * (s - a_ref))
+            return mu[k] + beta * exc, end
 
-    def rate(t):
-        return (mu[timeutil.flat_bin_of_hour(math.floor(t))]
-                + beta * a * math.exp(-beta * (t - a_ref)))
+        def rate(t, k):
+            return mu[k] + beta * a * math.exp(-beta * (t - a_ref))
 
-    for t_star, _ in _thinning(rng, a_ref, horizon_h, bound, rate):
+    for t_star, _, _ in _thinning(rng, a_ref, horizon_h, bound, rate):
         # ceil can round t_star back onto t_now; a wake is strictly later
         return max(min(int(math.ceil(t_star * SECONDS_PER_HOUR)), horizon), t_now + 1)
     return None
@@ -594,7 +622,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             g[:] *= g_val
             g_ref = t
 
-    def bound(s):
+    def bound(s, k, end):
         """Inject every trigger due by s, then bound the rate up to the end of
         s's hour or the next trigger."""
         nonlocal si
@@ -604,15 +632,13 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             if excited:
                 g[schedule[si].sender] += 1.0
             si += 1
-        hour = math.floor(s)
-        lam_bar = sum_mu[timeutil.flat_bin_of_hour(hour)]
+        lam_bar = sum_mu[k]
         if excited:
             lam_bar += beta * float(col_weight @ g)
-        return lam_bar, min(hour + 1.0, horizon_h, sched_h[si])
+        return lam_bar, min(end, sched_h[si])
 
-    def rate(t):
+    def rate(t, k):
         nonlocal lam
-        k = timeutil.flat_bin_of_hour(math.floor(t))
         if not excited:
             return bin_total[k]
         decay_to(t)
@@ -623,8 +649,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
         lam = mu_org[:, k] + exc
         return float(lam.sum())
 
-    for t_star, u in _thinning(rng, t0_h, horizon_h, bound, rate):
-        k = timeutil.flat_bin_of_hour(math.floor(t_star))
+    for t_star, u, k in _thinning(rng, t0_h, horizon_h, bound, rate):
         cum = np.cumsum(lam) if excited else bin_cum[k]
         sender = int(organic[int(cum.searchsorted(u, side="left"))])
         if sender not in cdfs:

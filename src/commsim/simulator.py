@@ -22,8 +22,11 @@ ground truth plus everything simulated so far) and the `ContextIndex`
 everything simulated so far, which each wake's context copies as tuples).
 Both share one invariant: at a wake at `now` they cover exactly the events
 with ts <= now appended so far, in append order, including events appended
-earlier at the same timestamp under the queue's tie order. `run` builds an
-EventLog only for its result or an aborted run's partial log.
+earlier at the same timestamp under the queue's tie order. A HawkesGuided
+model whose alpha is zero everywhere keeps no excitation state: every read
+of it would be exactly 0.0, so its wakes are drawn with zero excitation.
+`run` builds an EventLog only for its result or an aborted run's partial
+log.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ def next_activation(policy: ActivationPolicy, agent: int,
     """Next wake strictly after t_now under the policy, or None if it falls
     past the horizon. LLMPredicted returns None here: the agent's own
     decision supplies the time. Only HawkesGuided reads `excitation`, the
-    model's state over the events up to t_now."""
+    model's state over the events up to t_now; None stands for a model
+    without excitation, whose state would read 0.0."""
     if t_now >= horizon:
         raise SimulationError("t_now must be before horizon")
     if isinstance(policy, PeriodicSchedule):
@@ -138,9 +142,8 @@ def next_activation(policy: ActivationPolicy, agent: int,
             t = day * 86400 + hour * 3600 + offset
         return t if t < horizon else None
     if isinstance(policy, HawkesGuided):
-        return hawkes.thin_next_activation(policy.model, agent,
-                                           excitation.at(agent, t_now),
-                                           t_now, horizon, rng)
+        a = excitation.at(agent, t_now) if excitation is not None else 0.0
+        return hawkes.thin_next_activation(policy.model, agent, a, t_now, horizon, rng)
     raise SimulationError(f"unknown policy {policy!r}")
 
 
@@ -391,7 +394,7 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
     # far; the simulation replaces in-window ground truth for non-trigger
     # agents
     excitation = None
-    if isinstance(config.policy, HawkesGuided):
+    if isinstance(config.policy, HawkesGuided) and config.policy.model.alpha.any():
         excitation = hawkes.ExcitationState.from_log(config.policy.model, history, t0 - 1)
 
     def append(e: Event) -> None:

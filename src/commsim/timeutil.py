@@ -23,6 +23,13 @@ _EPOCH_WEEKDAY_SHIFT = 3  # 1970-01-01 was a Thursday
 # read "983_750_400", "+3", " 3" and non-ASCII digits
 DECIMAL_INT = re.compile(r"-?[0-9]+")
 
+# parse_utc's four date forms, zero-padded ASCII digits only (strptime also
+# reads "2001-3-5" and non-ASCII digits): YYYY-MM-DD, then nothing,
+# " HH:MM", " HH:MM:SS" or "THH:MM:SS"
+_DATE_TIME = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+                        r"(?: ([0-9]{2}):([0-9]{2})(?::([0-9]{2}))?"
+                        r"|T([0-9]{2}):([0-9]{2}):([0-9]{2}))?")
+
 
 def day_index(ts):
     """UTC day bucket (days since epoch). Works on scalars and arrays."""
@@ -91,17 +98,19 @@ def weekly_bin_hours(t0: int, t1: int) -> np.ndarray:
 
 
 def parse_utc(text: str) -> int:
-    """Parse 'YYYY-MM-DD' or 'YYYY-MM-DD HH:MM:SS' (UTC) or integer epoch
-    seconds (`DECIMAL_INT`) into epoch seconds."""
+    """Parse integer epoch seconds (`DECIMAL_INT`) or a UTC date in one of
+    the `_DATE_TIME` forms ('YYYY-MM-DD', 'YYYY-MM-DD HH:MM',
+    'YYYY-MM-DD HH:MM:SS', 'YYYY-MM-DDTHH:MM:SS') into epoch seconds."""
     text = text.strip()
     if DECIMAL_INT.fullmatch(text):
         return int(text)
-    for fmt in ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M", "%Y-%m-%d"):
+    m = _DATE_TIME.fullmatch(text)
+    if m:
         try:
-            dt = datetime.strptime(text, fmt).replace(tzinfo=timezone.utc)
-            return int(dt.timestamp())
-        except ValueError:
-            continue
+            fields = [int(g) for g in m.groups() if g is not None]
+            return int(datetime(*fields, tzinfo=timezone.utc).timestamp())
+        except ValueError:  # out of range, such as month 13 or hour 24
+            pass
     raise ValueError(f"unrecognized timestamp: {text!r}")
 
 

@@ -78,7 +78,7 @@ class ZeroDraws:
     def exponential(self, scale=1.0):
         return 0.0
 
-    def uniform(self, *args):
+    def random(self):
         return 0.0
 
 

@@ -368,6 +368,18 @@ def test_ingest_non_object_line_exits_2(tmp_path, capsys, lines, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_ingest_too_deeply_nested_line_exits_2(tmp_path, capsys):
+    """The JSON decoder recurses once per nesting level; running out of
+    depth is a bad line, not a crash."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("[" * 200_000 + "\n")
+    out = tmp_path / "o"
+    assert run_cli("stats", bad, "--out", out) == 2
+    message = "line 1: maximum recursion depth exceeded"
+    assert _error(out).startswith(f"CorpusError: {message}")
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt,line", [
     ("jsonl", json.dumps({"id": 7, "sender": "a", "recipients": [], "ts": 983782800})),
     ("csv", "id,sender,recipients,ts\n7,a,,983782800"),

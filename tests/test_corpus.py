@@ -530,9 +530,23 @@ def test_flat_bin_of_hour_matches_flat_bin_of(ts, want):
 @pytest.mark.parametrize("text,want", [
     ("983750400", 983750400), (" -5\n", -5), ("0983750400", 983750400),
     ("2001-03-05", 983750400), ("2001-03-05 01:00:00", 983754000),
+    ("2001-03-05T01:00:00", 983754000), ("2001-03-05 01:02", 983754120),
+    ("2000-02-29 23:59:59", 951868799), ("1970-01-01", 0),
 ])
 def test_parse_utc_reads_integers_and_dates(text, want):
     assert timeutil.parse_utc(text) == want
+
+
+@pytest.mark.parametrize("text", [
+    "\u0662\u0660\u0660\u0661-03-05",   # Arabic-Indic year digits
+    "2001-3-5", "2001-03-05 1:00", "2001-03-05T01:00", "2001-03-05 01:00:00Z",
+    "2001-13-05", "2001-02-29", "2001-03-05 24:00", "0000-01-01",
+])
+def test_parse_utc_rejects_other_date_forms(text):
+    """A date is one of the four forms, in zero-padded ASCII digits, and a
+    real UTC time; strptime alone reads the first three as times."""
+    with pytest.raises(ValueError, match="unrecognized timestamp"):
+        timeutil.parse_utc(text)
 
 
 @pytest.mark.parametrize("text", [

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_hawkes
 from commsim import corpus, hawkes, rng as rng_mod, timeutil
@@ -123,6 +123,26 @@ def test_simulate_pure_hawkes_covers_the_fallback_and_excited_paths(quiet_hours,
     assert 0 < counters["uniform_recipient_fallbacks"] < counters["organic_events"]
 
 
+@pytest.mark.parametrize("excited", [False, True], ids=["zero_alpha", "excited"])
+def test_simulate_pure_hawkes_wraps_the_week_on_an_hour_boundary_trigger(excited):
+    """The window opens in Sunday's last hour, so the kernel's running bin
+    wraps 167 -> 0; one trigger lands exactly on that boundary and one on a
+    later hour boundary. Each bin has its own baseline, so a wrong bin
+    changes the draws."""
+    n = 3
+    t0, t1 = BASE_MONDAY - 1800, BASE_MONDAY + 4 * HOUR
+    base = np.tile(0.3 + np.arange(hawkes.N_BINS) / hawkes.N_BINS, (n, 1))
+    alpha = 0.3 * np.eye(n) + 0.05 if excited else np.zeros((n, n))
+    model = HawkesModel(tuple(f"a{i:02d}" for i in range(n)), base, alpha, 1.5, False)
+    sched = make_log([(0, 1, BASE_MONDAY), (0, 2, BASE_MONDAY + 2 * HOUR)], n_agents=n)
+    plan = TriggerPlan(frozenset({0}), sched)
+    dist = np.ones((n, n)) - np.eye(n)
+    for seed in range(5):
+        counters = assert_same_rollout(model, (t0, t1), plan, EventLog(model.agents, ()),
+                                       dist, seed)
+        assert counters["organic_events"] > 0
+
+
 def test_simulate_pure_hawkes_rejects_a_row_choice_rejects():
     m = HawkesModel(("a", "b", "c"), np.full((3, hawkes.N_BINS), 2.0), np.zeros((3, 3)),
                     1.0, True)
@@ -148,6 +168,17 @@ def test_choice_cdf_draw_matches_generator_choice(seed, n, draws):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def test_generator_random_is_uniform():
+    """The thinning kernel draws its acceptance uniform with `random()` where
+    the oracles call `uniform()`; numpy computes uniform() as 0.0 + 1.0 *
+    random(), so both give the same doubles and leave the same state."""
+    ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+    got = [ours.random() for _ in range(100_000)]
+    want = [theirs.uniform() for _ in range(100_000)]
+    assert got == want
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 @pytest.mark.parametrize("row", [[0.0, 2.0, -1.0], [np.inf, 1.0, 0.0], [1e308, 1e308, 0.0]])
 def test_choice_cdf_rejects_what_choice_rejects(row):
     row = np.array(row)
@@ -160,10 +191,19 @@ def test_choice_cdf_rejects_what_choice_rejects(row):
         rng_mod.choice_cdf(np.array([1.0, 1.0]), 3)  # choice: a and p differ in size
 
 
+SUNDAY_LAST_HOUR = 7 * DAY - 1800  # a start offset: 23:30 on the first Sunday
+
+
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), excitation=st.floats(0.0, 5.0),
        start=st.integers(0, 7 * DAY), length=st.integers(1, 3 * DAY))
+@example(seed=1, excitation=0.0, start=0, length=3 * DAY)
+@example(seed=2, excitation=0.0, start=1234, length=HOUR)
+@example(seed=3, excitation=0.0, start=SUNDAY_LAST_HOUR, length=2 * DAY)
+@example(seed=4, excitation=2.5, start=SUNDAY_LAST_HOUR, length=2 * DAY)
 def test_thin_next_activation_matches_oracle(seed, excitation, start, length):
+    """A zero excitation takes the kernel's branch without a rate; a start in
+    Sunday's last hour makes the running bin wrap 167 -> 0."""
     r = np.random.default_rng(seed)
     n = 3
     model = random_model(r, n, diagonal=True, alpha_kind="nonzero", trigger_agents=())

@@ -115,6 +115,23 @@ def test_hawkes_guided_delegates():
                            BASE_MONDAY + DAY, rng) is None
 
 
+def test_hawkes_guided_without_state_reads_zero_excitation(mini_log):
+    """None stands for a zero-alpha model's state, which reads 0.0 however
+    much history it covers: the draws are the same draws."""
+    n = mini_log.n_agents
+    model = hawkes.HawkesModel(mini_log.agents, np.full((n, 168), 0.4), np.zeros((n, n)),
+                               1.0, True)
+    pol = HawkesGuided(model)
+    t_now = int(mini_log.ts[-1])
+    state = hawkes.ExcitationState.from_log(model, mini_log, t_now)
+    for agent in range(n):
+        ours, theirs = substream(5, "t", agent), substream(5, "t", agent)
+        for _ in range(3):
+            want = next_activation(pol, agent, state, t_now, t_now + DAY, theirs)
+            assert next_activation(pol, agent, None, t_now, t_now + DAY, ours) == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_llm_predicted_returns_none():
     rng = substream(3, "t")
     assert next_activation(LLMPredicted(), 0, None, BASE_MONDAY,
@@ -396,6 +413,22 @@ def test_run_hawkes_zero_draws_keeps_every_agent(mini_log, mini_manifest, monkey
 
     run(cfg, mini_log, Recorder(), plan)
     assert wakes == {a: list(range(s0 + 1, t1)) for a in range(mini_log.n_agents)}
+
+
+def test_run_zero_alpha_hawkes_keeps_no_excitation_state(mini_log, mini_manifest,
+                                                        monkeypatch):
+    n = mini_log.n_agents
+    model = hawkes.HawkesModel(mini_log.agents, np.full((n, 168), 0.5), np.zeros((n, n)),
+                               1.0, True)
+    cfg, plan = _mini_setup(mini_log, mini_manifest, policy=HawkesGuided(model))
+
+    def refuse(*args):
+        raise AssertionError("a zero-alpha rollout built an ExcitationState")
+
+    monkeypatch.setattr(hawkes.ExcitationState, "from_log", refuse)
+    counters = {}
+    run(cfg, mini_log, IdlePolicy(), plan, counters=counters)
+    assert counters["wakes"] > 0
 
 
 @pytest.mark.parametrize("policy_name", ["hod", "hawkes"])
