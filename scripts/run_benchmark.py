@@ -4,7 +4,7 @@
 Fits the activation model on the 4-day history, rolls out the four
 activation policies with the statistical stub agent over the 8-day
 evaluation window, adds the degree-preserving rewired null, scores every
-rollout against one summary of the ground truth on the non-trigger
+rollout against the ground truth (summarized once) on the non-trigger
 subnetwork, and prints the per-category regret table.
 
 Usage: python scripts/run_benchmark.py [--out OUT_DIR] [--seed N]
@@ -76,11 +76,11 @@ def main():
         log, sim_window, baselines.RewireConfig(seed=args.seed))
     print(f"{'rewired_null':<14} {len(rollouts['rewired_null']):>4} edges")
 
-    gt = metrics.summarize(log, plan.trigger_agents, sim_window)
     results = {}
     categories = {}
     for name, sim_log in rollouts.items():
-        report = metrics.compare(metrics.summarize(sim_log, plan.trigger_agents, sim_window), gt)
+        # `log` keeps its summary, so the ground truth is summarized once
+        report = metrics.evaluate_all(sim_log, log, plan.trigger_agents, sim_window)
         (out_dir / name).mkdir(exist_ok=True)
         (out_dir / name / "report.json").write_text(report.to_json() + "\n")
         (out_dir / name / "report.csv").write_text(report.to_csv())

@@ -281,7 +281,9 @@ def parse_decision(content: str, ctx: AgentContext) -> ActionDecision:
         data = json.loads(content)
         raw_actions = data.get("actions", [])
         next_check_raw = data["next_check"]
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+    # the decoder recurses once per nesting level: a reply of 200,000 "["
+    # raises RecursionError
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, AttributeError) as exc:
         raise LLMDecodeError(f"undecodable decision: {exc}") from exc
 
     registry = {lbl: i for i, lbl in enumerate(ctx.agents)}

@@ -23,9 +23,12 @@ events' `ts` (and `burst` their renumbered `senders`), the censuses the kept
 int64 edge columns u, v, t (log order) and `n_agents`, and the daily-topology
 parts each UTC day's directed simple edge set and `n_agents`. The comparison
 turns the sim and gt parts into the value and its flags. `summarize` computes
-every part of one log once into a `LogSummary`, so one ground-truth summary
-scores any number of rollouts with `compare`, and `evaluate_all` is
-`compare(summarize(sim, ...), summarize(gt, ...))`. Rows may share a part:
+every part of one log once into a `LogSummary`, and `evaluate_all` is
+`compare(summarize(sim, ...), summarize(gt, ...))`. A log keeps its latest
+summary: `summarize` returns it again for the same trigger set and an equal
+window, so `evaluate_all` calls that score several rollouts against one
+ground-truth log summarize it once. A summary is thus shared by every caller,
+and its `parts` are read-only. Rows may share a part:
 the temporal-dynamics metrics come from one census call per arity. Both
 arities count over one array enumeration of the node-sharing edge pairs
 within the largest delta (`_later_pairs`); arity 3 adds, per pair, a count
@@ -61,7 +64,9 @@ import csv
 import io
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -695,19 +700,39 @@ SUITE = {
 @dataclass(frozen=True)
 class LogSummary:
     """Every SUITE part of one log's non-trigger subnetwork in one window; a
-    part whose precondition failed holds its MetricError instead."""
+    part whose precondition failed holds its MetricError instead. Read-only:
+    the log keeps its latest summary, and every caller shares it."""
 
     agents: tuple[str, ...]  # registry before trigger exclusion
     triggers: frozenset[int]
     window: tuple[int, int]
     n_agents: int  # non-trigger agents
-    parts: dict[str, object]
+    parts: Mapping[str, object]
+
+    # a mappingproxy does not pickle, so a summary (and a log that keeps one)
+    # pickles and deep-copies its parts as a dict
+    def __getstate__(self):
+        return {**self.__dict__, "parts": dict(self.parts)}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, parts=MappingProxyType(state["parts"]))
 
 
 def summarize(log: EventLog, trigger_agents, window: tuple[int, int]) -> LogSummary:
     """Compute every metric's part of `log` once, on its non-trigger
-    subnetwork within the window; rows that share a part share its value."""
+    subnetwork within the window; rows that share a part share its value.
+
+    The log keeps the latest summary in its `__dict__`, beside its cached
+    columns. A call on the same log with the same trigger set and an equal
+    window, its bounds of the same types, returns that summary; any other
+    call computes a new one and replaces it."""
     triggers = _trigger_set(trigger_agents)
+    t0, t1 = window
+    # the types too: a reused summary holds and reports the window as passed
+    key = (triggers, type(window), type(t0), t0, type(t1), t1)
+    memo = log.__dict__.get("_summary")
+    if memo is not None and memo[0] == key:
+        return memo[1]
     view = log_view(log, window, triggers)
     values: dict = {}  # part -> its value or MetricError
     for part in dict.fromkeys(part for part, _ in SUITE.values()):
@@ -715,8 +740,10 @@ def summarize(log: EventLog, trigger_agents, window: tuple[int, int]) -> LogSumm
             values[part] = part(view)
         except MetricError as exc:
             values[part] = exc.with_traceback(None)
-    parts = {name: values[part] for name, (part, _) in SUITE.items()}
-    return LogSummary(log.agents, triggers, window, view.n_agents, parts)
+    parts = MappingProxyType({name: values[part] for name, (part, _) in SUITE.items()})
+    summary = LogSummary(log.agents, triggers, window, view.n_agents, parts)
+    log.__dict__["_summary"] = key, summary
+    return summary
 
 
 def compare(sim: LogSummary, gt: LogSummary) -> MetricsReport:
@@ -748,7 +775,9 @@ def compare(sim: LogSummary, gt: LogSummary) -> MetricsReport:
 
 def evaluate_all(sim: EventLog, gt: EventLog, trigger_agents,
                  window: tuple[int, int]) -> MetricsReport:
-    """Run the full 15-metric suite on the non-trigger subnetwork."""
+    """Run the full 15-metric suite on the non-trigger subnetwork; a `gt`
+    shared by several calls with one trigger set and window is summarized
+    once."""
     return compare(summarize(sim, trigger_agents, window),
                    summarize(gt, trigger_agents, window))
 

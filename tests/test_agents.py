@@ -262,6 +262,8 @@ def test_parse_rejects_garbage():
         parse_decision("not json at all", ctx)
     with pytest.raises(LLMDecodeError):
         parse_decision(json.dumps({"actions": []}), ctx)  # missing next_check
+    with pytest.raises(LLMDecodeError, match="recursion"):
+        parse_decision("[" * 200000, ctx)  # deeper than the decoder's stack
     with pytest.raises(LLMDecodeError):
         parse_decision(json.dumps({"actions": [{"type": "forward", "recipients": ["a01"]}],
                                    "next_check": "2001-03-10 09:00:00"}), ctx)
@@ -382,6 +384,18 @@ def test_llm_repair_reprompt_succeeds():
 
     d = make_policy(transport).decide(make_ctx())
     assert len(d.actions) == 2
+
+
+def test_llm_repair_reprompt_after_a_reply_too_deep_to_decode():
+    calls = []
+
+    def transport(url, payload, headers, timeout):
+        calls.append(payload)
+        return respond_with("[" * 200000 if len(calls) == 1 else json.dumps(good_payload()))
+
+    d = make_policy(transport).decide(make_ctx())
+    assert len(d.actions) == 2 and len(calls) == 2
+    assert "recursion" in calls[1]["messages"][-1]["content"]
 
 
 def test_llm_retries_transport_errors():

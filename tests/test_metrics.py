@@ -812,9 +812,7 @@ def test_evaluate_all_degenerate_inputs(mini_log):
         assert (e.value is not None) or e.skipped
 
 
-def test_evaluate_all_builds_one_view_per_log(monkeypatch):
-    log = fixture_log(11)
-    window = (BASE_MONDAY, BASE_MONDAY + 10 * DAY)
+def count_daily_edge_sets(monkeypatch) -> list:
     calls = []
     daily_edge_sets = metrics.daily_edge_sets
 
@@ -823,9 +821,54 @@ def test_evaluate_all_builds_one_view_per_log(monkeypatch):
         return daily_edge_sets(*args)
 
     monkeypatch.setattr(metrics, "daily_edge_sets", counting)
-    report = metrics.evaluate_all(log, log, {0}, window)
+    return calls
+
+
+def test_evaluate_all_builds_one_view_per_log(monkeypatch):
+    sim, gt = fixture_log(11), fixture_log(11)  # equal, but two logs
+    assert sim == gt and sim is not gt
+    window = (BASE_MONDAY, BASE_MONDAY + 10 * DAY)
+    calls = count_daily_edge_sets(monkeypatch)
+    report = metrics.evaluate_all(sim, gt, {0}, window)
     assert len(calls) == 2
     assert all(e.skipped is None for e in report.entries)
+
+
+def test_evaluate_all_summarizes_a_shared_gt_once(monkeypatch):
+    gt = fixture_log(11)
+    window = (BASE_MONDAY, BASE_MONDAY + 10 * DAY)
+    calls = count_daily_edge_sets(monkeypatch)
+    reports = [metrics.evaluate_all(fixture_log(seed), gt, {0}, window) for seed in (12, 13)]
+    assert len(calls) == 3  # each sim once, the gt once
+    assert reports[0] != reports[1]
+    assert metrics.summarize(gt, {0}, window) is metrics.summarize(gt, frozenset({0}), window)
+    assert len(calls) == 3
+
+
+def test_summarize_recomputes_for_another_window_or_trigger_set(monkeypatch):
+    log = fixture_log(11)
+    window = (BASE_MONDAY, BASE_MONDAY + 10 * DAY)
+    calls = count_daily_edge_sets(monkeypatch)
+    first = metrics.summarize(log, {0}, window)
+    keys = [({1}, window), ({0}, (BASE_MONDAY, BASE_MONDAY + 9 * DAY)),
+            ({0}, list(window)),  # a list never equals a tuple, in compare as here
+            ({0}, tuple(map(np.int64, window))),  # equal, but reported otherwise
+            ({0}, window)]
+    for k, (triggers, w) in enumerate(keys, start=2):
+        summary = metrics.summarize(log, triggers, w)
+        assert len(calls) == k
+        assert (summary.triggers, summary.window) == (frozenset(triggers), w)
+        assert type(summary.window) is type(w) and type(summary.window[0]) is type(w[0])
+    assert summary is not first  # only the latest is kept
+    assert metrics.compare(summary, first) == metrics.compare(first, first)
+    assert metrics.summarize(log, {0}, window) is summary and len(calls) == len(keys) + 1
+    # the list window after a tuple one: both logs are summarized with the list
+    sim = fixture_log(12)
+    metrics.summarize(sim, {0}, window)
+    report = metrics.evaluate_all(sim, log, {0}, list(window))
+    assert report.window == list(window) and len(calls) == len(keys) + 4
+    fresh = metrics.evaluate_all(fixture_log(12), fixture_log(11), {0}, list(window))
+    assert report.to_json() == fresh.to_json()
 
 
 @pytest.mark.parametrize("t", [BASE_MONDAY, BASE_MONDAY + 5 * DAY + 123])

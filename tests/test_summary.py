@@ -1,16 +1,21 @@
 """summarize/compare against the pairwise suite it replaced (oracle_metrics)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commsim import metrics
+from commsim import agents, baselines, corpus, hawkes, metrics, simulator
+from commsim.corpus import EventLog
 from commsim.metrics import MetricError, compare, evaluate_all, summarize
 
-from conftest import BASE_MONDAY, fixture_log, make_log
+from conftest import BASE_MONDAY, MINI, fixture_log, make_log
 from oracle_metrics import oracle_evaluate_all
 
 DAY = 86400
 HOUR = 3600
+MINI_WINDOW = (BASE_MONDAY + 4 * DAY, BASE_MONDAY + 12 * DAY)  # the mini corpus starts at BASE_MONDAY
 
 
 def assert_matches_oracle(sim, gt, triggers, window):
@@ -126,3 +131,54 @@ def test_compare_rejects_different_registries():
     with pytest.raises(MetricError, match="registries differ"):
         compare(summarize(fixture_log(8), set(), WEEK),
                 summarize(fixture_log(8, n_agents=11), set(), WEEK))
+
+
+def test_summary_parts_are_read_only():
+    summary = summarize(fixture_log(8), set(), WEEK)
+    with pytest.raises(TypeError):
+        summary.parts["burst"] = 0.0
+    with pytest.raises(TypeError):
+        del summary.parts["hod"]
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+def test_a_log_and_its_summary_copy_and_pickle(clone):
+    log = fixture_log(8)
+    summary = summarize(log, {1}, WEEK)
+    again = summarize(clone(log), {1}, WEEK)  # the copy keeps a copy of the summary
+    assert again is not summary and type(again.parts) is type(summary.parts)
+    assert compare(again, summary).to_json() == compare(summary, summary).to_json()
+
+
+def mini_rollouts(log):
+    """The desk benchmark's five rollouts of the mini corpus and their plan."""
+    hist, window = (BASE_MONDAY, BASE_MONDAY + 4 * DAY), MINI_WINDOW
+    hist_log = corpus.window(log, *hist)
+    plan = simulator.select_triggers(log, hist, 0.10, window)
+    model = hawkes.fit(log, hist)
+    stub = agents.StubPolicy(agents.stub_params_from_history(log, hist, seed=42))
+    policies = {"periodic": simulator.PeriodicSchedule(3.0),
+                "hod": simulator.EmpiricalHoD(simulator.hod_histograms(hist_log)),
+                "hawkes_guided": simulator.HawkesGuided(model)}
+    rollouts = {name: simulator.run(simulator.SimConfig(window=window, history_days=4,
+                                                        seed=42, policy=policy),
+                                    log, stub, plan)
+                for name, policy in policies.items()}
+    rollouts["pure_hawkes"] = hawkes.simulate_pure_hawkes(
+        model, window, plan, hist_log, corpus.contact_frequencies(hist_log), seed=42)
+    rollouts["rewired_null"] = baselines.rewire_degree_preserving(
+        log, window, baselines.RewireConfig(seed=42))
+    return plan, rollouts
+
+
+def test_a_reused_gt_scores_as_a_freshly_ingested_one():
+    gt = corpus.ingest(MINI)
+    plan, rollouts = mini_rollouts(gt)
+    for name, sim in rollouts.items():
+        reused = evaluate_all(sim, gt, plan.trigger_agents, MINI_WINDOW)
+        # a copy of the sim and a new ingest of the file: nothing is reused
+        fresh = evaluate_all(EventLog(sim.agents, sim.events), corpus.ingest(MINI),
+                             plan.trigger_agents, MINI_WINDOW)
+        assert reused.to_json() == fresh.to_json(), name
+    assert summarize(gt, plan.trigger_agents, MINI_WINDOW) is summarize(
+        gt, plan.trigger_agents, MINI_WINDOW)
