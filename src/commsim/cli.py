@@ -210,10 +210,9 @@ def _setting(cfg: dict, key: str, default, kind: type):
     return float(value) if kind is float else value
 
 
-def _build_policy(name: str, cfg: dict, periodic, fit_cfg, log, hist_window,
-                  counters: dict):
-    h0, t0 = hist_window
-    hist = corpus.window(log, h0, t0)
+def _build_policy(name: str, cfg: dict, periodic, follows: bool, fit_cfg, log,
+                  hist_window, counters: dict):
+    hist = corpus.window(log, *hist_window)
     if name == "periodic":
         return periodic
     if name == "llm-predicted":
@@ -227,7 +226,7 @@ def _build_policy(name: str, cfg: dict, periodic, fit_cfg, log, hist_window,
                 raise UsageError(f"{cfg['model']}: model agents differ from the corpus registry")
         else:
             model = hawkes.fit(log, hist_window, fit_cfg, counters=counters)
-        return simulator.HawkesGuided(model)
+        return simulator.HawkesGuided(model, llm_adjusts_next_check=follows)
     raise ValueError(f"unknown policy {name!r}")
 
 
@@ -252,8 +251,8 @@ def cmd_simulate(args) -> int:
                 trigger_ratio=_setting(cfg, "trigger_ratio", 0.10, float),
                 seed=seed,
                 max_actions_per_wake=_setting(cfg, "max_actions_per_wake", 5, int),
-                llm_adjusts_next_check=_setting(cfg, "llm_adjusts_next_check", False, bool),
             )
+            follows = _setting(cfg, "llm_adjusts_next_check", False, bool)
             hist_window = (t0 - sim_config.history_days * 86400, t0)
             triggers = simulator.select_triggers(log, hist_window,
                                                  sim_config.trigger_ratio, (t0, t1))
@@ -271,7 +270,8 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"{args.config}: {exc}") from None
         manifest.data["seed"] = seed
         counters = manifest.data["counters"]
-        policy = _build_policy(args.policy, cfg, periodic, fit_cfg, log, hist_window, counters)
+        policy = _build_policy(args.policy, cfg, periodic, follows, fit_cfg, log, hist_window,
+                               counters)
         sim_config = dataclasses.replace(sim_config, policy=policy)
         if args.agent == "stub":
             params = agents.stub_params_from_history(log, hist_window, seed)

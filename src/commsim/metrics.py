@@ -697,11 +697,11 @@ SUITE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogSummary:
-    """Every SUITE part of one log's non-trigger subnetwork in one window; a
-    part whose precondition failed holds its MetricError instead. Read-only:
-    the log keeps its latest summary, and every caller shares it."""
+    """Every SUITE part of one log's non-trigger subnetwork in one window, or
+    the MetricError of a part whose precondition failed. Read-only and shared
+    (the log keeps its latest); `==` is identity, as parts hold arrays."""
 
     agents: tuple[str, ...]  # registry before trigger exclusion
     triggers: frozenset[int]

@@ -16,17 +16,14 @@ seed, so a (seed, inputs) pair reproduces byte-identical output.
 
 A rollout is linear in its events. Two incremental structures are updated
 as each event is appended, instead of rescanning the log on every wake:
-the HawkesGuided excitation state (`hawkes.ExcitationState`, pre-window
+the policy's excitation state (`hawkes.ExcitationState`, pre-window
 ground truth plus everything simulated so far) and the `ContextIndex`
 (per-agent sent and received lists over the configured history span plus
 everything simulated so far, which each wake's context copies as tuples).
 Both share one invariant: at a wake at `now` they cover exactly the events
 with ts <= now appended so far, in append order, including events appended
-earlier at the same timestamp under the queue's tie order. A HawkesGuided
-model whose alpha is zero everywhere keeps no excitation state: every read
-of it would be exactly 0.0, so its wakes are drawn with zero excitation.
-`run` builds an EventLog only for its result or an aborted run's partial
-log.
+earlier at the same timestamp under the queue's tie order. `run` builds
+an EventLog only for its result or an aborted run's partial log.
 """
 
 from __future__ import annotations
@@ -62,8 +59,25 @@ class SimulationAborted(RuntimeError):
 # activation policies
 
 
+class ActivationPolicy:
+    """When an organic agent wakes. At each wake `run` shows the agent one
+    `draw` as its suggested next check, and drops any wake at or past the
+    horizon. `excitation_state` is the state `draw` reads, if any."""
+    wakes_at_start = False    # the first wake is the window start, not a draw
+    follows_decision = False  # the agent's next_check sets the next wake
+    redraws = False           # the next wake is drawn after the wake's events
+
+    def excitation_state(self, history: EventLog, t0: int) -> hawkes.ExcitationState | None:
+        return None
+
+    def draw(self, agent: int, excitation: hawkes.ExcitationState | None, t_now: int,
+             horizon: int, rng: np.random.Generator) -> int | None:
+        """The next wake after t_now from the agent's `wake` stream, or None."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class PeriodicSchedule:
+class PeriodicSchedule(ActivationPolicy):
     """Wake every fixed interval of at least one second."""
     interval_hours: float = 3.0
 
@@ -75,14 +89,22 @@ class PeriodicSchedule:
     def step_seconds(self) -> int:
         return int(round(self.interval_hours * 3600))
 
-
-@dataclass(frozen=True)
-class LLMPredicted:
-    """The agent's own next_check decides the next wake."""
+    def draw(self, agent, excitation, t_now, horizon, rng):
+        return t_now + self.step_seconds  # shown even past the horizon
 
 
 @dataclass(frozen=True)
-class EmpiricalHoD:
+class LLMPredicted(ActivationPolicy):
+    """Wake at the window start, then at the agent's own next_check."""
+    wakes_at_start = True
+    follows_decision = True
+
+    def draw(self, agent, excitation, t_now, horizon, rng):
+        return None
+
+
+@dataclass(frozen=True)
+class EmpiricalHoD(ActivationPolicy):
     """Sample the wake hour from each agent's historical hour-of-day
     histogram, uniform offset within the hour."""
     histograms: np.ndarray  # (D, 24), rows normalized (all-zero rows allowed)
@@ -95,13 +117,44 @@ class EmpiricalHoD:
         if np.any((np.abs(sums - 1.0) > 1e-9) & (sums != 0)):
             raise SimulationError("histogram rows must be normalized (or all-zero)")
 
+    def draw(self, agent, excitation, t_now, horizon, rng):
+        probs = self.histograms[agent]
+        if probs.sum() == 0:
+            probs = np.full(24, 1.0 / 24)
+        hour = int(rng.choice(24, p=probs / probs.sum()))
+        offset = int(rng.integers(3600))
+        t = timeutil.day_index(t_now) * 86400 + hour * 3600 + offset
+        if t <= t_now:
+            t += 86400  # the same hour and offset tomorrow
+        return t if t < horizon else None
+
 
 @dataclass(frozen=True)
-class HawkesGuided:
+class HawkesGuided(ActivationPolicy):
+    """Ogata-thinned wakes: a suggestion, then the next wake drawn after the
+    wake's events, or the agent's next_check with `llm_adjusts_next_check`.
+    Known limitation: another agent's send does not move a pending wake, so
+    a full-matrix rollout wakes less often than the fitted process; a model
+    with zero alpha off the diagonal (the default fit) is exact."""
     model: hawkes.HawkesModel
+    llm_adjusts_next_check: bool = False
 
+    @property
+    def follows_decision(self) -> bool:
+        return self.llm_adjusts_next_check
 
-ActivationPolicy = PeriodicSchedule | LLMPredicted | EmpiricalHoD | HawkesGuided
+    @property
+    def redraws(self) -> bool:
+        return not self.llm_adjusts_next_check
+
+    def excitation_state(self, history, t0):
+        # a zero-alpha model would read 0.0 everywhere: it keeps no state
+        return (hawkes.ExcitationState.from_log(self.model, history, t0 - 1)
+                if self.model.alpha.any() else None)
+
+    def draw(self, agent, excitation, t_now, horizon, rng):
+        a = excitation.at(agent, t_now) if excitation is not None else 0.0
+        return hawkes.thin_next_activation(self.model, agent, a, t_now, horizon, rng)
 
 
 def hod_histograms(log: EventLog) -> np.ndarray:
@@ -111,40 +164,6 @@ def hod_histograms(log: EventLog) -> np.ndarray:
     sums = h.sum(axis=1, keepdims=True)
     np.divide(h, sums, out=h, where=sums > 0)
     return h
-
-
-def next_activation(policy: ActivationPolicy, agent: int,
-                    excitation: hawkes.ExcitationState | None,
-                    t_now: int, horizon: int,
-                    rng: np.random.Generator) -> int | None:
-    """Next wake strictly after t_now under the policy, or None if it falls
-    past the horizon. LLMPredicted returns None here: the agent's own
-    decision supplies the time. Only HawkesGuided reads `excitation`, the
-    model's state over the events up to t_now; None stands for a model
-    without excitation, whose state would read 0.0."""
-    if t_now >= horizon:
-        raise SimulationError("t_now must be before horizon")
-    if isinstance(policy, PeriodicSchedule):
-        t = t_now + policy.step_seconds
-        return t if t < horizon else None
-    if isinstance(policy, LLMPredicted):
-        return None
-    if isinstance(policy, EmpiricalHoD):
-        probs = policy.histograms[agent]
-        if probs.sum() == 0:
-            probs = np.full(24, 1.0 / 24)
-        hour = int(rng.choice(24, p=probs / probs.sum()))
-        offset = int(rng.integers(3600))
-        day = timeutil.day_index(t_now)
-        t = day * 86400 + hour * 3600 + offset
-        while t <= t_now:
-            day += 1
-            t = day * 86400 + hour * 3600 + offset
-        return t if t < horizon else None
-    if isinstance(policy, HawkesGuided):
-        a = excitation.at(agent, t_now) if excitation is not None else 0.0
-        return hawkes.thin_next_activation(policy.model, agent, a, t_now, horizon, rng)
-    raise SimulationError(f"unknown policy {policy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +282,6 @@ class SimConfig:
     seed: int = 42
     max_actions_per_wake: int = 5
     policy: ActivationPolicy = field(default_factory=PeriodicSchedule)
-    llm_adjusts_next_check: bool = False  # let decisions override HawkesGuided wakes
 
     def __post_init__(self):
         t0, t1 = self.window
@@ -371,13 +389,10 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
     Raises SimulationError if an activation policy schedules a wake that is
     not strictly after the current one, or an agent addresses an action to
     an index outside the registry."""
-    if counters is None:
-        counters = {}
-    counters.setdefault("wakes", 0)
-    counters.setdefault("organic_events", 0)
-    counters.setdefault("trigger_events", 0)
-    counters.setdefault("next_check_clamps", 0)
-    counters.setdefault("actions_truncated", 0)
+    counters = {} if counters is None else counters
+    for key in ("wakes", "organic_events", "trigger_events", "next_check_clamps",
+                "actions_truncated"):
+        counters.setdefault(key, 0)
     personas = personas or {}
     t0, t1 = config.window
     scheduled = log_window(triggers.scheduled_events, t0, t1).events
@@ -390,12 +405,9 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
         heapq.heappush(queue, (e.ts, _QK_TRIGGER, k))
 
     index = ContextIndex(history, config)
-    # excitation from pre-window ground truth plus everything simulated so
-    # far; the simulation replaces in-window ground truth for non-trigger
-    # agents
-    excitation = None
-    if isinstance(config.policy, HawkesGuided) and config.policy.model.alpha.any():
-        excitation = hawkes.ExcitationState.from_log(config.policy.model, history, t0 - 1)
+    # excitation from pre-window ground truth plus everything simulated so far:
+    # the simulation replaces in-window ground truth for non-trigger agents
+    excitation = config.policy.excitation_state(history, t0)
 
     def append(e: Event) -> None:
         sim_events.append(e)
@@ -403,18 +415,15 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
         if excitation is not None:
             excitation.add(e.sender, e.ts)
 
-    wake_rng: dict[int, np.random.Generator] = {}
-    last_check: dict[int, int | None] = {}
     organic_agents = [i for i in range(history.n_agents)
                       if i not in triggers.trigger_agents]
+    wake_rng = {agent: substream(config.seed, "wake", agent) for agent in organic_agents}
+    last_check: dict[int, int | None] = dict.fromkeys(organic_agents)
     for agent in organic_agents:
-        wake_rng[agent] = substream(config.seed, "wake", agent)
-        last_check[agent] = None
-        if isinstance(config.policy, LLMPredicted):
+        if config.policy.wakes_at_start:
             first = t0
         else:
-            first = next_activation(config.policy, agent, excitation, t0, t1,
-                                    wake_rng[agent])
+            first = config.policy.draw(agent, excitation, t0, t1, wake_rng[agent])
             _check_wake(first, t0, agent)
         if first is not None and first < t1:
             heapq.heappush(queue, (first, _QK_WAKE, agent))
@@ -430,15 +439,9 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
 
         agent = key
         counters["wakes"] += 1
-        # the model's suggestion shown to the agent; for the hour-of-day
-        # policy this draw also becomes the actual next wake
-        if isinstance(config.policy, LLMPredicted):
-            suggested = None
-        elif isinstance(config.policy, PeriodicSchedule):
-            suggested = ts + config.policy.step_seconds
-        else:
-            suggested = next_activation(config.policy, agent, excitation,
-                                        ts, t1, wake_rng[agent])
+        # the policy's suggestion shown to the agent; unless the policy
+        # follows the decision or redraws, it is also the next wake
+        suggested = config.policy.draw(agent, excitation, ts, t1, wake_rng[agent])
 
         ctx = index.context(agent, ts, last_check[agent], suggested, personas.get(agent))
         try:
@@ -464,17 +467,13 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
 
         if decision.next_check_clamped:
             counters["next_check_clamps"] += 1
-        if isinstance(config.policy, LLMPredicted) or (
-                config.llm_adjusts_next_check and isinstance(config.policy, HawkesGuided)):
+        if config.policy.follows_decision:
             nxt = decision.next_check
             if nxt <= ts:
                 nxt = ts + MIN_CLAMP_SECONDS
                 counters["next_check_clamps"] += 1
-        elif isinstance(config.policy, HawkesGuided):
-            # resample after applying this wake's events so self-excitation
-            # from them is felt immediately
-            nxt = next_activation(config.policy, agent, excitation,
-                                  ts, t1, wake_rng[agent])
+        elif config.policy.redraws:
+            nxt = config.policy.draw(agent, excitation, ts, t1, wake_rng[agent])
         else:
             nxt = suggested
         _check_wake(nxt, ts, agent)

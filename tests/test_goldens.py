@@ -18,6 +18,11 @@ diagonal and full-matrix, over the history window (no earlier events) and
 the rollout window (earlier events excite) of both corpora; it was recorded
 before the fitter built its excitation terms in one time-ordered sweep, so
 a refactor of the fitter that changes any model byte fails here.
+
+`hawkes_follows` runs the full pinned model with `llm_adjusts_next_check`:
+the stub agent's next_check (the drawn suggestion, when there is one) sets
+each next wake. Its digests were recorded before each activation policy
+owned its wake rule.
 """
 
 import hashlib
@@ -40,6 +45,7 @@ GOLDEN = {
     "mini/hawkes": "1c0e9e4dae53deb84377df087e84aff2273f5fc9b48c50c0a74c3692f169212b",
     "mini/hawkes_diag": "cedf54f6f9342e354df0ebb0f5b451b02bdf66b891734f4ebe0f307d0786e23c",
     "mini/hawkes_full": "257e1470c7fdcda4dd09c9d05c1510798f04b53a1bcdaffd7908fd4c2603a6ed",
+    "mini/hawkes_follows": "5b23d90502a550cddc114cc25177336648fd8a5cca84a6385d77b3908dccb4a4",
     "mini/pure_hawkes": "b7704f957bef0266221fa27fcc43d08fe10f5f2c3db355ccbb3bea175aaae196",
     "mini/pure_hawkes_diag": "a40f179089cd73843f8432af0fb76acd80d8da68a2754e7aa09a5853bcbe3cb3",
     "mini/pure_hawkes_full": "1868e935f8f8cda166cb1616cd23e66f69c17c5e86095a01edde5d4517f82ffd",
@@ -49,6 +55,7 @@ GOLDEN = {
     "fixture/hawkes": "42c00f4e1ba7a5154f72767f1cbb2a47f9f5318660c00468fc43ebb053cc4ace",
     "fixture/hawkes_diag": "f83e8b6bab2ee17c2e2e08c63eb1981c2a7506b60f9e46e48ac29aeec5b9d15b",
     "fixture/hawkes_full": "07e7eb549b3c3ae4ad6e6a09b52dd513831b3f7e6c5f4adce371fb4030defd00",
+    "fixture/hawkes_follows": "e4c08eaa6b9aae99c86fa72d0979870281dd8b8a1f1edd8078a18a0f0701f27a",
     "fixture/pure_hawkes": "12598b657ee602d45ca7c3aa788dd8ea005ba4760bc7fa128c59d3edd06f40d2",
     "fixture/pure_hawkes_diag": "2a89ba46c0f72e00806de1e376bca80cfb45a7d0a50dd9500c1547103001a6a2",
     "fixture/pure_hawkes_full": "d6cc4ee9e940429e0d1ffebc8b5c7425a6cd379b8606ba12560d109cb0385051",
@@ -58,6 +65,7 @@ REPORT_GOLDEN = {
     "mini/hawkes": "a61ab730d7c65bdf78140553babedeb76f89a7a0f9335e3583ce8867db074a96",
     "mini/hawkes_diag": "ab8c46ea253479d0a8578c43861df8582f31dafe0ccff16cd75eb8d3d778a0ab",
     "mini/hawkes_full": "d1b2b6a4b456413e2d1070438d869787939be8587cc9deffa8424a099cd14283",
+    "mini/hawkes_follows": "6c08db768ca41d8e38599092a06413036247ce682525baf5974947ca9636ccee",
     "mini/hod": "3fc679e476febf6569a512633bac7f9bb7c3cb7e80db3d1bde43fb0cc9c389d7",
     "mini/llm_predicted": "2e0ae93af7b91fc35b7954f3d1a92bb87629cce12597a3e7857dc5c219a75d1e",
     "mini/periodic": "2e0ae93af7b91fc35b7954f3d1a92bb87629cce12597a3e7857dc5c219a75d1e",
@@ -65,6 +73,7 @@ REPORT_GOLDEN = {
     "fixture/hawkes": "3ee79a78e8e1fe295e8528bfbd1f8b276349074ec8ae14db6eeb742b816923f7",
     "fixture/hawkes_diag": "87c1881debc4e8ae6d56b5812fd5772ee6ea85242815a7b3c487f2ab4ba6d2c1",
     "fixture/hawkes_full": "cd0e6f838baf54b6a248793debcc2fbe85382a03beba61f06fdbdd548fc40b6d",
+    "fixture/hawkes_follows": "fc0d18746cff79c93670205b858c0dbdf0efe22c4ecdfbc49fbc9ddf3fee3e31",
     "fixture/hod": "95eae2ee5a2b69b39ae50e21c31313248924cf899a9ff42a1a375efcda2bb58a",
     "fixture/llm_predicted": "3e3e18a4cadc62a40dd53a048ecaf3284111b4dfd43de838c8b4818c9940fc71",
     "fixture/periodic": "db31853797702abd28a987248e20f464436be9aa6ecd357bc29516a9dd3e66d8",
@@ -108,6 +117,10 @@ def _policy(name, log, hist):
         return simulator.LLMPredicted()
     if name == "hod":
         return simulator.EmpiricalHoD(simulator.hod_histograms(corpus.window(log, *hist)))
+    if name == "hawkes_follows":
+        # the pinned full model, with the agent's next_check setting each next wake
+        return simulator.HawkesGuided(_model("hawkes_full", log, hist),
+                                      llm_adjusts_next_check=True)
     return simulator.HawkesGuided(_model(name, log, hist))
 
 

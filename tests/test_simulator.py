@@ -6,10 +6,11 @@ from commsim.corpus import Event, EventLog, serialize
 from commsim.simulator import (MIN_CLAMP_SECONDS, ActionDecision, Action, EmpiricalHoD,
                                HawkesGuided, LLMPredicted, PeriodicSchedule, SimConfig,
                                SimulationAborted, SimulationError, TriggerPlan,
-                               build_context, next_activation, run, select_triggers)
+                               build_context, run, select_triggers)
 from commsim.rng import substream
 
 from conftest import BASE_MONDAY, ZeroDraws
+from oracle_simulator import next_activation
 
 DAY = 86400
 HOUR = 3600
@@ -355,8 +356,8 @@ def test_run_hawkes_llm_adjusts_next_check(mini_log, mini_manifest):
                 wakes.setdefault(ctx.agent, []).append(ctx.now)
                 return ActionDecision((), next_check(ctx))
 
-        cfg = SimConfig(window=(s0, t1), history_days=4, policy=HawkesGuided(model),
-                        llm_adjusts_next_check=adjust)
+        cfg = SimConfig(window=(s0, t1), history_days=4,
+                        policy=HawkesGuided(model, llm_adjusts_next_check=adjust))
         run(cfg, mini_log, Recorder(), plan, counters=counters)
         return wakes, counters["next_check_clamps"]
 
@@ -441,8 +442,8 @@ def test_run_raises_on_wake_not_after_now(mini_log, mini_manifest, monkeypatch, 
                                               np.zeros((n, n)), 1.0, True)))
     cfg, plan = _mini_setup(mini_log, mini_manifest, policy=policy)
     s0 = cfg.window[0]
-    monkeypatch.setattr(simulator, "next_activation",
-                        lambda policy, agent, excitation, t_now, horizon, rng:
+    monkeypatch.setattr(type(policy), "draw",
+                        lambda self, agent, excitation, t_now, horizon, rng:
                         s0 + HOUR if t_now == s0 else t_now)
     with pytest.raises(SimulationError, match="not after"):
         run(cfg, mini_log, IdlePolicy(), plan)

@@ -141,6 +141,16 @@ def test_summary_parts_are_read_only():
         del summary.parts["hod"]
 
 
+def test_summaries_compare_by_identity():
+    log = fixture_log(8)
+    summary = summarize(log, set(), WEEK)
+    assert (summary == summarize(log, set(), WEEK)) is True  # the log's kept summary
+    summarize(log, {1}, WEEK)  # replaces it
+    again = summarize(log, set(), WEEK)
+    assert (again == summary) is False and (again != summary) is True
+    assert compare(again, summary).to_json() == compare(summary, summary).to_json()
+
+
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
 def test_a_log_and_its_summary_copy_and_pickle(clone):
     log = fixture_log(8)
