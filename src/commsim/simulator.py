@@ -117,6 +117,12 @@ class EmpiricalHoD(ActivationPolicy):
         if np.any((np.abs(sums - 1.0) > 1e-9) & (sums != 0)):
             raise SimulationError("histogram rows must be normalized (or all-zero)")
 
+    def __eq__(self, other):
+        # the generated `==` would take the truth value of an array comparison
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.histograms, other.histograms)
+
     def draw(self, agent, excitation, t_now, horizon, rng):
         probs = self.histograms[agent]
         if probs.sum() == 0:

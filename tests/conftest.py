@@ -1,4 +1,5 @@
 import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +74,17 @@ def run_metric(name, sim_view, gt_view):
 
 class ZeroDraws:
     """rng stub whose every draw is 0: the thinning sampler's first
-    candidate lands on t_now itself and is accepted."""
+    candidate lands on t_now itself and is accepted. It keeps no state, so
+    the one-agent sampler's block restores a placeholder."""
+
+    def __init__(self):
+        self.bit_generator = types.SimpleNamespace(state=None)
 
     def exponential(self, scale=1.0):
         return 0.0
+
+    def standard_exponential(self, size):
+        return np.zeros(size)
 
     def random(self):
         return 0.0

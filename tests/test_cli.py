@@ -380,6 +380,39 @@ def test_ingest_too_deeply_nested_line_exits_2(tmp_path, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_ingest_reads_jsonl_one_line_at_a_time(tmp_path, capsys):
+    """A string that runs past its line's end is an error on that line, even
+    where the lines joined by commas would read as three valid records."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id":1,"sender":"a","recipients":["b"],"ts":5,"x":"}\n'
+                   '{","y":2}\n'
+                   '{"id":2,"sender":"a","recipients":["b"],"ts":6},'
+                   '{"id":3,"sender":"b","recipients":["a"],"ts":7}\n')
+    out = tmp_path / "o"
+    assert run_cli("stats", bad, "--out", out) == 2
+    message = "line 1: Unterminated string starting at: line 1 column 52 (char 51)"
+    assert _error(out) == f"CorpusError: {message}"
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt,records", [
+    ("jsonl", [{"id": 7, "sender": "a", "recipients": [], "ts": 983782900},
+               {"id": 8, "sender": "b", "recipients": ["a"], "ts": 983782700},
+               {"id": 5, "sender": "a", "recipients": [], "ts": 983782800}]),
+    ("csv", ["id,sender,recipients,ts", "7,a,,983782900", "8,b,a,983782700",
+             "5,a,,983782800"]),
+])
+def test_ingest_names_the_first_bad_record_in_the_file(tmp_path, fmt, records):
+    """Of two events without recipients, the error names the earlier line's
+    (event 7), not the earlier event's (event 5)."""
+    bad = tmp_path / f"bad.{fmt}"
+    lines = [json.dumps(r) for r in records] if fmt == "jsonl" else records
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("stats", bad, "--format", fmt, "--out", out) == 2
+    assert _error(out) == "CorpusError: event 7: empty recipient list"
+
+
 @pytest.mark.parametrize("fmt,line", [
     ("jsonl", json.dumps({"id": 7, "sender": "a", "recipients": [], "ts": 983782800})),
     ("csv", "id,sender,recipients,ts\n7,a,,983782800"),

@@ -168,6 +168,27 @@ def test_choice_cdf_draw_matches_generator_choice(seed, n, draws):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+@pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 1000])
+def test_standard_exponential_block_is_scalar_exponentials(k):
+    """The one-agent sampler reads its gaps from `standard_exponential(k)`:
+    (1 / lam) * entry is the double `exponential(1 / lam)` gives, and both
+    leave the same state, also after a restore and a redraw of j < k."""
+    scales = 1.0 / np.random.default_rng(k).uniform(1e-3, 50.0, size=k)
+    ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
+    saved = ours.bit_generator.state
+    block = ours.standard_exponential(k).tolist()
+    want = [theirs.exponential(scale) for scale in scales.tolist()]
+    assert [scale * e for scale, e in zip(scales.tolist(), block)] == want
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    for j in {0, 1, k // 2, k - 1}:
+        twin = np.random.default_rng(12)
+        for _ in range(j):
+            twin.standard_exponential()
+        ours.bit_generator.state = saved
+        ours.standard_exponential(j)
+        assert ours.bit_generator.state == twin.bit_generator.state
+
+
 def test_generator_random_is_uniform():
     """The thinning kernel draws its acceptance uniform with `random()` where
     the oracles call `uniform()`; numpy computes uniform() as 0.0 + 1.0 *
@@ -192,22 +213,46 @@ def test_choice_cdf_rejects_what_choice_rejects(row):
 
 
 SUNDAY_LAST_HOUR = 7 * DAY - 1800  # a start offset: 23:30 on the first Sunday
+BLOCK = hawkes._WAKE_BLOCK
+# (seed, start, length, scale, steps): zero-excitation calls whose first wake
+# the oracle finds after exactly `steps` exponential draws, walking past
+# zero-rate hours on the way; steps=None: the horizon comes first, mid-block
+BLOCK_EDGES = {
+    "one block": (200, 0, 8 * DAY, 0.05, BLOCK),
+    "one block and one": (113, 0, 8 * DAY, 0.05, BLOCK + 1),
+    "horizon mid-block": (1, 0, 2 * DAY, 0.05, None),
+}
+
+
+def _model_and_agent(seed, scale):
+    r = np.random.default_rng(seed)
+    model = random_model(r, 3, diagonal=True, alpha_kind="nonzero", trigger_agents=())
+    model = HawkesModel(model.agents, model.baselines * scale, model.alpha,
+                        model.beta_per_hour, True)
+    return model, int(r.integers(3))
+
+
+def _edge_examples(test):
+    for seed, start, length, scale, _ in BLOCK_EDGES.values():
+        test = example(seed=seed, excitation=0.0, start=start, length=length, scale=scale)(test)
+    return test
 
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), excitation=st.floats(0.0, 5.0),
-       start=st.integers(0, 7 * DAY), length=st.integers(1, 3 * DAY))
-@example(seed=1, excitation=0.0, start=0, length=3 * DAY)
-@example(seed=2, excitation=0.0, start=1234, length=HOUR)
-@example(seed=3, excitation=0.0, start=SUNDAY_LAST_HOUR, length=2 * DAY)
-@example(seed=4, excitation=2.5, start=SUNDAY_LAST_HOUR, length=2 * DAY)
-def test_thin_next_activation_matches_oracle(seed, excitation, start, length):
+       start=st.integers(0, 7 * DAY), length=st.integers(1, 8 * DAY),
+       scale=st.sampled_from([1.0, 0.05]))
+@example(seed=1, excitation=0.0, start=0, length=3 * DAY, scale=1.0)
+@example(seed=2, excitation=0.0, start=1234, length=HOUR, scale=1.0)
+@example(seed=3, excitation=0.0, start=SUNDAY_LAST_HOUR, length=2 * DAY, scale=1.0)
+@example(seed=4, excitation=2.5, start=SUNDAY_LAST_HOUR, length=2 * DAY, scale=1.0)
+@example(seed=5, excitation=2.5, start=0, length=8 * DAY, scale=0.05)
+@_edge_examples
+def test_thin_next_activation_matches_oracle(seed, excitation, start, length, scale):
     """A zero excitation takes the kernel's branch without a rate; a start in
-    Sunday's last hour makes the running bin wrap 167 -> 0."""
-    r = np.random.default_rng(seed)
-    n = 3
-    model = random_model(r, n, diagonal=True, alpha_kind="nonzero", trigger_agents=())
-    agent = int(r.integers(n))
+    Sunday's last hour makes the running bin wrap 167 -> 0. Baselines scaled
+    to 0.05 make calls walk past one or more blocks of exponentials."""
+    model, agent = _model_and_agent(seed, scale)
     t_now = BASE_MONDAY + start
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(4):  # successive wakes, as a rollout makes them
@@ -220,6 +265,39 @@ def test_thin_next_activation_matches_oracle(seed, excitation, start, length):
             break
         t_now = fast
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+class _CountingDraws:
+    """The oracle's generator, counting its exponential draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def exponential(self, scale):
+        self.draws += 1
+        return self.rng.exponential(scale)
+
+    def uniform(self):
+        return self.rng.uniform()
+
+
+@pytest.mark.parametrize("edge", BLOCK_EDGES)
+def test_block_edge_examples_reach_their_edge(edge):
+    """Each BLOCK_EDGES example does what its name says on the oracle, so the
+    examples above keep testing the block's edges."""
+    seed, start, length, scale, steps = BLOCK_EDGES[edge]
+    model, agent = _model_and_agent(seed, scale)
+    t_now = BASE_MONDAY + start
+    draws = _CountingDraws(seed)
+    wake = oracle_hawkes.thin_next_activation(model, agent, 0.0, t_now, t_now + length, draws)
+    end = t_now + length if wake is None else wake
+    hours = range(t_now // HOUR, -(-end // HOUR))
+    zero_hours = [h for h in hours if model.baselines[agent, timeutil.flat_bin_of_hour(h)] == 0]
+    assert zero_hours and zero_hours[-1] < end // HOUR  # a zero-rate hour between two draws
+    if steps is None:
+        assert wake is None and 0 < draws.draws < BLOCK
+    else:
+        assert wake is not None and draws.draws == steps
 
 
 @settings(max_examples=40, deadline=None)
