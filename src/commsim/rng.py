@@ -13,24 +13,15 @@ import math
 import numpy as np
 
 
-def _digest(seed: int, labels: tuple) -> bytes:
-    return hashlib.sha256(repr((int(seed),) + labels).encode()).digest()
-
-
 def stream_seed(seed: int, *labels) -> int:
-    """Derive a 64-bit child seed from (seed, labels) via SHA-256: the
-    digest's first 8 bytes, big-endian."""
-    return int.from_bytes(_digest(seed, labels)[:8], "big")
+    """Derive a 64-bit child seed from (seed, labels) via SHA-256."""
+    key = repr((int(seed),) + tuple(labels)).encode()
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
 def substream(seed: int, *labels) -> np.random.Generator:
-    """A fresh generator for the named purpose: `default_rng(stream_seed(seed,
-    *labels))`, seeded from the seed's two 32-bit words, low word first.
-    numpy splits an int seed into the same words but drops a high word of
-    zero; `SeedSequence` pads short entropy with zero words, so both give
-    the same generator, without the int's coercion."""
-    words = np.frombuffer(_digest(seed, labels)[7::-1], "<u4")
-    return np.random.default_rng(np.random.SeedSequence(words))
+    """A fresh generator for the named purpose."""
+    return np.random.default_rng(stream_seed(seed, *labels))
 
 
 def uniform_hash(seed: int, *labels) -> float:

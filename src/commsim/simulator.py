@@ -103,10 +103,11 @@ class LLMPredicted(ActivationPolicy):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalHoD(ActivationPolicy):
     """Sample the wake hour from each agent's historical hour-of-day
-    histogram, uniform offset within the hour."""
+    histogram, uniform offset within the hour. `==` is identity, as it
+    holds an array."""
     histograms: np.ndarray  # (D, 24), rows normalized (all-zero rows allowed)
 
     def __post_init__(self):
@@ -116,12 +117,6 @@ class EmpiricalHoD(ActivationPolicy):
         sums = h.sum(axis=1)
         if np.any((np.abs(sums - 1.0) > 1e-9) & (sums != 0)):
             raise SimulationError("histogram rows must be normalized (or all-zero)")
-
-    def __eq__(self, other):
-        # the generated `==` would take the truth value of an array comparison
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.histograms, other.histograms)
 
     def draw(self, agent, excitation, t_now, horizon, rng):
         probs = self.histograms[agent]

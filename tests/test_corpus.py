@@ -131,8 +131,7 @@ def _jsonl_lines(draw):
     if kind == "non-object":
         return draw(st.sampled_from(["[1, 2]", "5", "null", "true", '"x"', "[]", "1.5"]))
     if kind == "not-json":
-        return draw(st.sampled_from(["{", '{"id": 1,}', "x", "\ufeff{}", "{} {}", "{}x",
-                                     "{}\u00a0", "\u00a0{}", "[[[", '{"a": "}', "{},{}"]))
+        return draw(st.sampled_from(["{", '{"id": 1,}', "x", "\ufeff{}", "{} {}"]))
     rec = draw(_VALID_RECORDS)
     if kind == "wrong-type":
         field, value = draw(_WRONG_FIELDS)

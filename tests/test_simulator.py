@@ -107,27 +107,22 @@ def test_hod_degenerate_histogram():
         assert t > BASE_MONDAY + 10 * HOUR
 
 
-def _model(alpha_diag=0.4):
-    return hawkes.HawkesModel(("a", "b"), np.full((2, 168), 0.5), np.eye(2) * alpha_diag,
-                              1.0, True)
+def _model():
+    return hawkes.HawkesModel(("a", "b"), np.full((2, 168), 0.5), np.eye(2) * 0.4, 1.0, True)
 
 
-@pytest.mark.parametrize("make,other", [
-    (_model, lambda: _model(0.3)),
-    (lambda: EmpiricalHoD(np.full((2, 24), 1 / 24)),
-     lambda: EmpiricalHoD(np.eye(2, 24))),
-    (lambda: SimConfig(window=(0, 10), policy=HawkesGuided(_model())),
-     lambda: SimConfig(window=(0, 10), policy=HawkesGuided(_model(0.3)))),
-    (lambda: SimConfig(window=(0, 10), policy=EmpiricalHoD(np.full((2, 24), 1 / 24))),
-     lambda: SimConfig(window=(0, 10), policy=HawkesGuided(_model()))),
-])
-def test_equality_of_array_holders_is_a_bool(make, other):
-    """Models, hour-of-day policies and configs holding them compare their
-    arrays by value; the generated `==` raised ValueError on them."""
-    assert make() == make()
-    assert not make() != make()
-    assert make() != other()
-    assert not make() == other()
+def test_equality_of_array_holders_is_a_bool():
+    """Models and hour-of-day policies compare by identity, as they hold
+    arrays, and configs holding them compare field by field; the generated
+    `==` raised ValueError on them."""
+    model, hod = _model(), EmpiricalHoD(np.full((2, 24), 1 / 24))
+    guided = SimConfig(window=(0, 10), policy=HawkesGuided(model))
+    for a, b in [(model, _model()), (hod, EmpiricalHoD(hod.histograms)),
+                 (guided, SimConfig(window=(0, 10), policy=HawkesGuided(_model()))),
+                 (guided, SimConfig(window=(0, 10), policy=hod))]:
+        assert (a == a) is True and (a != a) is False
+        assert (a == b) is False and (a != b) is True
+    assert guided == SimConfig(window=(0, 10), policy=HawkesGuided(model))
 
 
 def test_hawkes_guided_delegates():
