@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import timeutil
-from .corpus import (EventLog, _json_int, contact_frequencies, simple_digraph_edges,
-                     window as log_window)
+from .corpus import (EventLog, check_kinds, contact_frequencies, field_error, kind_error,
+                     simple_digraph_edges, window as log_window)
 from .rng import choice_cdf, substream, uniform_hash
 from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS
 
@@ -160,8 +160,10 @@ class LLMEndpointConfig:
 
     def __post_init__(self):
         retries = self.max_retries
-        if isinstance(retries, bool) or not isinstance(retries, (int, np.integer)) or retries < 0:
+        if (kind_error("max_retries", retries, int) and not isinstance(retries, np.integer)
+                or retries < 0):
             raise AgentError("max_retries must be >= 0 and an integer")
+        check_kinds(vars(self), AgentError, timeout_seconds=float, backoff_base_seconds=float)
         if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
             raise AgentError("timeout_seconds must be positive and finite")
         # time.sleep raises on a negative, NaN or infinite backoff at the first
@@ -272,11 +274,10 @@ def render_prompt(ctx: AgentContext) -> tuple[str, str]:
 
 
 def parse_decision(content: str, ctx: AgentContext) -> ActionDecision:
-    """Validate and convert the model's JSON reply. Each action's fields
-    follow the JSONL rules: a list of string recipients, an integer or null
-    thread and a string or null body. Unknown recipients and self-addressed
-    recipients are dropped; an action losing all recipients is dropped; a
-    past next_check is clamped and flagged."""
+    """Validate and convert the model's JSON reply. Each action's recipients,
+    thread and body follow the record rules (`corpus.RECORD_FIELDS`). Unknown
+    and self-addressed recipients are dropped; an action losing all
+    recipients is dropped; a past next_check is clamped and flagged."""
     try:
         data = json.loads(content)
         raw_actions = data.get("actions", [])
@@ -293,13 +294,9 @@ def parse_decision(content: str, ctx: AgentContext) -> ActionDecision:
             kind = a["type"]
             if kind not in ("reply", "initiate"):
                 raise LLMDecodeError(f"unknown action type {kind!r}")
-            names, body = a.get("recipients", []), a.get("body")
-            thread = None if a.get("thread") is None else _json_int(a, "thread")
-            # iterating "a01" would read the labels a, 0 and 1
-            if not (isinstance(names, list) and all(isinstance(r, str) for r in names)):
-                raise ValueError(f"recipients {names!r} is not a list of strings")
-            if body is not None and not isinstance(body, str):
-                raise ValueError(f"body {body!r} is not a string")
+            names, thread, body = a.get("recipients", []), a.get("thread"), a.get("body")
+            if error := field_error((("thread", thread), ("recipients", names), ("body", body))):
+                raise ValueError(error)
             recipients = tuple(registry[r] for r in names
                                if r in registry and registry[r] != ctx.agent)
             if not recipients:

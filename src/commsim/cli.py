@@ -197,19 +197,6 @@ def _load_sim_config(path) -> dict:
     return cfg
 
 
-def _setting(cfg: dict, key: str, default, kind: type):
-    """cfg[key], or the default when absent, which must be a `kind`: int,
-    bool, or float for an int or a float (returned as a float), never a bool.
-    int() would run 7.9 as 7, bool() "no" as True and float() true as 1.0.
-    The setting's consumer checks its range, finiteness included."""
-    value = cfg.get(key, default)
-    if (not isinstance(value, (int, float) if kind is float else kind)
-            or isinstance(value, bool) and kind is not bool):
-        name = {int: "an integer", bool: "a boolean", float: "a number"}[kind]
-        raise TypeError(f"{key} {value!r} is not {name}")
-    return float(value) if kind is float else value
-
-
 def _build_policy(name: str, cfg: dict, periodic, follows: bool, fit_cfg, log,
                   hist_window, counters: dict):
     hist = corpus.window(log, *hist_window)
@@ -240,24 +227,27 @@ def cmd_simulate(args) -> int:
         window = _require(cfg, "window", args.config)
         if not isinstance(window, list) or len(window) != 2:
             raise UsageError(f"{args.config}: window must be [start, end]")
-        # validate the run settings before the policy, which may fit a model
+        # validate the run settings (their kinds here, their ranges, finiteness
+        # included, in their consumers) before the policy, which may fit a model
         try:
-            seed = args.seed if args.seed is not None else _setting(cfg, "seed", 42, int)
+            corpus.check_kinds(cfg, TypeError, seed=int, history_days=int, trigger_ratio=float,
+                               max_actions_per_wake=int, llm_adjusts_next_check=bool,
+                               periodic_interval_hours=float)
+            seed = args.seed if args.seed is not None else cfg.get("seed", 42)
             t0 = timeutil.parse_utc(str(window[0]))
             t1 = timeutil.parse_utc(str(window[1]))
             sim_config = simulator.SimConfig(
                 window=(t0, t1),
-                history_days=_setting(cfg, "history_days", 32, int),
-                trigger_ratio=_setting(cfg, "trigger_ratio", 0.10, float),
+                history_days=cfg.get("history_days", 32),
+                trigger_ratio=cfg.get("trigger_ratio", 0.10),
                 seed=seed,
-                max_actions_per_wake=_setting(cfg, "max_actions_per_wake", 5, int),
+                max_actions_per_wake=cfg.get("max_actions_per_wake", 5),
             )
-            follows = _setting(cfg, "llm_adjusts_next_check", False, bool)
+            follows = cfg.get("llm_adjusts_next_check", False)
             hist_window = (t0 - sim_config.history_days * 86400, t0)
             triggers = simulator.select_triggers(log, hist_window,
                                                  sim_config.trigger_ratio, (t0, t1))
-            periodic = simulator.PeriodicSchedule(
-                _setting(cfg, "periodic_interval_hours", 3.0, float))
+            periodic = simulator.PeriodicSchedule(cfg.get("periodic_interval_hours", 3.0))
             fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
             llm_cfg = (agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
                        if args.agent == "llm" else None)
@@ -368,8 +358,8 @@ def _load_trigger_labels(path) -> list[str]:
         data = json.load(fh)
     labels = data["trigger_agents"] if isinstance(data, dict) else data
     # list() would read the string "ab" as the two labels a and b
-    if not (isinstance(labels, list) and all(isinstance(lbl, str) for lbl in labels)):
-        raise ValueError(f"trigger labels {labels!r} are not a list of strings")
+    if error := corpus.kind_error("trigger labels", labels, list):
+        raise ValueError(error)
     return labels
 
 

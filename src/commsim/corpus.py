@@ -17,6 +17,10 @@ of ts <= t asks for the span up to t + 1. A `window` starts with the slice of
 its parent's `ts`, and of `senders` where built. `sent_times` splits the
 columns per sender.
 
+The input rules live here: `kind_error` (and `check_kinds`) for each kind of
+value, which every setting follows, and `RECORD_FIELDS` for each file field,
+which the readers, `Event` and `agents.parse_decision` check by `field_error`.
+
 `EventLog(...)`, `with_events`, `ingest` and `simulator.run`'s result check the
 registry range, the (ts, event_id) order and id uniqueness of what a user or
 an agent supplies. `EventLog._unchecked` skips the check where all three hold
@@ -30,6 +34,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -44,6 +49,48 @@ class CorpusError(ValueError):
     """Malformed input data or an operation on an unsuitable log."""
 
 
+_NULL = type(None)
+
+# kind -> (the types of its values, its name); a bool is never an integer or a
+# number. Converting would read 1.7 and true as 1, "no" as True and "bc" as b, c.
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+          bool: (bool, "a boolean"), str: (str, "a string"), list: (list, "a list of strings")}
+
+# A file field -> the exact types of its JSON values (what the quick tests
+# below accept), its kind first; one that may be null may be left out. A JSONL
+# line is checked in this order, so its first bad field names its error.
+RECORD_FIELDS = {"body": (str, _NULL), "sender": (str,), "recipients": (list,), "id": (int,),
+                 "ts": (int,), "thread": (int, _NULL)}
+_RECORD_TYPES = frozenset(itertools.product(*RECORD_FIELDS.values()))
+_EVENT_TYPES = frozenset(itertools.product(RECORD_FIELDS["thread"], RECORD_FIELDS["body"]))
+_LABEL_TYPES = frozenset((str,))
+
+
+def kind_error(name: str, value, kind: type) -> str | None:
+    """`{name} {value!r} is not <kind>` if `value` breaks the rule of `kind`, else None."""
+    types, text = _KINDS[kind]
+    if not (isinstance(value, types) and (kind is bool or not isinstance(value, bool))
+            and (kind is not list or all(isinstance(r, str) for r in value))):
+        return f"{name} {value!r} is not {text}"
+    return None
+
+
+def check_kinds(settings: dict, error: type, **kinds) -> None:
+    """Raise `error` with the first `kind_error` of the named settings in `settings`."""
+    for name, kind in kinds.items():
+        if name in settings and (message := kind_error(name, settings[name], kind)):
+            raise error(message)
+
+
+def field_error(fields) -> str | None:
+    """The first `kind_error` of `fields`, (name, value) pairs of record fields, or None."""
+    for name, value in fields:
+        kind, *nullable = RECORD_FIELDS[name]
+        if not (nullable and value is None) and (error := kind_error(name, value, kind)):
+            return error
+    return None
+
+
 @dataclass(frozen=True)
 class Event:
     event_id: int
@@ -56,12 +103,10 @@ class Event:
     def __post_init__(self):
         if not self.recipients:
             raise CorpusError(f"event {self.event_id}: empty recipient list")
-        # the JSONL rules, so every log serializes to a file `ingest` accepts
-        thread = self.thread_id
-        if thread is not None and (not isinstance(thread, int) or isinstance(thread, bool)):
-            raise CorpusError(f"event {self.event_id}: thread {thread!r} is not an integer")
-        if self.body is not None and not isinstance(self.body, str):
-            raise CorpusError(f"event {self.event_id}: body {self.body!r} is not a string")
+        # the record rules, so every log serializes to a file `ingest` accepts
+        if (type(self.thread_id), type(self.body)) not in _EVENT_TYPES and (
+                error := field_error((("thread", self.thread_id), ("body", self.body)))):
+            raise CorpusError(f"event {self.event_id}: {error}")
 
 
 @dataclass(frozen=True)
@@ -180,24 +225,15 @@ def build_log(labels_by_event: Sequence[tuple[int, str, Sequence[str], int, int 
     return EventLog._unchecked(registry, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
 
 
-def _json_int(rec: dict, key: str) -> int:
-    value = rec[key]
-    # int() would silently truncate 1.7 and accept true as 1
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{key} {value!r} is not an integer")
-    return value
-
-
 # `json.loads` without its per-call argument checks, which take about a tenth
 # of the reader's time on typical records
 _decode = json.JSONDecoder().decode
 
 
 def _parse_jsonl(text: str):
-    """Records, one per non-blank line. Every value is decoded JSON, so
-    `type(v) is` tests apply the format's rules exactly (a JSON integer is an
-    `int`, never a `bool`); the first field that breaks them names the
-    line's error."""
+    """Records, one per non-blank line. A line that breaks the record rules
+    names the first field, in `RECORD_FIELDS` order, that breaks its rule, or
+    the first required one missing before it."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -207,39 +243,19 @@ def _parse_jsonl(text: str):
             rec = _decode(line)
             if type(rec) is not dict:
                 raise ValueError(f"record {rec!r} is not a JSON object")
-            thread, body = rec.get("thread"), rec.get("body")
-            if body is not None and type(body) is not str:
-                raise ValueError(f"body {body!r} is not a string")
-            sender, recipients = rec["sender"], rec["recipients"]
-            # str() would read the label "5" from 5 and the recipients b, c from "bc"
-            if type(sender) is not str:
-                raise ValueError(f"sender {sender!r} is not a string")
-            if type(recipients) is not list or not all(type(r) is str for r in recipients):
-                raise ValueError(f"recipients {recipients!r} is not a list of strings")
-            # int() would silently truncate 1.7 and accept true as 1
-            event_id = rec["id"]
-            if type(event_id) is not int:
-                raise ValueError(f"id {event_id!r} is not an integer")
-            ts = rec["ts"]
-            if type(ts) is not int:
-                raise ValueError(f"ts {ts!r} is not an integer")
-            if thread is not None and type(thread) is not int:
-                raise ValueError(f"thread {thread!r} is not an integer")
+            body, sender, recipients, event_id, ts, thread = (
+                rec.get("body"), rec.get("sender"), rec.get("recipients"), rec.get("id"),
+                rec.get("ts"), rec.get("thread"))
+            if ((type(body), type(sender), type(recipients), type(event_id), type(ts),
+                 type(thread)) not in _RECORD_TYPES
+                    or not _LABEL_TYPES.issuperset(map(type, recipients))):
+                raise ValueError(field_error((name, rec.get(name) if _NULL in types else rec[name])
+                                             for name, types in RECORD_FIELDS.items()))
         # the decoder recurses once per nesting level: a line of 200,000 "["
         # raises RecursionError
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
         yield event_id, sender, recipients, ts, thread, body
-
-
-def _csv_int(rec: dict, key: str) -> int:
-    value = rec[key]
-    if not timeutil.DECIMAL_INT.fullmatch(value):
-        raise ValueError(f"{key} {value!r} is not an integer")
-    return int(value)
-
-
-_CSV_REQUIRED = ("id", "sender", "recipients", "ts")
 
 
 def _parse_csv(text: str):
@@ -255,14 +271,17 @@ def _parse_csv(text: str):
                 raise ValueError(f"{len(row)} fields, the header has {len(header)}")
             # a short row leaves out its trailing columns, which may only be optional
             rec = dict(zip(header, row))
-            missing = [key for key in _CSV_REQUIRED if key not in rec]
+            missing = [key for key, types in RECORD_FIELDS.items()
+                       if _NULL not in types and key not in rec]
             if missing:
                 raise ValueError(f"missing {', '.join(missing)}")
-            thread = rec.get("thread") or None
-            body = rec.get("body") or None
-            yield (_csv_int(rec, "id"), rec["sender"],
-                   [r for r in rec["recipients"].split(";") if r], _csv_int(rec, "ts"),
-                   _csv_int(rec, "thread") if thread is not None else None, body)
+            # integers as `timeutil.DECIMAL_INT` reads them; other text is left to the rules
+            event_id, ts, thread = (int(t) if t and timeutil.DECIMAL_INT.fullmatch(t) else t
+                                    for t in (rec["id"], rec["ts"], rec.get("thread") or None))
+            if error := field_error((("id", event_id), ("ts", ts), ("thread", thread))):
+                raise ValueError(error)
+            yield (event_id, rec["sender"], [r for r in rec["recipients"].split(";") if r], ts,
+                   thread, rec.get("body") or None)
     except (ValueError, csv.Error) as exc:
         raise CorpusError(f"line {rows.line_num}: {exc}") from exc
 

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import timeutil
-from .corpus import Event, EventLog, sent_times, window as log_window
+from .corpus import Event, EventLog, check_kinds, kind_error, sent_times, window as log_window
 from .rng import choice_cdf, substream
 
 N_BINS = 168
@@ -110,9 +110,9 @@ class HawkesModel:
             raise HawkesError("baseline rates must be finite and nonnegative")
         if np.any(self.alpha < 0) or not np.all(np.isfinite(self.alpha)):
             raise HawkesError("alpha must be finite and nonnegative")
+        check_kinds(vars(self), HawkesError, beta_per_hour=float, diagonal_only=bool)
         if not (math.isfinite(self.beta_per_hour) and self.beta_per_hour > 0):
             raise HawkesError("beta must be positive and finite")
-        _check_bool("diagonal_only", self.diagonal_only)
         if self.diagonal_only and np.any(self.alpha * (1 - np.eye(d)) != 0):
             raise HawkesError("diagonal_only model has nonzero off-diagonal alpha")
         self.baselines.setflags(write=False)
@@ -160,15 +160,7 @@ def model_from_dict(d: dict) -> HawkesModel:
         alpha = np.diag(np.array(d["alpha"]["diag"], dtype=float))
     else:
         alpha = np.array(d["alpha"], dtype=float)
-    beta = d["beta_per_hour"]
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)):  # float() reads "2"
-        raise HawkesError(f"beta_per_hour {beta!r} is not a number")
-    return HawkesModel(agents, baselines, alpha, float(beta), d["diagonal_only"])
-
-
-def _check_bool(name: str, value) -> None:
-    if not isinstance(value, bool):  # bool() would read "no" as True
-        raise HawkesError(f"{name} {value!r} is not a boolean")
+    return HawkesModel(agents, baselines, alpha, d["beta_per_hour"], d["diagonal_only"])
 
 
 def load_model(path) -> HawkesModel:
@@ -190,11 +182,12 @@ class FitConfig:
     baseline_floor: float = 1e-6
 
     def __post_init__(self):
-        _check_bool("diagonal_only", self.diagonal_only)
         beta, iters = self.beta_override, self.max_iters
+        check_kinds(vars(self), HawkesError, diagonal_only=bool, tolerance=float,
+                    baseline_floor=float, **({} if beta is None else {"beta_override": float}))
         if beta is not None and not (math.isfinite(beta) and beta > 0):
             raise HawkesError("beta_override must be positive and finite")
-        if (isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters <= 0
+        if (kind_error("max_iters", iters, int) and not isinstance(iters, np.integer) or iters <= 0
                 or not all(math.isfinite(x) and x > 0 for x in (self.tolerance, self.baseline_floor))):
             raise HawkesError("max_iters, tolerance and baseline_floor must be positive, "
                               "max_iters an integer and the others finite")

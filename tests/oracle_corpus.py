@@ -1,7 +1,8 @@
 """The per-event scans that the cached columns, `EventLog.span` and
 `corpus.sent_times` replaced, kept as oracles of the column readers, the
 checked `build_log` that the internal constructor replaced, and the JSONL
-reader that `corpus._parse_jsonl`'s one-decode accept test replaced."""
+reader, with its own field checks, that `corpus._parse_jsonl`'s one-decode
+read and the shared record rules (`corpus.RECORD_FIELDS`) replaced."""
 
 import json
 import math
@@ -9,7 +10,7 @@ import math
 import numpy as np
 
 from commsim import timeutil
-from commsim.corpus import CorpusError, Event, EventLog, _json_int, build_log, window
+from commsim.corpus import CorpusError, Event, EventLog, build_log, window
 from commsim.hawkes import SECONDS_PER_HOUR, ExcitationState
 from commsim.simulator import SimulationError, TriggerPlan
 
@@ -49,6 +50,14 @@ def oracle_build_log(records) -> EventLog:
     return EventLog(registry, ()).with_events(
         Event(event_id, index[s], tuple(index[r] for r in rs), ts, thread_id=thread, body=body)
         for event_id, s, rs, ts, thread, body in records)
+
+
+def _json_int(rec: dict, key: str) -> int:
+    value = rec[key]
+    # int() would silently truncate 1.7 and accept true as 1
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return value
 
 
 def parse_jsonl(text: str):

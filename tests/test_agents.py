@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commsim import agents, rng as rng_mod
+from commsim import agents, corpus, rng as rng_mod
 from commsim.agents import (LLMDecodeError, LLMEndpointConfig, LLMPolicy,
                             LLMTransportError, StubParams, parse_decision,
                             render_prompt, stub_decide, stub_params_from_history)
@@ -293,6 +293,35 @@ def test_parse_rejects_garbage():
                 parse_decision(json.dumps(payload), ctx)
 
 
+_BAD_VALUES = {int: ["7", 1.7, True, [1]], str: [5, {"x": 1}, False, ["hi"]],
+               list: ["a01", ["a01", 2], {"a01": 1}, None]}
+_KIND_TEXT = {int: "an integer", str: "a string", list: "a list of strings"}
+
+
+@pytest.mark.parametrize("field,value", [
+    (name, value) for name, (kind, *_) in corpus.RECORD_FIELDS.items()
+    if name in ("thread", "recipients", "body") for value in _BAD_VALUES[kind]])
+def test_one_rule_one_text(tmp_path, field, value):
+    """A bad field gets the same text from JSONL ingest, `Event` (which has
+    no label fields) and an LLM reply: each applies the one record rule."""
+    message = f"{field} {value!r} is not {_KIND_TEXT[corpus.RECORD_FIELDS[field][0]]}"
+    good = {"id": 1, "sender": "a00", "recipients": ["a01"], "ts": 0, "thread": 4, "body": "x"}
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": 2, field: value}) + "\n")
+    with pytest.raises(corpus.CorpusError) as exc:
+        corpus.ingest(path)
+    assert str(exc.value) == f"line 2: {message}"
+    if field != "recipients":
+        with pytest.raises(corpus.CorpusError) as exc:
+            Event(1, 0, (1,), 5, **{"thread_id" if field == "thread" else field: value})
+        assert str(exc.value) == f"event 1: {message}"
+    payload = good_payload()
+    payload["actions"][0][field] = value
+    with pytest.raises(LLMDecodeError) as exc:
+        parse_decision(json.dumps(payload), make_ctx())
+    assert str(exc.value) == f"undecodable decision: {message}"
+
+
 # ---------------------------------------------------------------------------
 # transport
 
@@ -312,6 +341,9 @@ def make_policy(transport, max_retries=2):
     ("timeout_seconds", 0.0), ("max_retries", 1.5), ("max_retries", True),
     ("max_retries", -1), ("backoff_base_seconds", -1.0),
     ("backoff_base_seconds", float("nan")), ("backoff_base_seconds", float("inf")),
+    # float() and math.isfinite() read true as 1.0 and refuse "x" with a bare TypeError
+    ("timeout_seconds", True), ("backoff_base_seconds", True),
+    ("timeout_seconds", "x"), ("backoff_base_seconds", "x"),
 ])
 def test_endpoint_config_rejects_bad_settings(field, value):
     with pytest.raises(agents.AgentError, match=field):

@@ -500,6 +500,10 @@ def test_simulate_model_file_missing_key_exits_2(tmp_path):
     ("hawkes", {"fit": {"diagonal_only": "no"}}, "diagonal_only 'no' is not a boolean"),
     # int() would read this as SIM_T0; CSV ingest does not
     ("periodic", {"window": [f"+{SIM_T0}", SIM_T1]}, "unrecognized timestamp"),
+    # math.isfinite() reads true as 1.0 and refuses "2" without naming the key
+    ("hawkes", {"fit": {"beta_override": True}}, "beta_override True is not a number"),
+    ("hawkes", {"fit": {"tolerance": True}}, "tolerance True is not a number"),
+    ("hawkes", {"fit": {"beta_override": "2"}}, "beta_override '2' is not a number"),
 ])
 def test_simulate_invalid_config_exits_2(tmp_path, capsys, policy, overrides, message):
     out = tmp_path / "o"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,21 @@ def test_fit_beta_override_and_preconditions(mini_log, mini_manifest):
 def test_fit_config_rejects_bad_settings(field, value):
     with pytest.raises(HawkesError, match="must be positive"):
         FitConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("beta_override", True), ("tolerance", True), ("baseline_floor", True),
+    ("beta_override", "2"), ("tolerance", "x"), ("beta_per_hour", True), ("beta_per_hour", "2"),
+])
+def test_fit_config_and_model_reject_a_non_number(field, value):
+    """math.isfinite() reads true as 1.0: a fit with beta_override=True wrote
+    a model.json with "beta_per_hour": true that load_model refused."""
+    message = f"^{field} {re.escape(repr(value))} is not a number$"
+    with pytest.raises(HawkesError, match=message):
+        if field == "beta_per_hour":
+            HawkesModel(("a",), np.ones((1, 168)), np.zeros((1, 1)), value, True)
+        else:
+            FitConfig(**{field: value})
 
 
 @pytest.mark.parametrize("value", ["no", 0, None])

@@ -14,6 +14,8 @@ without their module or class.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import commsim
@@ -59,3 +61,31 @@ def test_every_src_method_has_a_caller_outside_the_tests():
                if isinstance(node, FUNCTION) and node.name not in allowed
                and not (node.name.startswith("__") and node.name.endswith("__"))]
     assert orphans == []
+
+
+def test_each_is_not_phrase_is_written_once():
+    """An input rule's error text, `{name} {value!r} is not <kind>`, is written
+    at one place: each `is not ...` ending of a string literal in
+    `src/commsim` (an f-string read with `{}` for each placeholder, docstrings
+    left out) appears once, and each kind name once in all, as a literal of
+    its own or as such an ending."""
+    texts = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = parse(path)
+        skip = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTION))
+                and node.body and isinstance(node.body[0], ast.Expr)}
+        skip |= {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                 for part in node.values}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                texts.append("".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                     for part in node.values))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in skip):
+                texts.append(node.value)
+    kinds = ["an integer", "a number", "a boolean", "a string", "a list of strings"]
+    places = Counter(m.group(1) for text in texts if (m := re.search(r"\bis not (.+)$", text)))
+    places.update(text for text in texts if text in kinds)
+    assert [phrase for phrase, n in places.items() if n > 1] == []
+    assert [places[kind] for kind in kinds] == [1] * len(kinds)
