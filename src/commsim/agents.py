@@ -26,10 +26,16 @@ import numpy as np
 from . import timeutil
 from .corpus import (EventLog, check_kinds, contact_frequencies, field_error, kind_error,
                      simple_digraph_edges, window as log_window)
-from .rng import choice_cdf, substream, uniform_hash
+from .rng import (choice_cdf, pcg64_states, set_pcg64_state, stream_seed, substream,
+                  uniform_hash)
 from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS
 
 DEFAULT_NEXT_CHECK_GAP = 3 * 3600
+# the fewest `initiate` keys that `StubPolicy.prepare` seeds in one batch.
+# The batch has a fixed cost of about 55 us, then 1.2 us a key, against 5 us
+# a key for `default_rng`: 14 keys cost the same either way (2 shared vCPUs,
+# numpy 2.4), 16 cost 75 against 82 us
+_BATCH_MIN_KEYS = 16
 
 
 class AgentError(RuntimeError):
@@ -97,16 +103,37 @@ def stub_params_from_history(log: EventLog, window: tuple[int, int],
 
 @dataclass(frozen=True)
 class StubPolicy:
+    """`stub_decide` as an agent policy. `prepare` seeds the `initiate`
+    generators of a batch of wakes at once (`rng.pcg64_states`); a wake's
+    decision then reads its generator from that batch, which draws exactly
+    as `substream` would have."""
     params: StubParams
+    # (agent, now) -> (state, inc) of the wake's `initiate` generator, a
+    # function of (params.seed, agent, now): an aborted run's leftovers hold
+    _initiate: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rng: np.random.Generator = field(default_factory=np.random.default_rng, init=False,
+                                      repr=False, compare=False)
+
+    def prepare(self, now: int, agents: list[int]) -> None:
+        rate = self.params.initiate_rate
+        drawing = [a for a in agents if rate[a] > 0]
+        if len(drawing) >= _BATCH_MIN_KEYS:
+            keys = [stream_seed(self.params.seed, "initiate", a, now) for a in drawing]
+            self._initiate.update(zip([(a, now) for a in drawing], pcg64_states(keys)))
 
     def decide(self, ctx: AgentContext) -> ActionDecision:
-        return stub_decide(self.params, ctx)
+        state = self._initiate.pop((ctx.agent, ctx.now), None) if self._initiate else None
+        return stub_decide(self.params, ctx,
+                           None if state is None else set_pcg64_state(self._rng, *state))
 
 
-def stub_decide(params: StubParams, ctx: AgentContext) -> ActionDecision:
+def stub_decide(params: StubParams, ctx: AgentContext,
+                initiate_rng: np.random.Generator | None = None) -> ActionDecision:
     """Deterministic statistical decision: answer each unread message with
     the calibrated reply probability, initiate at the calibrated daily rate
-    over the time since the last check, bodies are placeholders."""
+    over the time since the last check, bodies are placeholders.
+    `initiate_rng`, if given, is the wake's `initiate` substream, already
+    made."""
     agent = ctx.agent
     actions = []
     for e in ctx.unread:
@@ -120,7 +147,8 @@ def stub_decide(params: StubParams, ctx: AgentContext) -> ActionDecision:
     elapsed_days = max(0.0, (ctx.now - since) / 86400)
     rate = float(params.initiate_rate[agent])
     if rate > 0 and elapsed_days > 0:
-        rng = substream(params.seed, "initiate", agent, ctx.now)
+        rng = (initiate_rng if initiate_rng is not None
+               else substream(params.seed, "initiate", agent, ctx.now))
         n_init = int(rng.poisson(rate * elapsed_days))
         n_agents = params.contact_dist.shape[1]
         for k in range(n_init):
@@ -163,7 +191,8 @@ class LLMEndpointConfig:
         if (kind_error("max_retries", retries, int) and not isinstance(retries, np.integer)
                 or retries < 0):
             raise AgentError("max_retries must be >= 0 and an integer")
-        check_kinds(vars(self), AgentError, timeout_seconds=float, backoff_base_seconds=float)
+        check_kinds(vars(self), AgentError, timeout_seconds=float, backoff_base_seconds=float,
+                    temperature=float, request_seed=int)
         if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
             raise AgentError("timeout_seconds must be positive and finite")
         # time.sleep raises on a negative, NaN or infinite backoff at the first

@@ -227,11 +227,10 @@ def cmd_simulate(args) -> int:
         window = _require(cfg, "window", args.config)
         if not isinstance(window, list) or len(window) != 2:
             raise UsageError(f"{args.config}: window must be [start, end]")
-        # validate the run settings (their kinds here, their ranges, finiteness
-        # included, in their consumers) before the policy, which may fit a model
+        # each consumer checks its settings before the policy, which may fit a model;
+        # here only keys a consumer may not see (--seed, other policies) or renames
         try:
-            corpus.check_kinds(cfg, TypeError, seed=int, history_days=int, trigger_ratio=float,
-                               max_actions_per_wake=int, llm_adjusts_next_check=bool,
+            corpus.check_kinds(cfg, TypeError, seed=int, llm_adjusts_next_check=bool,
                                periodic_interval_hours=float)
             seed = args.seed if args.seed is not None else cfg.get("seed", 42)
             t0 = timeutil.parse_utc(str(window[0]))

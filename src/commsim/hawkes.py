@@ -153,6 +153,8 @@ class HawkesModel:
 
 
 def model_from_dict(d: dict) -> HawkesModel:
+    if error := kind_error("agents", d["agents"], list):
+        raise HawkesError(error)  # tuple() would read "ab" as the agents a and b
     agents = tuple(d["agents"])
     n = len(agents)
     baselines = np.array(d["baselines"], dtype=float).reshape(n, N_BINS)

@@ -14,6 +14,14 @@ injections first (by event id), then wakes by agent index. The loop is
 single-threaded; all randomness flows from named sub-streams of the run
 seed, so a (seed, inputs) pair reproduces byte-identical output.
 
+An agent policy may define `prepare(now, agents)` besides `decide`. When
+more than one wake is due at one timestamp (every slot of a
+`PeriodicSchedule`), `run` calls it once, after that timestamp's trigger
+injections and before the first of those wakes, with the waking agents in
+wake order. It lets a policy do the wakes' context-free work in one batch
+(`agents.StubPolicy` seeds their generators). It must not change any
+decision: a rollout is the same whether the policy defines it or not.
+
 A rollout is linear in its events. Two incremental structures are updated
 as each event is appended, instead of rescanning the log on every wake:
 the policy's excitation state (`hawkes.ExcitationState`, pre-window
@@ -37,7 +45,7 @@ from typing import Protocol
 import numpy as np
 
 from . import hawkes, timeutil
-from .corpus import Event, EventLog, window as log_window, simple_digraph_edges
+from .corpus import Event, EventLog, check_kinds, window as log_window, simple_digraph_edges
 from .rng import substream
 
 MIN_CLAMP_SECONDS = 60
@@ -82,6 +90,7 @@ class PeriodicSchedule(ActivationPolicy):
     interval_hours: float = 3.0
 
     def __post_init__(self):
+        check_kinds(vars(self), SimulationError, interval_hours=float)
         if not (math.isfinite(self.interval_hours) and self.interval_hours * 3600 >= 1):
             raise SimulationError("interval must be at least 1 second and finite")
 
@@ -139,6 +148,9 @@ class HawkesGuided(ActivationPolicy):
     with zero alpha off the diagonal (the default fit) is exact."""
     model: hawkes.HawkesModel
     llm_adjusts_next_check: bool = False
+
+    def __post_init__(self):
+        check_kinds(vars(self), SimulationError, llm_adjusts_next_check=bool)
 
     @property
     def follows_decision(self) -> bool:
@@ -272,6 +284,8 @@ class ActionDecision:
 
 
 class AgentPolicy(Protocol):
+    """What `run` asks of an agent; it may also define the optional
+    `prepare(now, agents)` hook of the module docstring."""
     def decide(self, ctx: AgentContext) -> ActionDecision: ...
 
 
@@ -285,6 +299,8 @@ class SimConfig:
     policy: ActivationPolicy = field(default_factory=PeriodicSchedule)
 
     def __post_init__(self):
+        check_kinds(vars(self), SimulationError, history_days=int, trigger_ratio=float, seed=int,
+                    max_actions_per_wake=int)
         t0, t1 = self.window
         if t1 <= t0:
             raise SimulationError("empty simulation window")
@@ -294,10 +310,6 @@ class SimConfig:
             raise SimulationError("trigger_ratio outside [0, 1]")
         if self.max_actions_per_wake <= 0:
             raise SimulationError("max_actions_per_wake must be positive")
-
-
-def _ts(e: Event) -> int:
-    return e.ts
 
 
 class ContextIndex:
@@ -322,6 +334,7 @@ class ContextIndex:
         n = history.n_agents
         self.sent: list[list[Event]] = [[] for _ in range(n)]
         self.received: list[list[Event]] = [[] for _ in range(n)]
+        self.received_ts: list[list[int]] = [[] for _ in range(n)]  # parallel to received
         for e in history.events[history.span(*self.span)]:
             self.add(e)
         self.cadence = [cadence_summary(sent, self.span) for sent in self.sent]
@@ -331,13 +344,14 @@ class ContextIndex:
         for r in set(e.recipients):
             if r != e.sender:
                 self.received[r].append(e)
+                self.received_ts[r].append(e.ts)
 
     def context(self, agent: int, t_now: int, last_check: int | None,
                 suggested_next: int | None, persona: str | None = None) -> AgentContext:
         """The agent's view at t_now; every filed event has ts <= t_now."""
         since = last_check if last_check is not None else self.takeover - 1
         received = self.received[agent]
-        first_unread = bisect_right(received, since, key=_ts)
+        first_unread = bisect_right(self.received_ts[agent], since)
         return AgentContext(
             agent=agent,
             label=self.history.agents[agent],
@@ -438,47 +452,57 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
             counters["trigger_events"] += 1
             continue
 
-        agent = key
-        counters["wakes"] += 1
-        # the policy's suggestion shown to the agent; unless the policy
-        # follows the decision or redraws, it is also the next wake
-        suggested = config.policy.draw(agent, excitation, ts, t1, wake_rng[agent])
-
-        ctx = index.context(agent, ts, last_check[agent], suggested, personas.get(agent))
-        try:
-            decision = policy_impl.decide(ctx)
-        except Exception as exc:
-            raise SimulationAborted(f"agent {agent} policy failed at {ts}: {exc}",
-                                    history.with_events(sim_events)) from exc
-
-        actions = decision.actions[:config.max_actions_per_wake]
-        if len(decision.actions) > config.max_actions_per_wake:
-            counters["actions_truncated"] += 1
-        for action in actions:
-            if any(not 0 <= r < history.n_agents for r in action.recipients):
-                raise SimulationError(f"agent {agent}: recipient outside registry "
-                                      f"in {action.recipients} at {ts}")
-            recipients = tuple(r for r in action.recipients if r != agent)
-            if not recipients:
-                continue
-            append(Event(next_id, agent, recipients, ts, action.thread_id, action.body))
-            next_id += 1
-            counters["organic_events"] += 1
-        last_check[agent] = ts
-
-        if decision.next_check_clamped:
-            counters["next_check_clamps"] += 1
-        if config.policy.follows_decision:
-            nxt = decision.next_check
-            if nxt <= ts:
-                nxt = ts + MIN_CLAMP_SECONDS
-                counters["next_check_clamps"] += 1
-        elif config.policy.redraws:
-            nxt = config.policy.draw(agent, excitation, ts, t1, wake_rng[agent])
+        # the wakes due at ts, in queue order (triggers at ts sort before them);
+        # a lone wake, the rule under HawkesGuided, skips the batch
+        if queue and queue[0][0] == ts:
+            due = [key]
+            while queue and queue[0][0] == ts:
+                due.append(heapq.heappop(queue)[2])
+            if hasattr(policy_impl, "prepare"):
+                policy_impl.prepare(ts, due)
         else:
-            nxt = suggested
-        _check_wake(nxt, ts, agent)
-        if nxt is not None and nxt < t1:
-            heapq.heappush(queue, (nxt, _QK_WAKE, agent))
+            due = (key,)
+        for agent in due:
+            counters["wakes"] += 1
+            # the policy's suggestion shown to the agent; unless the policy
+            # follows the decision or redraws, it is also the next wake
+            suggested = config.policy.draw(agent, excitation, ts, t1, wake_rng[agent])
+
+            ctx = index.context(agent, ts, last_check[agent], suggested, personas.get(agent))
+            try:
+                decision = policy_impl.decide(ctx)
+            except Exception as exc:
+                raise SimulationAborted(f"agent {agent} policy failed at {ts}: {exc}",
+                                        history.with_events(sim_events)) from exc
+
+            actions = decision.actions[:config.max_actions_per_wake]
+            if len(decision.actions) > config.max_actions_per_wake:
+                counters["actions_truncated"] += 1
+            for action in actions:
+                if any(not 0 <= r < history.n_agents for r in action.recipients):
+                    raise SimulationError(f"agent {agent}: recipient outside registry "
+                                          f"in {action.recipients} at {ts}")
+                recipients = tuple(r for r in action.recipients if r != agent)
+                if not recipients:
+                    continue
+                append(Event(next_id, agent, recipients, ts, action.thread_id, action.body))
+                next_id += 1
+                counters["organic_events"] += 1
+            last_check[agent] = ts
+
+            if decision.next_check_clamped:
+                counters["next_check_clamps"] += 1
+            if config.policy.follows_decision:
+                nxt = decision.next_check
+                if nxt <= ts:
+                    nxt = ts + MIN_CLAMP_SECONDS
+                    counters["next_check_clamps"] += 1
+            elif config.policy.redraws:
+                nxt = config.policy.draw(agent, excitation, ts, t1, wake_rng[agent])
+            else:
+                nxt = suggested
+            _check_wake(nxt, ts, agent)
+            if nxt is not None and nxt < t1:
+                heapq.heappush(queue, (nxt, _QK_WAKE, agent))
 
     return history.with_events(sim_events)

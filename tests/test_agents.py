@@ -344,6 +344,9 @@ def make_policy(transport, max_retries=2):
     # float() and math.isfinite() read true as 1.0 and refuse "x" with a bare TypeError
     ("timeout_seconds", True), ("backoff_base_seconds", True),
     ("timeout_seconds", "x"), ("backoff_base_seconds", "x"),
+    # both go into every request payload as they are
+    ("temperature", "hot"), ("temperature", True), ("request_seed", True),
+    ("request_seed", 4.2),
 ])
 def test_endpoint_config_rejects_bad_settings(field, value):
     with pytest.raises(agents.AgentError, match=field):

@@ -323,6 +323,9 @@ def test_fit_config_rejects_non_bool_diagonal_only(value):
     ("diagonal_only", 1, "diagonal_only 1 is not a boolean"),
     ("beta_per_hour", "2", "beta_per_hour '2' is not a number"),
     ("beta_per_hour", True, "beta_per_hour True is not a number"),
+    # tuple() would read "ab" as the two agents a and b
+    ("agents", "ab", "agents 'ab' is not a list of strings"),
+    ("agents", ["a", 2], r"agents \['a', 2\] is not a list of strings"),
 ])
 def test_model_from_dict_rejects_wrong_types(field, value, message):
     d = json.loads(const_model(n=2, mu=0.5, alpha=0.3).to_json())

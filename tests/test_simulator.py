@@ -7,8 +7,9 @@ from commsim.simulator import (MIN_CLAMP_SECONDS, ActionDecision, Action, Empiri
                                HawkesGuided, LLMPredicted, PeriodicSchedule, SimConfig,
                                SimulationAborted, SimulationError, TriggerPlan,
                                build_context, run, select_triggers)
-from commsim.rng import substream
+from commsim.rng import pcg64_states, substream
 
+import oracle_agents
 from conftest import BASE_MONDAY, ZeroDraws
 from oracle_simulator import next_activation
 
@@ -93,6 +94,29 @@ def test_periodic_rejects_sub_second_interval():
         PeriodicSchedule(float("nan"))
     assert PeriodicSchedule(1 / 3600).step_seconds == 1
     assert PeriodicSchedule(3.0).step_seconds == 3 * HOUR
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"history_days": True}, "history_days True is not an integer"),
+    ({"history_days": 3.5}, "history_days 3.5 is not an integer"),
+    ({"trigger_ratio": True}, "trigger_ratio True is not a number"),
+    ({"seed": 1.5}, "seed 1.5 is not an integer"),
+    ({"max_actions_per_wake": 2.5}, "max_actions_per_wake 2.5 is not an integer"),
+])
+def test_sim_config_rejects_settings_of_the_wrong_kind(settings, message):
+    with pytest.raises(SimulationError, match=message):
+        SimConfig(window=(0, 10), **settings)
+
+
+def test_policies_reject_settings_of_the_wrong_kind():
+    # the step would be round(True * 3600) seconds
+    with pytest.raises(SimulationError, match="interval_hours True is not a number"):
+        PeriodicSchedule(True)
+    with pytest.raises(SimulationError, match="interval_hours '3' is not a number"):
+        PeriodicSchedule("3")
+    model = hawkes.HawkesModel(("a",), np.full((1, 168), 0.1), np.zeros((1, 1)), 1.0, True)
+    with pytest.raises(SimulationError, match="llm_adjusts_next_check 'no' is not a boolean"):
+        HawkesGuided(model, llm_adjusts_next_check="no")
 
 
 def test_hod_degenerate_histogram():
@@ -548,3 +572,104 @@ def test_collapse_floor_with_triggers(mini_log, mini_manifest):
     out = run(cfg, mini_log, agents.StubPolicy(params), plan)
     days = {(e.ts - s0) // DAY for e in out.events}
     assert days == set(range(8))
+
+
+# ---------------------------------------------------------------------------
+# batched wakes: `prepare`
+
+
+class OracleStub:
+    """The stub decision through `substream`, without a `prepare` hook."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def decide(self, ctx):
+        return oracle_agents.oracle_stub_decide(self.params, ctx)
+
+
+class PrepareSpy:
+    """Delegating AgentPolicy that logs every `prepare` and `decide` call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def prepare(self, now, agents_due):
+        self.calls.append(("prepare", now, list(agents_due)))
+        self.inner.prepare(now, agents_due)
+
+    def decide(self, ctx):
+        self.calls.append(("decide", ctx.now, ctx.agent))
+        return self.inner.decide(ctx)
+
+
+def _slot_rollout(n_organic):
+    """Two trigger agents and n_organic stub agents on a 3-hour schedule
+    over two days: trigger mail lands on wake slots and between them, every
+    agent initiates and replies."""
+    rng = np.random.default_rng(n_organic)
+    n = n_organic + 2
+    t0 = BASE_MONDAY + 4 * DAY
+    step = 3 * HOUR
+    events = []
+    for ts in np.sort(rng.integers(BASE_MONDAY, t0, 12 * n)):
+        sender = int(rng.integers(n))
+        events.append((sender, (sender + 1 + int(rng.integers(n - 1))) % n, int(ts)))
+    for k in range(1, 16):
+        events.append((k % 2, 2 + k % n_organic, t0 + k * step))        # on a slot
+        events.append((k % 2, 2 + (3 * k) % n_organic, t0 + k * step + 7))
+    events.sort(key=lambda e: e[2])
+    log = EventLog(tuple(f"a{i:02d}" for i in range(n)),
+                   tuple(Event(k, s, (r,), ts) for k, (s, r, ts) in enumerate(events)))
+    triggers = frozenset({0, 1})
+    scheduled = tuple(e for e in log.events if e.sender in triggers and e.ts >= t0)
+    plan = TriggerPlan(triggers, EventLog(log.agents, scheduled))
+    cfg = SimConfig(window=(t0, t0 + 2 * DAY), history_days=4, seed=7,
+                    policy=PeriodicSchedule(3.0))
+    params = agents.stub_params_from_history(log, (BASE_MONDAY, t0), seed=7)
+    assert np.all(params.initiate_rate[2:] > 0)
+    return cfg, log, plan, params
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_batched_stub_rollout_matches_substream_stub(offset, monkeypatch):
+    """Around the break-even size the batched StubPolicy writes the rollout
+    of the `substream` oracle byte for byte, and batches exactly when the
+    due wakes reach that size; `prepare` sees each slot's due agents once,
+    in agent-index order, before their wakes."""
+    n_organic = agents._BATCH_MIN_KEYS + offset
+    cfg, log, plan, params = _slot_rollout(n_organic)
+    batches = []
+
+    def counting(keys):
+        batches.append(len(keys))
+        return pcg64_states(keys)
+
+    monkeypatch.setattr(agents, "pcg64_states", counting)
+    spy = PrepareSpy(agents.StubPolicy(params))
+    out = run(cfg, log, spy, plan)
+    want = run(cfg, log, OracleStub(params), plan)
+    assert serialize(out) == serialize(want)
+    assert any(e.ts in {t for _, t, _ in spy.calls} for e in plan.scheduled_events.events)
+    organic = list(range(2, 2 + n_organic))
+    slots = sorted({now for kind, now, _ in spy.calls})
+    assert len(slots) == 15
+    for now in slots:
+        at_now = [c for c in spy.calls if c[1] == now]
+        assert at_now == [("prepare", now, organic)] + [("decide", now, a) for a in organic]
+    assert batches == ([n_organic] * 15 if n_organic >= agents._BATCH_MIN_KEYS else [])
+
+
+def test_single_wakes_are_not_prepared(mini_log, mini_manifest):
+    """A wake alone at its timestamp reaches `decide` without `prepare`."""
+    h0, h1 = mini_manifest["history_window"]
+    model = hawkes.fit(mini_log, (h0, h1), hawkes.FitConfig(max_iters=40))
+    cfg, plan = _mini_setup(mini_log, mini_manifest, policy=HawkesGuided(model))
+    params = agents.stub_params_from_history(mini_log, (h0, h1), seed=42)
+    spy = PrepareSpy(agents.StubPolicy(params))
+    out = run(cfg, mini_log, spy, plan)
+    assert serialize(out) == serialize(run(cfg, mini_log, OracleStub(params), plan))
+    wakes = [now for kind, now, _ in spy.calls]
+    assert len(wakes) == len(set(wakes)) > 0
+    assert {kind for kind, _, _ in spy.calls} == {"decide"}
