@@ -9,11 +9,21 @@ plus exponentially decaying excitation from past events:
 with beta shared across agents (units 1/hour; elapsed times in hours).
 Excitation attaches to an event's sender and timestamp only; recipients do
 not excite. Parameters are fitted by maximizing the exact log-likelihood
-(concave in mu and alpha for fixed beta), one agent at a time, with
-projected gradient ascent on one vector x = (mu_i, alpha_i) held
-componentwise above (baseline_floor, 0). Each coordinate steps along its
-gradient over its curvature, and the step is halved until the likelihood
-does not fall.
+(concave in mu and alpha for fixed beta), which splits into one term per
+agent: projected gradient ascent on one vector x = (mu_i, alpha_i) per
+agent, held componentwise above (baseline_floor, 0). Each coordinate steps
+along its gradient over its curvature, and the step is halved until the
+likelihood does not fall.
+
+The agents ascend in blocks that take their steps together
+(`_ascend_block`), each holding at most `_ASCENT_BLOCK_BYTES` more than the
+largest agent alone, S**2 included. Each elementwise step and both
+bincounts run once per block and round; the reductions whose float order
+BLAS or pairwise summation fixes (the matvecs on S, the sum of log
+intensities, the dot products) run once per agent on its own rows, as a
+one-agent ascent runs them. So each agent's floats, stop reason and error
+are those of a one-agent ascent, which `tests/oracle_hawkes.py` keeps as
+the oracle.
 
 Both samplers draw from one Ogata (1981) thinning kernel, `_thinning`. It
 steps from interval to interval, none longer than an hour: each step takes
@@ -68,6 +78,7 @@ zeros.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -84,6 +95,16 @@ SECONDS_PER_HOUR = 3600.0
 # benchmark's rollouts a wake walks a median of 12 hour steps and about a
 # tenth walk more than 64; blocks of 32 and 128 were slower there
 _WAKE_BLOCK = 64
+# bytes an ascent block may hold beyond the largest agent, which a
+# one-agent ascent holds anyway; an agent holds its S**2, _ROW_ARRAYS arrays
+# of 168 + m floats and _EVENT_ARRAYS floats per event. With 2 vCPUs: on the
+# benchmark's 100-agent full fit, blocks of about 13 agents take the ascent
+# from 15.6 to 9.7 ms a fit (1 MiB more took 1-2 MiB more peak RSS); at 1000
+# agents, where one agent's S**2 is about 100 KB, blocks of about 15 keep
+# the ascent as fast as one agent at a time (256 KiB blocks of one or two
+# agents made it 1.17x slower).
+_ASCENT_BLOCK_BYTES = 1 << 18
+_ROW_ARRAYS, _EVENT_ARRAYS = 5, 12
 
 
 class HawkesError(ValueError):
@@ -272,11 +293,22 @@ def _excitation_weights(source_ts: np.ndarray, t0: int, t1: int, beta: float) ->
     return float(np.sum(up - lo))
 
 
+_NONPOSITIVE = "nonpositive intensity at an event; raise baseline_floor"
+
+
 @dataclass
 class _AgentTerms:
     """Precomputed per-agent quantities; the log-likelihood of agent i is
     sum_k log(mu[bins[k]] + beta * S[k] @ alpha_row) - mu @ bin_hours
-    - alpha_row @ weights."""
+    - alpha_row @ weights.
+
+    The block ascent stacks the events of its agents, `bins` keyed by
+    row * 168 + bin, and takes the elementwise terms once per block. The
+    sums stay per agent, on `S`, `weights` and the agent's slice of the
+    stacked arrays: the matvecs on `S`, the pairwise sum of the log
+    intensities and the two dot products see this agent's values alone, in
+    the shapes a one-agent ascent gives them, so their float order is
+    unchanged."""
     bins: np.ndarray      # (n_i,) flat weekly bin of each in-window event
     S: np.ndarray         # (n_i, m) decayed source sums per fitted column
     weights: np.ndarray   # (m,) integral weight per fitted column
@@ -332,7 +364,7 @@ def _agent_ll(terms: _AgentTerms, mu: np.ndarray, alpha_row: np.ndarray,
     lam = mu[terms.bins] + beta * (terms.S @ alpha_row)
     # the array methods run the same reductions as np.any and np.sum, minus their wrappers
     if (lam <= 0).any():
-        raise HawkesError("nonpositive intensity at an event; raise baseline_floor")
+        raise HawkesError(_NONPOSITIVE)
     return float(np.log(lam).sum() - mu @ bin_hours - alpha_row @ terms.weights), lam
 
 
@@ -370,68 +402,229 @@ def median_gap_beta(log: EventLog, window: tuple[int, int]) -> float:
     return SECONDS_PER_HOUR / max(med, 1.0)
 
 
-def _maximize_agent(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
-                    cfg: FitConfig) -> tuple[np.ndarray, np.ndarray, str]:
-    """Projected gradient ascent with backtracking on one agent's concave
-    likelihood. Ascent directions are scaled per coordinate by the inverse
-    diagonal curvature, which keeps the baseline bins and the excitation
-    weights moving at comparable speed. Returns (mu, alpha_row_compact,
-    stop): "converged" when the gain fell below the tolerance (or the agent
-    has no events), "max_iters" when the iteration budget ran out, and
-    "backtracking_failed" when no step along the ascent direction kept the
-    likelihood from falling. Each iteration starts from the intensities the
-    accepted candidate's likelihood computed.
+def _ascent_blocks(terms: dict[int, _AgentTerms]) -> list[list[int]]:
+    """The agents in index order, cut into consecutive blocks that each
+    hold at most `_ASCENT_BLOCK_BYTES` more than the largest agent alone,
+    the most a one-agent-at-a-time ascent holds."""
+    sizes = {i: 8 * (len(t.bins) * (len(t.columns) + _EVENT_ARRAYS)
+                     + _ROW_ARRAYS * (N_BINS + len(t.columns)))
+             for i, t in terms.items()}
+    limit = _ASCENT_BLOCK_BYTES + max(sizes.values())
+    blocks, block, held = [], [], 0
+    for i, size in sizes.items():
+        if held + size > limit:
+            blocks.append(block)
+            block, held = [], 0
+        block.append(i)
+        held += size
+    return blocks + [block]
 
-    The ascent steps one vector x = (mu, alpha_row), projected onto x >= lower
-    = (baseline_floor in the 168 bins, 0 in the m columns): the gradient, the
-    curvature and the step are one array each, and a candidate is one
-    `np.maximum`."""
-    floor = cfg.baseline_floor
-    n_ev = len(terms.bins)
-    mu = np.full(N_BINS, floor)
-    if n_ev:
-        counts = np.bincount(terms.bins, minlength=N_BINS).astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            emp = np.where(bin_hours > 0, counts / np.maximum(bin_hours, 1e-12), 0.0)
-        mu = np.maximum(emp, floor)
-    if n_ev == 0:
-        return mu, np.zeros(len(terms.columns)), "converged"
+
+def _ascend_block(agents: list[int], terms: dict[int, _AgentTerms], beta: float,
+                  bin_hours: np.ndarray, cfg: FitConfig, baselines: np.ndarray,
+                  alpha: np.ndarray) -> tuple[list[tuple[str, int, float]], HawkesError | None]:
+    """Projected gradient ascent with backtracking on each agent's concave
+    likelihood, for a block of agents that take their steps together.
+
+    Per agent, the ascent steps one vector x = (mu, alpha_row), projected
+    onto x >= lower = (baseline_floor in the 168 bins, 0 in the m columns).
+    The direction is the gradient scaled per coordinate by the inverse
+    diagonal curvature, which keeps the baseline bins and the excitation
+    weights moving at comparable speed. Each iteration starts from the
+    intensities the accepted candidate's likelihood computed, and halves its
+    step, from 1, until the likelihood does not fall. An agent stops as
+    "converged" when the gain falls below the tolerance (or it has no
+    events), "max_iters" when the iteration budget runs out, and
+    "backtracking_failed" when 60 candidates all fell.
+
+    The block holds one row per agent still searching. x, the direction and
+    the step are arrays of rows, and the intensities and their inverses are
+    the rows' events concatenated, keyed by row * 168 + bin for `bincount`.
+    Once per round, on the whole block: `1 / lam`, `inv * inv`, the
+    gradient, curvature and direction, `x + step * d` and its `np.maximum`
+    with `lower`, the gather of mu at the events, `np.log` and both
+    `bincount`s. Each float they give an agent is the one its own arrays
+    give: an elementwise result depends on its operands alone, and
+    `bincount` adds the weights of a key in array order. Per row, with the
+    shapes and calls of a one-agent ascent, run the reductions whose float
+    order BLAS or pairwise summation fixes: `S @ alpha_row`, `S.T @ inv`,
+    `(S**2).T @ inv_sq`, the sum of the row's log intensities,
+    `mu @ bin_hours` and `alpha_row @ weights`. A row leaves the block when
+    it stops, so every array row is searching. When some row starts an
+    iteration, the direction of every row is recomputed; a backtracking
+    row's comes from the inputs that gave it before, so it is unchanged.
+
+    Writes each agent's mu and alpha row into `baselines` and `alpha`.
+    Returns (stop, iterations, final likelihood) for each agent in block
+    order and None. When an agent's intensity is not positive at an event
+    or its likelihood not finite, it returns the results of the agents
+    before the first such agent and that agent's `HawkesError`, the one a
+    one-agent-at-a-time ascent raises; the agents after it stop there.
+    """
+    ts = [terms[i] for i in agents]
+    m = len(ts[0].columns)
+    width = N_BINS + m
+    lower = np.concatenate([np.full(N_BINS, cfg.baseline_floor), np.zeros(m)])
+    sizes = [len(t.bins) for t in ts]
+    bins = np.concatenate([t.bins for t in ts])
+    weights = np.array([t.weights for t in ts])
+
+    def index():
+        slot_of = np.repeat(np.arange(len(sizes)), sizes)
+        keys = slot_of * N_BINS + bins
+        return slot_of, keys, keys + slot_of * m, [0, *itertools.accumulate(sizes)]
+
+    def evaluate(x):
+        """Each row's likelihood at its row of x, None where an intensity is
+        not positive, and the intensities at every row's events."""
+        s_alpha = np.empty(len(bins))
+        for s, t in enumerate(ts):
+            np.matmul(t.S, x[s, N_BINS:], out=s_alpha[bounds[s]:bounds[s + 1]])
+        lam = x.ravel()[gather] + beta * s_alpha
+        bad = lam <= 0
+        failed = set(slot_of[bad].tolist()) if bad.any() else ()
+        log_lam = np.log(np.where(bad, 1.0, lam) if failed else lam)
+        return [None if s in failed else
+                float(log_lam[bounds[s]:bounds[s + 1]].sum() - x[s, :N_BINS] @ bin_hours
+                      - x[s, N_BINS:] @ t.weights)
+                for s, t in enumerate(ts)], lam
+
+    slot_of, keys, gather, bounds = index()
+    x = np.empty((len(ts), width))
+    # the empirical rate per bin, held above the floor; a bin the window
+    # misses divides by inf, for a rate of 0
+    hours = np.where(bin_hours > 0, np.maximum(bin_hours, 1e-12), np.inf)
+    np.maximum(np.bincount(keys, minlength=len(ts) * N_BINS).reshape(-1, N_BINS) / hours,
+               cfg.baseline_floor, out=x[:, :N_BINS])
     # a source with no event before t1 has a zero S column and a zero weight,
     # so a zero gradient: its entry is not identifiable and starts (and stays) 0
-    alpha = np.where(terms.weights > 0, 0.1, 0.0)
+    x[:, N_BINS:] = np.where(weights > 0, 0.1, 0.0)
+    if 0 in sizes:
+        x[[s for s, size in enumerate(sizes) if size == 0], N_BINS:] = 0.0
 
-    cur, lam = _agent_ll(terms, mu, alpha, beta, bin_hours)
-    x = np.concatenate([mu, alpha])
-    lower = np.concatenate([np.full(N_BINS, floor), np.zeros(len(alpha))])
-    grad, curv = np.empty_like(x), np.empty_like(x)
-    s_t, s_sq_t = terms.S.T, (terms.S ** 2).T
-    for _ in range(cfg.max_iters):
-        inv = 1.0 / lam
-        inv_sq = inv * inv
-        np.subtract(np.bincount(terms.bins, weights=inv, minlength=N_BINS), bin_hours,
-                    out=grad[:N_BINS])
-        np.subtract(beta * (s_t @ inv), terms.weights, out=grad[N_BINS:])
-        curv[:N_BINS] = np.bincount(terms.bins, weights=inv_sq, minlength=N_BINS)
-        np.multiply(beta * beta, s_sq_t @ inv_sq, out=curv[N_BINS:])
-        d = grad / np.maximum(curv, 1e-9)
-        step = 1.0
-        accepted = False
-        for _ in range(60):
-            x_c = np.maximum(x + step * d, lower)
-            cand, lam_c = _agent_ll(terms, x_c[:N_BINS], x_c[N_BINS:], beta, bin_hours)
-            if not math.isfinite(cand):
-                raise HawkesError("non-finite likelihood during optimization")
-            if cand >= cur:
-                accepted = True
+    rows = list(range(len(ts)))
+    tolerance, max_iters = cfg.tolerance, cfg.max_iters
+    s_sq_t = [(t.S ** 2).T for t in ts]
+    iters, tries = [0] * len(ts), [0] * len(ts)
+    step = np.ones((len(ts), 1))
+    # the direction persists; x_c holds the curvature, then the candidate
+    direction, x_c = np.empty_like(x), np.empty_like(x)
+    s_inv, s_sq_inv = np.empty((len(ts), m)), np.empty((len(ts), m))
+    results: dict[int, tuple[str, int, float]] = {}
+    error, fail_row = None, len(ts)
+    cur, lam = evaluate(x)
+    starting, stops = [], {}
+    for s, c in enumerate(cur):
+        if c is None:
+            error, fail_row = HawkesError(_NONPOSITIVE), s
+            break
+        if sizes[s]:
+            starting.append(s)
+        else:
+            stops[s] = "converged"
+
+    while True:
+        for s, stop in stops.items():
+            if rows[s] < fail_row:
+                results[rows[s]] = stop, iters[s], cur[s]
+                baselines[agents[rows[s]]] = x[s, :N_BINS]
+                alpha[agents[rows[s]], ts[s].columns] = x[s, N_BINS:]
+        if stops or rows[-1] >= fail_row:
+            live = [s for s, row in enumerate(rows) if row < fail_row and s not in stops]
+            if not live:
                 break
-            step *= 0.5
-        if not accepted:
-            return x[:N_BINS], x[N_BINS:], "backtracking_failed"
-        improved = cand - cur
-        x, cur, lam = x_c, cand, lam_c
-        if improved <= cfg.tolerance * max(1.0, abs(cur)):
-            return x[:N_BINS], x[N_BINS:], "converged"
-    return x[:N_BINS], x[N_BINS:], "max_iters"
+            keep = np.zeros(len(rows), dtype=bool)
+            keep[live] = True
+            at = np.cumsum(keep) - 1
+            starting = [int(at[s]) for s in starting if keep[s]]
+            ts, rows, s_sq_t, cur, iters, tries = ([v[s] for s in live]
+                                                   for v in (ts, rows, s_sq_t, cur, iters, tries))
+            events = keep[slot_of]
+            bins, lam = bins[events], lam[events]
+            sizes = [sizes[s] for s in live]
+            weights, x, step = weights[keep], x[keep], step[keep]
+            direction, s_inv, s_sq_inv = direction[keep], s_inv[keep], s_sq_inv[keep]
+            x_c = x_c[:len(live)]
+            slot_of, keys, gather, bounds = index()
+        if starting:
+            inv = 1.0 / lam
+            inv_sq = inv * inv
+            for s in starting:
+                lo, hi = bounds[s], bounds[s + 1]
+                np.matmul(ts[s].S.T, inv[lo:hi], out=s_inv[s])
+                np.matmul(s_sq_t[s], inv_sq[lo:hi], out=s_sq_inv[s])
+                iters[s] += 1
+                tries[s] = 0
+                step[s, 0] = 1.0
+            n_bins = len(ts) * N_BINS
+            # the gradient, then the direction, in place
+            np.subtract(np.bincount(keys, weights=inv, minlength=n_bins).reshape(-1, N_BINS),
+                        bin_hours, out=direction[:, :N_BINS])
+            np.subtract(beta * s_inv, weights, out=direction[:, N_BINS:])
+            x_c[:, :N_BINS] = np.bincount(keys, weights=inv_sq,
+                                          minlength=n_bins).reshape(-1, N_BINS)
+            np.multiply(beta * beta, s_sq_inv, out=x_c[:, N_BINS:])
+            np.divide(direction, np.maximum(x_c, 1e-9, out=x_c), out=direction)
+        np.maximum(np.add(x, np.multiply(step, direction, out=x_c), out=x_c), lower, out=x_c)
+        cand, lam_c = evaluate(x_c)
+        starting, stops, accepted = [], {}, []
+        for s, c in enumerate(cand):
+            if c is None or not math.isfinite(c):
+                if rows[s] < fail_row:
+                    error = HawkesError(_NONPOSITIVE if c is None else
+                                        "non-finite likelihood during optimization")
+                    fail_row = rows[s]
+            elif c >= cur[s]:
+                accepted.append(s)
+                improved, cur[s] = c - cur[s], c
+                if improved <= tolerance * max(1.0, abs(c)):
+                    stops[s] = "converged"
+                elif iters[s] == max_iters:
+                    stops[s] = "max_iters"
+                else:
+                    starting.append(s)
+            else:
+                tries[s] += 1
+                if tries[s] == 60:
+                    stops[s] = "backtracking_failed"
+                else:
+                    step[s, 0] *= 0.5
+        if len(accepted) == len(rows):
+            x, x_c, lam = x_c, x, lam_c
+        elif accepted:
+            taken = np.zeros(len(rows), dtype=bool)
+            taken[accepted] = True
+            np.copyto(x, x_c, where=taken[:, None])
+            np.copyto(lam, lam_c, where=taken[slot_of])
+    return [results[row] for row in range(fail_row)], error
+
+
+def _ascend(blocks, terms: dict[int, _AgentTerms], beta: float, bin_hours: np.ndarray,
+            cfg: FitConfig, baselines: np.ndarray, alpha: np.ndarray,
+            counters: dict) -> list[str]:
+    """Every agent's ascent, block after block; returns each agent's stop
+    reason. Results go into `baselines` and `alpha`, each stop other than
+    convergence is counted in `counters`, in agent order, and the first
+    failing agent's `HawkesError` is raised once the agents before it are
+    counted. Then `counters` receives the largest and the median iteration
+    count over the agents with events and `log_likelihood`, the sum of
+    every agent's final likelihood in agent order."""
+    stops, iterations, total = [], [], 0.0
+    for agents in blocks:
+        results, error = _ascend_block(agents, terms, beta, bin_hours, cfg, baselines, alpha)
+        for i, (stop, iters, objective) in zip(agents, results):
+            stops.append(stop)
+            if stop != "converged":
+                counters[f"unconverged_{stop}"] += 1
+            if len(terms[i].bins):
+                iterations.append(iters)
+            total += objective
+        if error is not None:
+            raise error
+    counters["ascent_iterations_max"] = max(iterations, default=0)
+    counters["ascent_iterations_median"] = float(np.median(iterations)) if iterations else 0.0
+    counters["log_likelihood"] = total
+    return stops
 
 
 def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None,
@@ -442,7 +635,24 @@ def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None,
     excitation row. beta comes from the pooled median inter-send gap unless
     overridden. `counters`, when given, receives the number of agents whose
     ascent stopped for each reason other than convergence
-    (`unconverged_max_iters`, `unconverged_backtracking_failed`).
+    (`unconverged_max_iters`, `unconverged_backtracking_failed`), then
+    the fit's telemetry: `ascent_iterations_max` and
+    `ascent_iterations_median` over the agents with in-window sends, and
+    `log_likelihood`, each agent's final ascent objective summed in agent
+    order (the model's log-likelihood, up to float order).
+
+    The agents ascend in byte-budgeted blocks of consecutive agents
+    (`_ascend_block`). Per block and round run `1 / lam`, `inv * inv`, both
+    bincounts, the gradient, curvature and direction, the candidate
+    `x + step * d` with its projection, the gather of mu at the events and
+    `np.log`: an elementwise result depends on its operands alone, and
+    `bincount` adds each key's weights in array order. Per agent, with the
+    shapes of a one-agent ascent, run the matvecs on S, the sum of its log
+    intensities, `mu @ bin_hours` and `alpha_row @ weights`, whose float
+    order BLAS and pairwise summation fix. So the model is byte-identical to
+    one agent at a time, and so is an error: the `HawkesError` of the
+    lowest-index agent that fails, raised once the agents before it are
+    counted.
     """
     if counters is None:
         counters = {}
@@ -459,12 +669,7 @@ def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None,
     n = log.n_agents
     baselines = np.zeros((n, N_BINS))
     alpha = np.zeros((n, n))
-    for i in range(n):
-        mu, a, stop = _maximize_agent(terms[i], beta, bin_hours, config)
-        if stop != "converged":
-            counters[f"unconverged_{stop}"] += 1
-        baselines[i] = mu
-        alpha[i, terms[i].columns] = a
+    _ascend(_ascent_blocks(terms), terms, beta, bin_hours, config, baselines, alpha, counters)
     return HawkesModel(tuple(log.agents), baselines, alpha, beta, config.diagonal_only)
 
 

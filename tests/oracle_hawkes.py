@@ -1,18 +1,20 @@
 """The pure-Hawkes sampler, the thinning loop and the fitter's ascent as
 they were before their exact fast paths, kept as oracles of
-`hawkes.simulate_pure_hawkes`, `hawkes.thin_next_activation` and
-`hawkes._maximize_agent` (two of them), and the brute-force sums
+`hawkes.simulate_pure_hawkes`, `hawkes.thin_next_activation` and the block
+ascent `hawkes._ascend` (three of them), and the brute-force sums
 `intensity` and `excitation_integral` with their `baseline_rate`.
 
 `simulate_pure_hawkes` keeps the excitation vector up to date and runs both
 matvecs on every thinning candidate, whatever alpha is, and draws each
 recipient with `rng.choice`. `thin_next_activation` reads each hour's
-baseline from the numpy row. `maximize_agent` recomputes the intensities at
-the start of every iteration. `maximize_agent_two_arrays` is the ascent that
-followed it: each iteration starts from the intensities the accepted
-candidate's `agent_ll_and_intensity` computed, and mu and alpha step as two
-arrays, each with its own gradient, curvature and projection. The bodies
-are unchanged. `intensity` and
+baseline from the numpy row. The ascents fit one agent at a time:
+`maximize_agent` recomputes the intensities at the start of every
+iteration; `maximize_agent_two_arrays` followed it, starting each
+iteration from the intensities the accepted candidate's
+`agent_ll_and_intensity` computed, with mu and alpha stepping as two
+arrays, each with its own gradient, curvature and projection;
+`maximize_agent_one_vector` followed that, stepping one vector
+x = (mu, alpha_row). The bodies are unchanged. `intensity` and
 `excitation_integral` sum the excitation of every history event, one event
 at a time."""
 
@@ -23,7 +25,7 @@ import numpy as np
 from commsim import timeutil
 from commsim.corpus import Event, EventLog
 from commsim.hawkes import (N_BINS, SECONDS_PER_HOUR, FitConfig, HawkesError, HawkesModel,
-                            _AgentTerms)
+                            _agent_ll, _AgentTerms)
 from commsim.rng import substream
 
 
@@ -336,3 +338,67 @@ def maximize_agent_two_arrays(terms: _AgentTerms, beta: float, bin_hours: np.nda
         if improved <= cfg.tolerance * max(1.0, abs(cur)):
             return mu, alpha, "converged"
     return mu, alpha, "max_iters"
+
+
+def maximize_agent_one_vector(terms: _AgentTerms, beta: float, bin_hours: np.ndarray,
+                              cfg: FitConfig) -> tuple[np.ndarray, np.ndarray, str]:
+    """Projected gradient ascent with backtracking on one agent's concave
+    likelihood. Ascent directions are scaled per coordinate by the inverse
+    diagonal curvature, which keeps the baseline bins and the excitation
+    weights moving at comparable speed. Returns (mu, alpha_row_compact,
+    stop): "converged" when the gain fell below the tolerance (or the agent
+    has no events), "max_iters" when the iteration budget ran out, and
+    "backtracking_failed" when no step along the ascent direction kept the
+    likelihood from falling. Each iteration starts from the intensities the
+    accepted candidate's likelihood computed.
+
+    The ascent steps one vector x = (mu, alpha_row), projected onto x >= lower
+    = (baseline_floor in the 168 bins, 0 in the m columns): the gradient, the
+    curvature and the step are one array each, and a candidate is one
+    `np.maximum`."""
+    floor = cfg.baseline_floor
+    n_ev = len(terms.bins)
+    mu = np.full(N_BINS, floor)
+    if n_ev:
+        counts = np.bincount(terms.bins, minlength=N_BINS).astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            emp = np.where(bin_hours > 0, counts / np.maximum(bin_hours, 1e-12), 0.0)
+        mu = np.maximum(emp, floor)
+    if n_ev == 0:
+        return mu, np.zeros(len(terms.columns)), "converged"
+    # a source with no event before t1 has a zero S column and a zero weight,
+    # so a zero gradient: its entry is not identifiable and starts (and stays) 0
+    alpha = np.where(terms.weights > 0, 0.1, 0.0)
+
+    cur, lam = _agent_ll(terms, mu, alpha, beta, bin_hours)
+    x = np.concatenate([mu, alpha])
+    lower = np.concatenate([np.full(N_BINS, floor), np.zeros(len(alpha))])
+    grad, curv = np.empty_like(x), np.empty_like(x)
+    s_t, s_sq_t = terms.S.T, (terms.S ** 2).T
+    for _ in range(cfg.max_iters):
+        inv = 1.0 / lam
+        inv_sq = inv * inv
+        np.subtract(np.bincount(terms.bins, weights=inv, minlength=N_BINS), bin_hours,
+                    out=grad[:N_BINS])
+        np.subtract(beta * (s_t @ inv), terms.weights, out=grad[N_BINS:])
+        curv[:N_BINS] = np.bincount(terms.bins, weights=inv_sq, minlength=N_BINS)
+        np.multiply(beta * beta, s_sq_t @ inv_sq, out=curv[N_BINS:])
+        d = grad / np.maximum(curv, 1e-9)
+        step = 1.0
+        accepted = False
+        for _ in range(60):
+            x_c = np.maximum(x + step * d, lower)
+            cand, lam_c = _agent_ll(terms, x_c[:N_BINS], x_c[N_BINS:], beta, bin_hours)
+            if not math.isfinite(cand):
+                raise HawkesError("non-finite likelihood during optimization")
+            if cand >= cur:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return x[:N_BINS], x[N_BINS:], "backtracking_failed"
+        improved = cand - cur
+        x, cur, lam = x_c, cand, lam_c
+        if improved <= cfg.tolerance * max(1.0, abs(cur)):
+            return x[:N_BINS], x[N_BINS:], "converged"
+    return x[:N_BINS], x[N_BINS:], "max_iters"

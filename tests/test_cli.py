@@ -97,7 +97,8 @@ def test_fit_manifest_counts_unconverged_agents(tmp_path):
     want = {}
     hawkes.fit(corpus.ingest(MINI), (BASE, SIM_T0), hawkes.FitConfig(diagonal_only=False),
                counters=want)
-    for key in ("unconverged_max_iters", "unconverged_backtracking_failed"):
+    for key in ("unconverged_max_iters", "unconverged_backtracking_failed",
+                "ascent_iterations_max", "ascent_iterations_median", "log_likelihood"):
         assert counters[key] == want[key]
 
 

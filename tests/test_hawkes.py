@@ -272,8 +272,13 @@ def test_fit_counts_unconverged_agents(mini_log, mini_manifest):
     # counting does not change the fit
     assert one_step.to_json() == fit(mini_log, (h0, h1), FitConfig(max_iters=1)).to_json()
     full = {}
-    fit(mini_log, (h0, h1), FitConfig(), counters=full)
-    assert full == {"unconverged_max_iters": 0, "unconverged_backtracking_failed": 0}
+    model = fit(mini_log, (h0, h1), FitConfig(), counters=full)
+    # the fit's telemetry: iteration counts over the senders, and the summed
+    # likelihood of the fitted model
+    assert full == {"unconverged_max_iters": 0, "unconverged_backtracking_failed": 0,
+                    "ascent_iterations_max": 3, "ascent_iterations_median": 2.0,
+                    "log_likelihood": pytest.approx(log_likelihood(model, mini_log, (h0, h1)),
+                                                    rel=1e-12)}
 
 
 def test_fit_beta_override_and_preconditions(mini_log, mini_manifest):

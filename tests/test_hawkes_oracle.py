@@ -6,6 +6,7 @@ byte and the generator must end in the same state, so every random draw is
 the same draw in the same order.
 """
 
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -300,54 +301,126 @@ def test_block_edge_examples_reach_their_edge(edge):
         assert wake is not None and draws.draws == steps
 
 
+def block_ascent(terms, beta, bin_hours, cfg, size):
+    """`hawkes._ascend` on a list of `_AgentTerms` in blocks of `size`
+    agents: ((mu, alpha_row, stop) per agent, counters), mu and alpha_row
+    as bytes, or the error's text and the counters it left. Asserts that
+    the ascent raised no RuntimeWarning."""
+    n = len(terms)
+    baselines = np.zeros((n, hawkes.N_BINS))
+    alpha = np.zeros((n, max(int(t.columns.max()) for t in terms) + 1))
+    blocks = [list(range(k, min(k + size, n))) for k in range(0, n, size)]
+    counters = {"unconverged_max_iters": 0, "unconverged_backtracking_failed": 0}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            stops = hawkes._ascend(blocks, dict(enumerate(terms)), beta, bin_hours, cfg,
+                                   baselines, alpha, counters)
+        except hawkes.HawkesError as exc:
+            stops = f"HawkesError: {exc}"
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if isinstance(stops, str):
+        return stops, counters
+    return [(baselines[i].tobytes(), alpha[i, t.columns].tobytes(), stop)
+            for i, (t, stop) in enumerate(zip(terms, stops))], counters
+
+
+def sequential_ascent(maximize, terms, beta, bin_hours, cfg):
+    """`block_ascent`'s result from one oracle ascent per agent, in agent
+    order, counted as `fit` counted them and stopped at the first error."""
+    out, counters = [], {"unconverged_max_iters": 0, "unconverged_backtracking_failed": 0}
+    for t in terms:
+        try:
+            mu, alpha, stop = maximize(t, beta, bin_hours, cfg)
+        except hawkes.HawkesError as exc:
+            return f"HawkesError: {exc}", counters
+        if stop != "converged":
+            counters[f"unconverged_{stop}"] += 1
+        out.append((mu.tobytes(), alpha.tobytes(), stop))
+    return out, counters
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), diagonal=st.booleans(),
        beta=st.sampled_from([0.5, 4.0, 30.0]))
 def test_maximize_agent_matches_oracle(seed, n, diagonal, beta):
+    """The block ascent on a random log's terms, in `fit`'s byte-budget
+    blocks, against the ascent that recomputes the intensities each
+    iteration, one agent at a time."""
     r = np.random.default_rng(seed)
     t0, t1 = BASE_MONDAY + DAY, BASE_MONDAY + 4 * DAY
     log = random_log(r, n, int(r.integers(2, 60)), BASE_MONDAY, 4 * DAY)
     terms = hawkes._agent_terms(log, (t0, t1), beta, diagonal)
     bin_hours = timeutil.weekly_bin_hours(t0, t1)
     cfg = FitConfig(max_iters=int(r.integers(1, 40)))
+    baselines, alpha = np.zeros((n, hawkes.N_BINS)), np.zeros((n, n))
+    counters = {"unconverged_max_iters": 0, "unconverged_backtracking_failed": 0}
+    stops = hawkes._ascend(hawkes._ascent_blocks(terms), terms, beta, bin_hours, cfg,
+                           baselines, alpha, counters)
     for i in range(n):
-        mu, alpha, stop = hawkes._maximize_agent(terms[i], beta, bin_hours, cfg)
         mu_o, alpha_o, stop_o = oracle_hawkes.maximize_agent(terms[i], beta, bin_hours, cfg)
-        assert mu.tobytes() == mu_o.tobytes()
-        assert alpha.tobytes() == alpha_o.tobytes()
-        assert stop == stop_o
+        assert baselines[i].tobytes() == mu_o.tobytes()
+        assert alpha[i, terms[i].columns].tobytes() == alpha_o.tobytes()
+        assert stops[i] == stop_o
 
 
-@st.composite
-def random_agent_terms(draw):
-    """One agent's `_AgentTerms` drawn directly, with the `bin_hours` of its
-    window: events at random times in the window, a nonnegative S with some
-    zero entries, diagonal (one column) or full, columns that never excite
-    (an all-zero S column with weight 0) and agents with no event."""
-    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    diagonal = draw(st.booleans())
-    m = 1 if diagonal else draw(st.integers(2, 6))
-    n_ev = draw(st.integers(0, 40))
-    start = BASE_MONDAY + int(r.integers(0, 7 * DAY))
-    window = (start, start + int(r.integers(HOUR, 9 * DAY)))
+def _random_terms(r, window, m, diagonal, n_ev, scale):
+    """One agent's `_AgentTerms`: n_ev events at random times in the window,
+    a nonnegative S with some zero entries and columns that never excite
+    (an all-zero S column with weight 0)."""
     stamps = r.integers(*window, size=n_ev)
-    scale = float(draw(st.sampled_from([0.01, 1.0, 20.0])))
     S = r.exponential(scale, size=(n_ev, m)) * (r.random((n_ev, m)) > 0.2)
     weights = r.uniform(0.0, 3.0, size=m)
     silent = r.random(m) < 0.3
     S[:, silent], weights[silent] = 0.0, 0.0
     columns = np.array([int(r.integers(5))]) if diagonal else np.arange(m)
-    terms = hawkes._AgentTerms(bins=timeutil.flat_bin_of(stamps), S=S, weights=weights,
-                               columns=columns)
+    return hawkes._AgentTerms(bins=timeutil.flat_bin_of(stamps), S=S, weights=weights,
+                              columns=columns)
+
+
+def _random_window(r):
+    start = BASE_MONDAY + int(r.integers(0, 7 * DAY))
+    return start, start + int(r.integers(HOUR, 9 * DAY))
+
+
+@st.composite
+def random_agent_terms(draw):
+    """One agent's `_AgentTerms` drawn directly, with the `bin_hours` of its
+    window: diagonal (one column) or full, possibly with no event."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diagonal = draw(st.booleans())
+    m = 1 if diagonal else draw(st.integers(2, 6))
+    n_ev = draw(st.integers(0, 40))
+    window = _random_window(r)
+    scale = float(draw(st.sampled_from([0.01, 1.0, 20.0])))
+    return _random_terms(r, window, m, diagonal, n_ev, scale), timeutil.weekly_bin_hours(*window)
+
+
+@st.composite
+def random_term_batches(draw):
+    """Several agents' `_AgentTerms` over one window, with its `bin_hours`:
+    all diagonal or all full with one column count, as in one fit; some
+    agents have no event. In about half the batches, some agents' ascents
+    fail: a negative S entry can make an intensity nonpositive from the
+    start, and a NaN weight makes the likelihood non-finite."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diagonal = draw(st.booleans())
+    m = 1 if diagonal else draw(st.integers(2, 6))
+    n = draw(st.integers(1, 7))
+    window = _random_window(r)
+    scale = float(draw(st.sampled_from([0.01, 1.0, 20.0])))
+    failing = draw(st.booleans())
+    terms = []
+    for _ in range(n):
+        t = _random_terms(r, window, m, diagonal, int(r.integers(0, 30) * (r.random() > 0.2)),
+                          scale)
+        if failing and len(t.bins) and r.random() < 0.3:
+            if r.random() < 0.5:
+                t.S[int(r.integers(len(t.bins))), int(r.integers(m))] = -1e6
+            else:
+                t.weights[int(r.integers(m))] = np.nan
+        terms.append(t)
     return terms, timeutil.weekly_bin_hours(*window)
-
-
-def _ascent(maximize, terms, beta, bin_hours, cfg):
-    try:
-        mu, alpha, stop = maximize(terms, beta, bin_hours, cfg)
-    except hawkes.HawkesError as exc:
-        return f"HawkesError: {exc}"
-    return mu.tobytes(), alpha.tobytes(), stop
 
 
 @settings(max_examples=150, deadline=None)
@@ -356,11 +429,48 @@ def _ascent(maximize, terms, beta, bin_hours, cfg):
        floor=st.sampled_from([1e-9, 1e-6, 0.05]))
 def test_maximize_agent_on_random_terms_matches_oracles(case, beta, max_iters, tolerance, floor):
     """Byte-equal mu, alpha and stop reason (or the same error) from the
-    one-vector ascent and from both earlier bodies: the one that recomputes
-    the intensities each iteration, and the two-array one that reuses the
-    accepted candidate's."""
+    block ascent on one agent and from the three one-agent bodies before
+    it: the one that recomputes the intensities each iteration, the
+    two-array one that reuses the accepted candidate's, and the one-vector
+    one."""
     terms, bin_hours = case
     cfg = FitConfig(max_iters=max_iters, tolerance=tolerance, baseline_floor=floor)
-    got = _ascent(hawkes._maximize_agent, terms, beta, bin_hours, cfg)
-    assert got == _ascent(oracle_hawkes.maximize_agent, terms, beta, bin_hours, cfg)
-    assert got == _ascent(oracle_hawkes.maximize_agent_two_arrays, terms, beta, bin_hours, cfg)
+    got, _ = block_ascent([terms], beta, bin_hours, cfg, 1)
+    for maximize in (oracle_hawkes.maximize_agent, oracle_hawkes.maximize_agent_two_arrays,
+                     oracle_hawkes.maximize_agent_one_vector):
+        assert got == sequential_ascent(maximize, [terms], beta, bin_hours, cfg)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=random_term_batches(), beta=st.sampled_from([0.3, 2.0, 30.0]),
+       max_iters=st.integers(1, 80), tolerance=st.sampled_from([1e-9, 1e-6, 1e-2]),
+       floor=st.sampled_from([1e-9, 1e-6, 0.05]))
+def test_block_ascent_matches_per_agent_oracle(case, beta, max_iters, tolerance, floor):
+    """A batch through the block ascent, in blocks of 1, 2 and all its
+    agents, and through the one-vector ascent one agent at a time: byte-equal
+    mu, alpha and stop reasons; or the same error, from the first agent
+    that fails, with the counters the agents before it left. The fit's
+    telemetry: the summed likelihood is each agent's likelihood at its
+    fitted mu and alpha, added in agent order, and an agent that ran out of
+    iterations ran the most."""
+    terms, bin_hours = case
+    cfg = FitConfig(max_iters=max_iters, tolerance=tolerance, baseline_floor=floor)
+    want, want_counters = sequential_ascent(oracle_hawkes.maximize_agent_one_vector, terms,
+                                            beta, bin_hours, cfg)
+    for size in sorted({1, 2, len(terms)}):
+        got, counters = block_ascent(terms, beta, bin_hours, cfg, size)
+        assert got == want
+        if isinstance(want, str):
+            assert counters == want_counters
+            continue
+        total = 0.0
+        for t, (mu, alpha, _) in zip(terms, want):
+            total += oracle_hawkes.agent_ll_and_intensity(
+                t, np.frombuffer(mu), np.frombuffer(alpha), beta, bin_hours)[0]
+        assert counters.pop("log_likelihood") == total
+        ran_out = counters.pop("ascent_iterations_max")
+        assert ran_out <= max_iters
+        assert (ran_out == max_iters) >= (want_counters["unconverged_max_iters"] > 0)
+        median = counters.pop("ascent_iterations_median")
+        assert (0 < median <= ran_out) or not any(len(t.bins) for t in terms)
+        assert counters == want_counters
