@@ -26,7 +26,7 @@ import numpy as np
 from . import timeutil
 from .corpus import (EventLog, check_kinds, contact_frequencies, field_error, kind_error,
                      simple_digraph_edges, window as log_window)
-from .rng import (choice_cdf, pcg64_states, set_pcg64_state, stream_seed, substream,
+from .rng import (RecipientDraw, pcg64_states, set_pcg64_state, stream_seed, substream,
                   uniform_hash)
 from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS
 
@@ -60,8 +60,8 @@ class StubParams:
     initiate_rate: np.ndarray   # (D,) expected initiations per day
     contact_dist: np.ndarray    # (D, D) row-normalized recipient frequencies
     seed: int = 0
-    _recipient_cdfs: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
+    # each agent's recipient CDF, built the first time the agent initiates
+    _recipients: RecipientDraw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any((self.reply_prob < 0) | (self.reply_prob > 1)):
@@ -71,16 +71,8 @@ class StubParams:
         sums = self.contact_dist.sum(axis=1)
         if np.any((np.abs(sums - 1.0) > 1e-9) & (sums != 0)):
             raise AgentError("contact_dist rows must be normalized or zero")
-
-    def recipient_cdf(self, agent: int) -> np.ndarray | None:
-        """The CDF `rng.choice(D, p=row / row.sum())` searches for the agent's
-        recipient (`rng.choice_cdf`), built the first time the agent
-        initiates; None for a row without a positive sum, whose agent picks a
-        uniform other agent instead."""
-        if agent not in self._recipient_cdfs:
-            row = self.contact_dist[agent]
-            self._recipient_cdfs[agent] = choice_cdf(row, len(row)) if row.sum() > 0 else None
-        return self._recipient_cdfs[agent]
+        object.__setattr__(self, "_recipients",
+                           RecipientDraw(self.contact_dist, self.contact_dist.shape[1]))
 
 
 def stub_params_from_history(log: EventLog, window: tuple[int, int],
@@ -150,17 +142,10 @@ def stub_decide(params: StubParams, ctx: AgentContext,
         rng = (initiate_rng if initiate_rng is not None
                else substream(params.seed, "initiate", agent, ctx.now))
         n_init = int(rng.poisson(rate * elapsed_days))
-        n_agents = params.contact_dist.shape[1]
         for k in range(n_init):
-            cdf = params.recipient_cdf(agent)
-            if cdf is not None:
-                # the one uniform `rng.choice(p=...)` draws, searched as it searches
-                recipient = int(cdf.searchsorted(rng.random(), side="right"))
-            else:
-                others = [j for j in range(n_agents) if j != agent]
-                if not others:
-                    break
-                recipient = others[int(rng.integers(len(others)))]
+            recipient = params._recipients(rng, agent)
+            if recipient is None:  # no other agent to write to
+                break
             actions.append(Action("initiate", (recipient,), None,
                                   f"note {ctx.now}.{k} from {ctx.label}"))
 
@@ -188,8 +173,7 @@ class LLMEndpointConfig:
 
     def __post_init__(self):
         retries = self.max_retries
-        if (kind_error("max_retries", retries, int) and not isinstance(retries, np.integer)
-                or retries < 0):
+        if kind_error("max_retries", retries, int) or retries < 0:
             raise AgentError("max_retries must be >= 0 and an integer")
         check_kinds(vars(self), AgentError, timeout_seconds=float, backoff_base_seconds=float,
                     temperature=float, request_seed=int)

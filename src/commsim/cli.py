@@ -57,11 +57,7 @@ class Manifest:
         self.data["status"] = status
         self.data["error"] = error
         self.data["wall_time_seconds"] = round(time.monotonic() - self._start, 3)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / "manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.out_dir / "manifest.json", self.data)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -197,7 +193,7 @@ def _load_sim_config(path) -> dict:
     return cfg
 
 
-def _build_policy(name: str, cfg: dict, periodic, follows: bool, fit_cfg, log,
+def _build_policy(name: str, cfg: dict, periodic, guided: dict, fit_cfg, log,
                   hist_window, counters: dict):
     hist = corpus.window(log, *hist_window)
     if name == "periodic":
@@ -213,7 +209,7 @@ def _build_policy(name: str, cfg: dict, periodic, follows: bool, fit_cfg, log,
                 raise UsageError(f"{cfg['model']}: model agents differ from the corpus registry")
         else:
             model = hawkes.fit(log, hist_window, fit_cfg, counters=counters)
-        return simulator.HawkesGuided(model, llm_adjusts_next_check=follows)
+        return simulator.HawkesGuided(model, **guided)
     raise ValueError(f"unknown policy {name!r}")
 
 
@@ -232,21 +228,20 @@ def cmd_simulate(args) -> int:
         try:
             corpus.check_kinds(cfg, TypeError, seed=int, llm_adjusts_next_check=bool,
                                periodic_interval_hours=float)
-            seed = args.seed if args.seed is not None else cfg.get("seed", 42)
             t0 = timeutil.parse_utc(str(window[0]))
             t1 = timeutil.parse_utc(str(window[1]))
-            sim_config = simulator.SimConfig(
-                window=(t0, t1),
-                history_days=cfg.get("history_days", 32),
-                trigger_ratio=cfg.get("trigger_ratio", 0.10),
-                seed=seed,
-                max_actions_per_wake=cfg.get("max_actions_per_wake", 5),
-            )
-            follows = cfg.get("llm_adjusts_next_check", False)
+            # the keys the config holds: each dataclass keeps its own defaults
+            settings = {key: cfg[key] for key in ("history_days", "trigger_ratio", "seed",
+                                                  "max_actions_per_wake") if key in cfg}
+            if args.seed is not None:
+                settings["seed"] = args.seed
+            sim_config = simulator.SimConfig(window=(t0, t1), **settings)
+            guided = {k: v for k, v in cfg.items() if k == "llm_adjusts_next_check"}
             hist_window = (t0 - sim_config.history_days * 86400, t0)
             triggers = simulator.select_triggers(log, hist_window,
                                                  sim_config.trigger_ratio, (t0, t1))
-            periodic = simulator.PeriodicSchedule(cfg.get("periodic_interval_hours", 3.0))
+            periodic = simulator.PeriodicSchedule(
+                **{"interval_hours": v for k, v in cfg.items() if k == "periodic_interval_hours"})
             fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
             llm_cfg = (agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
                        if args.agent == "llm" else None)
@@ -257,13 +252,13 @@ def cmd_simulate(args) -> int:
             # SimulationError and HawkesError are ValueErrors, a missing or unknown
             # keyword a TypeError, int(Infinity) an OverflowError, LLMEndpointConfig an AgentError
             raise UsageError(f"{args.config}: {exc}") from None
-        manifest.data["seed"] = seed
+        manifest.data["seed"] = sim_config.seed
         counters = manifest.data["counters"]
-        policy = _build_policy(args.policy, cfg, periodic, follows, fit_cfg, log, hist_window,
+        policy = _build_policy(args.policy, cfg, periodic, guided, fit_cfg, log, hist_window,
                                counters)
         sim_config = dataclasses.replace(sim_config, policy=policy)
         if args.agent == "stub":
-            params = agents.stub_params_from_history(log, hist_window, seed)
+            params = agents.stub_params_from_history(log, hist_window, sim_config.seed)
             policy_impl = agents.StubPolicy(params)
         elif args.agent == "llm":
             policy_impl = agents.LLMPolicy(llm_cfg)

@@ -87,7 +87,7 @@ import numpy as np
 
 from . import timeutil
 from .corpus import Event, EventLog, check_kinds, kind_error, sent_times, window as log_window
-from .rng import choice_cdf, substream
+from .rng import RecipientDraw, substream
 
 N_BINS = 168
 SECONDS_PER_HOUR = 3600.0
@@ -210,7 +210,7 @@ class FitConfig:
                     baseline_floor=float, **({} if beta is None else {"beta_override": float}))
         if beta is not None and not (math.isfinite(beta) and beta > 0):
             raise HawkesError("beta_override must be positive and finite")
-        if (kind_error("max_iters", iters, int) and not isinstance(iters, np.integer) or iters <= 0
+        if (kind_error("max_iters", iters, int) or iters <= 0
                 or not all(math.isfinite(x) and x > 0 for x in (self.tolerance, self.baseline_floor))):
             raise HawkesError("max_iters, tolerance and baseline_floor must be positive, "
                               "max_iters an integer and the others finite")
@@ -818,9 +818,9 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
       vector is its hour's baseline column plus exact zeros, a contiguous
       array; its sum and cumsum are tabulated once per weekly bin, and no
       excitation is kept;
-    - each sender's recipient CDF is built as `Generator.choice` builds it
-      (`rng.choice_cdf`), the first time the sender sends, and searched with
-      one `rng.random()`, the one draw `choice` makes.
+    - each recipient is drawn by `rng.RecipientDraw`: one `rng.random()`,
+      the one draw `choice` makes, searched in the CDF `choice` builds. A
+      sender with no other agent to fall back on writes to itself.
     """
     if counters is None:
         counters = {}
@@ -847,7 +847,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
         # a pairwise sum, which need not equal the sequential cumsum's last entry
         bin_total = [float(lam.sum()) for lam in bin_lam]
         bin_cum = [np.cumsum(lam) for lam in bin_lam]
-    cdfs: dict[int, np.ndarray | None] = {}
+    recipients = RecipientDraw(recipient_dist, n)
 
     g = np.zeros(n)
     t0_h = t0 / SECONDS_PER_HOUR
@@ -901,18 +901,11 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
     for t_star, u, k in _thinning(rng, t0_h, horizon_h, bound, rate):
         cum = np.cumsum(lam) if excited else bin_cum[k]
         sender = int(organic[int(cum.searchsorted(u, side="left"))])
-        if sender not in cdfs:
-            probs = recipient_dist[sender]
-            cdfs[sender] = choice_cdf(probs, n) if probs.sum() > 0 else None
-        cdf = cdfs[sender]
-        if cdf is not None:
-            recipient = int(cdf.searchsorted(rng.random(), side="right"))
-        else:
+        if recipients.uniform(sender):
             counters["uniform_recipient_fallbacks"] += 1
-            others = [j for j in range(n) if j != sender]
-            recipient = int(others[rng.integers(len(others))]) if others else sender
+        recipient = recipients(rng, sender)
         ts = min(int(math.ceil(t_star * SECONDS_PER_HOUR)), t1 - 1)
-        out.append(Event(next_id, sender, (recipient,), ts))
+        out.append(Event(next_id, sender, (sender if recipient is None else recipient,), ts))
         next_id += 1
         counters["organic_events"] += 1
         if excited:

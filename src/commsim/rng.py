@@ -114,3 +114,30 @@ def choice_cdf(row: np.ndarray, n: int) -> np.ndarray:
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
+
+
+class RecipientDraw:
+    """Draws a sender's recipient from its row of a weight table as
+    `Generator.choice(n, p=row / row.sum())` does: the row's `choice_cdf`,
+    built the first time the sender draws, searched with one `rng.random()`.
+    A row without a positive sum draws a uniform other agent with one
+    `rng.integers(n - 1)`, or None, drawing nothing, when there is none."""
+
+    def __init__(self, weights: np.ndarray, n: int):
+        self.weights, self.n = weights, n
+        self._cdfs: dict[int, np.ndarray | None] = {}
+
+    def uniform(self, sender: int) -> bool:
+        """Whether the sender's draws are uniform over the other agents."""
+        if sender not in self._cdfs:
+            row = self.weights[sender]
+            self._cdfs[sender] = choice_cdf(row, self.n) if row.sum() > 0 else None
+        return self._cdfs[sender] is None
+
+    def __call__(self, rng: np.random.Generator, sender: int) -> int | None:
+        if not self.uniform(sender):
+            return int(self._cdfs[sender].searchsorted(rng.random(), side="right"))
+        if self.n < 2:
+            return None
+        other = int(rng.integers(self.n - 1))
+        return other + (other >= sender)

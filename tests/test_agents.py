@@ -179,6 +179,20 @@ def test_stub_negative_contact_raises_where_choice_raised():
             decide(params, make_ctx(agent=0, n_agents=3, now=now, last_check=now - DAY))
 
 
+def test_stub_lone_agent_initiates_nothing():
+    """An agent with no one else to write to makes no initiation, however
+    many its rate draws, as the `rng.choice` loop did."""
+    params = StubParams(reply_prob=np.zeros(1), initiate_rate=np.full(1, 50.0),
+                        contact_dist=np.zeros((1, 1)))
+    now = BASE_MONDAY + 4 * DAY
+    ctx = make_ctx(agent=0, n_agents=1, now=now, last_check=now - DAY)
+    ours, our_rngs = _decide_recording(stub_decide, agents, params, ctx)
+    theirs, their_rngs = _decide_recording(oracle_agents.oracle_stub_decide, oracle_agents,
+                                           params, ctx)
+    assert ours == theirs and ours.idle
+    assert our_rngs[0].bit_generator.state == their_rngs[0].bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # prompt rendering
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commsim import corpus, hawkes
+from commsim import corpus, hawkes, simulator
 from commsim.cli import main
 
 from conftest import DATA_DIR, MINI
@@ -169,6 +170,47 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
     assert (out_a / "sim.jsonl").read_bytes() != (out_b / "sim.jsonl").read_bytes()
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["seed"] == 7
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+# simulate config key -> its default, read from the dataclass field it sets
+SIMULATE_DEFAULTS = {
+    **{key: _field_defaults(simulator.SimConfig)[key]
+       for key in ("history_days", "trigger_ratio", "seed", "max_actions_per_wake")},
+    "periodic_interval_hours": _field_defaults(simulator.PeriodicSchedule)["interval_hours"],
+    "llm_adjusts_next_check":
+        _field_defaults(simulator.HawkesGuided)["llm_adjusts_next_check"],
+}
+
+
+def test_readme_simulate_defaults_are_the_dataclass_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | read by |\n| --- | --- | --- |\n", 1)[1]
+    rows = [line.split(" | ", 2) for line in table.split("\n\n", 1)[0].splitlines()]
+    documented = {key.strip("| `"): default.strip("`") for key, default, _ in rows}
+    for key, default in SIMULATE_DEFAULTS.items():
+        value = json.loads(documented[key])
+        assert (type(value), value) == (type(default), default), key
+
+
+@pytest.mark.parametrize("policy", ["periodic", "hawkes"])
+def test_simulate_omitted_keys_take_the_dataclass_defaults(tmp_path, policy):
+    """A config without the optional keys runs as one that states their
+    defaults, and its manifest records the default seed."""
+    runs = {}
+    for name, cfg in (("bare", {}), ("stated", SIMULATE_DEFAULTS)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"input": str(MINI), "window": [SIM_T0, SIM_T1], **cfg}))
+        out = tmp_path / name
+        assert run_cli("simulate", path, "--policy", policy, "--agent", "stub",
+                       "--out", out) == 0
+        runs[name] = ((out / "sim.jsonl").read_bytes(),
+                      json.loads((out / "manifest.json").read_text())["seed"])
+    assert runs["bare"] == runs["stated"]
+    assert runs["bare"][1] == SIMULATE_DEFAULTS["seed"]
 
 
 def test_evaluate_identity(tmp_path):

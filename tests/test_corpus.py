@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commsim import corpus, metrics, timeutil
-from commsim.agents import stub_params_from_history
+from commsim.agents import AgentError, LLMEndpointConfig, stub_params_from_history
 from commsim.corpus import CorpusError, Event, EventLog, ingest, sent_times, serialize, window
-from commsim.hawkes import ExcitationState, HawkesModel
-from commsim.simulator import SimulationError, hod_histograms, select_triggers
+from commsim.hawkes import ExcitationState, FitConfig, HawkesError, HawkesModel
+from commsim.simulator import SimConfig, SimulationError, hod_histograms, select_triggers
 
 from conftest import BASE_MONDAY, DATA_DIR, make_log
 import oracle_corpus
@@ -174,6 +174,38 @@ def test_event_fields_follow_the_jsonl_rules(extra, kwargs, message):
     with pytest.raises(CorpusError, match=f"^event 1: {re.escape(message)}$"):
         Event(1, 0, (1,), 5, *extra, **kwargs)
     assert Event(1, 0, (1,), 5, 3, "x") == Event(1, 0, (1,), 5, thread_id=3, body="x")
+
+
+def _endpoint(**setting):
+    return LLMEndpointConfig(base_url="http://mock", model_name="m", **setting)
+
+
+def _sim_config(**setting):
+    return SimConfig(window=(0, 10), **setting)
+
+
+# (config, integer setting, error, its message as the existing tests pin it)
+_INTEGER_SETTINGS = [
+    (FitConfig, "max_iters", HawkesError,
+     "max_iters, tolerance and baseline_floor must be positive, max_iters an integer"),
+    (_endpoint, "max_retries", AgentError, "max_retries must be >= 0 and an integer"),
+    (_endpoint, "request_seed", AgentError, "request_seed {!r} is not an integer"),
+    (_sim_config, "history_days", SimulationError, "history_days {!r} is not an integer"),
+    (_sim_config, "seed", SimulationError, "seed {!r} is not an integer"),
+    (_sim_config, "max_actions_per_wake", SimulationError,
+     "max_actions_per_wake {!r} is not an integer"),
+]
+
+
+@pytest.mark.parametrize("value", [np.int64(3), True], ids=["np_int64", "bool"])
+@pytest.mark.parametrize("make,name,error,message", _INTEGER_SETTINGS,
+                         ids=[name for _, name, _, _ in _INTEGER_SETTINGS])
+def test_integer_settings_refuse_numpy_integers_and_bools(make, name, error, message, value):
+    """One rule (`kind_error`) for every integer setting: json.dumps cannot
+    write a numpy integer, and a bool is not a count."""
+    with pytest.raises(error, match=re.escape(message.format(value))):
+        make(**{name: value})
+    make(**{name: 3})
 
 
 def test_ingest_duplicate_ids_message_and_cost(tmp_path):

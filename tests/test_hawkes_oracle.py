@@ -169,6 +169,43 @@ def test_choice_cdf_draw_matches_generator_choice(seed, n, draws):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), draws=st.integers(1, 12))
+def test_recipient_draw_matches_choice_and_the_uniform_fallback(seed, n, draws):
+    """`RecipientDraw` draws a positive row's recipient as `choice(n, p=row /
+    row.sum())` and an all-zero row's as an `integers` pick among the other
+    agents; with no other agent it returns None and draws nothing."""
+    r = np.random.default_rng(seed)
+    weights = r.random((n, n)) * (r.random((n, n)) > 0.4) * 10.0 ** r.integers(-3, 4, (n, 1))
+    weights[r.random(n) < 0.4] = 0.0
+    draw = rng_mod.RecipientDraw(weights, n)
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for sender in r.integers(n, size=draws).tolist():
+        row = weights[sender]
+        others = [j for j in range(n) if j != sender]
+        if row.sum() > 0:
+            want = int(theirs.choice(n, p=row / row.sum()))
+        else:
+            want = others[int(theirs.integers(len(others)))] if others else None
+        assert draw.uniform(sender) == (row.sum() == 0)
+        assert draw(ours, sender) == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_simulate_pure_hawkes_addresses_a_lone_sender_to_itself():
+    """With one agent the uniform fallback has no other agent: the sender
+    writes to itself, and the fallback is counted."""
+    model = HawkesModel(("a00",), np.full((1, hawkes.N_BINS), 0.05), np.zeros((1, 1)),
+                        1.0, True)
+    window = (BASE_MONDAY, BASE_MONDAY + DAY)
+    counters = assert_same_rollout(model, window, None, EventLog(model.agents, ()),
+                                   np.zeros((1, 1)), 0)
+    assert counters == {"uniform_recipient_fallbacks": 1, "organic_events": 1}
+    log = hawkes.simulate_pure_hawkes(model, window, None, EventLog(model.agents, ()),
+                                      np.zeros((1, 1)), 0)
+    assert [(e.sender, e.recipients) for e in log.events] == [(0, (0,))]
+
+
 @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 1000])
 def test_standard_exponential_block_is_scalar_exponentials(k):
     """The one-agent sampler reads its gaps from `standard_exponential(k)`:
