@@ -28,7 +28,7 @@ from .corpus import (EventLog, check_kinds, contact_frequencies, field_error, ki
                      simple_digraph_edges, window as log_window)
 from .rng import (RecipientDraw, pcg64_states, set_pcg64_state, stream_seed, substream,
                   uniform_hash)
-from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS
+from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS, _unchecked
 
 DEFAULT_NEXT_CHECK_GAP = 3 * 3600
 # the fewest `initiate` keys that `StubPolicy.prepare` seeds in one batch.
@@ -54,8 +54,9 @@ class LLMDecodeError(AgentError):
 # statistical stub
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StubParams:
+    """The stub's calibration. `==` is identity, as it holds arrays."""
     reply_prob: np.ndarray      # (D,) probability of answering an unread mail
     initiate_rate: np.ndarray   # (D,) expected initiations per day
     contact_dist: np.ndarray    # (D, D) row-normalized recipient frequencies
@@ -152,7 +153,9 @@ def stub_decide(params: StubParams, ctx: AgentContext,
     next_check = (ctx.suggested_next_check
                   if ctx.suggested_next_check is not None
                   else ctx.now + DEFAULT_NEXT_CHECK_GAP)
-    return ActionDecision(tuple(actions), next_check)
+    # ActionDecision has no check: this skips only its frozen __init__ (0.55 against 0.74 us)
+    return _unchecked(ActionDecision, actions=tuple(actions), next_check=next_check,
+                      next_check_clamped=False, reasoning=None)
 
 
 # ---------------------------------------------------------------------------

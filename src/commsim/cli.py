@@ -219,7 +219,7 @@ def cmd_simulate(args) -> int:
         cfg = _read_file(_load_sim_config, args.config)
         input_path = _require(cfg, "input", args.config)
         manifest.add_input(input_path)
-        log = corpus.ingest(input_path, cfg.get("format", "jsonl"))
+        log = corpus.ingest(input_path, **{k: v for k, v in cfg.items() if k == "format"})
         window = _require(cfg, "window", args.config)
         if not isinstance(window, list) or len(window) != 2:
             raise UsageError(f"{args.config}: window must be [start, end]")

@@ -26,7 +26,12 @@ registry range, the (ts, event_id) order and id uniqueness of what a user or
 an agent supplies. `EventLog._unchecked` skips the check where all three hold
 by construction: a subsequence of a checked log (`window`, `metrics.
 exclude_triggers`, `simulator.select_triggers`' schedule) and `build_log`'s
-sorted records after its duplicate-id check.
+sorted records after its duplicate-id check. `simulator._unchecked` makes
+two per-wake records without their dataclass `__init__` in the same way:
+`simulator.ContextIndex.context`'s `AgentContext`, whose unread check the
+index runs itself, and `agents.stub_decide`'s `ActionDecision`, which has
+no check. `tests/test_library_callers.py` lists these sites; no agent reply,
+user policy or file goes through them.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -176,8 +177,10 @@ def _field_defaults(cls) -> dict:
     return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
-# simulate config key -> its default, read from the dataclass field it sets
+# simulate config key -> its default, read from the dataclass field or the
+# parameter it sets
 SIMULATE_DEFAULTS = {
+    "format": inspect.signature(corpus.ingest).parameters["format"].default,
     **{key: _field_defaults(simulator.SimConfig)[key]
        for key in ("history_days", "trigger_ratio", "seed", "max_actions_per_wake")},
     "periodic_interval_hours": _field_defaults(simulator.PeriodicSchedule)["interval_hours"],

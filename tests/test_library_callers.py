@@ -89,3 +89,39 @@ def test_each_is_not_phrase_is_written_once():
     places.update(text for text in texts if text in kinds)
     assert [phrase for phrase, n in places.items() if n > 1] == []
     assert [places[kind] for kind in kinds] == [1] * len(kinds)
+
+
+# every use of an unchecked constructor (`corpus.EventLog._unchecked` and
+# `simulator._unchecked`, both named `_unchecked`) by (module, enclosing
+# function), each with what makes the skipped check hold there. Agent replies,
+# user policies and files read by the CLI go through the checked constructors.
+UNCHECKED_SITES = {
+    ("corpus", "build_log"),              # sorted, ids unique by its own check, own registry
+    ("corpus", "window"),                 # a subsequence of a checked log
+    ("metrics", "exclude_triggers"),      # a subsequence of a checked log, renumbered
+    ("simulator", "select_triggers"),     # a subsequence of a checked log
+    ("simulator", "ContextIndex.context"),  # runs AgentContext's unread check itself
+    ("agents", "stub_decide"),            # ActionDecision has no check
+}
+
+
+def unchecked_sites(path: Path) -> list[tuple[str, str]]:
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*FUNCTION, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if getattr(child, "id", getattr(child, "attr", None)) == "_unchecked":
+                sites.append((path.stem, ".".join(scope)))
+            visit(child, scope)
+
+    visit(parse(path), ())
+    return sites
+
+
+def test_unchecked_constructors_are_used_only_at_listed_sites():
+    paths = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    assert {site for path in paths for site in unchecked_sites(path)} == UNCHECKED_SITES

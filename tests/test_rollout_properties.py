@@ -9,6 +9,7 @@ unchanged.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from commsim import cli, hawkes, timeutil
 from commsim.agents import StubParams, StubPolicy
 from commsim.baselines import RewireConfig, rewire_degree_preserving
 from commsim.corpus import Event, EventLog, contact_frequencies, ingest, save
-from commsim.simulator import (AgentContext, CadenceSummary, EmpiricalHoD, HawkesGuided,
-                               LLMPredicted, PeriodicSchedule, SimConfig, TriggerPlan, run,
-                               select_triggers)
+from commsim.simulator import (ActionDecision, AgentContext, CadenceSummary, EmpiricalHoD,
+                               HawkesGuided, LLMPredicted, PeriodicSchedule, SimConfig,
+                               TriggerPlan, run, select_triggers)
 
 from conftest import BASE_MONDAY
 
@@ -151,15 +152,18 @@ def scenarios(draw, kind):
 
 
 class Recording:
-    """Delegating AgentPolicy that keeps every context it is shown."""
+    """Delegating AgentPolicy that keeps every context it is shown and every
+    decision it returns."""
 
     def __init__(self, inner):
         self.inner = inner
         self.contexts = []
+        self.decisions = []
 
     def decide(self, ctx):
         self.contexts.append(ctx)
-        return self.inner.decide(ctx)
+        self.decisions.append(self.inner.decide(ctx))
+        return self.decisions[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +205,25 @@ def test_indexed_contexts_match_list_scan(kind, data):
                                     ctx.last_check, ctx.suggested_next_check)
         for field in AgentContext.__dataclass_fields__:
             assert getattr(ctx, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("kind", POLICIES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_unchecked_records_equal_constructed_ones(kind, data):
+    """The contexts `run` hands a policy and the stub's decisions are made
+    without their dataclass constructors. Each equals the record its
+    constructor makes from the same fields, hashes alike and survives a
+    pickle round trip."""
+    config, log, plan, stub = data.draw(scenarios(kind))
+    recorder = Recording(stub)
+    run(config, log, recorder, plan)
+    pairs = ([(ctx, AgentContext(**vars(ctx))) for ctx in recorder.contexts]
+             + [(d, ActionDecision(d.actions, d.next_check)) for d in recorder.decisions])
+    for made, constructed in pairs:
+        assert vars(made) == vars(constructed)
+        assert made == constructed and hash(made) == hash(constructed)
+        assert pickle.loads(pickle.dumps(made)) == made
 
 
 @pytest.mark.parametrize("kind", POLICIES)

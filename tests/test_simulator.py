@@ -135,18 +135,27 @@ def _model():
     return hawkes.HawkesModel(("a", "b"), np.full((2, 168), 0.5), np.eye(2) * 0.4, 1.0, True)
 
 
+def _stub_params():
+    return agents.StubParams(np.zeros(2), np.zeros(2), np.zeros((2, 2)))
+
+
 def test_equality_of_array_holders_is_a_bool():
-    """Models and hour-of-day policies compare by identity, as they hold
-    arrays, and configs holding them compare field by field; the generated
-    `==` raised ValueError on them."""
-    model, hod = _model(), EmpiricalHoD(np.full((2, 24), 1 / 24))
+    """Models, hour-of-day policies and stub params compare by identity, as
+    they hold arrays, and configs and stub policies holding them compare field
+    by field; the generated `==` raised ValueError on them, and `hash` on stub
+    params raised TypeError."""
+    model, hod, params = _model(), EmpiricalHoD(np.full((2, 24), 1 / 24)), _stub_params()
     guided = SimConfig(window=(0, 10), policy=HawkesGuided(model))
     for a, b in [(model, _model()), (hod, EmpiricalHoD(hod.histograms)),
                  (guided, SimConfig(window=(0, 10), policy=HawkesGuided(_model()))),
-                 (guided, SimConfig(window=(0, 10), policy=hod))]:
+                 (guided, SimConfig(window=(0, 10), policy=hod)),
+                 (params, _stub_params()),
+                 (agents.StubPolicy(params), agents.StubPolicy(_stub_params()))]:
         assert (a == a) is True and (a != a) is False
         assert (a == b) is False and (a != b) is True
+        assert hash(a) == hash(a)
     assert guided == SimConfig(window=(0, 10), policy=HawkesGuided(model))
+    assert agents.StubPolicy(params) == agents.StubPolicy(params)
 
 
 def test_hawkes_guided_delegates():
@@ -210,6 +219,22 @@ def test_build_context_unread(mini_log, mini_manifest):
     ctx2 = build_context(bob, mini_log, sim_events, cfg, s0 + 2 * HOUR,
                          s0 + HOUR, None)
     assert ctx2.unread == ()
+
+
+def test_context_refuses_unread_mail_after_now(mini_log, mini_manifest):
+    """`AgentContext(...)` and the index's context, which skips the
+    constructor, both keep the check."""
+    s0, s1 = mini_manifest["sim_window"]
+    cfg = SimConfig(window=(s0, s1), history_days=4, policy=PeriodicSchedule())
+    bob, alice = mini_log.index_of("bob"), mini_log.index_of("alice")
+    late = Event(1000, alice, (bob,), s0 + 2 * HOUR)
+    ctx = build_context(bob, mini_log, [], cfg, s0 + HOUR, None, None)
+    with pytest.raises(SimulationError, match="unread event after now"):
+        simulator.AgentContext(**{**vars(ctx), "unread": (late,)})
+    index = simulator.ContextIndex(mini_log, cfg)
+    index.add(late)
+    with pytest.raises(SimulationError, match="unread event after now"):
+        index.context(bob, s0 + HOUR, None, None)
 
 
 def test_build_context_history_days_filter(mini_log, mini_manifest):
