@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import timeutil
-from .corpus import (EventLog, check_kinds, contact_frequencies, field_error, kind_error,
-                     simple_digraph_edges, window as log_window)
+from .corpus import (EventLog, _unchecked, check_kinds, contact_frequencies, field_error,
+                     kind_error, simple_digraph_edges, window as log_window)
 from .rng import (RecipientDraw, pcg64_states, set_pcg64_state, stream_seed, substream,
                   uniform_hash)
-from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS, _unchecked
+from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS
 
 DEFAULT_NEXT_CHECK_GAP = 3 * 3600
 # the fewest `initiate` keys that `StubPolicy.prepare` seeds in one batch.

@@ -3,9 +3,10 @@
 Every command writes its primary outputs under --out with fixed filenames
 (stats.json, model.json, sim.jsonl, report.json/report.csv, compare.json/
 compare.csv) plus a manifest.json recording the command, config snapshot,
-seed, input digests, wall time and counters. The manifest is written even
-when the command fails. Exit codes: 0 success, 1 computation error,
-2 usage/input error.
+seed, input digests, wall time and counters. A command writes under --out
+only through `Manifest.write`, so the manifest lists every file written,
+also when the command fails, and it is written then too. Exit codes:
+0 success, 1 computation error, 2 usage/input error.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import json
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import agents, corpus, hawkes, metrics, simulator, timeutil
 
@@ -50,27 +49,23 @@ class Manifest:
     def add_input(self, path) -> None:
         self.data["inputs"][str(path)] = _sha256(path)
 
-    def add_output(self, path) -> None:
+    def write(self, name: str, text: str) -> None:
+        """Write `text` to --out/name, then list that path among the outputs."""
+        path = self.out_dir / name
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
         self.data["outputs"].append(str(path))
 
     def finish(self, status: str, error: str | None = None) -> None:
         self.data["status"] = status
         self.data["error"] = error
         self.data["wall_time_seconds"] = round(time.monotonic() - self._start, 3)
-        _write_json(self.out_dir / "manifest.json", self.data)
+        # the text is taken before write appends its path: the manifest does not list itself
+        self.write("manifest.json", _json_text(self.data))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class UsageError(Exception):
@@ -112,21 +107,18 @@ USAGE_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
                 corpus.CorpusError, json.JSONDecodeError, UsageError)
 
 
-def _guarded(command: str, args, fn) -> int:
-    out_dir = Path(args.out)
-    manifest = Manifest(command, out_dir,
+def _guarded(args) -> int:
+    """args.func(args, manifest), then the manifest, whatever the command
+    raised; returns the exit code."""
+    manifest = Manifest(args.command, Path(args.out),
                         {k: v for k, v in vars(args).items() if k != "func"},
                         getattr(args, "seed", None))
     try:
-        fn(manifest)
-    except USAGE_ERRORS as exc:
-        manifest.finish("error", f"{type(exc).__name__}: {exc}")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args.func(args, manifest)
     except Exception as exc:
         manifest.finish("error", f"{type(exc).__name__}: {exc}")
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1
     manifest.finish("ok")
     return 0
 
@@ -135,50 +127,36 @@ def _guarded(command: str, args, fn) -> int:
 # stats
 
 
-def cmd_stats(args) -> int:
-    def body(manifest: Manifest):
-        manifest.add_input(args.input)
-        log = corpus.ingest(args.input, args.format)
-        summary = metrics.corpus_stats(log)
-        out = Path(args.out) / "stats.json"
-        _write_json(out, summary.to_dict())
-        manifest.add_output(out)
-        rows = summary.to_dict()
-        width = max(len(k) for k in rows)
-        for key, val in rows.items():
-            if key == "time_span":
-                val = f"{timeutil.format_utc(val[0])} .. {timeutil.format_utc(val[1])}"
-            elif isinstance(val, float):
-                val = f"{val:.4f}"
-            print(f"{key:<{width}}  {val}")
-
-    return _guarded("stats", args, body)
+def cmd_stats(args, manifest: Manifest) -> None:
+    manifest.add_input(args.input)
+    rows = metrics.corpus_stats(corpus.ingest(args.input, args.format)).to_dict()
+    manifest.write("stats.json", _json_text(rows))
+    width = max(len(k) for k in rows)
+    for key, val in rows.items():
+        if key == "time_span":
+            val = f"{timeutil.format_utc(val[0])} .. {timeutil.format_utc(val[1])}"
+        elif isinstance(val, float):
+            val = f"{val:.4f}"
+        print(f"{key:<{width}}  {val}")
 
 
 # ---------------------------------------------------------------------------
 # fit
 
 
-def cmd_fit(args) -> int:
-    def body(manifest: Manifest):
-        manifest.add_input(args.input)
-        window = _parse_window(args.t0, args.t1)
-        try:
-            cfg = hawkes.FitConfig(diagonal_only=not args.full_matrix,
-                                   beta_override=args.beta)
-        except hawkes.HawkesError as exc:
-            raise UsageError(str(exc)) from None
-        log = corpus.ingest(args.input, args.format)
-        model = hawkes.fit(log, window, cfg, counters=manifest.data["counters"])
-        out = Path(args.out) / "model.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        hawkes.save_model(model, out)
-        manifest.add_output(out)
-        manifest.data["counters"]["beta_per_hour"] = model.beta_per_hour
-        manifest.data["counters"]["stability_warning"] = model.stability_warning
-        print(f"fitted {model.n_agents} agents, beta={model.beta_per_hour:.6g}/h")
-
-    return _guarded("fit", args, body)
+def cmd_fit(args, manifest: Manifest) -> None:
+    manifest.add_input(args.input)
+    window = _parse_window(args.t0, args.t1)
+    try:
+        cfg = hawkes.FitConfig(diagonal_only=not args.full_matrix, beta_override=args.beta)
+    except hawkes.HawkesError as exc:
+        raise UsageError(str(exc)) from None
+    log = corpus.ingest(args.input, args.format)
+    model = hawkes.fit(log, window, cfg, counters=manifest.data["counters"])
+    manifest.write("model.json", model.to_json())
+    manifest.data["counters"]["beta_per_hour"] = model.beta_per_hour
+    manifest.data["counters"]["stability_warning"] = model.stability_warning
+    print(f"fitted {model.n_agents} agents, beta={model.beta_per_hour:.6g}/h")
 
 
 # ---------------------------------------------------------------------------
@@ -195,104 +173,80 @@ def _load_sim_config(path) -> dict:
 
 def _build_policy(name: str, cfg: dict, periodic, guided: dict, fit_cfg, log,
                   hist_window, counters: dict):
-    hist = corpus.window(log, *hist_window)
     if name == "periodic":
         return periodic
     if name == "llm-predicted":
         return simulator.LLMPredicted()
     if name == "hod":
-        return simulator.EmpiricalHoD(simulator.hod_histograms(hist))
-    if name == "hawkes":
-        if cfg.get("model"):
-            model = _read_file(hawkes.load_model, cfg["model"])
-            if model.agents != log.agents:
-                raise UsageError(f"{cfg['model']}: model agents differ from the corpus registry")
-        else:
-            model = hawkes.fit(log, hist_window, fit_cfg, counters=counters)
-        return simulator.HawkesGuided(model, **guided)
-    raise ValueError(f"unknown policy {name!r}")
+        return simulator.EmpiricalHoD(simulator.hod_histograms(corpus.window(log, *hist_window)))
+    if cfg.get("model"):  # hawkes, the one policy left
+        model = _read_file(hawkes.load_model, cfg["model"])
+        if model.agents != log.agents:
+            raise UsageError(f"{cfg['model']}: model agents differ from the corpus registry")
+    else:
+        model = hawkes.fit(log, hist_window, fit_cfg, counters=counters)
+    return simulator.HawkesGuided(model, **guided)
 
 
-def cmd_simulate(args) -> int:
-    def body(manifest: Manifest):
-        manifest.add_input(args.config)
-        cfg = _read_file(_load_sim_config, args.config)
-        input_path = _require(cfg, "input", args.config)
-        manifest.add_input(input_path)
-        log = corpus.ingest(input_path, **{k: v for k, v in cfg.items() if k == "format"})
-        window = _require(cfg, "window", args.config)
-        if not isinstance(window, list) or len(window) != 2:
-            raise UsageError(f"{args.config}: window must be [start, end]")
-        # each consumer checks its settings before the policy, which may fit a model;
-        # here only keys a consumer may not see (--seed, other policies) or renames
-        try:
-            corpus.check_kinds(cfg, TypeError, seed=int, llm_adjusts_next_check=bool,
-                               periodic_interval_hours=float)
-            t0 = timeutil.parse_utc(str(window[0]))
-            t1 = timeutil.parse_utc(str(window[1]))
-            # the keys the config holds: each dataclass keeps its own defaults
-            settings = {key: cfg[key] for key in ("history_days", "trigger_ratio", "seed",
-                                                  "max_actions_per_wake") if key in cfg}
-            if args.seed is not None:
-                settings["seed"] = args.seed
-            sim_config = simulator.SimConfig(window=(t0, t1), **settings)
-            guided = {k: v for k, v in cfg.items() if k == "llm_adjusts_next_check"}
-            hist_window = (t0 - sim_config.history_days * 86400, t0)
-            triggers = simulator.select_triggers(log, hist_window,
-                                                 sim_config.trigger_ratio, (t0, t1))
-            periodic = simulator.PeriodicSchedule(
-                **{"interval_hours": v for k, v in cfg.items() if k == "periodic_interval_hours"})
-            fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
-            llm_cfg = (agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
-                       if args.agent == "llm" else None)
-            model_path = cfg.get("model")
-            if model_path is not None and not isinstance(model_path, str):
-                raise TypeError(f"model must be a file path, not {model_path!r}")  # open(3) reads fd 3
-        except (ValueError, TypeError, OverflowError, agents.AgentError) as exc:
-            # SimulationError and HawkesError are ValueErrors, a missing or unknown
-            # keyword a TypeError, int(Infinity) an OverflowError, LLMEndpointConfig an AgentError
-            raise UsageError(f"{args.config}: {exc}") from None
-        manifest.data["seed"] = sim_config.seed
-        counters = manifest.data["counters"]
-        policy = _build_policy(args.policy, cfg, periodic, guided, fit_cfg, log, hist_window,
-                               counters)
-        sim_config = dataclasses.replace(sim_config, policy=policy)
-        if args.agent == "stub":
-            params = agents.stub_params_from_history(log, hist_window, sim_config.seed)
-            policy_impl = agents.StubPolicy(params)
-        elif args.agent == "llm":
-            policy_impl = agents.LLMPolicy(llm_cfg)
-        else:
-            raise ValueError(f"unknown agent {args.agent!r}")
-
-        out = Path(args.out)
-        try:
-            sim_log = simulator.run(sim_config, log, policy_impl, triggers,
-                                    counters=counters)
-        except simulator.SimulationAborted as exc:
-            partial = out / "sim.partial.jsonl"
-            out.mkdir(parents=True, exist_ok=True)
-            corpus.save(exc.partial_log, partial)
-            manifest.add_output(partial)
-            raise
-        sim_path = out / "sim.jsonl"
-        out.mkdir(parents=True, exist_ok=True)
-        corpus.save(sim_log, sim_path)
-        manifest.add_output(sim_path)
-        triggers_path = out / "triggers.json"
-        _write_json(triggers_path, {
-            "trigger_agents": sorted(log.agents[i] for i in triggers.trigger_agents),
-        })
-        manifest.add_output(triggers_path)
-        if isinstance(policy_impl, agents.LLMPolicy):
-            counters["llm_calls"] = policy_impl.calls
-            counters["llm_retries"] = policy_impl.retries
-        manifest.data["trigger_agents"] = sorted(
-            log.agents[i] for i in triggers.trigger_agents)
-        print(f"simulated {counters.get('organic_events', 0)} organic + "
-              f"{counters.get('trigger_events', 0)} trigger events")
-
-    return _guarded("simulate", args, body)
+def cmd_simulate(args, manifest: Manifest) -> None:
+    manifest.add_input(args.config)
+    cfg = _read_file(_load_sim_config, args.config)
+    input_path = _require(cfg, "input", args.config)
+    manifest.add_input(input_path)
+    log = corpus.ingest(input_path, **{k: v for k, v in cfg.items() if k == "format"})
+    window = _require(cfg, "window", args.config)
+    if not isinstance(window, list) or len(window) != 2:
+        raise UsageError(f"{args.config}: window must be [start, end]")
+    # each consumer checks its settings before the policy, which may fit a model;
+    # here only keys a consumer may not see (--seed, other policies) or renames
+    try:
+        corpus.check_kinds(cfg, TypeError, seed=int, llm_adjusts_next_check=bool,
+                           periodic_interval_hours=float)
+        t0 = timeutil.parse_utc(str(window[0]))
+        t1 = timeutil.parse_utc(str(window[1]))
+        # the keys the config holds: each dataclass keeps its own defaults
+        settings = {key: cfg[key] for key in ("history_days", "trigger_ratio", "seed",
+                                              "max_actions_per_wake") if key in cfg}
+        if args.seed is not None:
+            settings["seed"] = args.seed
+        sim_config = simulator.SimConfig(window=(t0, t1), **settings)
+        guided = {k: v for k, v in cfg.items() if k == "llm_adjusts_next_check"}
+        hist_window = (t0 - sim_config.history_days * 86400, t0)
+        triggers = simulator.select_triggers(log, hist_window,
+                                             sim_config.trigger_ratio, (t0, t1))
+        periodic = simulator.PeriodicSchedule(
+            **{"interval_hours": v for k, v in cfg.items() if k == "periodic_interval_hours"})
+        fit_cfg = hawkes.FitConfig(**cfg.get("fit", {}))
+        llm_cfg = (agents.LLMEndpointConfig(**_require(cfg, "llm", args.config))
+                   if args.agent == "llm" else None)
+        model_path = cfg.get("model")
+        if model_path is not None and not isinstance(model_path, str):
+            raise TypeError(f"model must be a file path, not {model_path!r}")  # open(3) reads fd 3
+    except (ValueError, TypeError, OverflowError, agents.AgentError) as exc:
+        # SimulationError and HawkesError are ValueErrors, a missing or unknown
+        # keyword a TypeError, int(Infinity) an OverflowError, LLMEndpointConfig an AgentError
+        raise UsageError(f"{args.config}: {exc}") from None
+    manifest.data["seed"] = sim_config.seed
+    counters = manifest.data["counters"]
+    policy = _build_policy(args.policy, cfg, periodic, guided, fit_cfg, log, hist_window,
+                           counters)
+    sim_config = dataclasses.replace(sim_config, policy=policy)
+    policy_impl = (agents.LLMPolicy(llm_cfg) if args.agent == "llm" else agents.StubPolicy(
+        agents.stub_params_from_history(log, hist_window, sim_config.seed)))
+    try:
+        sim_log = simulator.run(sim_config, log, policy_impl, triggers, counters=counters)
+    except simulator.SimulationAborted as exc:
+        manifest.write("sim.partial.jsonl", corpus.serialize(exc.partial_log))
+        raise
+    manifest.write("sim.jsonl", corpus.serialize(sim_log))
+    labels = sorted(log.agents[i] for i in triggers.trigger_agents)
+    manifest.write("triggers.json", _json_text({"trigger_agents": labels}))
+    if isinstance(policy_impl, agents.LLMPolicy):
+        counters["llm_calls"] = policy_impl.calls
+        counters["llm_retries"] = policy_impl.retries
+    manifest.data["trigger_agents"] = labels
+    print(f"simulated {counters.get('organic_events', 0)} organic + "
+          f"{counters.get('trigger_events', 0)} trigger events")
 
 
 # ---------------------------------------------------------------------------
@@ -306,43 +260,37 @@ def _default_window(log: corpus.EventLog) -> tuple[int, int]:
     return t0, t1
 
 
-def cmd_evaluate(args) -> int:
-    def body(manifest: Manifest):
-        manifest.add_input(args.sim)
-        manifest.add_input(args.gt)
-        sim = corpus.ingest(args.sim)
-        gt = corpus.ingest(args.gt)
-        if not gt.events:
-            raise corpus.CorpusError(f"{args.gt}: ground truth has no events")
-        if sim.agents != gt.agents:
-            # simulated logs only contain active agents; align on gt registry
-            sim = _align_registry(sim, gt)
-        trigger_agents: set[int] = set()
-        if args.triggers:
-            manifest.add_input(args.triggers)
-            labels = _read_file(_load_trigger_labels, args.triggers)
-            trigger_agents = {gt.index_of(lbl) for lbl in labels}
-        if args.t0 is None and args.t1 is None:
-            window = _default_window(sim if sim.events else gt)
-        elif args.t0 is None or args.t1 is None:
-            raise UsageError("--t0 and --t1 must be given together")
-        else:
-            window = _parse_window(args.t0, args.t1)
-        if not gt.events[gt.span(*window)]:
-            raise corpus.CorpusError("ground truth has no events in the window")
-        report = metrics.evaluate_all(sim, gt, trigger_agents, window)
-        out = Path(args.out)
-        _write_text(out / "report.json", report.to_json() + "\n")
-        _write_text(out / "report.csv", report.to_csv())
-        manifest.add_output(out / "report.json")
-        manifest.add_output(out / "report.csv")
-        flagged = sum(1 for e in report.entries if e.flags or e.skipped)
-        manifest.data["counters"]["flagged_metrics"] = flagged
-        for e in report.entries:
-            shown = "skipped: " + e.skipped if e.skipped else f"{e.value:.6f}"
-            print(f"{e.name:<10} {e.category:<18} {shown}")
-
-    return _guarded("evaluate", args, body)
+def cmd_evaluate(args, manifest: Manifest) -> None:
+    manifest.add_input(args.sim)
+    manifest.add_input(args.gt)
+    sim = corpus.ingest(args.sim)
+    gt = corpus.ingest(args.gt)
+    if not gt.events:
+        raise corpus.CorpusError(f"{args.gt}: ground truth has no events")
+    if sim.agents != gt.agents:
+        # simulated logs only contain active agents; align on gt registry
+        sim = _align_registry(sim, gt)
+    trigger_agents: set[int] = set()
+    if args.triggers:
+        manifest.add_input(args.triggers)
+        labels = _read_file(_load_trigger_labels, args.triggers)
+        trigger_agents = {gt.index_of(lbl) for lbl in labels}
+    if args.t0 is None and args.t1 is None:
+        window = _default_window(sim if sim.events else gt)
+    elif args.t0 is None or args.t1 is None:
+        raise UsageError("--t0 and --t1 must be given together")
+    else:
+        window = _parse_window(args.t0, args.t1)
+    if not gt.events[gt.span(*window)]:
+        raise corpus.CorpusError("ground truth has no events in the window")
+    report = metrics.evaluate_all(sim, gt, trigger_agents, window)
+    manifest.write("report.json", report.to_json() + "\n")
+    manifest.write("report.csv", report.to_csv())
+    flagged = sum(1 for e in report.entries if e.flags or e.skipped)
+    manifest.data["counters"]["flagged_metrics"] = flagged
+    for e in report.entries:
+        shown = "skipped: " + e.skipped if e.skipped else f"{e.value:.6f}"
+        print(f"{e.name:<10} {e.category:<18} {shown}")
 
 
 def _load_trigger_labels(path) -> list[str]:
@@ -376,39 +324,33 @@ def _load_report(path) -> metrics.MetricsReport:
         return metrics.report_from_dict(json.load(fh))
 
 
-def cmd_compare(args) -> int:
-    def body(manifest: Manifest):
-        results: dict[str, dict[str, float]] = {}
-        categories: dict[str, str] = {}
-        flags: list[str] = []
-        paths: dict[str, str] = {}  # setting -> its report's path
-        for path in args.reports:
-            manifest.add_input(path)
-            report = _read_file(_load_report, path)
-            name = Path(path).parent.name or Path(path).stem
-            if name in paths:
-                raise UsageError(f"setting {name!r} named twice: {paths[name]} and {path}")
-            paths[name] = path
-            categories.update((e.name, e.category) for e in report.entries)
-            results[name], report_flags = metrics.regret_scores(report, name)
-            flags.extend(report_flags)
-        table, regret_flags = metrics.regret(results, categories)
-        flags.extend(regret_flags)
-        out = Path(args.out)
-        payload = {"regret": table, "flags": flags}
-        _write_json(out / "compare.json", payload)
-        manifest.add_output(out / "compare.json")
-        categories = sorted({c for per in table.values() for c in per})
-        lines = ["setting," + ",".join(categories)]
-        for setting in sorted(table):
-            row = [setting] + [f"{table[setting].get(c, float('nan')):.6f}"
-                               for c in categories]
-            lines.append(",".join(row))
-        _write_text(out / "compare.csv", "\n".join(lines) + "\n")
-        manifest.add_output(out / "compare.csv")
-        print("\n".join(lines))
+def cmd_compare(args, manifest: Manifest) -> None:
+    results: dict[str, dict[str, float]] = {}
+    categories: dict[str, str] = {}
+    flags: list[str] = []
+    paths: dict[str, str] = {}  # setting -> its report's path
+    for path in args.reports:
+        manifest.add_input(path)
+        report = _read_file(_load_report, path)
+        name = Path(path).parent.name or Path(path).stem
+        if name in paths:
+            raise UsageError(f"setting {name!r} named twice: {paths[name]} and {path}")
+        paths[name] = path
+        categories.update((e.name, e.category) for e in report.entries)
+        results[name], report_flags = metrics.regret_scores(report, name)
+        flags.extend(report_flags)
+    table, regret_flags = metrics.regret(results, categories)
+    flags.extend(regret_flags)
+    manifest.write("compare.json", _json_text({"regret": table, "flags": flags}))
+    categories = sorted({c for per in table.values() for c in per})
+    lines = ["setting," + ",".join(categories)]
+    for setting in sorted(table):
+        row = [setting] + [f"{table[setting].get(c, float('nan')):.6f}"
+                           for c in categories]
+        lines.append(",".join(row))
+    manifest.write("compare.csv", "\n".join(lines) + "\n")
+    print("\n".join(lines))
 
-    return _guarded("compare", args, body)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    return _guarded(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

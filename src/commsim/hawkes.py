@@ -17,13 +17,9 @@ likelihood does not fall.
 
 The agents ascend in blocks that take their steps together
 (`_ascend_block`), each holding at most `_ASCENT_BLOCK_BYTES` more than the
-largest agent alone, S**2 included. Each elementwise step and both
-bincounts run once per block and round; the reductions whose float order
-BLAS or pairwise summation fixes (the matvecs on S, the sum of log
-intensities, the dot products) run once per agent on its own rows, as a
-one-agent ascent runs them. So each agent's floats, stop reason and error
-are those of a one-agent ascent, which `tests/oracle_hawkes.py` keeps as
-the oracle.
+largest agent alone, S**2 included. Each agent's floats, stop reason and
+error are those of a one-agent ascent, which `tests/oracle_hawkes.py` keeps
+as the oracle; `_ascend_block` gives the float order that makes them so.
 
 Both samplers draw from one Ogata (1981) thinning kernel, `_thinning`. It
 steps from interval to interval, none longer than an hour: each step takes
@@ -191,11 +187,6 @@ def load_model(path) -> HawkesModel:
         return model_from_dict(json.load(fh))
 
 
-def save_model(model: HawkesModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model.to_json())
-
-
 @dataclass(frozen=True)
 class FitConfig:
     diagonal_only: bool = True
@@ -302,13 +293,9 @@ class _AgentTerms:
     sum_k log(mu[bins[k]] + beta * S[k] @ alpha_row) - mu @ bin_hours
     - alpha_row @ weights.
 
-    The block ascent stacks the events of its agents, `bins` keyed by
-    row * 168 + bin, and takes the elementwise terms once per block. The
-    sums stay per agent, on `S`, `weights` and the agent's slice of the
-    stacked arrays: the matvecs on `S`, the pairwise sum of the log
-    intensities and the two dot products see this agent's values alone, in
-    the shapes a one-agent ascent gives them, so their float order is
-    unchanged."""
+    `_ascend_block` stacks the events of its agents and keeps every sum per
+    agent, on these arrays; it says why the floats are a one-agent
+    ascent's."""
     bins: np.ndarray      # (n_i,) flat weekly bin of each in-window event
     S: np.ndarray         # (n_i, m) decayed source sums per fitted column
     weights: np.ndarray   # (m,) integral weight per fitted column
@@ -422,7 +409,7 @@ def _ascent_blocks(terms: dict[int, _AgentTerms]) -> list[list[int]]:
 
 def _ascend_block(agents: list[int], terms: dict[int, _AgentTerms], beta: float,
                   bin_hours: np.ndarray, cfg: FitConfig, baselines: np.ndarray,
-                  alpha: np.ndarray) -> tuple[list[tuple[str, int, float]], HawkesError | None]:
+                  alpha: np.ndarray) -> list[tuple[str | HawkesError, int, float]]:
     """Projected gradient ascent with backtracking on each agent's concave
     likelihood, for a block of agents that take their steps together.
 
@@ -434,8 +421,10 @@ def _ascend_block(agents: list[int], terms: dict[int, _AgentTerms], beta: float,
     intensities the accepted candidate's likelihood computed, and halves its
     step, from 1, until the likelihood does not fall. An agent stops as
     "converged" when the gain falls below the tolerance (or it has no
-    events), "max_iters" when the iteration budget runs out, and
-    "backtracking_failed" when 60 candidates all fell.
+    events), "max_iters" when the iteration budget runs out,
+    "backtracking_failed" when 60 candidates all fell, and with its
+    `HawkesError` when its intensity is not positive at an event or its
+    likelihood not finite.
 
     The block holds one row per agent still searching. x, the direction and
     the step are arrays of rows, and the intensities and their inverses are
@@ -456,10 +445,7 @@ def _ascend_block(agents: list[int], terms: dict[int, _AgentTerms], beta: float,
 
     Writes each agent's mu and alpha row into `baselines` and `alpha`.
     Returns (stop, iterations, final likelihood) for each agent in block
-    order and None. When an agent's intensity is not positive at an event
-    or its likelihood not finite, it returns the results of the agents
-    before the first such agent and that agent's `HawkesError`, the one a
-    one-agent-at-a-time ascent raises; the agents after it stop there.
+    order.
     """
     ts = [terms[i] for i in agents]
     m = len(ts[0].columns)
@@ -510,27 +496,24 @@ def _ascend_block(agents: list[int], terms: dict[int, _AgentTerms], beta: float,
     # the direction persists; x_c holds the curvature, then the candidate
     direction, x_c = np.empty_like(x), np.empty_like(x)
     s_inv, s_sq_inv = np.empty((len(ts), m)), np.empty((len(ts), m))
-    results: dict[int, tuple[str, int, float]] = {}
-    error, fail_row = None, len(ts)
+    results: dict[int, tuple[str | HawkesError, int, float]] = {}
     cur, lam = evaluate(x)
     starting, stops = [], {}
     for s, c in enumerate(cur):
         if c is None:
-            error, fail_row = HawkesError(_NONPOSITIVE), s
-            break
-        if sizes[s]:
+            stops[s] = HawkesError(_NONPOSITIVE)
+        elif sizes[s]:
             starting.append(s)
         else:
             stops[s] = "converged"
 
     while True:
         for s, stop in stops.items():
-            if rows[s] < fail_row:
-                results[rows[s]] = stop, iters[s], cur[s]
-                baselines[agents[rows[s]]] = x[s, :N_BINS]
-                alpha[agents[rows[s]], ts[s].columns] = x[s, N_BINS:]
-        if stops or rows[-1] >= fail_row:
-            live = [s for s, row in enumerate(rows) if row < fail_row and s not in stops]
+            results[rows[s]] = stop, iters[s], cur[s]
+            baselines[agents[rows[s]]] = x[s, :N_BINS]
+            alpha[agents[rows[s]], ts[s].columns] = x[s, N_BINS:]
+        if stops:
+            live = [s for s in range(len(rows)) if s not in stops]
             if not live:
                 break
             keep = np.zeros(len(rows), dtype=bool)
@@ -570,10 +553,8 @@ def _ascend_block(agents: list[int], terms: dict[int, _AgentTerms], beta: float,
         starting, stops, accepted = [], {}, []
         for s, c in enumerate(cand):
             if c is None or not math.isfinite(c):
-                if rows[s] < fail_row:
-                    error = HawkesError(_NONPOSITIVE if c is None else
-                                        "non-finite likelihood during optimization")
-                    fail_row = rows[s]
+                stops[s] = HawkesError(_NONPOSITIVE if c is None else
+                                       "non-finite likelihood during optimization")
             elif c >= cur[s]:
                 accepted.append(s)
                 improved, cur[s] = c - cur[s], c
@@ -596,7 +577,7 @@ def _ascend_block(agents: list[int], terms: dict[int, _AgentTerms], beta: float,
             taken[accepted] = True
             np.copyto(x, x_c, where=taken[:, None])
             np.copyto(lam, lam_c, where=taken[slot_of])
-    return [results[row] for row in range(fail_row)], error
+    return [results[row] for row in range(len(agents))]
 
 
 def _ascend(blocks, terms: dict[int, _AgentTerms], beta: float, bin_hours: np.ndarray,
@@ -611,16 +592,16 @@ def _ascend(blocks, terms: dict[int, _AgentTerms], beta: float, bin_hours: np.nd
     every agent's final likelihood in agent order."""
     stops, iterations, total = [], [], 0.0
     for agents in blocks:
-        results, error = _ascend_block(agents, terms, beta, bin_hours, cfg, baselines, alpha)
+        results = _ascend_block(agents, terms, beta, bin_hours, cfg, baselines, alpha)
         for i, (stop, iters, objective) in zip(agents, results):
+            if isinstance(stop, HawkesError):
+                raise stop
             stops.append(stop)
             if stop != "converged":
                 counters[f"unconverged_{stop}"] += 1
             if len(terms[i].bins):
                 iterations.append(iters)
             total += objective
-        if error is not None:
-            raise error
     counters["ascent_iterations_max"] = max(iterations, default=0)
     counters["ascent_iterations_median"] = float(np.median(iterations)) if iterations else 0.0
     counters["log_likelihood"] = total
@@ -642,17 +623,10 @@ def fit(log: EventLog, window: tuple[int, int], config: FitConfig | None = None,
     order (the model's log-likelihood, up to float order).
 
     The agents ascend in byte-budgeted blocks of consecutive agents
-    (`_ascend_block`). Per block and round run `1 / lam`, `inv * inv`, both
-    bincounts, the gradient, curvature and direction, the candidate
-    `x + step * d` with its projection, the gather of mu at the events and
-    `np.log`: an elementwise result depends on its operands alone, and
-    `bincount` adds each key's weights in array order. Per agent, with the
-    shapes of a one-agent ascent, run the matvecs on S, the sum of its log
-    intensities, `mu @ bin_hours` and `alpha_row @ weights`, whose float
-    order BLAS and pairwise summation fix. So the model is byte-identical to
-    one agent at a time, and so is an error: the `HawkesError` of the
-    lowest-index agent that fails, raised once the agents before it are
-    counted.
+    (`_ascend_block`, which gives the float order). The model is
+    byte-identical to one agent at a time, and so is an error: the
+    `HawkesError` of the lowest-index agent that fails, raised once the
+    agents before it are counted.
     """
     if counters is None:
         counters = {}

@@ -71,7 +71,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import timeutil
-from .corpus import CorpusError, Event, EventLog, lag24_weekday_autocorr, node_burstiness
+from .corpus import (CorpusError, Event, EventLog, _unchecked, lag24_weekday_autocorr,
+                     node_burstiness)
 
 MOTIF2_CLASSES = ("reciprocal", "repeated", "out_star", "in_star",
                   "chain_forward", "chain_backward")
@@ -621,7 +622,7 @@ def exclude_triggers(log: EventLog, trigger_agents) -> EventLog:
                             tuple(remap[r] for r in e.recipients),
                             e.ts, e.thread_id, e.body))
     # a subsequence of a checked log, remapped into the kept registry
-    return EventLog._unchecked(tuple(log.agents[i] for i in keep), tuple(events))
+    return _unchecked(EventLog, agents=tuple(log.agents[i] for i in keep), events=tuple(events))
 
 
 @dataclass(frozen=True)

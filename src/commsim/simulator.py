@@ -33,11 +33,9 @@ order, including events appended earlier at the same timestamp under the
 queue's tie order. `run` builds an EventLog only for its result or an
 aborted run's partial log.
 
-Each wake's context copies the agent's lists as tuples, which costs less
-than the frozen dataclass `__init__` that the index skips: `_unchecked`
-fills the context in, and the index runs `AgentContext`'s unread check
-itself when there is unread mail. `agents.stub_decide` makes its
-`ActionDecision` the same way.
+Each wake's context copies the agent's lists as tuples into a
+`corpus._unchecked` record; the index runs `AgentContext`'s unread check
+itself when there is unread mail.
 """
 
 from __future__ import annotations
@@ -51,7 +49,8 @@ from typing import Protocol
 import numpy as np
 
 from . import hawkes, timeutil
-from .corpus import Event, EventLog, check_kinds, window as log_window, simple_digraph_edges
+from .corpus import (Event, EventLog, _unchecked, check_kinds, window as log_window,
+                     simple_digraph_edges)
 from .rng import substream
 
 MIN_CLAMP_SECONDS = 60
@@ -220,7 +219,8 @@ def select_triggers(log: EventLog, history_window: tuple[int, int], ratio: float
     chosen = frozenset(ranked[:math.ceil(ratio * n)].tolist())
     s0, s1 = sim_window
     scheduled = tuple(e for e in log.events[log.span(s0, s1)] if e.sender in chosen)
-    return TriggerPlan(chosen, EventLog._unchecked(log.agents, scheduled))  # a subsequence of log
+    # a subsequence of log
+    return TriggerPlan(chosen, _unchecked(EventLog, agents=log.agents, events=scheduled))
 
 
 @dataclass(frozen=True)
@@ -265,18 +265,6 @@ class AgentContext:
 def _check_unread(unread: tuple[Event, ...], now: int) -> None:
     if any(e.ts > now for e in unread):
         raise SimulationError("unread event after now")
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass `cls` holding `fields`, which
-    name every field, made without its `__init__` and `__post_init__`: about
-    0.9 us against 2.7 us for `AgentContext(...)` (CPython 3.11, 2 shared
-    vCPUs). Only for the per-wake records whose checks hold by construction
-    or are run by the caller. The instance gets a dict of its own (368
-    against 168 bytes for an `Event`), so never for records a log keeps."""
-    record = object.__new__(cls)
-    record.__dict__.update(fields)
-    return record
 
 
 @dataclass(frozen=True)

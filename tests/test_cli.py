@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commsim import corpus, hawkes, simulator
+from commsim import agents, corpus, hawkes, simulator
 from commsim.cli import main
 
 from conftest import DATA_DIR, MINI
@@ -124,12 +124,60 @@ def test_simulate_zero_model_trigger_free(tmp_path):
     zero = hawkes.HawkesModel(log.agents, np.zeros((8, 168)),
                               np.zeros((8, 8)), 1.0, True)
     model_path = tmp_path / "zero.json"
-    hawkes.save_model(zero, model_path)
+    model_path.write_text(zero.to_json())
     cfg = sim_config(tmp_path, trigger_ratio=0.0, model=str(model_path))
     out = tmp_path / "o"
     assert run_cli("simulate", cfg, "--policy", "hawkes", "--agent", "stub",
                    "--out", out) == 0
     assert (out / "sim.jsonl").read_text() == ""
+
+
+def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch):
+    """Each command's files under --out are its manifest's outputs and the
+    manifest itself, also for a rollout that aborts after its partial log."""
+    def unreachable(url, payload, headers, timeout):
+        raise OSError("endpoint unreachable")
+
+    monkeypatch.setattr(agents, "_default_transport", unreachable)
+    for name in ("stub", "llm"):
+        (tmp_path / name).mkdir()
+    stub = sim_config(tmp_path / "stub")
+    llm = sim_config(tmp_path / "llm", llm={"base_url": "http://localhost:1",
+                                            "model_name": "m", "max_retries": 0})
+    runs = {
+        "stats": (0, ["stats", MINI]),
+        "fit": (0, ["fit", MINI, "--t0", BASE, "--t1", SIM_T0]),
+        "simulate": (0, ["simulate", stub, "--policy", "hawkes", "--agent", "stub"]),
+        "evaluate": (0, ["evaluate", MINI, MINI]),
+        "compare": (0, ["compare", tmp_path / "evaluate" / "report.json"]),
+        "aborted": (1, ["simulate", llm, "--policy", "periodic", "--agent", "llm"]),
+    }
+    outputs = {}
+    for name, (code, argv) in runs.items():
+        out = tmp_path / name
+        assert run_cli(*argv, "--out", out) == code, name
+        outputs[name] = json.loads((out / "manifest.json").read_text())["outputs"]
+        written = sorted(str(p) for p in out.rglob("*") if p.is_file())
+        assert sorted([*outputs[name], str(out / "manifest.json")]) == written, name
+    assert outputs["aborted"] == [str(tmp_path / "aborted" / "sim.partial.jsonl")]
+
+
+def test_fitted_model_file_stands_in_for_the_in_process_fit(tmp_path):
+    """`commsim fit` writes the model `hawkes.fit` returns, byte for byte, and
+    a hawkes rollout that reads it equals one that fits the same window."""
+    assert run_cli("fit", MINI, "--t0", BASE, "--t1", SIM_T0, "--out", tmp_path / "fit") == 0
+    model_path = tmp_path / "fit" / "model.json"
+    want = hawkes.fit(corpus.ingest(MINI), (BASE, SIM_T0)).to_json()
+    assert model_path.read_bytes() == want.encode("utf-8")
+    rollouts = []
+    for name, overrides in (("file", {"model": str(model_path)}), ("fitted", {})):
+        (tmp_path / name).mkdir()
+        cfg = sim_config(tmp_path / name, **overrides)  # history_days 4: fits (BASE, SIM_T0)
+        out = tmp_path / name / "o"
+        assert run_cli("simulate", cfg, "--policy", "hawkes", "--agent", "stub",
+                       "--out", out) == 0
+        rollouts.append((out / "sim.jsonl").read_bytes())
+    assert rollouts[0] and rollouts[0] == rollouts[1]
 
 
 def test_simulate_hawkes_stub(tmp_path):

@@ -388,7 +388,7 @@ def test_window_carries_built_columns(data):
         t0, t1 = sorted((data.draw(bound), data.draw(bound)))
         sub = window(log, t0, t1)
         assert {name for name in COLUMNS if name in vars(sub)} == {"ts"} | (had & {"senders"})
-        fresh = EventLog._unchecked(sub.agents, sub.events)
+        fresh = corpus._unchecked(EventLog, agents=sub.agents, events=sub.events)
         for name in COLUMNS:
             column = getattr(sub, name)
             assert column.dtype == np.int64 and not column.flags.writeable

@@ -91,9 +91,8 @@ def test_each_is_not_phrase_is_written_once():
     assert [places[kind] for kind in kinds] == [1] * len(kinds)
 
 
-# every use of an unchecked constructor (`corpus.EventLog._unchecked` and
-# `simulator._unchecked`, both named `_unchecked`) by (module, enclosing
-# function), each with what makes the skipped check hold there. Agent replies,
+# every use of the unchecked constructor `corpus._unchecked` by (module,
+# enclosing function), each with what makes the skipped check hold there. Agent replies,
 # user policies and files read by the CLI go through the checked constructors.
 UNCHECKED_SITES = {
     ("corpus", "build_log"),              # sorted, ids unique by its own check, own registry
