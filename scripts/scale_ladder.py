@@ -119,13 +119,12 @@ def slope(xs, ys) -> float:
             / sum((a - mx) ** 2 for a in lx))
 
 
-def ladder(sizes: str, reps: int, workloads: list[str], pin: bool) -> tuple[dict, list[str]]:
+def ladder(sizes: str, reps: int, pin: bool) -> tuple[dict, list[str]]:
     pinned = json.loads(PINNED.read_text()) if PINNED.exists() else {}
     table = pinned.setdefault(sizes, {})
     problems = []
     result = {}
-    for name in workloads:
-        days, rate = WORKLOADS[name]
+    for name, (days, rate) in WORKLOADS.items():
         rows = []
         for agents in SIZES[sizes]:
             path, corpus = corpus_file(agents, days, rate)
@@ -169,8 +168,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--sizes", choices=tuple(SIZES), default="ladder")
     ap.add_argument("--reps", type=int, default=3, help="fresh processes per size")
-    ap.add_argument("--workload", action="append", choices=tuple(WORKLOADS),
-                    help="run only this workload (repeatable); default all four")
     ap.add_argument("--output", default=str(ROOT / "BENCH_scale.json"))
     ap.add_argument("--pin", action="store_true",
                     help="record the digests of sizes not yet pinned instead of failing")
@@ -185,8 +182,7 @@ def main(argv=None) -> int:
 
     import numpy
     started = time.perf_counter()
-    workloads, problems = ladder(args.sizes, args.reps, args.workload or list(WORKLOADS),
-                                 args.pin)
+    workloads, problems = ladder(args.sizes, args.reps, args.pin)
     record = {
         "axis": "agents", "sizes": args.sizes, "seed": SEED, "corpus_index": CORPUS_INDEX,
         "reps": args.reps,

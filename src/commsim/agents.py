@@ -104,8 +104,9 @@ class StubPolicy:
     # (agent, now) -> (state, inc) of the wake's `initiate` generator, a
     # function of (params.seed, agent, now): an aborted run's leftovers hold
     _initiate: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _rng: np.random.Generator = field(default_factory=np.random.default_rng, init=False,
-                                      repr=False, compare=False)
+    # a lambda: naming np.random.default_rng here would load numpy.random on import
+    _rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(),
+                                      init=False, repr=False, compare=False)
 
     def prepare(self, now: int, agents: list[int]) -> None:
         rate = self.params.initiate_rate

@@ -52,7 +52,6 @@ class Manifest:
     def write(self, name: str, text: str) -> None:
         """Write `text` to --out/name, then list that path among the outputs."""
         path = self.out_dir / name
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         self.data["outputs"].append(str(path))
 
@@ -109,7 +108,14 @@ USAGE_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
 
 def _guarded(args) -> int:
     """args.func(args, manifest), then the manifest, whatever the command
-    raised; returns the exit code."""
+    raised; returns the exit code. --out is made first: where it cannot be a
+    directory (an existing file, or a path under one), no command runs and no
+    manifest can be written, and that is a usage error."""
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
     manifest = Manifest(args.command, Path(args.out),
                         {k: v for k, v in vars(args).items() if k != "func"},
                         getattr(args, "seed", None))
@@ -179,7 +185,7 @@ def _build_policy(name: str, cfg: dict, periodic, guided: dict, fit_cfg, log,
         return simulator.LLMPredicted()
     if name == "hod":
         return simulator.EmpiricalHoD(simulator.hod_histograms(corpus.window(log, *hist_window)))
-    if cfg.get("model"):  # hawkes, the one policy left
+    if cfg.get("model") is not None:  # hawkes, the one policy left; null fits
         model = _read_file(hawkes.load_model, cfg["model"])
         if model.agents != log.agents:
             raise UsageError(f"{cfg['model']}: model agents differ from the corpus registry")

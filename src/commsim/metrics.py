@@ -35,9 +35,10 @@ within the largest delta (`_later_pairs`); arity 3 adds, per pair, a count
 of the middle edges on one endpoint pair between two times.
 
 Every per-graph statistic is a kernel(edge_set, n_nodes) of a directed simple
-edge set over range(n_nodes). `daily_topology_series` maps one over a view's
-days; `corpus_stats`, the corpus-level summary behind `commsim stats`, applies
-them to the whole log's graph. Three kernels use only the standard library and
+edge set over range(n_nodes), except betweenness, which takes all of a view's
+days at once. `daily_topology_series` maps a kernel over a view's days;
+`corpus_stats`, the corpus-level summary behind `commsim stats`, applies them
+to the whole log's graph. Three kernels use only the standard library and
 numpy and return, bit for bit, what NetworkX 3.6 returns (the tests keep
 NetworkX as their oracle), so reports do not depend on the installed graph library:
 
@@ -47,9 +48,12 @@ NetworkX as their oracle), so reports do not depend on the installed graph libra
       each source's count of nodes at each distance k; NetworkX adds the
       equal terms 1/k one at a time, sources ascending and each BFS level
       in turn, and np.cumsum adds the same sequence in the same order.
-  _betweenness: Brandes (2001) over integer adjacency lists numbered and
-      ordered as NetworkX's DiGraph stores the day's edge set, so every
-      path count and dependency is the same float added in the same order.
+  _betweenness_days: Brandes (2001) for every source of all of a view's day
+      graphs at once, one BFS level at a time in numpy. Nodes are numbered
+      and successors listed as NetworkX's DiGraph stores each day's edge
+      set; first appearances among each level's candidates give the BFS
+      order, and bincounts over edges sorted into the loop's order add every
+      path count, dependency and score as NetworkX adds them.
 
 `burst` compares two burstiness samples with `sample_emd`, the exact 1-D
 Wasserstein distance as the integral of the CDF difference. It repeats SciPy
@@ -248,8 +252,8 @@ def log_view(log: EventLog, window: tuple[int, int], triggers=()) -> LogView:
 def daily_edge_sets(u, v, t, window: tuple[int, int]) -> dict[int, set[tuple[int, int]]]:
     """Directed simple edges per UTC day bucket of a nonempty window, from
     the window's time-sorted edge columns. Each day's set is filled in edge
-    order, which fixes its iteration order (`_betweenness` numbers nodes by
-    it)."""
+    order, which fixes its iteration order (`_betweenness_days` numbers nodes
+    by it)."""
     t0, t1 = window
     d0, d1 = timeutil.day_index(t0), timeutil.day_index(t1 - 1)
     cuts = np.searchsorted(t, np.arange(d0 + 1, d1 + 1) * timeutil.SECONDS_PER_DAY).tolist()
@@ -440,58 +444,93 @@ def _global_efficiency(edge_set, n_nodes) -> float:
     return float(total / (n_nodes * (n_nodes - 1)))
 
 
-def _betweenness(edge_set) -> dict[int, float]:
-    """Unnormalized directed betweenness of the nodes the edges touch
-    (Brandes 2001), float for float what NetworkX's betweenness_centrality
-    gives for the DiGraph built by add_edges_from(edge_set).
+def _betweenness_days(edge_sets) -> list[dict[int, float]]:
+    """Unnormalized directed betweenness of the nodes each edge set touches
+    (Brandes 2001), one {node: float} per edge set: float for float what
+    NetworkX's betweenness_centrality gives for the DiGraph built by
+    add_edges_from(edge_set). The tests keep the per-graph loop this
+    replaced as its oracle.
 
-    Nodes are numbered, and successor lists filled, in the order that graph
-    would insert them, so sources, BFS queues, predecessor lists and the
-    reverse stack run in NetworkX's order and every sum adds the same floats
-    in the same order. A source without out-edges adds nothing and is
-    skipped; the directed unnormalized rescale multiplies by 1."""
-    index: dict[int, int] = {}
-    succ: list[list[int]] = []
-    for u, v in edge_set:
-        for x in (u, v):
-            if x not in index:
-                index[x] = len(succ)
-                succ.append([])
-        succ[index[u]].append(index[v])
-    n = len(succ)
-    bc = [0.0] * n
-    sigma = [0.0] * n
-    dist = [-1] * n
-    delta = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        if not succ[s]:
-            continue
-        sigma[s], dist[s] = 1.0, 0
-        order = [s]  # the BFS queue, read in place, then the stack
-        for v in order:
-            dv, sv = dist[v] + 1, sigma[v]
-            for w in succ[v]:
-                dw = dist[w]
-                if dw < 0:
-                    order.append(w)
-                    dist[w], sigma[w], preds[w] = dv, sv, [v]
-                elif dw == dv:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        order.reverse()
-        order.pop()  # the source adds nothing to its own score
-        # dist and delta are reset as nodes leave the stack (sigma and preds
-        # are overwritten on discovery), so a source costs only what it reaches
-        for w in order:
-            dep = delta[w]
-            coeff = (1 + dep) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            bc[w] += dep
-            delta[w], dist[w] = 0, -1
-        delta[s], dist[s] = 0, -1
-    return dict(zip(index, bc))
+    Brandes runs for every source of every graph at once, one BFS level at a
+    time, and each float is the one NetworkX's loop makes, added in its order:
+    - Each graph numbers its nodes by first appearance in `for u, v in
+      edge_set`, u before v, and fills successor lists in that order, as the
+      DiGraph inserts them. A node is keyed by slot * n_max + its number,
+      n_max being the largest graph's node count.
+    - Sources run in ascending number, and one without out-edges adds
+      nothing. A (source, node) pair is keyed by source number * n_keys +
+      node key, n_keys being slots * n_max: the view's state is one table of
+      n_max * n_keys entries, not one per level.
+      Level k+1 of a source holds the pairs that the candidates reach first:
+      the level-k pairs in discovery order, each node's successors in list
+      order. `np.minimum.at` finds each pair's first candidate.
+    - sigma of a pair is a bincount of its parents' sigma over the DAG edges
+      in candidate order: the loop's additions in its order.
+    - Deepest level first, coeff = (1 + delta) / sigma, and delta of a pair is
+      a bincount of sigma[v] * coeff[w] over its DAG edges stably sorted by
+      descending discovery rank of w, as the loop pops its stack.
+    - bc of a node adds its deltas source by source, one row of the pair
+      table at a time, from 0.0 as the loop does. A pair the source does not
+      reach holds 0.0, and adding 0.0 to a score, never negative, keeps it.
+    """
+    numbers, ends = [], []
+    for edges in edge_sets:
+        number: dict = {}
+        ends += [number.setdefault(x, len(number)) for edge in edges for x in edge]
+        numbers.append(number)
+    n_max = max(map(len, numbers), default=0)
+    if not n_max:
+        return [{} for _ in edge_sets]
+    slot_key = np.repeat(np.arange(len(edge_sets)) * n_max, [2 * len(e) for e in edge_sets])
+    tail, head = (np.array(ends, dtype=np.int64) + slot_key).reshape(-1, 2).T
+    succ = head[np.argsort(tail, kind="stable")]
+    n_keys = len(edge_sets) * n_max
+    out_deg = np.bincount(tail, minlength=n_keys)
+    succ_start = np.cumsum(out_deg) - out_deg
+
+    node = np.flatnonzero(out_deg)  # level 0: the sources, ascending
+    source = node % n_max
+    key = source * n_keys + node
+    sigma = np.ones(len(node))
+    unseen = np.iinfo(np.int32).max
+    first_at = np.full(n_max * n_keys, unseen, dtype=np.int32)
+    first_at[key] = 0
+    levels = []  # (pair keys, sigma, DAG edges to the next level as parent, child)
+    while len(node):
+        deg = out_deg[node]
+        parent = np.repeat(np.arange(len(node), dtype=np.int32), deg)
+        at = np.repeat(succ_start[node] - (np.cumsum(deg) - deg), deg) + np.arange(len(parent))
+        reached = succ[at] + source[parent] * n_keys
+        dag = np.flatnonzero(first_at[reached] == unseen)
+        reached, parent = reached[dag], parent[dag]
+        candidate = np.arange(len(reached), dtype=np.int32)
+        np.minimum.at(first_at, reached, candidate)
+        found = first_at[reached]
+        new = found == candidate
+        child = (np.cumsum(new, dtype=np.int32) - 1)[found]
+        levels.append((key, sigma, parent, child))
+        sigma = np.bincount(child, weights=sigma[parent], minlength=np.count_nonzero(new))
+        key = reached[new]
+        source, node = np.divmod(key, n_keys)
+        del at, reached, dag, found, new  # before the next level allocates its own
+    del first_at
+
+    delta = np.zeros(n_max * n_keys)  # by pair key: one row per source number
+    coeff = np.zeros(0)  # (1 + delta) / sigma of the level below
+    while len(levels) > 1:  # the sources' own delta adds to no score
+        key, sigma, parent, child = levels.pop()
+        by_child = np.argsort(child, kind="stable")[::-1]
+        parent = parent[by_child]
+        level_delta = np.bincount(parent, weights=sigma[parent] * coeff[child[by_child]],
+                                  minlength=len(key))
+        delta[key] = level_delta
+        coeff = (1 + level_delta) / sigma
+    bc = np.zeros(n_keys)
+    for row in delta.reshape(n_max, n_keys):  # sources ascending; an unreached pair adds 0.0
+        bc += row
+    bc = bc.tolist()
+    return [dict(zip(number, bc[i * n_max:i * n_max + len(number)]))
+            for i, number in enumerate(numbers)]
 
 
 def _reciprocity(edge_set, n_nodes) -> float:
@@ -568,11 +607,12 @@ def _top_k_nodes(scores: dict[int, float], k: int = 10) -> set[int]:
 
 def daily_top_nodes(view: LogView, scores) -> dict[int, set[int] | None]:
     """Per UTC day of the window, the top-10 node set by the centrality
-    scores(edge_set, n_nodes) -> {node: score} of the day's directed simple
-    graph; None for a day without edges."""
-    n = view.n_agents
-    return {d: _top_k_nodes(scores(edges, n)) if edges else None
-            for d, edges in sorted(view.daily().items())}
+    scores of the day's directed simple graph; None for a day without edges.
+    scores(edge_sets, n_nodes) gives one {node: score} per edge set, in order,
+    for all days with edges at once."""
+    days = sorted(view.daily().items())
+    scored = iter(scores([edges for _, edges in days if edges], view.n_agents))
+    return {d: _top_k_nodes(next(scored)) if edges else None for d, edges in days}
 
 
 def centrality_jaccard(sim_tops, gt_tops, kind: str) -> tuple[float, list[str]]:
@@ -691,9 +731,10 @@ SUITE = {
     "globeff": (lambda v: daily_topology_series(v, _global_efficiency), topology_rmse),
     "recip": (lambda v: daily_topology_series(v, _reciprocity), topology_rmse),
     "topo_ovlp": (ego_overlap_histogram, lambda s, g: emd_1d(s, g) / TOPO_OVERLAP_BINS),
-    "degcen": (lambda v: daily_top_nodes(v, lambda e, n: dict(enumerate(_degrees(e, n)))),
+    "degcen": (lambda v: daily_top_nodes(
+        v, lambda days, n: [dict(enumerate(_degrees(e, n))) for e in days]),
                lambda s, g: centrality_jaccard(s, g, "degree")),
-    "betwcen": (lambda v: daily_top_nodes(v, lambda e, n: _betweenness(e)),
+    "betwcen": (lambda v: daily_top_nodes(v, lambda days, n: _betweenness_days(days)),
                 lambda s, g: centrality_jaccard(s, g, "betweenness")),
 }
 

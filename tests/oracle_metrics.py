@@ -10,6 +10,8 @@ array censuses replaced. `oracle_log_view` is the old path from a log to its
 view: a windowed log, then a trigger-free log, then its `edges()` list.
 `oracle_sample_emd` is the SciPy call that `metrics.sample_emd` replaced.
 `classify_pair` is the per-pair rule that `motif_census_2` applies to arrays.
+`oracle_betweenness` is the per-graph Brandes loop that the batched
+`_betweenness_days` replaced.
 """
 
 import bisect
@@ -24,11 +26,11 @@ from commsim.corpus import EventLog, lag24_weekday_autocorr, node_burstiness
 from commsim.corpus import window as log_window
 from commsim.metrics import (CATEGORY_OF, HIGHER_IS_BETTER, MOTIF2_CLASSES, MOTIF3_CLASSES,
                              TOPO_OVERLAP_BINS, LogView, MetricEntry, MetricError, MetricsReport,
-                             MotifCensus, _betweenness, _check_deltas, _degrees,
-                             _global_efficiency, _reciprocity, _top_k_nodes, _transitivity,
-                             _trigger_set, daily_topology_series, emd_1d,
-                             exclude_triggers, jsd, motif_census_2, motif_census_3,
-                             topology_rmse, weekend_weekday_ratio)
+                             MotifCensus, _check_deltas, _degrees, _global_efficiency,
+                             _reciprocity, _top_k_nodes, _transitivity, _trigger_set,
+                             daily_topology_series, emd_1d, exclude_triggers, jsd,
+                             motif_census_2, motif_census_3, topology_rmse,
+                             weekend_weekday_ratio)
 
 
 def classify_pair(u1: int, v1: int, u2: int, v2: int) -> str:
@@ -276,6 +278,62 @@ def topo_overlap_emd(sim: LogView, gt: LogView) -> float:
     return emd_1d(dists[0], dists[1]) / TOPO_OVERLAP_BINS
 
 
+def oracle_betweenness(edge_set) -> dict[int, float]:
+    """Unnormalized directed betweenness of the nodes the edges touch
+    (Brandes 2001), float for float what NetworkX's betweenness_centrality
+    gives for the DiGraph built by add_edges_from(edge_set).
+
+    Nodes are numbered, and successor lists filled, in the order that graph
+    would insert them, so sources, BFS queues, predecessor lists and the
+    reverse stack run in NetworkX's order and every sum adds the same floats
+    in the same order. A source without out-edges adds nothing and is
+    skipped; the directed unnormalized rescale multiplies by 1.
+
+    The per-graph loop that `metrics._betweenness_days` replaced."""
+    index: dict[int, int] = {}
+    succ: list[list[int]] = []
+    for u, v in edge_set:
+        for x in (u, v):
+            if x not in index:
+                index[x] = len(succ)
+                succ.append([])
+        succ[index[u]].append(index[v])
+    n = len(succ)
+    bc = [0.0] * n
+    sigma = [0.0] * n
+    dist = [-1] * n
+    delta = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for s in range(n):
+        if not succ[s]:
+            continue
+        sigma[s], dist[s] = 1.0, 0
+        order = [s]  # the BFS queue, read in place, then the stack
+        for v in order:
+            dv, sv = dist[v] + 1, sigma[v]
+            for w in succ[v]:
+                dw = dist[w]
+                if dw < 0:
+                    order.append(w)
+                    dist[w], sigma[w], preds[w] = dv, sv, [v]
+                elif dw == dv:
+                    sigma[w] += sv
+                    preds[w].append(v)
+        order.reverse()
+        order.pop()  # the source adds nothing to its own score
+        # dist and delta are reset as nodes leave the stack (sigma and preds
+        # are overwritten on discovery), so a source costs only what it reaches
+        for w in order:
+            dep = delta[w]
+            coeff = (1 + dep) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            bc[w] += dep
+            delta[w], dist[w] = 0, -1
+        delta[s], dist[s] = 0, -1
+    return dict(zip(index, bc))
+
+
 def centrality_jaccard(sim: LogView, gt: LogView, kind: str) -> tuple[float, list[str]]:
     """Mean daily Jaccard similarity of top-10 node sets by degree or
     betweenness centrality on the daily directed simple graphs of two views
@@ -297,7 +355,7 @@ def centrality_jaccard(sim: LogView, gt: LogView, kind: str) -> tuple[float, lis
                     scores[u] += 1
                     scores[v] += 1
             elif kind == "betweenness":
-                scores = _betweenness(edges)
+                scores = oracle_betweenness(edges)
             else:
                 raise MetricError(f"unknown centrality kind {kind!r}")
             top = _top_k_nodes(dict(scores))

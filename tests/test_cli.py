@@ -180,6 +180,26 @@ def test_fitted_model_file_stands_in_for_the_in_process_fit(tmp_path):
     assert rollouts[0] and rollouts[0] == rollouts[1]
 
 
+def test_simulate_null_model_fits_and_empty_model_path_exits_2(tmp_path, capsys):
+    """`"model": null` fits in-process like a config without the key; an empty
+    path is a missing model file, not a request to fit."""
+    rollouts = []
+    for name, overrides in (("null", {"model": None}), ("absent", {})):
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "o"
+        assert run_cli("simulate", sim_config(tmp_path / name, **overrides), "--policy", "hawkes",
+                       "--agent", "stub", "--out", out) == 0
+        rollouts.append((out / "sim.jsonl").read_bytes())
+    assert rollouts[0] and rollouts[0] == rollouts[1]
+    capsys.readouterr()
+    out = tmp_path / "empty"
+    assert run_cli("simulate", sim_config(tmp_path, model=""), "--policy", "hawkes",
+                   "--agent", "stub", "--out", out) == 2
+    assert "No such file or directory: ''" in _error(out)
+    assert not (out / "sim.jsonl").exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_simulate_hawkes_stub(tmp_path):
     import time
 
@@ -380,6 +400,24 @@ def test_warmup_pass_imports_no_heavy_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """`commsim stats`, `evaluate` and `compare` draw nothing, so importing the
+    package, its agents and the CLI must not load numpy.random."""
+    code = ("import sys, numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "import commsim, commsim.agents, commsim.cli\n"
+            "print(before, 'numpy.random' in sys.modules)\n")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=root, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("this numpy loads numpy.random on import")
+    assert after == "False"
+
+
 def test_evaluate_runs_without_scipy(tmp_path):
     """The runtime needs only numpy: with scipy made unimportable,
     `commsim evaluate` of the mini corpus against itself still scores all 15
@@ -487,6 +525,19 @@ def test_ingest_reads_jsonl_one_line_at_a_time(tmp_path, capsys):
     message = "line 1: Unterminated string starting at: line 1 column 52 (char 51)"
     assert _error(out) == f"CorpusError: {message}"
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, under):
+    """--out naming an existing file, or a path under one, is a usage error:
+    one `error:` line, no traceback, no command run and the file untouched."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "o" if under else blocker
+    assert run_cli("stats", MINI, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and err.count("\n") == 1, err
+    assert blocker.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("fmt,records", [

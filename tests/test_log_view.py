@@ -50,7 +50,7 @@ def assert_same_view(got, want):
         assert got.days is None
     else:
         assert list(got.days) == list(want.days)
-        # _betweenness numbers nodes in set iteration order
+        # _betweenness_days numbers nodes in set iteration order
         assert [list(s) for s in got.days.values()] == [list(s) for s in want.days.values()]
 
 

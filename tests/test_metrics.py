@@ -689,7 +689,7 @@ def test_betweenness_equals_networkx(graph):
     _, edges = graph
     g = nx.DiGraph()
     g.add_edges_from(edges)
-    assert metrics._betweenness(edges) == nx.betweenness_centrality(g, normalized=False)
+    assert metrics._betweenness_days([edges]) == [nx.betweenness_centrality(g, normalized=False)]
 
 
 def test_corpus_stats_graph_kernels_equal_networkx():
