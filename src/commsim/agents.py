@@ -26,16 +26,18 @@ import numpy as np
 from . import timeutil
 from .corpus import (EventLog, _unchecked, check_kinds, contact_frequencies, field_error,
                      kind_error, simple_digraph_edges, window as log_window)
-from .rng import (RecipientDraw, pcg64_states, set_pcg64_state, stream_seed, substream,
-                  uniform_hash)
+from .rng import (RecipientDraw, pcg64_states, poisson_is_zero, set_pcg64_state, stream_seeds,
+                  substream, uniform_hash)
 from .simulator import Action, ActionDecision, AgentContext, MIN_CLAMP_SECONDS
 
 DEFAULT_NEXT_CHECK_GAP = 3 * 3600
 # the fewest `initiate` keys that `StubPolicy.prepare` seeds in one batch.
-# The batch has a fixed cost of about 55 us, then 1.2 us a key, against 5 us
-# a key for `default_rng`: 14 keys cost the same either way (2 shared vCPUs,
-# numpy 2.4), 16 cost 75 against 82 us
-_BATCH_MIN_KEYS = 16
+# Batched, a slot's wakes (`prepare` and every `decide`) cost about 55-75 us,
+# then about 5 us a wake, against 15-17 us a wake through `substream`: at 6
+# keys batching is still 13% slower, at 8 it wins, 12.2 against 15.3 us a
+# wake with 90% of the wakes' Poisson draws 0 and 14.5 against 16.7 with 69%
+# (2 shared vCPUs, numpy 2.4.6)
+_BATCH_MIN_KEYS = 8
 
 
 class AgentError(RuntimeError):
@@ -97,12 +99,13 @@ def stub_params_from_history(log: EventLog, window: tuple[int, int],
 @dataclass(frozen=True)
 class StubPolicy:
     """`stub_decide` as an agent policy. `prepare` seeds the `initiate`
-    generators of a batch of wakes at once (`rng.pcg64_states`); a wake's
-    decision then reads its generator from that batch, which draws exactly
-    as `substream` would have."""
+    streams of a batch of wakes at once (`rng.pcg64_states`); a wake's
+    decision then reads its stream from that batch, which draws exactly as
+    `substream` would have, and sets a generator to it only when its
+    Poisson draw is not 0 by its first double."""
     params: StubParams
-    # (agent, now) -> (state, inc) of the wake's `initiate` generator, a
-    # function of (params.seed, agent, now): an aborted run's leftovers hold
+    # (agent, now) -> (state, inc, first double) of the wake's `initiate`
+    # stream, a function of (params.seed, agent, now): an aborted run's leftovers hold
     _initiate: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # a lambda: naming np.random.default_rng here would load numpy.random on import
     _rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(),
@@ -112,22 +115,24 @@ class StubPolicy:
         rate = self.params.initiate_rate
         drawing = [a for a in agents if rate[a] > 0]
         if len(drawing) >= _BATCH_MIN_KEYS:
-            keys = [stream_seed(self.params.seed, "initiate", a, now) for a in drawing]
+            keys = stream_seeds(self.params.seed, "initiate", drawing, now)
             self._initiate.update(zip([(a, now) for a in drawing], pcg64_states(keys)))
 
     def decide(self, ctx: AgentContext) -> ActionDecision:
-        state = self._initiate.pop((ctx.agent, ctx.now), None) if self._initiate else None
-        return stub_decide(self.params, ctx,
-                           None if state is None else set_pcg64_state(self._rng, *state))
+        stream = self._initiate.pop((ctx.agent, ctx.now), None) if self._initiate else None
+        return stub_decide(self.params, ctx, stream, self._rng)
 
 
 def stub_decide(params: StubParams, ctx: AgentContext,
-                initiate_rng: np.random.Generator | None = None) -> ActionDecision:
+                initiate: tuple[int, int, float] | None = None,
+                rng: np.random.Generator | None = None) -> ActionDecision:
     """Deterministic statistical decision: answer each unread message with
     the calibrated reply probability, initiate at the calibrated daily rate
     over the time since the last check, bodies are placeholders.
-    `initiate_rng`, if given, is the wake's `initiate` substream, already
-    made."""
+    `initiate`, if given, is the wake's `initiate` substream as
+    `rng.pcg64_states` seeds it, (state, inc, first double), and `rng` a
+    PCG64 generator to set to it: only when `rng.poisson_is_zero` cannot
+    tell that its Poisson draw is 0."""
     agent = ctx.agent
     actions = []
     for e in ctx.unread:
@@ -141,9 +146,14 @@ def stub_decide(params: StubParams, ctx: AgentContext,
     elapsed_days = max(0.0, (ctx.now - since) / 86400)
     rate = float(params.initiate_rate[agent])
     if rate > 0 and elapsed_days > 0:
-        rng = (initiate_rng if initiate_rng is not None
-               else substream(params.seed, "initiate", agent, ctx.now))
-        n_init = int(rng.poisson(rate * elapsed_days))
+        lam = rate * elapsed_days
+        if initiate is None:
+            rng = substream(params.seed, "initiate", agent, ctx.now)
+        elif poisson_is_zero(initiate[2], lam):  # no initiation, no other draw
+            rng = None
+        else:
+            rng = set_pcg64_state(rng, initiate[0], initiate[1])
+        n_init = 0 if rng is None else int(rng.poisson(lam))
         for k in range(n_init):
             recipient = params._recipients(rng, agent)
             if recipient is None:  # no other agent to write to

@@ -4,13 +4,25 @@ Every random draw in the package flows from a single integer seed through
 named sub-streams, so independent components never share or race a stream
 and runs reproduce bit-for-bit across platforms (PCG64 is portable).
 
-`pcg64_states` seeds many keyed streams at once. It reproduces numpy's
-`np.random.PCG64(key)` seeding exactly: `SeedSequence(key)` (the entropy
-mixing of numpy's `bit_generator.pyx`, pool of four 32-bit words, then
-`generate_state(4, uint64)`) followed by `pcg64_set_seed`, PCG's
-`srandom_r` with its default 128-bit multiplier. The mixing runs once per
-step over uint32 arrays of all keys; its hash constants do not depend on
-the keys, so they are tabled at import.
+`pcg64_states` seeds many keyed streams at once. It reproduces these
+numpy rules exactly:
+
+* `np.random.PCG64(key)` seeding: `SeedSequence(key)` (the entropy mixing
+  of numpy's `bit_generator.pyx`, pool of four 32-bit words, then
+  `generate_state(4, uint64)`) followed by `pcg64_set_seed`, PCG's
+  `srandom_r` with its default 128-bit multiplier. The mixing runs over
+  uint32 arrays of all keys, one numpy step per source word (the three
+  words a source mixes into read it unchanged); its hash constants do not
+  depend on the keys, so they are tabled at import.
+* PCG64's first double, what `default_rng(key).random()` returns:
+  `(next64 >> 11) * 2**-53`, where next64 is the XSL-RR output (the high
+  and low halves xored, rotated right by the top 6 bits) of the state one
+  LCG step after seeding.
+* The zero of `Generator.poisson(lam)` for 0 <= lam < 10, numpy's
+  `random_poisson_mult`: it multiplies uniforms until the product is at
+  most exp(-lam), so it returns 0 exactly when the first double is.
+  `poisson_is_zero` tells that from the first double alone, so a keyed
+  stream whose draw is 0 needs no generator.
 """
 
 from __future__ import annotations
@@ -27,6 +39,16 @@ def stream_seed(seed: int, *labels) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
+def stream_seeds(seed: int, label, keys, *labels) -> list[int]:
+    """`stream_seed(seed, label, k, *labels)` for each k in `keys`, the same
+    bytes hashed: the repr around each k is formatted once."""
+    head = f"({int(seed)!r}, {label!r}, "
+    tail = "".join(f", {x!r}" for x in labels) + ")"
+    sha256 = hashlib.sha256
+    return [int.from_bytes(sha256(f"{head}{k!r}{tail}".encode()).digest()[:8], "big")
+            for k in keys]
+
+
 def substream(seed: int, *labels) -> np.random.Generator:
     """A fresh generator for the named purpose."""
     return np.random.default_rng(stream_seed(seed, *labels))
@@ -36,6 +58,8 @@ _SEED_WORDS = 4  # numpy's SeedSequence pool size, in 32-bit words
 _MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
 _PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 _MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+_DOUBLE_UNIT = 2.0**-53  # a 53-bit integer to a double in [0, 1)
 
 
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
@@ -51,9 +75,11 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
 # distinct words; generate_state hashes 8 words, the pool twice round
 _POOL_HASH = _hash_constants(0x43b0d7e5, 0x931e8875, _SEED_WORDS * _SEED_WORDS)
 _POOL_FILL = _POOL_HASH[:_SEED_WORDS].T[:, :, None]  # xor and mult columns
-_POOL_MIX = [(src, dst, xor, mult) for (src, dst), (xor, mult) in zip(
-    [(s, d) for s in range(_SEED_WORDS) for d in range(_SEED_WORDS) if s != d],
-    _POOL_HASH[_SEED_WORDS:])]
+# one step per source word: its three destinations, and their hash constants
+# as (3, 1) xor and mult columns, in numpy's order
+_POOL_MIX = [(src, [d for d in range(_SEED_WORDS) if d != src],
+              *_POOL_HASH[_SEED_WORDS + 3 * src:_SEED_WORDS + 3 * src + 3].T[:, :, None])
+             for src in range(_SEED_WORDS)]
 _STATE_HASH = _hash_constants(0x8b51f9dd, 0x58f38ded, 2 * _SEED_WORDS).T[:, :, None]
 _STATE_WORDS = list(range(_SEED_WORDS)) * 2
 
@@ -63,10 +89,11 @@ def _hashmix(value: np.ndarray, xor, mult) -> np.ndarray:
     return value ^ (value >> np.uint32(16))
 
 
-def pcg64_states(keys) -> list[tuple[int, int]]:
-    """The (state, inc) of `np.random.PCG64(k)` for each 64-bit key k.
-    A key below 2**32 is one entropy word, and SeedSequence hashes a missing
-    word as 0, so every key is two words here."""
+def pcg64_states(keys) -> list[tuple[int, int, float]]:
+    """The (state, inc) of `np.random.PCG64(k)` for each 64-bit key k, and
+    the first double its generator draws. A key below 2**32 is one entropy
+    word, and SeedSequence hashes a missing word as 0, so every key is two
+    words here."""
     k = np.array(keys, dtype=np.uint64)
     words = np.zeros((_SEED_WORDS, len(k)), dtype=np.uint32)
     words[0] = k & np.uint64(0xFFFFFFFF)
@@ -82,8 +109,22 @@ def pcg64_states(keys) -> list[tuple[int, int]]:
     out = []  # srandom_r: inc = seq << 1 | 1; step from state 0, add the seed, step
     for s_hi, s_lo, i_hi, i_lo in zip(*halves):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+        seeded = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        # next64: step, then XSL-RR; a double is its top 53 bits
+        nxt = (seeded * _PCG64_MULT + inc) & _MASK128
+        x = (nxt >> 64 ^ nxt) & _MASK64
+        rot = nxt >> 122
+        out.append((seeded, inc, (((x >> rot | x << 64 - rot) & _MASK64) >> 11) * _DOUBLE_UNIT))
     return out
+
+
+def poisson_is_zero(first: float, lam: float) -> bool:
+    """Whether `Generator.poisson(lam)` on a fresh generator whose first
+    double is `first` returns 0 by numpy's `random_poisson_mult`, which
+    draws it for 0 < lam < 10 (lam 0 is 0 without a draw). False outside
+    [0, 10), where the draw must be made: numpy then runs another algorithm,
+    or raises."""
+    return 0.0 <= lam < 10.0 and first <= math.exp(-lam)
 
 
 def set_pcg64_state(rng: np.random.Generator, state: int, inc: int) -> np.random.Generator:

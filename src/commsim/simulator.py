@@ -19,8 +19,12 @@ more than one wake is due at one timestamp (every slot of a
 `PeriodicSchedule`), `run` calls it once, after that timestamp's trigger
 injections and before the first of those wakes, with the waking agents in
 wake order. It lets a policy do the wakes' context-free work in one batch
-(`agents.StubPolicy` seeds their generators). It must not change any
-decision: a rollout is the same whether the policy defines it or not.
+(`agents.StubPolicy` seeds their generators). It may precompute only
+what is a function of (now, agent) and the policy's own settings, such as
+each wake's keyed random stream; it sees no context, so anything that
+reads the agent's mail, last check or suggestion waits for `decide`. It
+must not change any decision: a rollout is the same whether the policy
+defines it or not. `run` looks the hook up once per run.
 
 A rollout is linear in its events. Two incremental structures are updated
 as each event is appended, instead of rescanning the log on every wake:
@@ -443,15 +447,21 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
         if excitation is not None:
             excitation.add(e.sender, e.ts)
 
+    # per-wake invariants, read once
+    activation = config.policy
+    draw, follows, redraws = activation.draw, activation.follows_decision, activation.redraws
+    max_actions = config.max_actions_per_wake
+    prepare = policy_impl.prepare if hasattr(policy_impl, "prepare") else None
+
     organic_agents = [i for i in range(history.n_agents)
                       if i not in triggers.trigger_agents]
     wake_rng = {agent: substream(config.seed, "wake", agent) for agent in organic_agents}
     last_check: dict[int, int | None] = dict.fromkeys(organic_agents)
     for agent in organic_agents:
-        if config.policy.wakes_at_start:
+        if activation.wakes_at_start:
             first = t0
         else:
-            first = config.policy.draw(agent, excitation, t0, t1, wake_rng[agent])
+            first = draw(agent, excitation, t0, t1, wake_rng[agent])
             _check_wake(first, t0, agent)
         if first is not None and first < t1:
             heapq.heappush(queue, (first, _QK_WAKE, agent))
@@ -471,15 +481,15 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
             due = [key]
             while queue and queue[0][0] == ts:
                 due.append(heapq.heappop(queue)[2])
-            if hasattr(policy_impl, "prepare"):
-                policy_impl.prepare(ts, due)
+            if prepare is not None:
+                prepare(ts, due)
         else:
             due = (key,)
         for agent in due:
             counters["wakes"] += 1
             # the policy's suggestion shown to the agent; unless the policy
             # follows the decision or redraws, it is also the next wake
-            suggested = config.policy.draw(agent, excitation, ts, t1, wake_rng[agent])
+            suggested = draw(agent, excitation, ts, t1, wake_rng[agent])
 
             ctx = index.context(agent, ts, last_check[agent], suggested, personas.get(agent))
             try:
@@ -488,8 +498,8 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
                 raise SimulationAborted(f"agent {agent} policy failed at {ts}: {exc}",
                                         history.with_events(sim_events)) from exc
 
-            actions = decision.actions[:config.max_actions_per_wake]
-            if len(decision.actions) > config.max_actions_per_wake:
+            actions = decision.actions[:max_actions]
+            if len(decision.actions) > max_actions:
                 counters["actions_truncated"] += 1
             for action in actions:
                 if any(not 0 <= r < history.n_agents for r in action.recipients):
@@ -505,13 +515,13 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
 
             if decision.next_check_clamped:
                 counters["next_check_clamps"] += 1
-            if config.policy.follows_decision:
+            if follows:
                 nxt = decision.next_check
                 if nxt <= ts:
                     nxt = ts + MIN_CLAMP_SECONDS
                     counters["next_check_clamps"] += 1
-            elif config.policy.redraws:
-                nxt = config.policy.draw(agent, excitation, ts, t1, wake_rng[agent])
+            elif redraws:
+                nxt = draw(agent, excitation, ts, t1, wake_rng[agent])
             else:
                 nxt = suggested
             _check_wake(nxt, ts, agent)

@@ -7,7 +7,7 @@ from commsim.simulator import (MIN_CLAMP_SECONDS, ActionDecision, Action, Empiri
                                HawkesGuided, LLMPredicted, PeriodicSchedule, SimConfig,
                                SimulationAborted, SimulationError, TriggerPlan,
                                build_context, run, select_triggers)
-from commsim.rng import pcg64_states, substream
+from commsim.rng import pcg64_states, set_pcg64_state, substream
 
 import oracle_agents
 from conftest import BASE_MONDAY, ZeroDraws
@@ -632,7 +632,8 @@ class PrepareSpy:
 def _slot_rollout(n_organic):
     """Two trigger agents and n_organic stub agents on a 3-hour schedule
     over two days: trigger mail lands on wake slots and between them, every
-    agent initiates and replies."""
+    agent initiates and replies. Agent 2 sends over 100 a day, so each of
+    its wakes draws `poisson` at lam above 12.5, beyond the zero rule's range."""
     rng = np.random.default_rng(n_organic)
     n = n_organic + 2
     t0 = BASE_MONDAY + 4 * DAY
@@ -641,6 +642,8 @@ def _slot_rollout(n_organic):
     for ts in np.sort(rng.integers(BASE_MONDAY, t0, 12 * n)):
         sender = int(rng.integers(n))
         events.append((sender, (sender + 1 + int(rng.integers(n - 1))) % n, int(ts)))
+    for ts in np.sort(rng.integers(BASE_MONDAY, t0, 400)):
+        events.append((2, 3 + int(rng.integers(n - 3)), int(ts)))
     for k in range(1, 16):
         events.append((k % 2, 2 + k % n_organic, t0 + k * step))        # on a slot
         events.append((k % 2, 2 + (3 * k) % n_organic, t0 + k * step + 7))
@@ -653,7 +656,7 @@ def _slot_rollout(n_organic):
     cfg = SimConfig(window=(t0, t0 + 2 * DAY), history_days=4, seed=7,
                     policy=PeriodicSchedule(3.0))
     params = agents.stub_params_from_history(log, (BASE_MONDAY, t0), seed=7)
-    assert np.all(params.initiate_rate[2:] > 0)
+    assert np.all(params.initiate_rate[2:] > 0) and params.initiate_rate[2] >= 100
     return cfg, log, plan, params
 
 
@@ -662,16 +665,23 @@ def test_batched_stub_rollout_matches_substream_stub(offset, monkeypatch):
     """Around the break-even size the batched StubPolicy writes the rollout
     of the `substream` oracle byte for byte, and batches exactly when the
     due wakes reach that size; `prepare` sees each slot's due agents once,
-    in agent-index order, before their wakes."""
+    in agent-index order, before their wakes. A batched wake sets a
+    generator only when the oracle's `initiate` draw is not 0; one at lam
+    of 10 or more sets it whatever its draw."""
     n_organic = agents._BATCH_MIN_KEYS + offset
     cfg, log, plan, params = _slot_rollout(n_organic)
-    batches = []
+    batches, generators = [], []
 
     def counting(keys):
         batches.append(len(keys))
         return pcg64_states(keys)
 
+    def setting(rng, state, inc):
+        generators.append(state)
+        return set_pcg64_state(rng, state, inc)
+
     monkeypatch.setattr(agents, "pcg64_states", counting)
+    monkeypatch.setattr(agents, "set_pcg64_state", setting)
     spy = PrepareSpy(agents.StubPolicy(params))
     out = run(cfg, log, spy, plan)
     want = run(cfg, log, OracleStub(params), plan)
@@ -684,6 +694,13 @@ def test_batched_stub_rollout_matches_substream_stub(offset, monkeypatch):
         at_now = [c for c in spy.calls if c[1] == now]
         assert at_now == [("prepare", now, organic)] + [("decide", now, a) for a in organic]
     assert batches == ([n_organic] * 15 if n_organic >= agents._BATCH_MIN_KEYS else [])
+    # every agent wakes on every slot, so a wake after the first draws at lam
+    # = rate * 3 h; the oracle's draw from its own substream
+    lam = {a: float(params.initiate_rate[a]) * (3 * HOUR / DAY) for a in organic}
+    nonzero = [(a, now) for now in slots[1:] for a in organic
+               if substream(cfg.seed, "initiate", a, now).poisson(lam[a]) > 0]
+    assert lam[2] >= 10 and 0 < len(nonzero) < len(organic) * 14
+    assert len(generators) == (len(nonzero) if batches else 0)
 
 
 def test_single_wakes_are_not_prepared(mini_log, mini_manifest):
