@@ -743,12 +743,18 @@ def thin_next_activation(model: HawkesModel, agent: int, excitation: float,
     Interval bound: within an hour the baseline is constant and the
     excitation only decays, so bin rate + excitation at the left endpoint
     dominates. Without excitation the bin rate is the bound and the
-    intensity both, and the kernel takes no rate.
+    intensity both, and the kernel takes no rate. An int `rng` seeds
+    `default_rng`; it follows `corpus.kind_error` (a bool is no integer) and
+    must not be negative.
     """
     if t_now >= horizon:
         raise HawkesError("t_now must be before horizon")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    if not isinstance(rng, np.random.Generator):
+        if error := kind_error("rng", rng, int):
+            raise HawkesError(f"{error} or a numpy Generator")
+        if rng < 0:
+            raise HawkesError(f"rng {rng!r} is a negative seed")
+        rng = np.random.default_rng(rng)
     beta = model.beta_per_hour
     mu = model.baseline_rows[agent]
     a = excitation

@@ -1,5 +1,4 @@
 import json
-import types
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +71,14 @@ def run_metric(name, sim_view, gt_view):
     return comparison(part(sim_view), part(gt_view))
 
 
-class ZeroDraws:
-    """rng stub whose every draw is 0: the thinning sampler's first
-    candidate lands on t_now itself and is accepted. It keeps no state, so
-    the one-agent sampler's block restores a placeholder."""
+class ZeroDraws(np.random.Generator):
+    """Generator whose draws that the samplers make are all 0: the thinning
+    sampler's first candidate lands on t_now itself and is accepted. None
+    of them advances its bit generator, so the one-agent sampler's block
+    saves and restores an unchanged state."""
 
     def __init__(self):
-        self.bit_generator = types.SimpleNamespace(state=None)
+        super().__init__(np.random.PCG64(0))
 
     def exponential(self, scale=1.0):
         return 0.0

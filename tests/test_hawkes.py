@@ -435,6 +435,33 @@ def test_sampler_wake_strictly_after_now(offset):
     assert sample_next_activation(m, 0, empty, t_now, t_now + 1, ZeroDraws()) == t_now + 1
 
 
+@pytest.mark.parametrize("rng, message", [
+    (True, r"rng True is not an integer or a numpy Generator"),
+    (2.5, r"rng 2\.5 is not an integer or a numpy Generator"),
+    (np.int64(3), r"rng np\.int64\(3\)|rng 3 is not an integer"),
+    ("7", r"rng '7' is not an integer"),
+    (-1, r"rng -1 is a negative seed"),
+], ids=["bool", "float", "numpy-int", "str", "negative"])
+def test_sampler_seed_follows_the_integer_rule(rng, message):
+    """An int seed follows `corpus.kind_error`: a bool or a numpy integer is
+    no int, a negative seed is refused, and a value that is neither an int
+    nor a Generator raises HawkesError naming `rng`, from both samplers."""
+    m = const_model(mu=1.5, alpha=0.4)
+    hist = make_log([(0, 0, BASE_MONDAY - HOUR)], n_agents=1)
+    with pytest.raises(HawkesError, match=message):
+        sample_next_activation(m, 0, hist, BASE_MONDAY, BASE_MONDAY + DAY, rng)
+    with pytest.raises(HawkesError, match=message):
+        hawkes.thin_next_activation(m, 0, 0.5, BASE_MONDAY, BASE_MONDAY + DAY, rng)
+
+
+def test_sampler_int_seed_is_default_rng():
+    m = const_model(mu=1.5, alpha=0.4)
+    for seed in (0, 5, 2**64 + 3):
+        assert (hawkes.thin_next_activation(m, 0, 0.5, BASE_MONDAY, BASE_MONDAY + DAY, seed)
+                == hawkes.thin_next_activation(m, 0, 0.5, BASE_MONDAY, BASE_MONDAY + DAY,
+                                               np.random.default_rng(seed)))
+
+
 def test_excitation_state_incremental_matches_from_log():
     m = const_model(n=3, alpha=0.4, off_diag=0.1, beta=0.7)
     hist = make_log([(0, 1, BASE_MONDAY), (2, 0, BASE_MONDAY + 600),
