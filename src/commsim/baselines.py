@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Event, EventLog, window as log_window
+import numpy as np
+
+from .corpus import EventLog, _from_columns, window as log_window
 from .rng import substream
 
 DEFAULT_SWAPS_PER_EDGE = 10
@@ -43,7 +45,6 @@ def rewire_degree_preserving(log: EventLog, window: tuple[int, int],
     win = log_window(log, t0, t1)
     rows = win.edge_rows
     tails, heads = win.senders[rows].tolist(), win.edge_heads.tolist()
-    times = win.ts[rows].tolist()
     m = len(heads)
     if not m:
         raise ValueError("window has no edges")
@@ -52,8 +53,9 @@ def rewire_degree_preserving(log: EventLog, window: tuple[int, int],
     n_swaps = cfg.n_swaps if cfg.n_swaps is not None else DEFAULT_SWAPS_PER_EDGE * m
     _swap_heads(tails, heads, n_swaps, rng)
     perm = rng.permutation(m)
-    events = [Event(k, tails[k], (heads[k],), times[perm[k]]) for k in range(m)]
-    return log.with_events(events)
+    # edge k is event k, to its one recipient, at the permuted edge's time
+    return _from_columns(log.agents, np.arange(m), win.ts[rows][perm], tails, np.ones(m),
+                         heads, [None] * m, [None] * m)
 
 
 def _swap_heads(tails: list[int], heads: list[int], n_swaps: int, rng) -> None:

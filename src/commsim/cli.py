@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import agents, corpus, hawkes, metrics, simulator, timeutil
 
 
@@ -271,7 +273,7 @@ def cmd_evaluate(args, manifest: Manifest) -> None:
     manifest.add_input(args.gt)
     sim = corpus.ingest(args.sim)
     gt = corpus.ingest(args.gt)
-    if not gt.events:
+    if not len(gt):
         raise corpus.CorpusError(f"{args.gt}: ground truth has no events")
     if sim.agents != gt.agents:
         # simulated logs only contain active agents; align on gt registry
@@ -282,12 +284,13 @@ def cmd_evaluate(args, manifest: Manifest) -> None:
         labels = _read_file(_load_trigger_labels, args.triggers)
         trigger_agents = {gt.index_of(lbl) for lbl in labels}
     if args.t0 is None and args.t1 is None:
-        window = _default_window(sim if sim.events else gt)
+        window = _default_window(sim if len(sim) else gt)
     elif args.t0 is None or args.t1 is None:
         raise UsageError("--t0 and --t1 must be given together")
     else:
         window = _parse_window(args.t0, args.t1)
-    if not gt.events[gt.span(*window)]:
+    span = gt.span(*window)
+    if span.start == span.stop:
         raise corpus.CorpusError("ground truth has no events in the window")
     report = metrics.evaluate_all(sim, gt, trigger_agents, window)
     manifest.write("report.json", report.to_json() + "\n")
@@ -314,15 +317,10 @@ def _load_trigger_labels(path) -> list[str]:
 def _align_registry(sim: corpus.EventLog, gt: corpus.EventLog) -> corpus.EventLog:
     """Re-index a simulated log onto the ground-truth registry (labels must
     be a subset)."""
-    mapping = {}
-    for i, lbl in enumerate(sim.agents):
-        mapping[i] = gt.index_of(lbl)
-    events = tuple(
-        corpus.Event(e.event_id, mapping[e.sender],
-                     tuple(mapping[r] for r in e.recipients),
-                     e.ts, e.thread_id, e.body)
-        for e in sim.events)
-    return corpus.EventLog(gt.agents, events)
+    index = np.array([gt.index_of(lbl) for lbl in sim.agents], dtype=np.int64)
+    ids, ts, senders, counts, recipients, threads, bodies = corpus._record_columns(sim)
+    return corpus._from_columns(gt.agents, ids, ts, index[senders], counts, index[recipients],
+                                threads, bodies)
 
 
 def _load_report(path) -> metrics.MetricsReport:

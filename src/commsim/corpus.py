@@ -8,30 +8,42 @@ indexing regardless of record order. An `Event` is one file record and no
 more (id, sender, recipients, ts, thread, body), so a saved log, ingested and
 re-indexed onto its registry, equals the log that was saved.
 
-A log caches read-only int64 columns, built on first read: `ts`, `senders`
-and its edge stream, `edge_rows` (event index) with `edge_heads` (recipient).
-The edge rule is decided here only: one edge per recipient other than the
-sender, in log order. Every time window is half-open, t0 <= ts < t1, and is
-found by one bisect per bound on the sorted `ts` (`EventLog.span`); a reader
-of ts <= t asks for the span up to t + 1. A `window` starts with the slice of
-its parent's `ts`, and of `senders` where built. `sent_times` splits the
-columns per sender.
+A log holds one of two equal representations when it is made and builds
+the other on first read. `EventLog(agents, events)` and `with_events` hold
+the `Event`s; their check derives the read-only int64 columns `ids`, `ts`,
+`senders` and the recipient CSR (`_offsets` into one flat `_recipients`),
+which the log keeps. `_from_columns` holds those columns with each event's
+thread and body: `build_log` (so `ingest`), `baselines.rewire_degree_preserving`,
+`hawkes.simulate_pure_hawkes` and the CLI's registry alignment build their logs
+through it, and `events` is built from the columns only when something reads
+it (`==`, `hash`, `serialize`). `_rows` makes the log of some rows of a log
+(a `window`, `simulator.select_triggers`' schedule) holding the rows of what
+its parent holds, so a reader that needs Events builds only those rows'.
+The edge stream, `edge_rows` (event index) with `edge_heads` (recipient), is
+derived from the CSR on first read. The edge rule is decided here only: one
+edge per recipient other than the sender, in log order. Every time window is
+half-open, t0 <= ts < t1, and is found by one bisect per bound on the sorted
+`ts` (`EventLog.span`); a reader of ts <= t asks for the span up to t + 1.
+`sent_times` splits the columns per sender.
 
 The input rules live here: `kind_error` (and `check_kinds`) for each kind of
 value, which every setting follows, and `RECORD_FIELDS` for each file field,
 which the readers, `Event` and `agents.parse_decision` check by `field_error`.
 
-`EventLog(...)`, `with_events`, `ingest` and `simulator.run`'s result check the
+`EventLog(...)`, `with_events` and so `simulator.run`'s result check the
 registry range, the (ts, event_id) order and id uniqueness of what a user or
-an agent supplies. `_unchecked` makes a frozen record without its dataclass
-`__init__` where the record's check holds by construction: an `EventLog` of
-a subsequence of a checked log (`window`, `metrics.exclude_triggers`,
-`simulator.select_triggers`' schedule) or of `build_log`'s sorted records
-after its duplicate-id check, and two per-wake records,
-`simulator.ContextIndex.context`'s `AgentContext`, whose unread check the
-index runs itself, and `agents.stub_decide`'s `ActionDecision`, which has
-no check. `tests/test_library_callers.py` lists these sites; no agent reply,
-user policy or file goes through them.
+an agent supplies, in one numpy pass over the columns they derive; the events
+are walked, for the message naming the first breach, only when that pass
+finds one. `_from_columns` checks unique int64 ids and times and each row's
+`Event` rules, sorts with one `np.lexsort`, then checks the registry range.
+`_unchecked` makes a frozen record without its dataclass `__init__` where the
+record's check holds by construction: the log `_from_columns` has just
+checked, an `EventLog` of ascending rows of a checked log (`_rows`) or of a
+subsequence renumbered (`metrics.exclude_triggers`), and two per-wake
+records, `simulator.ContextIndex.context`'s `AgentContext`, whose unread
+check the index runs itself, and `agents.stub_decide`'s `ActionDecision`,
+which has no check. `tests/test_library_callers.py` lists these sites and
+those of `_rows`; no agent reply, user policy or file goes through them.
 """
 
 from __future__ import annotations
@@ -41,7 +53,6 @@ import functools
 import io
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -116,28 +127,40 @@ class Event:
 
 @dataclass(frozen=True)
 class EventLog:
-    """Registry + events sorted by (ts, event_id). Immutable; safe to share."""
+    """Registry + events sorted by (ts, event_id). Immutable; safe to share.
+
+    A log holds one representation of its events when it is made and
+    derives the other on first read. `EventLog(agents, events)` and
+    `with_events` hold the Events, with the int columns their check derives;
+    `_from_columns` holds columns and builds `events` when it is read. A
+    sub-log (`_rows`) holds the rows of what its parent holds."""
 
     agents: tuple[str, ...]
     events: tuple[Event, ...]
 
     def __post_init__(self):
-        n = len(self.agents)
-        last = None
-        seen_ids = set()
-        for e in self.events:
-            if not (0 <= e.sender < n) or any(not (0 <= r < n) for r in e.recipients):
-                raise CorpusError(f"event {e.event_id}: agent index outside registry")
-            key = (e.ts, e.event_id)
-            if last is not None and key <= last:
-                raise CorpusError("events not sorted by (ts, event_id)")
-            last = key
-            if e.event_id in seen_ids:
-                raise CorpusError(f"duplicate event_id {e.event_id}")
-            seen_ids.add(e.event_id)
+        columns = {name: _exact_column(values)
+                   for name, values in _event_lists(self.events).items()}
+        exact = all(column is not None for column in columns.values())
+        # the events are walked only for a breach, or for values that are not all int64
+        if not exact or _breach(len(self.agents), columns):
+            _walk_check(self.agents, self.events)
+        if exact:
+            self.__dict__.update(columns)
+
+    def __getattr__(self, name):
+        # reached only for what the log does not hold: the Events of a column log
+        if name != "events" or "_threads" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        offsets, flat = self._offsets.tolist(), self._recipients.tolist()
+        events = tuple(map(Event, self.ids.tolist(), self.senders.tolist(),
+                           [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])],
+                           self.ts.tolist(), self._threads, self._bodies))
+        self.__dict__["events"] = events
+        return events
 
     def __len__(self):
-        return len(self.events)
+        return len(self.ts)
 
     @property
     def n_agents(self) -> int:
@@ -154,32 +177,71 @@ class EventLog:
         return EventLog(self.agents, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
 
     @functools.cached_property
+    def ids(self) -> np.ndarray:
+        """Event ids in log order (int64, read-only)."""
+        return self._derive("ids")
+
+    @functools.cached_property
     def ts(self) -> np.ndarray:
         """Event timestamps in log order (int64, read-only)."""
-        return _column([e.ts for e in self.events])
+        return self._derive("ts")
 
     @functools.cached_property
     def senders(self) -> np.ndarray:
         """Event senders in log order (int64, read-only)."""
-        return _column([e.sender for e in self.events])
+        return self._derive("senders")
+
+    @functools.cached_property
+    def _offsets(self) -> np.ndarray:
+        """The recipient CSR: event k's recipients are
+        `_recipients[_offsets[k]:_offsets[k + 1]]` (int64, read-only)."""
+        return self._derive("_offsets")
+
+    @functools.cached_property
+    def _recipients(self) -> np.ndarray:
+        """Every event's recipient indices, one event after another (int64,
+        read-only)."""
+        return self._derive("_recipients")
+
+    def _derive(self, name: str) -> np.ndarray:
+        """An int column of a log that holds Events without it: a
+        `metrics.exclude_triggers` log, or Events whose values are not all
+        int64, coerced as before. All five are derived at once."""
+        for key, values in _event_lists(self.events).items():
+            self.__dict__.setdefault(key, _column(values))
+        return self.__dict__[name]
+
+    @functools.cached_property
+    def _threads(self) -> list:
+        return [e.thread_id for e in self.events]
+
+    @functools.cached_property
+    def _bodies(self) -> list:
+        return [e.body for e in self.events]
 
     @functools.cached_property
     def edge_rows(self) -> np.ndarray:
         """The event index of each edge (int64, read-only); the edge's sender
         is `senders[edge_rows]` and its time `ts[edge_rows]`."""
-        return _column([k for k, e in enumerate(self.events) for r in e.recipients
-                        if r != e.sender])
+        return self._edge_stream[0]
 
     @functools.cached_property
     def edge_heads(self) -> np.ndarray:
         """The recipient of each edge (int64, read-only)."""
-        return _column([r for e in self.events for r in e.recipients if r != e.sender])
+        return self._edge_stream[1]
+
+    @functools.cached_property
+    def _edge_stream(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edge_rows, edge_heads), from the recipient CSR."""
+        rows = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self._offsets))
+        keep = self._recipients != self.senders[rows]
+        return _frozen(rows[keep]), _frozen(self._recipients[keep])
 
     def span(self, t0: int | None = None, t1: int | None = None) -> slice:
         """The slice of `events` with t0 <= ts < t1, one bisect per bound on
         `ts`; an omitted bound is open."""
         lo = 0 if t0 is None else int(np.searchsorted(self.ts, t0))
-        hi = len(self.events) if t1 is None else int(np.searchsorted(self.ts, t1))
+        hi = len(self) if t1 is None else int(np.searchsorted(self.ts, t1))
         return slice(lo, hi)
 
     def edges(self) -> list[tuple[int, int, int]]:
@@ -189,43 +251,177 @@ class EventLog:
                         self.ts[rows].tolist()))
 
 
+def _walk_check(agents: tuple[str, ...], events: tuple[Event, ...]) -> None:
+    """The checked constructor's three rules, one event at a time: raises
+    for the first event that breaks one."""
+    n = len(agents)
+    last = None
+    seen_ids = set()
+    for e in events:
+        if not (0 <= e.sender < n) or any(not (0 <= r < n) for r in e.recipients):
+            raise CorpusError(f"event {e.event_id}: agent index outside registry")
+        key = (e.ts, e.event_id)
+        if last is not None and key <= last:
+            raise CorpusError("events not sorted by (ts, event_id)")
+        last = key
+        if e.event_id in seen_ids:
+            raise CorpusError(f"duplicate event_id {e.event_id}")
+        seen_ids.add(e.event_id)
+
+
+def _breach(n_agents: int, columns: dict[str, np.ndarray]) -> bool:
+    """Whether int64 columns break a rule of `_walk_check`: the registry
+    range, the strict (ts, id) order or unique ids."""
+    ids, ts = columns["ids"], columns["ts"]
+    agents = np.concatenate((columns["senders"], columns["_recipients"]))
+    if len(agents) and (agents.min() < 0 or agents.max() >= n_agents):
+        return True
+    later = (ts[1:] > ts[:-1]) | ((ts[1:] == ts[:-1]) & (ids[1:] > ids[:-1]))
+    ordered = np.sort(ids)
+    return not later.all() or bool((ordered[1:] == ordered[:-1]).any())
+
+
+def _event_lists(events: Sequence[Event]) -> dict[str, list]:
+    """The int columns of `events` as lists: ids, ts, senders and the
+    recipient CSR."""
+    recipients = [e.recipients for e in events]
+    return {"ids": [e.event_id for e in events], "ts": [e.ts for e in events],
+            "senders": [e.sender for e in events],
+            "_offsets": [0, *itertools.accumulate(map(len, recipients))],
+            "_recipients": list(itertools.chain.from_iterable(recipients))}
+
+
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass `cls` holding `fields`, made
     without its `__init__` and `__post_init__`. `fields` name every field,
-    and for an `EventLog` may preset a cached column (`ts`, `senders`) with
-    the read-only array it would build. About 0.9 us against 2.7 us for
-    `simulator.AgentContext(...)` (CPython 3.11, 2 shared vCPUs). The
-    instance gets a dict of its own (368 against 168 bytes for an `Event`),
-    so never for records a log keeps."""
+    or for an `EventLog` made from columns every column but `events`. About
+    0.9 us against 2.7 us for `simulator.AgentContext(...)` (CPython 3.11,
+    2 shared vCPUs). The instance gets a dict of its own (368 against 168
+    bytes for an `Event`), so never for records a log keeps."""
     record = object.__new__(cls)
     record.__dict__.update(fields)
     return record
 
 
-def _column(values: list[int]) -> np.ndarray:
-    col = np.array(values, dtype=np.int64)
-    col.setflags(write=False)
-    return col
+def _frozen(column: np.ndarray) -> np.ndarray:
+    column.setflags(write=False)
+    return column
 
 
-def build_log(labels_by_event: Sequence[tuple[int, str, Sequence[str], int, int | None, str | None]]) -> EventLog:
+def _column(values) -> np.ndarray:
+    return _frozen(np.array(values, dtype=np.int64))
+
+
+def _exact_column(values) -> np.ndarray | None:
+    """`values` as a read-only int64 column, or None unless each is an
+    integer in int64's range."""
+    if not len(values):
+        return _column(values)
+    try:
+        column = np.array(values)
+    except OverflowError:
+        return None
+    return _frozen(column.astype(np.int64, copy=False)) if column.dtype.kind == "i" else None
+
+
+def _int64(values, name: str) -> np.ndarray:
+    """`values` as a read-only int64 column; CorpusError names the first
+    value that is not an integer in int64's range."""
+    column = _exact_column(values)
+    if column is None:
+        bad = next(v for v in values if kind_error(name, v, int) or not -2**63 <= v < 2**63)
+        raise CorpusError(kind_error(name, bad, int) or f"{name} {bad} is outside the int64 range")
+    return column
+
+
+def _take_csr(offsets: np.ndarray, flat: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR (offsets, flat) of `rows`, a slice or an index array, of
+    the CSR (offsets, flat)."""
+    starts, counts = offsets[:-1][rows], np.diff(offsets)[rows]
+    taken = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=taken[1:])
+    index = np.repeat(starts - taken[:-1], counts) + np.arange(taken[-1], dtype=np.int64)
+    return _frozen(taken), _frozen(flat[index])
+
+
+def _from_columns(agents: tuple[str, ...], ids, ts, senders, counts, recipients, threads,
+                  bodies) -> EventLog:
+    """A log that holds columns, from rows in any order: ids, timestamps
+    and sender indices, each row's recipient count with every row's
+    recipient indices in one flat sequence, and threads and bodies. Ids must
+    be unique and, with the timestamps, integers in int64's range; each row
+    keeps `Event`'s rules. The rows are ordered by (ts, id) with one
+    `np.lexsort`, and the registry range is checked on the sorted columns."""
+    ids, ts = _int64(ids, "id"), _int64(ts, "ts")
+    distinct, seen = np.unique(ids, return_counts=True)
+    if (seen > 1).any():
+        raise CorpusError(f"duplicate event ids: {distinct[seen > 1][:5].tolist()}")
+    counts = np.asarray(counts, dtype=np.int64)
+    if not (counts.all() and set(map(type, threads)).issubset(RECORD_FIELDS["thread"])
+            and set(map(type, bodies)).issubset(RECORD_FIELDS["body"])):
+        for k, n in enumerate(counts.tolist()):  # Event names the first row it refuses
+            Event(ids[k].item(), 0, (0,) * min(n, 1), 0, threads[k], bodies[k])
+    order = np.lexsort((ids, ts))
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    columns = {"ids": _frozen(ids[order]), "ts": _frozen(ts[order]),
+               "senders": _frozen(np.asarray(senders, dtype=np.int64)[order])}
+    columns["_offsets"], columns["_recipients"] = _take_csr(
+        offsets, np.asarray(recipients, dtype=np.int64), order)
+    rows = order.tolist()
+    log = _unchecked(EventLog, agents=agents, _threads=[threads[k] for k in rows],
+                     _bodies=[bodies[k] for k in rows], **columns)
+    if _breach(len(agents), columns):  # sorted with unique ids: only the range can fail
+        _walk_check(agents, log.events)
+    return log
+
+
+def _rows(log: EventLog, rows) -> EventLog:
+    """The log of `log`'s events at `rows`, a slice or an ascending index
+    array: a subsequence of a checked log, so made without the check. It
+    holds the rows of what `log` holds, its Events or its columns, and of
+    each int column `log` has built."""
+    held = log.__dict__
+    fields = {name: _frozen(held[name][rows]) for name in ("ids", "ts", "senders")
+              if name in held}
+    if "_offsets" in held:
+        fields["_offsets"], fields["_recipients"] = _take_csr(held["_offsets"],
+                                                              held["_recipients"], rows)
+    picked = None if isinstance(rows, slice) else rows.tolist()
+    for name in ("events", "_threads", "_bodies"):
+        if name in held:
+            values = held[name]
+            fields[name] = values[rows] if picked is None else tuple(values[k] for k in picked)
+    return _unchecked(EventLog, agents=log.agents, **fields)
+
+
+def _record_columns(log: EventLog) -> tuple[list, ...]:
+    """`log`'s events as `_from_columns` takes them, as lists."""
+    return (log.ids.tolist(), log.ts.tolist(), log.senders.tolist(),
+            np.diff(log._offsets).tolist(), log._recipients.tolist(), list(log._threads),
+            list(log._bodies))
+
+
+def build_log(records: Iterable[tuple[int, str, Sequence[str], int, int | None, str | None]]
+              ) -> EventLog:
     """Assemble an EventLog from label-based records
-    (event_id, sender, recipients, ts, thread, body); ids must be unique."""
-    ids = [r[0] for r in labels_by_event]
-    if len(ids) != len(set(ids)):
-        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
-        raise CorpusError(f"duplicate event ids: {dupes[:5]}")
-    labels = set()
-    for _, sender, recipients, _, _, _ in labels_by_event:
-        labels.add(sender)
-        labels.update(recipients)
-    registry = tuple(sorted(labels))
-    index = {lbl: i for i, lbl in enumerate(registry)}
-    events = (Event(event_id, index[sender], tuple(index[r] for r in recipients), ts, thread, body)
-              for event_id, sender, recipients, ts, thread, body in labels_by_event)
-    # unique ids, sorted, indexed into their own registry: the full check holds
-    return _unchecked(EventLog, agents=registry,
-                      events=tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
+    (event_id, sender, recipients, ts, thread, body); ids must be unique.
+    The registry is every label, sorted; the log holds columns. Each record
+    is read into flat columns as it comes, so no record is kept: a reader's
+    records are read as it parses."""
+    ids, senders, ts, threads, bodies, counts, labels = [], [], [], [], [], [], []
+    for event_id, sender, recipients, stamp, thread, body in records:
+        ids.append(event_id)
+        senders.append(sender)
+        ts.append(stamp)
+        threads.append(thread)
+        bodies.append(body)
+        counts.append(len(recipients))
+        labels.extend(recipients)
+    registry = tuple(sorted({*senders, *labels}))
+    index = {label: i for i, label in enumerate(registry)}.__getitem__
+    return _from_columns(registry, ids, ts, list(map(index, senders)), counts,
+                         list(map(index, labels)), threads, bodies)
 
 
 # `json.loads` without its per-call argument checks, which take about a tenth
@@ -298,9 +494,9 @@ def ingest(path, format: str = "jsonl") -> EventLog:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if format == "jsonl":
-        records = list(_parse_jsonl(text))
+        records = _parse_jsonl(text)
     elif format == "csv":
-        records = list(_parse_csv(text))
+        records = _parse_csv(text)
     else:
         raise CorpusError(f"unknown format {format!r}")
     return build_log(records)
@@ -329,15 +525,11 @@ def save(log: EventLog, path) -> None:
 
 
 def window(log: EventLog, t0: int, t1: int) -> EventLog:
-    """Events with t0 <= ts < t1; registry unchanged. The window starts with
-    the slice of its parent's `ts` (built by `span`), and of `senders` where
-    the parent has built it."""
+    """Events with t0 <= ts < t1; registry unchanged. The window holds the
+    slice of what its parent holds (`_rows`), `ts` (built by `span`) too."""
     if t0 > t1:
         raise CorpusError(f"window start {t0} after end {t1}")
-    span = log.span(t0, t1)
-    built = {"senders": log.__dict__["senders"][span]} if "senders" in log.__dict__ else {}
-    return _unchecked(EventLog, agents=log.agents, events=log.events[span], ts=log.ts[span],
-                      **built)
+    return _rows(log, log.span(t0, t1))
 
 
 def sent_times(log: EventLog) -> dict[int, np.ndarray]:

@@ -82,7 +82,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import timeutil
-from .corpus import Event, EventLog, check_kinds, kind_error, sent_times, window as log_window
+from .corpus import (EventLog, _from_columns, _record_columns, check_kinds, kind_error, sent_times,
+                     window as log_window)
 from .rng import RecipientDraw, substream
 
 N_BINS = 168
@@ -813,7 +814,10 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
     trigger_agents = frozenset(getattr(triggers, "trigger_agents", None) or ())
     sched_src = getattr(triggers, "scheduled_events", None)
     organic = np.array([i for i in range(n) if i not in trigger_agents], dtype=np.int64)
-    schedule = sched_src.events[sched_src.span(t0, t1)] if sched_src is not None else ()
+    # the injections, verbatim: the schedule's window as columns
+    schedule = _record_columns(log_window(sched_src, t0, t1) if sched_src is not None
+                               else EventLog(model.agents, ()))
+    sched_senders = schedule[2]
 
     mu_org = model.baselines[organic]            # (K, 168)
     alpha_org = model.alpha[organic]             # (K, D)
@@ -836,9 +840,11 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
         for sender, ts in zip(history.senders[span].tolist(), history.ts[span].tolist()):
             g[sender] += math.exp(-beta * (t0 - ts) / SECONDS_PER_HOUR)
 
-    out: list[Event] = list(schedule)
-    next_id = max((e.event_id for e in schedule), default=-1) + 1
-    sched_h = [e.ts / SECONDS_PER_HOUR for e in schedule] + [math.inf]
+    organic_ts: list[int] = []
+    organic_senders: list[int] = []
+    organic_heads: list[int] = []
+    next_id = max(schedule[0], default=-1) + 1
+    sched_h = [ts / SECONDS_PER_HOUR for ts in schedule[1]] + [math.inf]
     si = 0
     g_ref = t0_h
     horizon_h = t1 / SECONDS_PER_HOUR
@@ -859,7 +865,7 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
             decay_to(s)
         while sched_h[si] <= s:
             if excited:
-                g[schedule[si].sender] += 1.0
+                g[sched_senders[si]] += 1.0
             si += 1
         lam_bar = sum_mu[k]
         if excited:
@@ -884,11 +890,16 @@ def simulate_pure_hawkes(model: HawkesModel, window: tuple[int, int],
         if recipients.uniform(sender):
             counters["uniform_recipient_fallbacks"] += 1
         recipient = recipients(rng, sender)
-        ts = min(int(math.ceil(t_star * SECONDS_PER_HOUR)), t1 - 1)
-        out.append(Event(next_id, sender, (sender if recipient is None else recipient,), ts))
-        next_id += 1
+        organic_ts.append(min(int(math.ceil(t_star * SECONDS_PER_HOUR)), t1 - 1))
+        organic_senders.append(sender)
+        organic_heads.append(sender if recipient is None else recipient)
         counters["organic_events"] += 1
         if excited:
             g[sender] += 1.0
 
-    return EventLog(model.agents, ()).with_events(out)
+    # the organic events, each to its one recipient, follow the injections
+    # with ids from next_id up
+    m = len(organic_ts)
+    generated = (range(next_id, next_id + m), organic_ts, organic_senders, [1] * m,
+                 organic_heads, [None] * m, [None] * m)
+    return _from_columns(model.agents, *(a + list(b) for a, b in zip(schedule, generated)))

@@ -910,7 +910,7 @@ class StatsSummary:
 def corpus_stats(log: EventLog) -> StatsSummary:
     """Corpus-level temporal and structural summary; the graph fields are the
     kernels on the whole log's directed simple graph."""
-    if not log.events:
+    if not len(log):
         raise CorpusError("empty log")
     ts = log.ts
     t0, t1 = int(ts[0]), int(ts[-1]) + 1
@@ -930,7 +930,7 @@ def corpus_stats(log: EventLog) -> StatsSummary:
     return StatsSummary(
         n_agents=n,
         time_span=(t0, t1),
-        total_events=len(log.events),
+        total_events=len(log),
         median_events_per_agent=float(np.median(sent_counts)),
         median_events_per_week=float(np.median(week_counts)),
         r24=r24,

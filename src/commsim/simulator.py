@@ -5,7 +5,7 @@ wakes. On wake an agent receives its context (pre-simulation history,
 simulated traffic, unread mail), returns reply/initiate actions plus a next
 check time, and its organic events are appended at the wake timestamp.
 Trigger agents never wake; their ground-truth events are injected verbatim,
-as the same `Event` objects. An event carries no mark of its origin: in a
+as `Event`s equal to the plan's. An event carries no mark of its origin: in a
 `run` or `hawkes.simulate_pure_hawkes` output, the injected events are
 exactly those sent by `plan.trigger_agents`.
 
@@ -53,7 +53,7 @@ from typing import Protocol
 import numpy as np
 
 from . import hawkes, timeutil
-from .corpus import (Event, EventLog, _unchecked, check_kinds, window as log_window,
+from .corpus import (Event, EventLog, _rows, _unchecked, check_kinds, window as log_window,
                      simple_digraph_edges)
 from .rng import substream
 
@@ -198,10 +198,12 @@ class TriggerPlan:
     scheduled_events: EventLog
 
     def __post_init__(self):
-        for e in self.scheduled_events.events:
-            if e.sender not in self.trigger_agents:
-                raise SimulationError(
-                    f"scheduled event {e.event_id} sent by non-trigger agent {e.sender}")
+        senders = self.scheduled_events.senders
+        outside = np.flatnonzero(~np.isin(senders, list(self.trigger_agents)))
+        if len(outside):
+            e = self.scheduled_events.events[outside[0]]
+            raise SimulationError(
+                f"scheduled event {e.event_id} sent by non-trigger agent {e.sender}")
 
 
 def select_triggers(log: EventLog, history_window: tuple[int, int], ratio: float,
@@ -214,17 +216,17 @@ def select_triggers(log: EventLog, history_window: tuple[int, int], ratio: float
         raise SimulationError(f"ratio {ratio} outside [0, 1]")
     h0, h1 = history_window
     hist = log_window(log, h0, h1)
-    if not hist.events:
+    if not len(hist):
         raise SimulationError("empty history window")
     n = log.n_agents
     u, v = simple_digraph_edges(hist)
     degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     ranked = np.argsort(-degree, kind="stable")
-    chosen = frozenset(ranked[:math.ceil(ratio * n)].tolist())
-    s0, s1 = sim_window
-    scheduled = tuple(e for e in log.events[log.span(s0, s1)] if e.sender in chosen)
-    # a subsequence of log
-    return TriggerPlan(chosen, _unchecked(EventLog, agents=log.agents, events=scheduled))
+    top = ranked[:math.ceil(ratio * n)]
+    # the chosen agents' rows of the window, as a sub-log of log
+    span = log.span(*sim_window)
+    rows = span.start + np.flatnonzero(np.isin(log.senders[span], top))
+    return TriggerPlan(frozenset(top.tolist()), _rows(log, rows))
 
 
 @dataclass(frozen=True)
@@ -349,7 +351,7 @@ class ContextIndex:
         self.sent: list[list[Event]] = [[] for _ in range(n)]
         self.received: list[list[Event]] = [[] for _ in range(n)]
         self.received_ts: list[list[int]] = [[] for _ in range(n)]  # parallel to received
-        for e in history.events[history.span(*self.span)]:
+        for e in log_window(history, *self.span).events:
             self.add(e)
         self.cadence = [cadence_summary(sent, self.span) for sent in self.sent]
 
@@ -427,10 +429,12 @@ def run(config: SimConfig, history: EventLog, policy_impl: AgentPolicy,
         counters.setdefault(key, 0)
     personas = personas or {}
     t0, t1 = config.window
-    scheduled = log_window(triggers.scheduled_events, t0, t1).events
+    schedule = log_window(triggers.scheduled_events, t0, t1)
+    scheduled = schedule.events
 
     sim_events: list[Event] = []
-    next_id = 1 + max((e.event_id for e in history.events + scheduled), default=-1)
+    ids = np.concatenate((history.ids, schedule.ids))
+    next_id = int(ids.max()) + 1 if len(ids) else 0
     queue: list[tuple[int, int, int]] = []  # (ts, kind, tiebreak)
 
     for k, e in enumerate(scheduled):

@@ -1,11 +1,13 @@
+import copy
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from commsim.corpus import Event, EventLog, ingest
-from commsim.metrics import SUITE, log_view
+from commsim.corpus import Event, EventLog, ingest, serialize, window as log_window
+from commsim.metrics import SUITE, compare, log_view, summarize
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -111,3 +113,29 @@ def fixture_log(seed, n_agents=12, days=10, events_per_day=40):
             ts = BASE_MONDAY + d * 86400 + 9 * 3600 + a * 60 + j
             records.append((a, (r,), ts))
     return make_log(records, n_agents=n_agents)
+
+
+def assert_same_log(got: EventLog, want: EventLog, window: tuple[int, int]):
+    """A log built from columns (`got`) against the Event-built log it
+    replaces (`want`). First, before any Event of `got` is built: every int
+    column, ids included, of both logs and of their windows [window) and
+    [t1, t1), and a pickle and a deep copy of `got` holding a cached
+    summary. Then `==`, `hash` and the `serialize` bytes of each pair."""
+    t0, t1 = window
+    pairs = [(got, want), (log_window(got, t0, t1), log_window(want, t0, t1)),
+             (log_window(got, t1, t1), log_window(want, t1, t1))]
+    summary = summarize(got, (), window)
+    for clone in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+        again = summarize(clone, (), window)  # the clone keeps a copy of the summary
+        assert again is not summary
+        assert compare(again, summary).to_json() == compare(summary, summary).to_json()
+        pairs.append((clone, want))
+    for a, b in pairs:
+        assert "events" not in vars(a)
+        assert a.agents == b.agents and len(a) == len(b)
+        for name in ("ids", "ts", "senders", "edge_rows", "edge_heads"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y), name
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert serialize(a) == serialize(b)

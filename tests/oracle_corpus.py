@@ -1,11 +1,12 @@
 """The per-event scans that the cached columns, `EventLog.span` and
 `corpus.sent_times` replaced, kept as oracles of the column readers, the
-checked `build_log` that the internal constructor replaced, and the JSONL
+Event-first `build_log` that the columns-first one replaced, and the JSONL
 reader, with its own field checks, that `corpus._parse_jsonl`'s one-decode
 read and the shared record rules (`corpus.RECORD_FIELDS`) replaced."""
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -43,13 +44,18 @@ def scan_contact_frequencies(log: EventLog) -> np.ndarray:
 
 
 def oracle_build_log(records) -> EventLog:
-    """The old `corpus.build_log` body: the registry, then `with_events`,
-    which sorts and runs the full check."""
+    """The Event-first `corpus.build_log` that the columns-first one
+    replaced: the duplicate-id check, the registry, one `Event` per record
+    and a sort by a Python key, then the full check."""
+    ids = [r[0] for r in records]
+    if len(ids) != len(set(ids)):
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+        raise CorpusError(f"duplicate event ids: {dupes[:5]}")
     registry = tuple(sorted({lbl for _, s, rs, _, _, _ in records for lbl in (s, *rs)}))
     index = {lbl: i for i, lbl in enumerate(registry)}
-    return EventLog(registry, ()).with_events(
-        Event(event_id, index[s], tuple(index[r] for r in rs), ts, thread_id=thread, body=body)
-        for event_id, s, rs, ts, thread, body in records)
+    events = (Event(event_id, index[s], tuple(index[r] for r in rs), ts, thread, body)
+              for event_id, s, rs, ts, thread, body in records)
+    return EventLog(registry, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
 
 
 def _json_int(rec: dict, key: str) -> int:

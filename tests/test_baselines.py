@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from commsim.baselines import (DEFAULT_SWAPS_PER_EDGE, RewireConfig, _swap_heads,
                                rewire_degree_preserving)
+from commsim import corpus
 from commsim.rng import substream
 
-from conftest import BASE_MONDAY, make_log, random_log, run_metric, view
+import oracle_baselines
+from conftest import BASE_MONDAY, assert_same_log, make_log, random_log, run_metric, view
 
 DAY = 86400
 
@@ -95,6 +97,31 @@ def test_rewire_preserves_degrees_property(seed, records):
     assert Counter(t for _, _, t in out.edges()) == \
         Counter(t for _, _, t in log.edges())
     assert all(u != v for u, v, _ in out.edges())
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(0, 40), st.booleans(),
+       st.sampled_from([None, 0, 3]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_columns_first_rewired_null_matches_the_event_built_oracle(seed, n, n_events, multi,
+                                                                   n_swaps, ingested):
+    """The rewired null, built from columns, against its Event-built body; on
+    an Event-held log with multi-recipient events or a column log read back
+    from its file, and a window that may cut events off at either end."""
+    r = np.random.default_rng(seed)
+    log = random_log(r, n, n_events, BASE_MONDAY, 2 * DAY, multi_prob=0.5 * multi)
+    if ingested:
+        log = corpus.build_log([(e.event_id, log.agents[e.sender],
+                                 [log.agents[k] for k in e.recipients], e.ts, None, None)
+                                for e in log.events])
+    window = (BASE_MONDAY + int(r.integers(DAY)), BASE_MONDAY + DAY + int(r.integers(DAY)))
+    cfg = RewireConfig(n_swaps=n_swaps, seed=seed)
+    if not len(corpus.window(log, *window).edge_rows):
+        for rewire in (rewire_degree_preserving, oracle_baselines.rewire_degree_preserving):
+            with pytest.raises(ValueError, match="no edges"):
+                rewire(log, window, cfg)
+        return
+    assert_same_log(rewire_degree_preserving(log, window, cfg),
+                    oracle_baselines.rewire_degree_preserving(log, window, cfg), window)
 
 
 def test_zero_swaps_only_shuffles_timestamps():

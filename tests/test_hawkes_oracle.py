@@ -15,12 +15,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle_hawkes
-from commsim import corpus, hawkes, rng as rng_mod, timeutil
+from commsim import hawkes, rng as rng_mod, timeutil
 from commsim.corpus import EventLog
 from commsim.hawkes import FitConfig, HawkesModel
 from commsim.simulator import TriggerPlan
 
-from conftest import BASE_MONDAY, make_log, random_log
+from conftest import BASE_MONDAY, assert_same_log, make_log, random_log
 
 HOUR = 3600
 DAY = 86400
@@ -71,12 +71,13 @@ def captured_generators():
 
 
 def assert_same_rollout(*args) -> dict:
-    """Run both samplers on `args`; return the (equal) counters."""
+    """Run both samplers on `args`; return the (equal) counters. The fast
+    one builds its log from columns, the oracle from Events."""
     with captured_generators() as made:
         fast_counters, slow_counters = {}, {}
         fast = hawkes.simulate_pure_hawkes(*args, fast_counters)
         slow = oracle_hawkes.simulate_pure_hawkes(*args, slow_counters)
-    assert corpus.serialize(fast) == corpus.serialize(slow)
+    assert_same_log(fast, slow, args[1])
     assert fast_counters == slow_counters
     assert made[0].bit_generator.state == made[1].bit_generator.state
     return fast_counters

@@ -91,14 +91,17 @@ def test_each_is_not_phrase_is_written_once():
     assert [places[kind] for kind in kinds] == [1] * len(kinds)
 
 
-# every use of the unchecked constructor `corpus._unchecked` by (module,
-# enclosing function), each with what makes the skipped check hold there. Agent replies,
-# user policies and files read by the CLI go through the checked constructors.
+# every use of an unchecked constructor by (module, enclosing function), each with
+# what makes the skipped check hold there: `corpus._unchecked`, and `corpus._rows`,
+# which makes a sub-log with it. Agent replies, user policies and files read by the
+# CLI go through the checked constructors or `corpus._from_columns`, which checks.
+UNCHECKED = {"_unchecked", "_rows"}
 UNCHECKED_SITES = {
-    ("corpus", "build_log"),              # sorted, ids unique by its own check, own registry
-    ("corpus", "window"),                 # a subsequence of a checked log
+    ("corpus", "_from_columns"),          # the columns it has just checked and sorted
+    ("corpus", "_rows"),                  # ascending rows of a checked log
+    ("corpus", "window"),                 # _rows: a span of a checked log
     ("metrics", "exclude_triggers"),      # a subsequence of a checked log, renumbered
-    ("simulator", "select_triggers"),     # a subsequence of a checked log
+    ("simulator", "select_triggers"),     # _rows: ascending rows of a checked log
     ("simulator", "ContextIndex.context"),  # runs AgentContext's unread check itself
     ("agents", "stub_decide"),            # ActionDecision has no check
 }
@@ -112,7 +115,7 @@ def unchecked_sites(path: Path) -> list[tuple[str, str]]:
             if isinstance(child, (*FUNCTION, ast.ClassDef)):
                 visit(child, (*scope, child.name))
                 continue
-            if getattr(child, "id", getattr(child, "attr", None)) == "_unchecked":
+            if getattr(child, "id", getattr(child, "attr", None)) in UNCHECKED:
                 sites.append((path.stem, ".".join(scope)))
             visit(child, scope)
 

@@ -1,19 +1,22 @@
 """The columnar `metrics.log_view` against the derived-log path it replaced,
 and the internal constructor against the checked one it stands in for."""
 
+import csv
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commsim import metrics
+from commsim import corpus, metrics
 from commsim.corpus import CorpusError, Event, EventLog, build_log, ingest, window
 from commsim.metrics import compare, log_view, summarize
 from commsim.simulator import (Action, ActionDecision, PeriodicSchedule, SimConfig,
                                SimulationError, run, select_triggers)
 
-from conftest import BASE_MONDAY, make_log
+from conftest import BASE_MONDAY, assert_same_log, make_log
 from oracle_corpus import oracle_build_log, scan_window
 from oracle_metrics import oracle_evaluate_all, oracle_log_view
 
@@ -131,13 +134,113 @@ def test_derived_logs_equal_checked_logs(case, rnd):
     ((Event(0, 0, (1,), 5), Event(0, 1, (0,), 6)), "duplicate event_id 0"),
     ((Event(0, 0, (2,), 5),), "outside registry"),
     ((Event(0, -1, (1,), 5),), "outside registry"),
+    # the first breach names the event: a later one, a recipient, an id met
+    # two events before, a range breach before an order breach and after one
+    ((Event(0, 0, (1,), 5), Event(3, 1, (0, 2), 6)), "^event 3: agent index outside registry$"),
+    ((Event(4, 0, (1,), 1), Event(2, 1, (0,), 2), Event(4, 1, (0,), 3)),
+     "^duplicate event_id 4$"),
+    ((Event(1, 0, (7,), 5), Event(0, 1, (0,), 4)), "^event 1: agent index outside registry$"),
+    ((Event(1, 0, (1,), 5), Event(0, 1, (0,), 4), Event(2, 0, (5,), 6)),
+     r"^events not sorted by \(ts, event_id\)$"),
+    # values that are not int64 are checked as they are: 1.7 then 1.2 is not
+    # sorted, though both truncate to 1
+    ((Event(0, 0, (1,), 1.7), Event(1, 1, (0,), 1.2)), "not sorted"),
+    ((Event(0, 0, (1,), 5), Event(2**64, 1, (0,), 5), Event(2**64, 1, (0,), 6)),
+     "^duplicate event_id 18446744073709551616$"),
 ])
 def test_event_log_keeps_the_full_check(events, message):
     with pytest.raises(CorpusError, match=message):
         EventLog(("a", "b"), events)
-    if message != "not sorted":  # with_events sorts first
+    if "not sorted" not in message:  # with_events sorts first
         with pytest.raises(CorpusError, match=message):
             EventLog(("a", "b"), ()).with_events(events)
+
+
+def test_event_log_keeps_events_that_are_not_int64():
+    """The full check holds by the values themselves; the columns are coerced
+    on first read, as before."""
+    log = EventLog(("a", "b"), (Event(0, 0, (1,), 1.2), Event(1, 1, (0,), 1.7)))
+    assert log.ts.tolist() == [1, 1] and log.ts.dtype == np.int64
+    assert EventLog(("a", "b"), (Event(True, 0, (1,), 5),)).ids.tolist() == [1]
+
+
+@pytest.mark.parametrize("records,message", [
+    # Event's rules, for the first record in file order that breaks one
+    ([(1, "a", ["b"], 5, None, None), (0, "b", [], 4, None, None),
+      (2, "a", [], 3, None, None)], "^event 0: empty recipient list$"),
+    ([(1, "a", ["b"], 5, None, None), (3, "a", ["b"], 1, "x", None),
+      (2, "a", [], 3, None, None)], "^event 3: thread 'x' is not an integer$"),
+    ([(1, "a", ["b"], 5, None, 7)], "^event 1: body 7 is not a string$"),
+])
+def test_build_log_names_the_record_event_refuses(records, message):
+    for build in (build_log, oracle_build_log):
+        with pytest.raises(CorpusError, match=message):
+            build(records)
+
+
+@pytest.mark.parametrize("records,message", [
+    ([(1, "a", ["b"], 5, None, None), (2, "b", ["a"], 2**63, None, None)],
+     "^ts 9223372036854775808 is outside the int64 range$"),
+    ([(-2**63 - 1, "a", ["b"], 5, None, None)], "^id -9223372036854775809 is outside the int64 range$"),
+    ([(1.5, "a", ["b"], 5, None, None)], r"^id 1\.5 is not an integer$"),
+])
+def test_build_log_takes_int64_ids_and_times(records, message):
+    with pytest.raises(CorpusError, match=message):
+        build_log(records)
+
+
+# ---------------------------------------------------------------------------
+# columns-first ingest against the Event-first oracle
+
+LABELS = st.sampled_from(["a", "b", "c", "d@x.org", "Z\u00e9"])
+
+
+@st.composite
+def record_files(draw):
+    """{format: file text} of one record set in any order: unique ids, six
+    slots of timestamps (so they repeat), one to three recipients that may
+    repeat or name the sender, and a thread and a body each a value, null or
+    absent. A file may be empty; a CSV one may have its header only."""
+    records = []
+    for event_id in draw(st.lists(st.integers(-3, 40), unique=True, max_size=25)):
+        sender = draw(LABELS)
+        records.append({
+            "id": event_id, "sender": sender,
+            "recipients": draw(st.lists(st.just(sender) | LABELS, min_size=1, max_size=3)),
+            "ts": BASE_MONDAY + SLOT * draw(st.integers(0, 5)),
+            "thread": draw(st.none() | st.integers(-2, 3)),
+            "body": draw(st.none() | st.text(alphabet='ab ,;"\n\r\u00e9', max_size=4))})
+    absent = draw(st.booleans())  # a null field is left out: key or trailing columns
+    lines = [json.dumps({k: v for k, v in rec.items() if v is not None or not absent})
+             for rec in records]
+    table = io.StringIO()
+    rows = csv.writer(table)
+    if records or draw(st.booleans()):
+        rows.writerow(["id", "sender", "recipients", "ts", "thread", "body"])
+    for rec in records:
+        row = [rec["id"], rec["sender"], ";".join(rec["recipients"]), rec["ts"],
+               "" if rec["thread"] is None else rec["thread"], rec["body"] or ""]
+        while absent and row[-1] == "" and len(row) > 4:
+            row.pop()
+        rows.writerow(row)
+    return {"jsonl": "".join(line + "\n" for line in lines), "csv": table.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def files_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest")
+
+
+@settings(max_examples=150, deadline=None)
+@given(files=record_files())
+def test_columns_first_ingest_matches_the_event_first_oracle(files_dir, files):
+    """`ingest` builds columns; the oracle builds one Event per record of the
+    same file, as read by the same reader."""
+    for fmt, read in (("jsonl", corpus._parse_jsonl), ("csv", corpus._parse_csv)):
+        path = files_dir / f"log.{fmt}"
+        path.write_text(files[fmt], encoding="utf-8")
+        want = oracle_build_log(list(read(path.read_text(encoding="utf-8"))))
+        assert_same_log(ingest(path, fmt), want, (BASE_MONDAY + SLOT, BASE_MONDAY + 4 * SLOT))
 
 
 def test_build_log_and_ingest_reject_duplicate_ids(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from commsim import agents, hawkes, simulator
-from commsim.corpus import Event, EventLog, serialize
+from commsim.corpus import Event, EventLog, ingest, serialize
 from commsim.simulator import (MIN_CLAMP_SECONDS, ActionDecision, Action, EmpiricalHoD,
                                HawkesGuided, LLMPredicted, PeriodicSchedule, SimConfig,
                                SimulationAborted, SimulationError, TriggerPlan,
@@ -10,7 +10,7 @@ from commsim.simulator import (MIN_CLAMP_SECONDS, ActionDecision, Action, Empiri
 from commsim.rng import pcg64_states, set_pcg64_state, substream
 
 import oracle_agents
-from conftest import BASE_MONDAY, ZeroDraws
+from conftest import BASE_MONDAY, MINI, ZeroDraws
 from oracle_simulator import next_activation
 
 DAY = 86400
@@ -49,12 +49,18 @@ def test_select_triggers_hand_ranked(mini_log, mini_manifest):
     plan2 = select_triggers(mini_log, (h0, h1), 0.25, (s0, s1))
     assert {mini_log.agents[i] for i in plan2.trigger_agents} == \
         set(mini_manifest["triggers_ratio_0.25"])
-    # scheduled events: alice's ground truth inside the sim window, the
-    # log's own Event objects
+    # scheduled events: alice's ground truth inside the sim window. A freshly
+    # ingested log holds columns, so the plan builds Events of its own rows
+    # only; from a log that holds Events it takes the log's own objects.
     alice = mini_log.index_of("alice")
     expected = [e for e in mini_log.events if s0 <= e.ts < s1 and e.sender == alice]
-    assert len(plan.scheduled_events.events) == len(expected)
-    assert all(e is want for e, want in zip(plan.scheduled_events.events, expected))
+    fresh = select_triggers(ingest(MINI), (h0, h1), 1 / 8, (s0, s1)).scheduled_events
+    assert "events" not in vars(fresh)
+    assert plan.scheduled_events.events == fresh.events == tuple(expected)
+    held = EventLog(mini_log.agents, mini_log.events)
+    scheduled = select_triggers(held, (h0, h1), 1 / 8, (s0, s1)).scheduled_events.events
+    assert len(scheduled) == len(expected)
+    assert all(e is want for e, want in zip(scheduled, expected))
 
 
 def test_select_triggers_empty_history(mini_log):
