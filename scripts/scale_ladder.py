@@ -7,16 +7,18 @@ proportion to agents. The corpora are perfbench's `corpusgen` (seed 1, corpus
 0), written under out/ladder/. Each size runs `--reps` fresh processes; each
 process runs the reference computation, then one pass, and reports the pass
 wall time, `wall_rel` (pass time over reference time, as perfbench's gated
-metric), its peak RSS and the SHA-256 of every output. One more process at the
-top size runs the pass traced by perfbench's spans, for the layer split
-(`corpus.ingest` is a layer of its own).
+metric), its peak RSS and the SHA-256 of every output. At the top size
+`--reps` more processes run the pass traced by perfbench's spans, for the
+layer split (`corpus.ingest` is a layer of its own), as one traced run's
+layer times can swing by 2x between ladder runs.
 
 Every process's digests must equal those pinned in scripts/scale_ladder.json;
 a mismatch fails the run. The result goes to BENCH_scale.json: per size the
 median wall time, median `wall_rel`, median peak RSS, events and agents; per
-workload the log-log slope of wall time against agents, and the layer split.
+workload the log-log slope of wall time against agents, and the layer split:
+each layer's median self time over the traced runs, with each run's value.
 
-    python scripts/scale_ladder.py                  # the ladder, about a minute
+    python scripts/scale_ladder.py                  # the ladder, about 90 s
     python scripts/scale_ladder.py --sizes smoke --reps 1 --output /tmp/scale.json
 
 `--pin` records the digests instead of checking them; use it only on code
@@ -119,6 +121,21 @@ def slope(xs, ys) -> float:
             / sum((a - mx) ** 2 for a in lx))
 
 
+def layer_split(traced: list[dict]) -> dict:
+    """The traced runs' median wall time, self time of each layer (largest
+    first) and time outside the layers, each with its runs' values."""
+    layers = dict.fromkeys(layer for run in traced for layer in run["self_s"])
+    self_runs = {layer: [round(run["self_s"].get(layer, 0.0), 4) for run in traced]
+                 for layer in layers}
+    self_runs = dict(sorted(self_runs.items(), key=lambda kv: -statistics.median(kv[1])))
+    return {"wall_s": statistics.median(run["wall_s"] for run in traced),
+            "wall_s_runs": [round(run["wall_s"], 4) for run in traced],
+            "self_s": {layer: statistics.median(values) for layer, values in self_runs.items()},
+            "self_s_runs": self_runs,
+            "other_s": statistics.median(run["other_s"] for run in traced),
+            "other_s_runs": [round(run["other_s"], 4) for run in traced]}
+
+
 def ladder(sizes: str, reps: int, pin: bool) -> tuple[dict, list[str]]:
     pinned = json.loads(PINNED.read_text()) if PINNED.exists() else {}
     table = pinned.setdefault(sizes, {})
@@ -130,8 +147,8 @@ def ladder(sizes: str, reps: int, pin: bool) -> tuple[dict, list[str]]:
             path, corpus = corpus_file(agents, days, rate)
             runs = [spawn(name, path, traced=False) for _ in range(reps)]
             if agents == SIZES[sizes][-1]:
-                traced = spawn(name, path, traced=True)
-                runs.append(traced)
+                traced = [spawn(name, path, traced=True) for _ in range(reps)]
+                runs += traced
             want = table.setdefault(name, {}).get(str(agents))
             for run in runs:
                 got = {"corpus": corpus["corpus"], **run["digests"]}
@@ -156,8 +173,7 @@ def ladder(sizes: str, reps: int, pin: bool) -> tuple[dict, list[str]]:
             "days": days, "events_per_agent_day": rate, "sizes": rows,
             "slope_wall_s_vs_agents": slope([r["agents"] for r in rows],
                                             [r["wall_s"] for r in rows]),
-            "layers_at_top": {"agents": rows[-1]["agents"], "wall_s": traced["wall_s"],
-                              "self_s": traced["self_s"], "other_s": traced["other_s"]},
+            "layers_at_top": {"agents": rows[-1]["agents"], **layer_split(traced)},
         }
     if pin:
         PINNED.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")

@@ -8,17 +8,18 @@ indexing regardless of record order. An `Event` is one file record and no
 more (id, sender, recipients, ts, thread, body), so a saved log, ingested and
 re-indexed onto its registry, equals the log that was saved.
 
-A log holds one of two equal representations when it is made and builds
-the other on first read. `EventLog(agents, events)` and `with_events` hold
-the `Event`s; their check derives the read-only int64 columns `ids`, `ts`,
-`senders` and the recipient CSR (`_offsets` into one flat `_recipients`),
-which the log keeps. `_from_columns` holds those columns with each event's
-thread and body: `build_log` (so `ingest`), `baselines.rewire_degree_preserving`,
-`hawkes.simulate_pure_hawkes` and the CLI's registry alignment build their logs
-through it, and `events` is built from the columns only when something reads
-it (`==`, `hash`, `serialize`). `_rows` makes the log of some rows of a log
-(a `window`, `simulator.select_triggers`' schedule) holding the rows of what
-its parent holds, so a reader that needs Events builds only those rows'.
+Every log holds its events as columns, whichever door made it: the
+read-only int64 `ids`, `ts`, `senders` and the recipient CSR (`_offsets`
+into one flat `_recipients`), with the `_threads` and `_bodies` lists. `events`
+is a view built from them on first read. `EventLog(agents, events)` and
+`with_events` derive the columns from the `Event`s they are given and keep
+those as the view. `_from_columns` builds a log from columns: `build_log` (so
+`ingest`), `baselines.rewire_degree_preserving`, `hawkes.simulate_pure_hawkes`,
+`metrics.exclude_triggers` and the CLI's registry alignment build through it.
+`_rows` makes the log of some rows of a log (a `window`,
+`simulator.select_triggers`' schedule) from the rows of its parent's columns,
+and of its Events where built. `==`, `hash` and `serialize` read the columns,
+so no library reader builds Events to compare, save or renumber a log.
 The edge stream, `edge_rows` (event index) with `edge_heads` (recipient), is
 derived from the CSR on first read. The edge rule is decided here only: one
 edge per recipient other than the sender, in log order. Every time window is
@@ -32,14 +33,15 @@ which the readers, `Event` and `agents.parse_decision` check by `field_error`.
 
 `EventLog(...)`, `with_events` and so `simulator.run`'s result check the
 registry range, the (ts, event_id) order and id uniqueness of what a user or
-an agent supplies, in one numpy pass over the columns they derive; the events
-are walked, for the message naming the first breach, only when that pass
-finds one. `_from_columns` checks unique int64 ids and times and each row's
-`Event` rules, sorts with one `np.lexsort`, then checks the registry range.
-`_unchecked` makes a frozen record without its dataclass `__init__` where the
-record's check holds by construction: the log `_from_columns` has just
-checked, an `EventLog` of ascending rows of a checked log (`_rows`) or of a
-subsequence renumbered (`metrics.exclude_triggers`), and two per-wake
+an agent supplies, in one numpy pass over the columns they derive. The
+events are walked, for the message naming the first breach, only when that
+pass finds one or a value is not an integer in int64's range; such a value is
+then refused as `build_log` refuses it (`_int64`). `_from_columns` checks
+unique int64 ids and times and each row's `Event` rules, sorts with one
+`np.lexsort`, then checks the registry range.
+`_unchecked` makes a frozen record without its `__init__` where the record's
+check holds by construction: the log `_from_columns` has just checked, an
+`EventLog` of ascending rows of a checked log (`_rows`), and two per-wake
 records, `simulator.ContextIndex.context`'s `AgentContext`, whose unread
 check the index runs itself, and `agents.stub_decide`'s `ActionDecision`,
 which has no check. `tests/test_library_callers.py` lists these sites and
@@ -80,6 +82,9 @@ RECORD_FIELDS = {"body": (str, _NULL), "sender": (str,), "recipients": (list,), 
 _RECORD_TYPES = frozenset(itertools.product(*RECORD_FIELDS.values()))
 _EVENT_TYPES = frozenset(itertools.product(RECORD_FIELDS["thread"], RECORD_FIELDS["body"]))
 _LABEL_TYPES = frozenset((str,))
+# an EventLog's int64 columns -> the name `_int64` gives a value of each
+_COLUMNS = {"ids": "id", "ts": "ts", "senders": "sender", "_offsets": "offset",
+            "_recipients": "recipient"}
 
 
 def kind_error(name: str, value, kind: type) -> str | None:
@@ -125,39 +130,52 @@ class Event:
             raise CorpusError(f"event {self.event_id}: {error}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EventLog:
     """Registry + events sorted by (ts, event_id). Immutable; safe to share.
 
-    A log holds one representation of its events when it is made and
-    derives the other on first read. `EventLog(agents, events)` and
-    `with_events` hold the Events, with the int columns their check derives;
-    `_from_columns` holds columns and builds `events` when it is read. A
-    sub-log (`_rows`) holds the rows of what its parent holds."""
+    Every log holds its events as columns, in log order: the read-only
+    int64 `ids`, `ts` and `senders`, the recipient CSR (event k's recipients
+    are `_recipients[_offsets[k]:_offsets[k + 1]]`) and the `_threads` and
+    `_bodies` lists. `events` is built from them on first read;
+    `EventLog(agents, events)` and `with_events` keep the Events they were
+    given as it. `==` and `hash` read the columns and lists."""
 
     agents: tuple[str, ...]
-    events: tuple[Event, ...]
 
-    def __post_init__(self):
-        columns = {name: _exact_column(values)
-                   for name, values in _event_lists(self.events).items()}
-        exact = all(column is not None for column in columns.values())
-        # the events are walked only for a breach, or for values that are not all int64
-        if not exact or _breach(len(self.agents), columns):
-            _walk_check(self.agents, self.events)
-        if exact:
-            self.__dict__.update(columns)
+    def __init__(self, agents: tuple[str, ...], events: tuple[Event, ...]):
+        try:
+            columns = {name: _int64(values, _COLUMNS[name])
+                       for name, values in _event_lists(events).items()}
+        except CorpusError:  # the walk names an order or range breach first
+            _walk_check(agents, events)
+            raise
+        # the events are walked only for a breach
+        if _breach(len(agents), columns):
+            _walk_check(agents, events)
+        self.__dict__.update(agents=agents, events=events, **columns,
+                             _threads=[e.thread_id for e in events],
+                             _bodies=[e.body for e in events])
 
-    def __getattr__(self, name):
-        # reached only for what the log does not hold: the Events of a column log
-        if name != "events" or "_threads" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is EventLog else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        """What `==` and `hash` read: the registry, the int columns' bytes and
+        the threads and bodies."""
+        return (self.agents, *(getattr(self, name).tobytes() for name in _COLUMNS),
+                tuple(self._threads), tuple(self._bodies))
+
+    @functools.cached_property
+    def events(self) -> tuple[Event, ...]:
+        """The log's Events, built from the columns on first read."""
         offsets, flat = self._offsets.tolist(), self._recipients.tolist()
-        events = tuple(map(Event, self.ids.tolist(), self.senders.tolist(),
-                           [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])],
-                           self.ts.tolist(), self._threads, self._bodies))
-        self.__dict__["events"] = events
-        return events
+        return tuple(map(Event, self.ids.tolist(), self.senders.tolist(),
+                         [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])],
+                         self.ts.tolist(), self._threads, self._bodies))
 
     def __len__(self):
         return len(self.ts)
@@ -175,49 +193,6 @@ class EventLog:
     def with_events(self, events: Iterable[Event]) -> "EventLog":
         """Same registry, new (re-sorted) event list."""
         return EventLog(self.agents, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
-
-    @functools.cached_property
-    def ids(self) -> np.ndarray:
-        """Event ids in log order (int64, read-only)."""
-        return self._derive("ids")
-
-    @functools.cached_property
-    def ts(self) -> np.ndarray:
-        """Event timestamps in log order (int64, read-only)."""
-        return self._derive("ts")
-
-    @functools.cached_property
-    def senders(self) -> np.ndarray:
-        """Event senders in log order (int64, read-only)."""
-        return self._derive("senders")
-
-    @functools.cached_property
-    def _offsets(self) -> np.ndarray:
-        """The recipient CSR: event k's recipients are
-        `_recipients[_offsets[k]:_offsets[k + 1]]` (int64, read-only)."""
-        return self._derive("_offsets")
-
-    @functools.cached_property
-    def _recipients(self) -> np.ndarray:
-        """Every event's recipient indices, one event after another (int64,
-        read-only)."""
-        return self._derive("_recipients")
-
-    def _derive(self, name: str) -> np.ndarray:
-        """An int column of a log that holds Events without it: a
-        `metrics.exclude_triggers` log, or Events whose values are not all
-        int64, coerced as before. All five are derived at once."""
-        for key, values in _event_lists(self.events).items():
-            self.__dict__.setdefault(key, _column(values))
-        return self.__dict__[name]
-
-    @functools.cached_property
-    def _threads(self) -> list:
-        return [e.thread_id for e in self.events]
-
-    @functools.cached_property
-    def _bodies(self) -> list:
-        return [e.body for e in self.events]
 
     @functools.cached_property
     def edge_rows(self) -> np.ndarray:
@@ -294,7 +269,7 @@ def _event_lists(events: Sequence[Event]) -> dict[str, list]:
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass `cls` holding `fields`, made
     without its `__init__` and `__post_init__`. `fields` name every field,
-    or for an `EventLog` made from columns every column but `events`. About
+    or for an `EventLog` every column and list (`events` is optional). About
     0.9 us against 2.7 us for `simulator.AgentContext(...)` (CPython 3.11,
     2 shared vCPUs). The instance gets a dict of its own (368 against 168
     bytes for an `Event`), so never for records a log keeps."""
@@ -308,30 +283,17 @@ def _frozen(column: np.ndarray) -> np.ndarray:
     return column
 
 
-def _column(values) -> np.ndarray:
-    return _frozen(np.array(values, dtype=np.int64))
-
-
-def _exact_column(values) -> np.ndarray | None:
-    """`values` as a read-only int64 column, or None unless each is an
-    integer in int64's range."""
-    if not len(values):
-        return _column(values)
-    try:
-        column = np.array(values)
-    except OverflowError:
-        return None
-    return _frozen(column.astype(np.int64, copy=False)) if column.dtype.kind == "i" else None
-
-
 def _int64(values, name: str) -> np.ndarray:
     """`values` as a read-only int64 column; CorpusError names the first
     value that is not an integer in int64's range."""
-    column = _exact_column(values)
-    if column is None:
+    try:
+        column = np.array(values) if len(values) else np.zeros(0, dtype=np.int64)
+    except OverflowError:
+        column = None
+    if column is None or column.dtype.kind != "i":
         bad = next(v for v in values if kind_error(name, v, int) or not -2**63 <= v < 2**63)
         raise CorpusError(kind_error(name, bad, int) or f"{name} {bad} is outside the int64 range")
-    return column
+    return _frozen(column.astype(np.int64, copy=False))
 
 
 def _take_csr(offsets: np.ndarray, flat: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -346,12 +308,12 @@ def _take_csr(offsets: np.ndarray, flat: np.ndarray, rows) -> tuple[np.ndarray, 
 
 def _from_columns(agents: tuple[str, ...], ids, ts, senders, counts, recipients, threads,
                   bodies) -> EventLog:
-    """A log that holds columns, from rows in any order: ids, timestamps
-    and sender indices, each row's recipient count with every row's
-    recipient indices in one flat sequence, and threads and bodies. Ids must
-    be unique and, with the timestamps, integers in int64's range; each row
-    keeps `Event`'s rules. The rows are ordered by (ts, id) with one
-    `np.lexsort`, and the registry range is checked on the sorted columns."""
+    """A log from rows in any order: ids, timestamps and sender indices,
+    each row's recipient count with every row's recipient indices in one
+    flat sequence, and threads and bodies. Ids must be unique and, with the
+    timestamps, integers in int64's range; each row keeps `Event`'s rules.
+    The rows are ordered by (ts, id) with one `np.lexsort`, and the registry
+    range is checked on the sorted columns."""
     ids, ts = _int64(ids, "id"), _int64(ts, "ts")
     distinct, seen = np.unique(ids, return_counts=True)
     if (seen > 1).any():
@@ -379,18 +341,14 @@ def _from_columns(agents: tuple[str, ...], ids, ts, senders, counts, recipients,
 def _rows(log: EventLog, rows) -> EventLog:
     """The log of `log`'s events at `rows`, a slice or an ascending index
     array: a subsequence of a checked log, so made without the check. It
-    holds the rows of what `log` holds, its Events or its columns, and of
-    each int column `log` has built."""
-    held = log.__dict__
-    fields = {name: _frozen(held[name][rows]) for name in ("ids", "ts", "senders")
-              if name in held}
-    if "_offsets" in held:
-        fields["_offsets"], fields["_recipients"] = _take_csr(held["_offsets"],
-                                                              held["_recipients"], rows)
+    holds the rows of `log`'s columns and lists, and of its Events where
+    built."""
+    fields = {name: _frozen(getattr(log, name)[rows]) for name in ("ids", "ts", "senders")}
+    fields["_offsets"], fields["_recipients"] = _take_csr(log._offsets, log._recipients, rows)
     picked = None if isinstance(rows, slice) else rows.tolist()
-    for name in ("events", "_threads", "_bodies"):
-        if name in held:
-            values = held[name]
+    for name in ("_threads", "_bodies", "events"):
+        if name in log.__dict__:  # the Events only where built
+            values = log.__dict__[name]
             fields[name] = values[rows] if picked is None else tuple(values[k] for k in picked)
     return _unchecked(EventLog, agents=log.agents, **fields)
 
@@ -504,18 +462,16 @@ def ingest(path, format: str = "jsonl") -> EventLog:
 
 def serialize(log: EventLog) -> str:
     """Canonical JSONL: one event per line, sorted by (ts, id), fixed key
-    order. Byte-identical for equal logs."""
-    lines = []
-    for e in log.events:
-        rec = {
-            "id": e.event_id,
-            "sender": log.agents[e.sender],
-            "recipients": [log.agents[r] for r in e.recipients],
-            "ts": e.ts,
-            "thread": e.thread_id,
-            "body": e.body,
-        }
-        lines.append(json.dumps(rec, separators=(",", ":"), ensure_ascii=False))
+    order. Byte-identical for equal logs. Reads the columns, so it builds no
+    `Event`."""
+    agents = log.agents
+    offsets, labels = log._offsets.tolist(), [agents[r] for r in log._recipients.tolist()]
+    lines = [json.dumps({"id": event_id, "sender": agents[sender], "recipients": labels[a:b],
+                         "ts": ts, "thread": thread, "body": body},
+                        separators=(",", ":"), ensure_ascii=False)
+             for event_id, sender, a, b, ts, thread, body in zip(
+                 log.ids.tolist(), log.senders.tolist(), offsets, offsets[1:], log.ts.tolist(),
+                 log._threads, log._bodies)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

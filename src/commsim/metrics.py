@@ -75,7 +75,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import timeutil
-from .corpus import (CorpusError, Event, EventLog, _unchecked, lag24_weekday_autocorr,
+from .corpus import (CorpusError, EventLog, _from_columns, lag24_weekday_autocorr,
                      node_burstiness)
 
 MOTIF2_CLASSES = ("reciprocal", "repeated", "out_star", "in_star",
@@ -652,17 +652,18 @@ def exclude_triggers(log: EventLog, trigger_agents) -> EventLog:
     triggers = _trigger_set(trigger_agents)
     if not triggers:
         return log
-    keep = [i for i in range(log.n_agents) if i not in triggers]
-    remap = {old: new for new, old in enumerate(keep)}
-    events = []
-    for e in log.events:
-        if e.sender in triggers or any(r in triggers for r in e.recipients):
-            continue
-        events.append(Event(e.event_id, remap[e.sender],
-                            tuple(remap[r] for r in e.recipients),
-                            e.ts, e.thread_id, e.body))
-    # a subsequence of a checked log, remapped into the kept registry
-    return _unchecked(EventLog, agents=tuple(log.agents[i] for i in keep), events=tuple(events))
+    kept = ~np.isin(np.arange(log.n_agents), list(triggers))
+    row_of = np.repeat(np.arange(len(log)), np.diff(log._offsets))
+    # an event is dropped with its sender or any of its recipients
+    dropped = ~kept[log.senders]
+    dropped[row_of[~kept[log._recipients]]] = True
+    rows = np.flatnonzero(~dropped)
+    renumber = np.cumsum(kept) - 1
+    picked = rows.tolist()
+    return _from_columns(tuple(log.agents[i] for i in np.flatnonzero(kept).tolist()),
+                         log.ids[rows], log.ts[rows], renumber[log.senders[rows]],
+                         np.diff(log._offsets)[rows], renumber[log._recipients[~dropped[row_of]]],
+                         [log._threads[k] for k in picked], [log._bodies[k] for k in picked])
 
 
 @dataclass(frozen=True)

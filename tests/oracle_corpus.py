@@ -1,8 +1,9 @@
 """The per-event scans that the cached columns, `EventLog.span` and
 `corpus.sent_times` replaced, kept as oracles of the column readers, the
-Event-first `build_log` that the columns-first one replaced, and the JSONL
-reader, with its own field checks, that `corpus._parse_jsonl`'s one-decode
-read and the shared record rules (`corpus.RECORD_FIELDS`) replaced."""
+Event-first `build_log` and `serialize` that the columns-first ones
+replaced, and the JSONL reader, with its own field checks, that
+`corpus._parse_jsonl`'s one-decode read and the shared record rules
+(`corpus.RECORD_FIELDS`) replaced."""
 
 import json
 import math
@@ -56,6 +57,23 @@ def oracle_build_log(records) -> EventLog:
     events = (Event(event_id, index[s], tuple(index[r] for r in rs), ts, thread, body)
               for event_id, s, rs, ts, thread, body in records)
     return EventLog(registry, tuple(sorted(events, key=lambda e: (e.ts, e.event_id))))
+
+
+def oracle_serialize(log: EventLog) -> str:
+    """The Event-first `corpus.serialize`: one JSON line per `Event` of
+    `log.events`."""
+    lines = []
+    for e in log.events:
+        rec = {
+            "id": e.event_id,
+            "sender": log.agents[e.sender],
+            "recipients": [log.agents[r] for r in e.recipients],
+            "ts": e.ts,
+            "thread": e.thread_id,
+            "body": e.body,
+        }
+        lines.append(json.dumps(rec, separators=(",", ":"), ensure_ascii=False))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _json_int(rec: dict, key: str) -> int:

@@ -100,7 +100,6 @@ UNCHECKED_SITES = {
     ("corpus", "_from_columns"),          # the columns it has just checked and sorted
     ("corpus", "_rows"),                  # ascending rows of a checked log
     ("corpus", "window"),                 # _rows: a span of a checked log
-    ("metrics", "exclude_triggers"),      # a subsequence of a checked log, renumbered
     ("simulator", "select_triggers"),     # _rows: ascending rows of a checked log
     ("simulator", "ContextIndex.context"),  # runs AgentContext's unread check itself
     ("agents", "stub_decide"),            # ActionDecision has no check

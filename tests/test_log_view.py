@@ -1,23 +1,25 @@
 """The columnar `metrics.log_view` against the derived-log path it replaced,
 and the internal constructor against the checked one it stands in for."""
 
+import copy
 import csv
 import dataclasses
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from commsim import corpus, metrics
-from commsim.corpus import CorpusError, Event, EventLog, build_log, ingest, window
+from commsim.corpus import CorpusError, Event, EventLog, build_log, ingest, serialize, window
 from commsim.metrics import compare, log_view, summarize
 from commsim.simulator import (Action, ActionDecision, PeriodicSchedule, SimConfig,
                                SimulationError, run, select_triggers)
 
 from conftest import BASE_MONDAY, assert_same_log, make_log
-from oracle_corpus import oracle_build_log, scan_window
+from oracle_corpus import oracle_build_log, oracle_serialize, scan_window
 from oracle_metrics import oracle_evaluate_all, oracle_log_view
 
 SLOT = 4 * 3600  # six slots a day: timestamps repeat and fall on midnight
@@ -156,12 +158,19 @@ def test_event_log_keeps_the_full_check(events, message):
             EventLog(("a", "b"), ()).with_events(events)
 
 
-def test_event_log_keeps_events_that_are_not_int64():
-    """The full check holds by the values themselves; the columns are coerced
-    on first read, as before."""
-    log = EventLog(("a", "b"), (Event(0, 0, (1,), 1.2), Event(1, 1, (0,), 1.7)))
-    assert log.ts.tolist() == [1, 1] and log.ts.dtype == np.int64
-    assert EventLog(("a", "b"), (Event(True, 0, (1,), 5),)).ids.tolist() == [1]
+@pytest.mark.parametrize("events,message", [
+    ((Event(0, 0, (1,), 1.2),), r"^ts 1\.2 is not an integer$"),
+    ((Event(True, 0, (1,), 5),), "^id True is not an integer$"),
+    ((Event(0, 0, (1,), 2**63),), "^ts 9223372036854775808 is outside the int64 range$"),
+    ((Event(0, 1.0, (0,), 5),), r"^sender 1\.0 is not an integer$"),
+], ids=["float_ts", "bool_id", "ts_2_63", "float_sender"])
+def test_event_log_takes_int64_values_as_build_log_does(events, message):
+    """Values that pass the walk but are not integers in int64's range are
+    refused with `build_log`'s message, by both checked doors."""
+    with pytest.raises(CorpusError, match=message):
+        EventLog(("a", "b"), events)
+    with pytest.raises(CorpusError, match=message):
+        EventLog(("a", "b"), ()).with_events(events)
 
 
 @pytest.mark.parametrize("records,message", [
@@ -265,3 +274,87 @@ def test_run_rejects_an_action_outside_the_registry(mini_log, mini_manifest):
 
     with pytest.raises(SimulationError, match="outside registry"):
         run(cfg, mini_log, Stray(), plan)
+
+
+# ---------------------------------------------------------------------------
+# one representation: `serialize`, `==` and `hash` read the columns
+
+# bodies with unicode, quotes, a backslash and line breaks
+BODIES = st.none() | st.text(alphabet='ab "\'\\\n\r\u00e9\u2603', max_size=5)
+# what every log holds from the moment it is made, whichever door made it
+HELD = {"agents", "ids", "ts", "senders", "_offsets", "_recipients", "_threads", "_bodies"}
+
+
+@st.composite
+def label_records(draw):
+    """Label records in any order: unique ids, negative ones too, six slots
+    of timestamps, one to three recipients that may repeat or name the
+    sender, null or negative threads and `BODIES`; possibly none."""
+    records = []
+    for event_id in draw(st.lists(st.integers(-5, 40), unique=True, max_size=20)):
+        sender = draw(LABELS)
+        records.append((event_id, sender,
+                        draw(st.lists(st.just(sender) | LABELS, min_size=1, max_size=3)),
+                        BASE_MONDAY + SLOT * draw(st.integers(0, 5)),
+                        draw(st.none() | st.integers(-3, 3)), draw(BODIES)))
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_records())
+@example([])
+def test_serialize_reads_the_columns(records):
+    """A column log and an Event log of the same records serialize to the
+    Event-first oracle's bytes, and `serialize` builds no Event."""
+    log, want = build_log(records), oracle_build_log(records)
+    text = serialize(log)
+    assert "events" not in vars(log)
+    assert text == serialize(want) == oracle_serialize(want) == oracle_serialize(log)
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_records(), st.data())
+def test_log_equality_reads_columns_and_lists(records, data):
+    """The same log from every door compares equal, with an equal hash, and
+    neither `==` nor `hash` builds Events; logs that differ in one thread,
+    one body, the order of one event's recipients or only in where the flat
+    recipients split into events compare unequal."""
+    log, want = build_log(records), oracle_build_log(records)
+    events, n = want.events, log.n_agents
+    t0, t1 = sorted(BASE_MONDAY + SLOT * data.draw(st.integers(-1, 7)) for _ in range(2))
+    in_window = tuple(e for e in events if t0 <= e.ts < t1)
+    triggers = data.draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
+    new = {old: k for k, old in enumerate(i for i in range(n) if i not in triggers)}
+    doors = [(log, want), (pickle.loads(pickle.dumps(log)), want), (copy.deepcopy(log), want),
+             (window(log, t0, t1), EventLog(log.agents, in_window)),
+             (metrics.exclude_triggers(log, triggers), EventLog(
+                 tuple(log.agents[i] for i in new), tuple(
+                     dataclasses.replace(e, sender=new[e.sender],
+                                         recipients=tuple(new[r] for r in e.recipients))
+                     for e in events if e.sender in new and all(r in new for r in e.recipients))))]
+    if n:
+        plan = select_triggers(log, (int(log.ts[0]), int(log.ts[-1]) + 1), len(triggers) / n,
+                               (t0, t1))
+        doors.append((plan.scheduled_events, EventLog(log.agents, tuple(
+            e for e in in_window if e.sender in plan.trigger_agents))))
+    for got, expected in [*doors, (EventLog(log.agents, ()).with_events(events[::-1]), want)]:
+        assert HELD <= vars(got).keys() and HELD <= vars(expected).keys()
+        assert got == expected and expected == got and hash(got) == hash(expected)
+    assert ["events" in vars(got) for got, _ in doors] == [False] * len(doors)
+
+    variants = []
+    for k, e in enumerate(events):
+        variants += [{k: dataclasses.replace(e, thread_id=(e.thread_id or 0) + 1)},
+                     {k: dataclasses.replace(e, body=(e.body or "") + "x")}]
+        if len(set(e.recipients)) > 1:
+            rotated = (*e.recipients[1:], e.recipients[0])
+            variants.append({k: dataclasses.replace(e, recipients=rotated)})
+        if len(e.recipients) > 1 and k + 1 < len(events):  # the same flat recipients
+            after = events[k + 1]
+            variants.append({k: dataclasses.replace(e, recipients=e.recipients[:-1]),
+                             k + 1: dataclasses.replace(after, recipients=(e.recipients[-1],
+                                                                           *after.recipients))})
+    for changed in variants:
+        other = EventLog(log.agents, tuple(changed.get(k, e) for k, e in enumerate(events)))
+        assert log != other and other != log and want != other
+    assert "events" not in vars(log)

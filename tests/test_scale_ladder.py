@@ -31,6 +31,8 @@ def test_scale_ladder_smoke(tmp_path):
         assert isinstance(result["slope_wall_s_vs_agents"], float)
         layers = result["layers_at_top"]
         assert layers["agents"] == 24 and "corpus.ingest" in layers["self_s"], name
+        assert list(layers["self_s_runs"]) == list(layers["self_s"]), name
+        assert len(layers["wall_s_runs"]) == len(layers["self_s_runs"]["corpus.ingest"]) == 1
     pinned = json.loads((ROOT / "scripts" / "scale_ladder.json").read_text())
     assert sorted(pinned["ladder"]["score_suite"]) == ["100", "1000", "300"]
     assert "rewired_null.report" in pinned["ladder"]["score_suite"]["1000"]
